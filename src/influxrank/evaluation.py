@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .features import RE_INDEX, FeatureContext
 from .logistic import LogisticModel
@@ -15,12 +16,12 @@ from .model import Dataset
 from .ranking import (
     DEFAULT_GAMMA,
     RankVector,
-    _assemble,
     _edge_weights_all_hours,
     aggregate,
+    build_matrix,
+    check_tunkrank_fixed_point,
     personal_weights,
-    power_iterate,
-    tunkrank,
+    twitterrank_matrices,
 )
 
 SCENARIO_TAGS = ("L_fh", "L_fl", "L_th", "L_tl", "L_dh", "L_dl", "L_rr", "L_ur")
@@ -194,13 +195,74 @@ def build_link_sets(
     return out
 
 
+class ColumnUpdateSolver:
+    """Direct solve of (I - s S) x = b, and of the same system after one
+    column of S is replaced.
+
+    S is a column-normalised edge matrix: each column sums to 1 or is zero.
+    The right-hand side b is either all ones or S 1. With ones and s = gamma,
+    x normalised to sum 1 is PageRank with dangling mass spread uniformly,
+    like the teleport vector (Del Corso, Gulli and Romani, "Fast PageRank
+    Computation via a Sparse Linear System", 2005). With S 1 and s = p, x is
+    TunkRank. I - s S is factored once with a sparse LU.
+
+    Removing edge (u, v) replaces column u only: S' = S + d e_u^T with
+    d = S'_u - S_u, and S' 1 = S 1 + d. By Sherman-Morrison the new solution
+    is x + z (eta + s x_u) / (1 - s z_u), where z = (I - s S)^{-1} d and eta
+    is 1 for the S 1 right-hand side, 0 for ones: one extra LU solve per
+    removed link (Langville and Meyer, "Updating Markov Chains with an Eye
+    on Google's PageRank", 2006).
+    """
+
+    def __init__(self, matrix: sparse.csc_matrix, s: float, rhs_from_matrix: bool = False):
+        # imported here: scipy.sparse.linalg adds about 10 MB of resident
+        # libraries, which only link scoring needs
+        from scipy.sparse.linalg import splu
+
+        n = matrix.shape[0]
+        self.matrix = matrix.tocsc()
+        self.s = s
+        self.eta = 1.0 if rhs_from_matrix else 0.0
+        self.lu = splu((sparse.identity(n, format="csc") - s * self.matrix).tocsc())
+        rhs = self.matrix @ np.ones(n) if rhs_from_matrix else np.ones(n)
+        self.x = self.lu.solve(rhs)
+
+    def solve_with_column(self, u: int, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Solution with column u of S replaced by raw ``weights`` on ``rows``,
+        normalised to sum 1; a column whose weights sum to 0 becomes zero."""
+        total = weights.sum()
+        column = weights * (1.0 / total) if total > 0 else np.zeros(len(rows))
+        d = np.zeros(len(self.x))
+        d[rows] = column
+        start, stop = self.matrix.indptr[u], self.matrix.indptr[u + 1]
+        d[self.matrix.indices[start:stop]] -= self.matrix.data[start:stop]
+        z = self.lu.solve(d)
+        x = self.x + z * ((self.eta + self.s * self.x[u]) / (1.0 - self.s * z[u]))
+        # One fixed-point step, x <- b' + S'(eta + s x). It moves x by rounding
+        # only, but computes each score from the user's in-edges as power
+        # iteration does: users with the same in-edges (everyone nobody
+        # follows, to begin with) get bitwise-equal scores, and such exact
+        # ties fall to the user-id order instead of to LU rounding.
+        w = self.eta + self.s * x
+        w_u, w[u] = w[u], 0.0
+        y = self.matrix @ w
+        y[rows] += column * w_u
+        return (1.0 - self.eta) + y
+
+
+def _friend_rows(src: np.ndarray, iu: int, removed: int) -> np.ndarray:
+    """Edge rows of follower iu that remain once edge row ``removed`` goes."""
+    rows = np.flatnonzero(src == iu)
+    return rows[rows != removed]
+
+
 class TirLinkScorer:
     """Reusable TIR machinery for repeated single-edge-removal rankings.
 
     Removing edge (u, v) only changes column u of every hourly matrix: u
     loses a friend, which shifts the tweet-share feature and close-friend
-    multiplier for u's remaining edges. Those rows are recomputed; all other
-    cached edge weights are reused.
+    multiplier for u's remaining edges. Those weights are recomputed and each
+    hour's ranking is updated by one ColumnUpdateSolver solve.
     """
 
     def __init__(
@@ -210,62 +272,46 @@ class TirLinkScorer:
         c: float,
         gamma: float = DEFAULT_GAMMA,
         ctx: Optional[FeatureContext] = None,
-        tol: float = 1e-8,
-        max_iters: int = 200,
     ):
         self.dataset = dataset
         self.model = model
         self.c = c
         self.gamma = gamma
         self.ctx = ctx if ctx is not None else FeatureContext(dataset)
-        self.tol = tol
-        self.max_iters = max_iters
-        self.weights = _edge_weights_all_hours(self.ctx, model, c)
+        weights = _edge_weights_all_hours(self.ctx, model, c)
+        self.solvers = [
+            ColumnUpdateSolver(
+                build_matrix(dataset, model, t, c, gamma, ctx=self.ctx, edge_weights=weights).matrix,
+                gamma,
+            )
+            for t in range(24)
+        ]
         self.edge_index = {e: i for i, e in enumerate(self.ctx.edges)}
         self.static = self.ctx.edge_static_features()
 
     def personal_scores_without(self, u: str, v: str) -> RankVector:
         ctx = self.ctx
-        removed = self.edge_index[(u, v)]
         iu, iv = ctx.index[u], ctx.index[v]
-        keep = np.ones(len(ctx.edges), dtype=bool)
-        keep[removed] = False
-        u_rows = np.flatnonzero((ctx.edge_src == iu) & keep)
+        u_rows = _friend_rows(ctx.edge_src, iu, self.edge_index[(u, v)])
 
-        weights = self.weights[keep]
-        if len(u_rows):
-            x = self.static[u_rows].copy()
-            x[:, RE_INDEX] = 1.0
-            new_total = ctx.friend_tweet_total[iu] - ctx.tweet_counts[iv]
-            dsts = ctx.edge_dst[u_rows]
-            x[:, 6] = ctx.tweet_counts[dsts] / new_total if new_total > 0 else 0.0
-            mult = np.where(ctx.edge_close[u_rows], self.c, 1.0 - self.c)
-            w_u = np.empty((len(u_rows), 24))
-            for t in range(24):
-                xt = x.copy()
-                xt[:, 7] = ctx.n_t[dsts, t]
-                xt[:, 8] = ctx.a_t[iu, t]
-                xt[:, 9] = ctx.a_t[dsts, t]
-                xt[:, 10] = xt[:, 8] * xt[:, 9]
-                if self.model.scaler is not None:
-                    xt = self.model.scaler.transform(xt)
-                w_u[:, t] = mult * ctx.n_t[dsts, t] * self.model.predict(xt)
-            # positions of u's rows inside the kept-edge ordering
-            kept_pos = np.cumsum(keep) - 1
-            weights[kept_pos[u_rows]] = w_u
-
-        src = ctx.edge_src[keep]
-        dst = ctx.edge_dst[keep]
-        n = len(ctx.user_ids)
-        hourly = [
-            power_iterate(
-                _assemble(src, dst, weights[:, t], n, t, self.gamma),
-                ctx.user_ids,
-                tol=self.tol,
-                max_iters=self.max_iters,
-            )
-            for t in range(24)
-        ]
+        x = self.static[u_rows].copy()
+        x[:, RE_INDEX] = 1.0
+        new_total = ctx.friend_tweet_total[iu] - ctx.tweet_counts[iv]
+        dsts = ctx.edge_dst[u_rows]
+        x[:, 6] = ctx.tweet_counts[dsts] / new_total if new_total > 0 else 0.0
+        mult = np.where(ctx.edge_close[u_rows], self.c, 1.0 - self.c)
+        hourly = []
+        for t, solver in enumerate(self.solvers):
+            xt = x.copy()
+            xt[:, 7] = ctx.n_t[dsts, t]
+            xt[:, 8] = ctx.a_t[iu, t]
+            xt[:, 9] = ctx.a_t[dsts, t]
+            xt[:, 10] = xt[:, 8] * xt[:, 9]
+            if self.model.scaler is not None:
+                xt = self.model.scaler.transform(xt)
+            w_u = mult * ctx.n_t[dsts, t] * self.model.predict(xt)
+            y = solver.solve_with_column(iu, dsts, w_u)
+            hourly.append(RankVector(tuple(ctx.user_ids), y / y.sum(), hour=t))
         return aggregate(
             hourly,
             personal_weights(ctx, u),
@@ -282,59 +328,31 @@ class TwitterRankLinkScorer:
         dataset: Dataset,
         gamma: float = DEFAULT_GAMMA,
         ctx: Optional[FeatureContext] = None,
-        tol: float = 1e-8,
-        max_iters: int = 200,
     ):
         self.dataset = dataset
         self.gamma = gamma
         self.ctx = ctx if ctx is not None else FeatureContext(dataset)
-        self.tol = tol
-        self.max_iters = max_iters
-        ctx = self.ctx
-        totals = ctx.friend_tweet_total[ctx.edge_src]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.ratio = np.where(
-                totals > 0, ctx.tweet_counts[ctx.edge_dst] / np.maximum(totals, 1e-300), 0.0
-            )
-        self.sims = np.stack(
-            [
-                1.0 - np.abs(ctx.topics[ctx.edge_src, t] - ctx.topics[ctx.edge_dst, t])
-                for t in range(ctx.topics.shape[1])
-            ],
-            axis=1,
-        )  # (n_edges, k)
-        self.edge_index = {e: i for i, e in enumerate(ctx.edges)}
+        self.solvers = [
+            ColumnUpdateSolver(tm.matrix, gamma)
+            for tm in twitterrank_matrices(dataset, gamma, self.ctx)
+        ]
+        self.edge_index = {e: i for i, e in enumerate(self.ctx.edges)}
 
     def personal_scores_without(self, u: str, v: str) -> RankVector:
         ctx = self.ctx
-        removed = self.edge_index[(u, v)]
         iu, iv = ctx.index[u], ctx.index[v]
-        keep = np.ones(len(ctx.edges), dtype=bool)
-        keep[removed] = False
-        ratio = self.ratio[keep].copy()
-        u_rows = np.flatnonzero((ctx.edge_src == iu) & keep)
+        u_rows = _friend_rows(ctx.edge_src, iu, self.edge_index[(u, v)])
+        dsts = ctx.edge_dst[u_rows]
         new_total = ctx.friend_tweet_total[iu] - ctx.tweet_counts[iv]
-        kept_pos = np.cumsum(keep) - 1
-        if len(u_rows):
-            dsts = ctx.edge_dst[u_rows]
-            ratio[kept_pos[u_rows]] = (
-                ctx.tweet_counts[dsts] / new_total if new_total > 0 else 0.0
-            )
-        src, dst = ctx.edge_src[keep], ctx.edge_dst[keep]
-        sims = self.sims[keep]
-        n = len(ctx.user_ids)
+        ratio = ctx.tweet_counts[dsts] / new_total if new_total > 0 else np.zeros(len(dsts))
+        sims = 1.0 - np.abs(ctx.topics[iu] - ctx.topics[dsts])  # (len(dsts), k)
         shares = ctx.topics[iu]
-        scores = np.zeros(n)
-        for t in range(ctx.topics.shape[1]):
+        scores = np.zeros(len(ctx.user_ids))
+        for t, solver in enumerate(self.solvers):
             if shares[t] <= 0:
                 continue
-            rv = power_iterate(
-                _assemble(src, dst, ratio * sims[:, t], n, t, self.gamma),
-                ctx.user_ids,
-                tol=self.tol,
-                max_iters=self.max_iters,
-            )
-            scores += shares[t] * rv.scores
+            y = solver.solve_with_column(iu, dsts, ratio * sims[:, t])
+            scores += shares[t] * (y / y.sum())
         if shares.sum() > 0:
             scores /= shares.sum()
         return RankVector(
@@ -346,18 +364,39 @@ class TwitterRankLinkScorer:
         )
 
 
-def _remove_edge_dataset(dataset: Dataset, u: str, v: str) -> Dataset:
-    from .model import FollowGraph
+class TunkRankLinkScorer:
+    """TunkRank after removing one follow link, by one ColumnUpdateSolver
+    solve: column u of the follower -> friend matrix holds 1/deg(u) on each
+    friend, and without (u, v) it holds 1/(deg(u) - 1) on the rest."""
 
-    edges = [(a, b) for a, b in dataset.graph.edges() if (a, b) != (u, v)]
-    reduced = Dataset(
-        users=dataset.users,
-        graph=FollowGraph(dataset.users.keys(), edges),
-        tweets=list(dataset.tweets),
-        observation_window=dataset.observation_window,
-        tz_offset=dataset.tz_offset,
-    )
-    return reduced
+    def __init__(self, dataset: Dataset, p: float = 0.05):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("p must be in [0, 1]")
+        self.p = p
+        self.user_ids = tuple(sorted(dataset.users))
+        self.index = {u: i for i, u in enumerate(self.user_ids)}
+        edges = list(dataset.graph.edges())
+        self.edge_index = {e: i for i, e in enumerate(edges)}
+        n = len(self.user_ids)
+        self.src = np.array([self.index[a] for a, _ in edges], dtype=int)
+        self.dst = np.array([self.index[b] for _, b in edges], dtype=int)
+        if p == 1.0:
+            check_tunkrank_fixed_point(self.src, self.dst, n)
+        deg = np.bincount(self.src, minlength=n)
+        a = sparse.csc_matrix((1.0 / deg[self.src], (self.dst, self.src)), shape=(n, n))
+        self.solver = ColumnUpdateSolver(a, p, rhs_from_matrix=True)
+
+    def scores_without(self, u: str, v: str) -> RankVector:
+        iu = self.index[u]
+        removed = self.edge_index[(u, v)]
+        if self.p == 1.0:
+            keep = np.arange(len(self.src)) != removed
+            check_tunkrank_fixed_point(self.src[keep], self.dst[keep], len(self.user_ids))
+        u_rows = _friend_rows(self.src, iu, removed)
+        x = self.solver.solve_with_column(iu, self.dst[u_rows], np.ones(len(u_rows)))
+        return RankVector(
+            user_ids=self.user_ids, scores=x, hour=None, model="tunkrank", params={"p": self.p}
+        )
 
 
 def sample_candidates(
@@ -392,15 +431,17 @@ def evaluate_link(
     the reduced graph, count candidates ranked below the true friend.
 
     TIR and TwitterRank use personal-perspective aggregation via the given
-    scorer; TunkRank uses its global ranking.
+    scorer; TunkRank uses its global ranking, from the given scorer or one
+    built here with ``tunkrank_p``.
     """
     u, v = link
     if not dataset.graph.has_edge(u, v):
         raise ValueError(f"link ({u!r}, {v!r}) not in graph")
     candidates = sample_candidates(dataset, u, _sub_seed(seed, "candidates", u, v))
     if model == "tunkrank":
-        reduced = _remove_edge_dataset(dataset, u, v)
-        scores = tunkrank(reduced, p=tunkrank_p, tol=1e-10)
+        if scorer is None:
+            scorer = TunkRankLinkScorer(dataset, p=tunkrank_p)
+        scores = scorer.scores_without(u, v)
     elif model in ("tir", "twitterrank"):
         if scorer is None:
             raise ValueError(f"{model} evaluation requires a prepared scorer")
@@ -435,48 +476,37 @@ def run_scenarios(
     scenarios: Optional[Sequence[str]] = None,
     n_links: int = 30,
     ctx: Optional[FeatureContext] = None,
-    tol: float = 1e-8,
 ) -> list[ScenarioResult]:
-    """Mean Q per (scenario, model); TIR additionally swept over c_grid."""
+    """Mean Q per (scenario, model); TIR additionally swept over c_grid.
+
+    Results come in the order scenario -> model -> c; each scorer serves
+    every scenario's links before the next one is built.
+    """
     if ctx is None:
         ctx = FeatureContext(dataset)
     link_sets = build_link_sets(dataset, seed=seed, ctx=ctx, n_links=n_links)
-    tags = list(scenarios) if scenarios else list(SCENARIO_TAGS)
-    results: list[ScenarioResult] = []
+    tags = [t for t in (scenarios or SCENARIO_TAGS) if link_sets[t].links]
 
-    tw_scorer = (
-        TwitterRankLinkScorer(dataset, gamma=gamma, ctx=ctx, tol=tol)
-        if "twitterrank" in models
-        else None
-    )
-    tir_scorers = (
-        {c: TirLinkScorer(dataset, logistic_model, c, gamma=gamma, ctx=ctx, tol=tol)
-         for c in c_grid}
-        if "tir" in models
-        else {}
-    )
-    for tag in tags:
-        links = link_sets[tag].links
-        if not links:
-            continue
-        for model in models:
-            if model == "tir":
-                for c in c_grid:
-                    qs = [
-                        evaluate_link(dataset, l, seed, "tir", tir_scorers[c])
-                        for l in links
-                    ]
-                    results.append(ScenarioResult(tag, "tir", c, qs))
-            elif model == "twitterrank":
-                qs = [
-                    evaluate_link(dataset, l, seed, "twitterrank", tw_scorer)
-                    for l in links
-                ]
-                results.append(ScenarioResult(tag, "twitterrank", None, qs))
-            else:
-                qs = [
-                    evaluate_link(dataset, l, seed, "tunkrank", tunkrank_p=tunkrank_p)
-                    for l in links
-                ]
-                results.append(ScenarioResult(tag, "tunkrank", None, qs))
-    return results
+    def q_by_tag(model: str, scorer) -> dict[str, list[int]]:
+        return {
+            tag: [evaluate_link(dataset, l, seed, model, scorer) for l in link_sets[tag].links]
+            for tag in tags
+        }
+
+    # Scorers are temporaries: one c's TIR factorisations are freed before
+    # the next c's are built.
+    per_model: list[tuple[str, Optional[float], dict[str, list[int]]]] = []
+    for model in models:
+        if model == "tir":
+            for c in c_grid:
+                per_model.append(("tir", c, q_by_tag(
+                    "tir", TirLinkScorer(dataset, logistic_model, c, gamma=gamma, ctx=ctx))))
+        elif model == "twitterrank":
+            per_model.append(("twitterrank", None, q_by_tag(
+                "twitterrank", TwitterRankLinkScorer(dataset, gamma=gamma, ctx=ctx))))
+        elif model == "tunkrank":
+            per_model.append(("tunkrank", None, q_by_tag(
+                "tunkrank", TunkRankLinkScorer(dataset, p=tunkrank_p))))
+        else:
+            raise ValueError(f"unknown model {model!r}")
+    return [ScenarioResult(tag, m, c, qs[tag]) for tag in tags for m, c, qs in per_model]

@@ -173,8 +173,9 @@ class FeatureContext:
         q = self.topics[dst]
         m = 0.5 * (p + q)
         with np.errstate(divide="ignore", invalid="ignore"):
-            kl_pm = np.where(p > 0, p * (np.log(p, where=p > 0) - np.log(m, where=m > 0)), 0.0)
-            kl_qm = np.where(q > 0, q * (np.log(q, where=q > 0) - np.log(m, where=m > 0)), 0.0)
+            log_m = np.log(m, out=np.zeros_like(m), where=m > 0)
+            kl_pm = np.where(p > 0, p * (np.log(p, out=np.zeros_like(p), where=p > 0) - log_m), 0.0)
+            kl_qm = np.where(q > 0, q * (np.log(q, out=np.zeros_like(q), where=q > 0) - log_m), 0.0)
         jsd = (0.5 * kl_pm.sum(axis=1) + 0.5 * kl_qm.sum(axis=1)) / np.log(self.jsd_base)
         x[:, 11] = np.sqrt(np.maximum(2.0 * jsd, 0.0))
         self._edge_static = x

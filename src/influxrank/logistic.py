@@ -119,9 +119,14 @@ def train(
             g = g + l2 * w
         w0 -= learning_rate * g0
         w -= learning_rate * g
-        loss = log_loss(w0, w, x, y)
-        if not (np.isfinite(loss) and np.isfinite(w0) and np.isfinite(w).all()):
-            raise TrainingError(f"non-finite loss at epoch {epoch}")
+        # log_loss clips p, so the loss can only turn non-finite through the
+        # gradient or the weights; checking those skips a loss pass per epoch.
+        if not (np.isfinite(g0) and np.isfinite(g).all()
+                and np.isfinite(w0) and np.isfinite(w).all()):
+            raise TrainingError(f"non-finite gradient or weights at epoch {epoch}")
+    final_loss = log_loss(w0, w, x, y)
+    if not np.isfinite(final_loss):
+        raise TrainingError("non-finite final loss")
     return LogisticModel(
         w0=w0,
         w=w,
@@ -131,7 +136,7 @@ def train(
             "learning_rate": learning_rate,
             "epochs": epochs,
             "l2": l2,
-            "final_loss": log_loss(w0, w, x, y),
+            "final_loss": final_loss,
         },
     )
 

@@ -281,6 +281,8 @@ def tunkrank(
         rows.append(index[friend])
         cols.append(index[follower])
         data.append(1.0 / deg)
+    if p == 1.0:
+        check_tunkrank_fixed_point(np.array(cols, dtype=int), np.array(rows, dtype=int), n)
     a = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
     influence = np.zeros(n)
     for _ in range(max_iters):
@@ -296,6 +298,37 @@ def tunkrank(
                 params={"p": p},
             )
     raise ConvergenceError("tunkrank did not converge", residual)
+
+
+def check_tunkrank_fixed_point(follower: np.ndarray, friend: np.ndarray, n: int) -> None:
+    """Raise ValueError when TunkRank at p = 1 has no fixed point.
+
+    With p = 1 the fixed point exists exactly when there is no closed follow
+    class: a strongly connected set of users with a follow edge among them
+    and no edge leaving it. Such a class keeps all of its followers'
+    influence, so the follower -> friend matrix has eigenvalue 1 and the
+    iteration grows without bound. For p < 1 a fixed point always exists.
+    """
+    # imported here, like splu in evaluation: csgraph adds about 11 MB of
+    # resident libraries, and only p = 1 needs it
+    from scipy.sparse.csgraph import connected_components
+
+    graph = sparse.csr_matrix(
+        (np.ones(len(follower)), (follower, friend)), shape=(n, n)
+    )
+    k, label = connected_components(graph, directed=True, connection="strong")
+    a, b = label[follower], label[friend]
+    inner = np.zeros(k, dtype=bool)
+    inner[a[a == b]] = True
+    leaving = np.zeros(k, dtype=bool)
+    leaving[a[a != b]] = True
+    closed = np.flatnonzero(inner & ~leaving)
+    if len(closed):
+        size = int(np.bincount(label, minlength=k)[closed].max())
+        raise ValueError(
+            f"tunkrank with p = 1 has no fixed point: {size} users form a closed "
+            "follow class (no follow edge leaves it); use p < 1"
+        )
 
 
 def twitterrank_matrices(

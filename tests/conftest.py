@@ -26,6 +26,20 @@ def make_dataset(users, edges, tweets, window=(0, 30 * 86400)):
     )
 
 
+def _remove_edge_dataset(dataset: Dataset, u: str, v: str) -> Dataset:
+    """Full rebuild of the dataset without follow edge (u, v): the oracle the
+    single-edge-removal scorers are checked against."""
+    edges = [(a, b) for a, b in dataset.graph.edges() if (a, b) != (u, v)]
+    reduced = Dataset(
+        users=dataset.users,
+        graph=FollowGraph(dataset.users.keys(), edges),
+        tweets=list(dataset.tweets),
+        observation_window=dataset.observation_window,
+        tz_offset=dataset.tz_offset,
+    )
+    return reduced
+
+
 @pytest.fixture
 def tiny_dataset():
     """Three users with hand-computable features.

@@ -336,7 +336,7 @@ def test_criterion_08_penalty_factor(report, small_synth, small_model, small_ctx
     links = build_link_sets(big, seed=5, ctx=big_ctx)["L_fl"].links
     mean_q = {}
     for c in (0.5, 0.95):
-        scorer = TirLinkScorer(big, fitted, c=c, ctx=big_ctx, tol=1e-8)
+        scorer = TirLinkScorer(big, fitted, c=c, ctx=big_ctx)
         mean_q[c] = float(
             np.mean([evaluate_link(big, l, 5, "tir", scorer) for l in links])
         )

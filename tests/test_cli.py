@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,9 @@ from click.testing import CliRunner
 
 from influxrank.cli import main, stage_seed
 from influxrank.logistic import LogisticModel
+from influxrank.model import serialize
+
+from conftest import make_dataset, make_user
 
 
 def run_cli(*args):
@@ -208,6 +212,18 @@ class TestErrorHandling:
         assert not (out / "manifest.json").exists()
         leftovers = [p for p in out.iterdir()] if out.exists() else []
         assert leftovers == []
+
+    def test_tunkrank_p1_with_closed_class_fails_fast(self, tmp_path):
+        users = [make_user(u) for u in "ab"]
+        serialize(make_dataset(users, [("a", "b"), ("b", "a")], []), tmp_path / "in")
+        out = tmp_path / "out"
+        started = time.perf_counter()
+        res = run_cli("rank", "--in", tmp_path / "in", "--model", "tunkrank",
+                      "--p", 1, "--out", out)
+        assert time.perf_counter() - started < 0.1
+        assert res.exit_code == 1
+        assert "2 users form a closed follow class" in res.output
+        assert not (out / "manifest.json").exists()
 
     def test_bad_c_grid(self, pipeline, tmp_path):
         res = run_cli("recommend", "--in", pipeline["data"],

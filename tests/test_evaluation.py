@@ -4,8 +4,8 @@ import pytest
 from influxrank.evaluation import (
     SCENARIO_TAGS,
     TirLinkScorer,
+    TunkRankLinkScorer,
     TwitterRankLinkScorer,
-    _remove_edge_dataset,
     build_link_sets,
     evaluate_link,
     kendall_tau,
@@ -15,7 +15,9 @@ from influxrank.evaluation import (
     sample_candidates,
 )
 from influxrank.features import FeatureContext
-from influxrank.ranking import RankVector, tir_rank, twitterrank
+from influxrank.ranking import RankVector, tir_rank, tunkrank, twitterrank
+
+from conftest import _remove_edge_dataset, make_dataset, make_user
 
 
 class TestKendallTau:
@@ -175,24 +177,64 @@ class TestIncrementalScorers:
     def test_tir_scorer_matches_full_rebuild(self, small_synth, small_model,
                                              small_ctx):
         dataset, _ = small_synth
-        scorer = TirLinkScorer(dataset, small_model, c=0.85, ctx=small_ctx,
-                               tol=1e-10)
+        scorer = TirLinkScorer(dataset, small_model, c=0.85, ctx=small_ctx)
         for u, v in self._links(dataset):
             fast = scorer.personal_scores_without(u, v)
             reduced = _remove_edge_dataset(dataset, u, v)
             slow = tir_rank(reduced, small_model, c=0.85, mode="personal",
-                            user=u, tol=1e-10)
+                            user=u, tol=1e-14, max_iters=1000)
             assert np.allclose(fast.scores, slow.scores, atol=1e-12)
 
     def test_twitterrank_scorer_matches_full_rebuild(self, small_synth,
                                                      small_ctx):
         dataset, _ = small_synth
-        scorer = TwitterRankLinkScorer(dataset, ctx=small_ctx, tol=1e-10)
+        scorer = TwitterRankLinkScorer(dataset, ctx=small_ctx)
         for u, v in self._links(dataset):
             fast = scorer.personal_scores_without(u, v)
             reduced = _remove_edge_dataset(dataset, u, v)
-            slow = twitterrank(reduced, mode="personal", user=u, tol=1e-10)
+            slow = twitterrank(reduced, mode="personal", user=u, tol=1e-14,
+                               max_iters=1000)
             assert np.allclose(fast.scores, slow.scores, atol=1e-12)
+
+    def test_tunkrank_scorer_matches_full_rebuild(self, small_synth):
+        dataset, _ = small_synth
+        scorer = TunkRankLinkScorer(dataset, p=0.05)
+        for u, v in self._links(dataset):
+            fast = scorer.scores_without(u, v)
+            reduced = _remove_edge_dataset(dataset, u, v)
+            slow = tunkrank(reduced, p=0.05, tol=1e-14)
+            assert fast.user_ids == slow.user_ids
+            assert np.allclose(fast.scores, slow.scores, atol=1e-12)
+
+    def test_evaluate_tunkrank_builds_scorer_on_demand(self, small_synth):
+        dataset, _ = small_synth
+        scorer = TunkRankLinkScorer(dataset, p=0.2)
+        for link in self._links(dataset):
+            assert evaluate_link(dataset, link, 3, "tunkrank", tunkrank_p=0.2) == \
+                evaluate_link(dataset, link, 3, "tunkrank", scorer)
+
+
+class TestTunkRankP1:
+    """p = 1 has a fixed point only without a closed follow class; the
+    scorer refuses a graph, or a reduced graph, that has one."""
+
+    def _dataset(self, edges):
+        users = [make_user(u) for u in "abc"]
+        return make_dataset(users, edges, [])
+
+    def test_closed_class_rejected_at_construction(self):
+        ds = self._dataset([("a", "b"), ("b", "a"), ("c", "a")])
+        with pytest.raises(ValueError, match="closed follow class"):
+            TunkRankLinkScorer(ds, p=1.0)
+
+    def test_removal_that_closes_a_class_rejected(self):
+        ds = self._dataset([("a", "b"), ("b", "a"), ("a", "c")])
+        scorer = TunkRankLinkScorer(ds, p=1.0)
+        with pytest.raises(ValueError, match="2 users form a closed follow class"):
+            scorer.scores_without("a", "c")
+        fast = scorer.scores_without("b", "a")
+        slow = tunkrank(_remove_edge_dataset(ds, "b", "a"), p=1.0, tol=1e-14)
+        assert np.allclose(fast.scores, slow.scores, atol=1e-12)
 
 
 class TestRunScenarios:

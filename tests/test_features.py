@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,15 @@ class TestExtract:
             row[9] = small_ctx.a_t[iv, hour]
             row[10] = row[8] * row[9]
             assert np.allclose(row, direct, atol=1e-12)
+
+    def test_static_features_read_no_uninitialised_memory(self, small_synth):
+        dataset, _ = small_synth
+        ctx = FeatureContext(dataset)  # fresh: the static matrix is cached
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            static = ctx.edge_static_features()
+        for i, (u, v) in enumerate(ctx.edges):
+            assert static[i, 11] == pytest.approx(ctx.ts_uv(u, v), abs=1e-12)
 
 
 class TestBuildInstances:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,30 @@ class TestTunkRank:
     def test_p_validated(self, tiny_dataset):
         with pytest.raises(ValueError, match="p must be"):
             tunkrank(tiny_dataset, p=1.5)
+
+    def test_p1_closed_follow_class_fails_fast(self):
+        users = [make_user(u) for u in "abc"]
+        ds = make_dataset(users, [("a", "b"), ("b", "a"), ("c", "a")], [])
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="2 users form a closed follow class"):
+            tunkrank(ds, p=1.0)
+        assert time.perf_counter() - started < 0.1
+
+    def test_p1_chain_closed_form(self):
+        users = [make_user(u) for u in "abc"]
+        ds = make_dataset(users, [("a", "b"), ("b", "c")], [])
+        scores = tunkrank(ds, p=1.0).as_dict()
+        assert scores == {"a": 0.0, "b": 1.0, "c": 2.0}
+
+    def test_p1_cycle_with_an_exit_converges(self):
+        # {a, b} is strongly connected but a also follows c, so it is not
+        # closed: a = 1 + b, b = (1 + a) / 2, c = (1 + a) / 2
+        users = [make_user(u) for u in "abc"]
+        ds = make_dataset(users, [("a", "b"), ("b", "a"), ("a", "c")], [])
+        scores = tunkrank(ds, p=1.0).as_dict()
+        assert scores["a"] == pytest.approx(3.0, abs=1e-8)
+        assert scores["b"] == pytest.approx(2.0, abs=1e-8)
+        assert scores["c"] == pytest.approx(2.0, abs=1e-8)
 
 
 class TestTwitterRank:
