@@ -7,7 +7,7 @@ synthetic data.
 """
 
 from .model import Dataset, FollowGraph, Tweet, UserRecord, degree_stats, ingest
-from .features import FEATURE_NAMES, FeatureContext, build_instances, extract
+from .features import FEATURE_NAMES, FeatureContext, build_instances
 from .logistic import LogisticModel, cross_validate, train
 from .ranking import RankVector, build_matrix, power_iterate, tir_rank, tunkrank, twitterrank
 from .evaluation import kendall_tau, run_scenarios
@@ -25,7 +25,6 @@ __all__ = [
     "FEATURE_NAMES",
     "FeatureContext",
     "build_instances",
-    "extract",
     "LogisticModel",
     "cross_validate",
     "train",

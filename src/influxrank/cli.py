@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -84,12 +83,6 @@ def run_stage(out_dir: Path, body) -> None:
     session.finish()
 
 
-def _threads_option(threads: int | None) -> int:
-    if threads is None:
-        threads = int(os.environ.get("INFLUXRANK_THREADS", "1"))
-    return max(1, threads)
-
-
 def _load(in_dir: str, min_tweets: int = 0, tz_offset: int = 0) -> model.Dataset:
     try:
         return model.load_dataset(in_dir, min_tweets=min_tweets, tz_offset=tz_offset)
@@ -98,12 +91,8 @@ def _load(in_dir: str, min_tweets: int = 0, tz_offset: int = 0) -> model.Dataset
 
 
 @click.group()
-@click.option("--threads", type=int, default=None, help="Cap internal parallelism.")
-@click.pass_context
-def main(ctx, threads):
+def main():
     """Temporal influence ranking toolkit."""
-    ctx.ensure_object(dict)
-    ctx.obj["threads"] = _threads_option(threads)
 
 
 @main.command("synth")
@@ -129,7 +118,7 @@ def synth_cmd(users, seed, days, topics, follower_exponent, close_fraction, out)
             close_fraction=close_fraction,
         )
         dataset, truth = synth.generate(config)
-        for p in synth.write_dataset(dataset, session.out_dir).values():
+        for p in model.serialize(dataset, session.out_dir).values():
             session.paths.append(p)
         synth.truth_report(truth, session.path("truth.csv"))
 
@@ -237,13 +226,12 @@ def cluster_cmd(in_dir, out, k, k_min, k_max, max_shift, seed):
         sub = stage_seed(seed, "cluster")
         asc_rows = []
         if k is None:
-            best_k, asc_per_k = temporal.select_k(
+            result, asc_per_k = temporal.select_k(
                 profiles, range(k_min, k_max + 1), seed=sub, max_shift=max_shift
             )
             asc_rows = sorted(asc_per_k.items())
         else:
-            best_k = k
-        result = temporal.ksc_cluster(profiles, best_k, max_shift=max_shift, seed=sub)
+            result = temporal.ksc_cluster(profiles, k, max_shift=max_shift, seed=sub)
         session.write_csv(
             "clusters.csv",
             ["cluster", "proportion"] + [f"h{h}" for h in range(24)],
@@ -445,8 +433,9 @@ def rank_cmd(in_dir, out, model_name, model_file, c, gamma, p, aggregate_spec,
             rv = ranking.twitterrank(dataset, gamma=gamma, mode=mode, user=user,
                                      ctx=ctx)
         params = json.dumps(rv.params, sort_keys=True)
+        scores = rv.as_dict()
         rows = [
-            [uid, rv.as_dict()[uid], i + 1, rv.model, params]
+            [uid, scores[uid], i + 1, rv.model, params]
             for i, uid in enumerate(rv.order())
         ]
         session.write_csv(
@@ -485,8 +474,9 @@ def compare_cmd(in_dir, model_file, out, gamma, p, top):
         session.write_csv("tau_matrix.csv", ["model_a", "model_b", "tau"], tau_rows)
         top_rows = []
         for name, rv in rankings.items():
+            scores = rv.as_dict()
             for i, uid in enumerate(rv.order()[:top]):
-                top_rows.append([name, i + 1, uid, rv.as_dict()[uid]])
+                top_rows.append([name, i + 1, uid, scores[uid]])
         session.write_csv("top_k.csv", ["model", "rank", "user_id", "score"], top_rows)
 
     run_stage(Path(out), body)

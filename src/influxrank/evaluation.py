@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import sparse
 
-from .features import RE_INDEX, FeatureContext
+from .features import PT_INDEX, RE_INDEX, FeatureContext, js_divergence_rows
 from .logistic import LogisticModel
 from .model import Dataset
 from .ranking import (
@@ -21,6 +21,7 @@ from .ranking import (
     build_matrix,
     check_tunkrank_fixed_point,
     personal_weights,
+    tunkrank_matrix,
     twitterrank_matrices,
 )
 
@@ -70,24 +71,6 @@ def kendall_tau(rank_a: RankVector | dict, rank_b: RankVector | dict) -> float:
     return (pairs - 2 * inversions) / pairs
 
 
-def kendall_tau_bruteforce(rank_a, rank_b) -> float:
-    """O(n^2) pair-count oracle with the same tie-breaking convention."""
-    a = rank_a.as_dict() if isinstance(rank_a, RankVector) else dict(rank_a)
-    b = rank_b.as_dict() if isinstance(rank_b, RankVector) else dict(rank_b)
-    users = sorted(a)
-    n = len(users)
-    concordant = discordant = 0
-    key_a = {u: (-a[u], u) for u in users}
-    key_b = {u: (-b[u], u) for u in users}
-    for i in range(n):
-        for j in range(i + 1, n):
-            u, v = users[i], users[j]
-            s = (key_a[u] < key_a[v]) == (key_b[u] < key_b[v])
-            concordant += s
-            discordant += not s
-    return (concordant - discordant) / (n * (n - 1) // 2)
-
-
 def _sub_seed(seed: int, *parts) -> int:
     h = hashlib.sha256(repr((seed,) + parts).encode()).digest()
     return int.from_bytes(h[:8], "big") % 2**32
@@ -126,18 +109,10 @@ def user_signature_distributions(dataset: Dataset, ctx: FeatureContext) -> np.nd
     return scaled / scaled.sum(axis=1, keepdims=True)
 
 
-def _js_distance_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    m = 0.5 * (p + q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kl_pm = np.where(p > 0, p * np.log(np.maximum(p, 1e-300) / np.maximum(m, 1e-300)), 0.0)
-        kl_qm = np.where(q > 0, q * np.log(np.maximum(q, 1e-300) / np.maximum(m, 1e-300)), 0.0)
-    jsd = (0.5 * kl_pm.sum(axis=1) + 0.5 * kl_qm.sum(axis=1)) / np.log(2.0)
-    return np.sqrt(np.maximum(jsd, 0.0))
-
-
 def edge_js_distances(dataset: Dataset, ctx: FeatureContext) -> np.ndarray:
+    """Jensen-Shannon distance, sqrt(JSD), between each edge's user signatures."""
     sig = user_signature_distributions(dataset, ctx)
-    return _js_distance_rows(sig[ctx.edge_src], sig[ctx.edge_dst])
+    return np.sqrt(np.maximum(js_divergence_rows(sig[ctx.edge_src], sig[ctx.edge_dst]), 0.0))
 
 
 def build_link_sets(
@@ -250,10 +225,22 @@ class ColumnUpdateSolver:
         return (1.0 - self.eta) + y
 
 
-def _friend_rows(src: np.ndarray, iu: int, removed: int) -> np.ndarray:
-    """Edge rows of follower iu that remain once edge row ``removed`` goes."""
+def _friend_rows(src: np.ndarray, dst: np.ndarray, iu: int, iv: int) -> np.ndarray:
+    """Edge rows of follower iu that remain once iu unfollows iv."""
     rows = np.flatnonzero(src == iu)
-    return rows[rows != removed]
+    return rows[dst[rows] != iv]
+
+
+def _friend_shares_without(
+    ctx: FeatureContext, iu: int, iv: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u's remaining friend rows, those friends' indices, and each friend's
+    share of the tweets of u's friends once u unfollows v (feature pt_uv)."""
+    rows = _friend_rows(ctx.edge_src, ctx.edge_dst, iu, iv)
+    dsts = ctx.edge_dst[rows]
+    total = ctx.friend_tweet_total[iu] - ctx.tweet_counts[iv]
+    shares = ctx.tweet_counts[dsts] / total if total > 0 else np.zeros(len(dsts))
+    return rows, dsts, shares
 
 
 class TirLinkScorer:
@@ -286,27 +273,17 @@ class TirLinkScorer:
             )
             for t in range(24)
         ]
-        self.edge_index = {e: i for i, e in enumerate(self.ctx.edges)}
-        self.static = self.ctx.edge_static_features()
 
     def personal_scores_without(self, u: str, v: str) -> RankVector:
         ctx = self.ctx
-        iu, iv = ctx.index[u], ctx.index[v]
-        u_rows = _friend_rows(ctx.edge_src, iu, self.edge_index[(u, v)])
-
-        x = self.static[u_rows].copy()
-        x[:, RE_INDEX] = 1.0
-        new_total = ctx.friend_tweet_total[iu] - ctx.tweet_counts[iv]
-        dsts = ctx.edge_dst[u_rows]
-        x[:, 6] = ctx.tweet_counts[dsts] / new_total if new_total > 0 else 0.0
+        iu = ctx.index[u]
+        u_rows, dsts, shares = _friend_shares_without(ctx, iu, ctx.index[v])
         mult = np.where(ctx.edge_close[u_rows], self.c, 1.0 - self.c)
         hourly = []
         for t, solver in enumerate(self.solvers):
-            xt = x.copy()
-            xt[:, 7] = ctx.n_t[dsts, t]
-            xt[:, 8] = ctx.a_t[iu, t]
-            xt[:, 9] = ctx.a_t[dsts, t]
-            xt[:, 10] = xt[:, 8] * xt[:, 9]
+            xt = ctx.edge_features(u_rows, t)
+            xt[:, RE_INDEX] = 1.0
+            xt[:, PT_INDEX] = shares
             if self.model.scaler is not None:
                 xt = self.model.scaler.transform(xt)
             w_u = mult * ctx.n_t[dsts, t] * self.model.predict(xt)
@@ -336,15 +313,11 @@ class TwitterRankLinkScorer:
             ColumnUpdateSolver(tm.matrix, gamma)
             for tm in twitterrank_matrices(dataset, gamma, self.ctx)
         ]
-        self.edge_index = {e: i for i, e in enumerate(self.ctx.edges)}
 
     def personal_scores_without(self, u: str, v: str) -> RankVector:
         ctx = self.ctx
-        iu, iv = ctx.index[u], ctx.index[v]
-        u_rows = _friend_rows(ctx.edge_src, iu, self.edge_index[(u, v)])
-        dsts = ctx.edge_dst[u_rows]
-        new_total = ctx.friend_tweet_total[iu] - ctx.tweet_counts[iv]
-        ratio = ctx.tweet_counts[dsts] / new_total if new_total > 0 else np.zeros(len(dsts))
+        iu = ctx.index[u]
+        _, dsts, ratio = _friend_shares_without(ctx, iu, ctx.index[v])
         sims = 1.0 - np.abs(ctx.topics[iu] - ctx.topics[dsts])  # (len(dsts), k)
         shares = ctx.topics[iu]
         scores = np.zeros(len(ctx.user_ids))
@@ -370,29 +343,17 @@ class TunkRankLinkScorer:
     friend, and without (u, v) it holds 1/(deg(u) - 1) on the rest."""
 
     def __init__(self, dataset: Dataset, p: float = 0.05):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("p must be in [0, 1]")
         self.p = p
-        self.user_ids = tuple(sorted(dataset.users))
+        self.user_ids, self.src, self.dst, a = tunkrank_matrix(dataset, p)
         self.index = {u: i for i, u in enumerate(self.user_ids)}
-        edges = list(dataset.graph.edges())
-        self.edge_index = {e: i for i, e in enumerate(edges)}
-        n = len(self.user_ids)
-        self.src = np.array([self.index[a] for a, _ in edges], dtype=int)
-        self.dst = np.array([self.index[b] for _, b in edges], dtype=int)
-        if p == 1.0:
-            check_tunkrank_fixed_point(self.src, self.dst, n)
-        deg = np.bincount(self.src, minlength=n)
-        a = sparse.csc_matrix((1.0 / deg[self.src], (self.dst, self.src)), shape=(n, n))
         self.solver = ColumnUpdateSolver(a, p, rhs_from_matrix=True)
 
     def scores_without(self, u: str, v: str) -> RankVector:
-        iu = self.index[u]
-        removed = self.edge_index[(u, v)]
+        iu, iv = self.index[u], self.index[v]
         if self.p == 1.0:
-            keep = np.arange(len(self.src)) != removed
+            keep = (self.src != iu) | (self.dst != iv)
             check_tunkrank_fixed_point(self.src[keep], self.dst[keep], len(self.user_ids))
-        u_rows = _friend_rows(self.src, iu, removed)
+        u_rows = _friend_rows(self.src, self.dst, iu, iv)
         x = self.solver.solve_with_column(iu, self.dst[u_rows], np.ones(len(u_rows)))
         return RankVector(
             user_ids=self.user_ids, scores=x, hour=None, model="tunkrank", params={"p": self.p}

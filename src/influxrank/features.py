@@ -30,40 +30,20 @@ N_FEATURES = len(FEATURE_NAMES)
 
 # column indices used elsewhere
 RE_INDEX = FEATURE_NAMES.index("re_uv")
-HOURLY_INDICES = tuple(
-    FEATURE_NAMES.index(n) for n in ("n_v_t", "a_u_t", "a_v_t", "ja_uv_t")
-)
+PT_INDEX = FEATURE_NAMES.index("pt_uv")
 
 
-def jensen_shannon_divergence(p, q, base: float = 2.0) -> float:
-    """JSD between two probability vectors; bounded by 1 for base 2."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+def js_divergence_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Jensen-Shannon divergence, base 2, between matching rows of p and q.
+
+    Rows are probability vectors and may hold zeros; each result lies in
+    [0, 1].
+    """
     m = 0.5 * (p + q)
-
-    def kl(a, b):
-        mask = a > 0
-        return float(np.sum(a[mask] * (np.log(a[mask]) - np.log(b[mask]))))
-
-    return (0.5 * kl(p, m) + 0.5 * kl(q, m)) / np.log(base)
-
-
-def topic_similarity(p, q, base: float = 2.0) -> float:
-    return float(np.sqrt(2.0 * jensen_shannon_divergence(p, q, base=base)))
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    values: tuple[float, ...]
-
-    def __getattr__(self, name):
-        try:
-            return self.values[FEATURE_NAMES.index(name)]
-        except ValueError:
-            raise AttributeError(name) from None
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+    log_m = np.log(m, out=np.zeros_like(m), where=m > 0)
+    kl_pm = np.where(p > 0, p * (np.log(p, out=np.zeros_like(p), where=p > 0) - log_m), 0.0)
+    kl_qm = np.where(q > 0, q * (np.log(q, out=np.zeros_like(q), where=q > 0) - log_m), 0.0)
+    return (0.5 * kl_pm.sum(axis=1) + 0.5 * kl_qm.sum(axis=1)) / np.log(2.0)
 
 
 class FeatureContext:
@@ -72,9 +52,8 @@ class FeatureContext:
     Built once per dataset; all arrays are indexed by the sorted-user order.
     """
 
-    def __init__(self, dataset: Dataset, jsd_base: float = 2.0):
+    def __init__(self, dataset: Dataset):
         self.dataset = dataset
-        self.jsd_base = jsd_base
         self.user_ids = sorted(dataset.users)
         self.index = {u: i for i, u in enumerate(self.user_ids)}
         n = len(self.user_ids)
@@ -106,6 +85,8 @@ class FeatureContext:
         profiles = all_profiles(dataset)
         self.n_t = np.stack([profiles[u].n_t for u in self.user_ids])  # (n, 24)
         self.a_t = np.stack([profiles[u].a_t for u in self.user_ids])
+        # tweets per hour of day over all users
+        self.hour_counts = np.sum([profiles[u].raw_counts for u in self.user_ids], axis=0)
 
         self.topics = np.stack(
             [dataset.users[u].topic_distribution for u in self.user_ids]
@@ -133,24 +114,11 @@ class FeatureContext:
         self.edges = list(dataset.graph.edges())
         self.edge_src = np.array([self.index[u] for u, _ in self.edges], dtype=int)
         self.edge_dst = np.array([self.index[v] for _, v in self.edges], dtype=int)
+        self.edge_index = {e: i for i, e in enumerate(self.edges)}
         self.edge_close = np.array(
             [v in self.close_friends[u] for u, v in self.edges], dtype=bool
         )
         self._edge_static: Optional[np.ndarray] = None
-
-    def ts_uv(self, u: str, v: str) -> float:
-        return topic_similarity(
-            self.topics[self.index[u]], self.topics[self.index[v]], base=self.jsd_base
-        )
-
-    def pt(self, u: str, v: str, friend_total: Optional[float] = None) -> float:
-        total = (
-            self.friend_tweet_total[self.index[u]]
-            if friend_total is None
-            else friend_total
-        )
-        tv = self.tweet_counts[self.index[v]]
-        return float(tv / total) if total > 0 else 0.0
 
     def edge_static_features(self) -> np.ndarray:
         """(n_edges, 12) matrix with the four hourly columns left at zero."""
@@ -168,61 +136,22 @@ class FeatureContext:
         with np.errstate(divide="ignore", invalid="ignore"):
             pt = np.where(totals > 0, self.tweet_counts[dst] / np.maximum(totals, 1e-300), 0.0)
         x[:, 6] = pt
-        # ts_uv from per-topic vectorized JSD
-        p = self.topics[src]
-        q = self.topics[dst]
-        m = 0.5 * (p + q)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_m = np.log(m, out=np.zeros_like(m), where=m > 0)
-            kl_pm = np.where(p > 0, p * (np.log(p, out=np.zeros_like(p), where=p > 0) - log_m), 0.0)
-            kl_qm = np.where(q > 0, q * (np.log(q, out=np.zeros_like(q), where=q > 0) - log_m), 0.0)
-        jsd = (0.5 * kl_pm.sum(axis=1) + 0.5 * kl_qm.sum(axis=1)) / np.log(self.jsd_base)
+        jsd = js_divergence_rows(self.topics[src], self.topics[dst])
         x[:, 11] = np.sqrt(np.maximum(2.0 * jsd, 0.0))
         self._edge_static = x
         return x
 
-    def fill_hourly(self, x: np.ndarray, hours: np.ndarray) -> np.ndarray:
-        """Set the four hourly feature columns in place for edge rows x."""
-        src, dst = self.edge_src, self.edge_dst
+    def edge_features(self, rows: np.ndarray, hours) -> np.ndarray:
+        """(len(rows), 12) features of edge rows ``rows`` at ``hours`` (one
+        hour for all rows, or one per row): a new array, which callers may
+        modify."""
+        x = self.edge_static_features()[rows]
+        src, dst = self.edge_src[rows], self.edge_dst[rows]
         x[:, 7] = self.n_t[dst, hours]
         x[:, 8] = self.a_t[src, hours]
         x[:, 9] = self.a_t[dst, hours]
         x[:, 10] = x[:, 8] * x[:, 9]
         return x
-
-
-def extract(
-    dataset: Dataset,
-    u: str,
-    v: str,
-    t: int,
-    ctx: Optional[FeatureContext] = None,
-) -> FeatureVector:
-    """Raw (unnormalized) feature vector for follower u, friend v, hour t."""
-    if not dataset.graph.has_edge(u, v):
-        raise ValueError(f"({u!r}, {v!r}) is not a follow edge")
-    if not 0 <= t <= 23:
-        raise ValueError("hour must be in [0, 23]")
-    if ctx is None:
-        ctx = FeatureContext(dataset)
-    iu, iv = ctx.index[u], ctx.index[v]
-    a_u = ctx.a_t[iu, t]
-    a_v = ctx.a_t[iv, t]
-    values = (
-        float(ctx.listed[iv]),
-        float(ctx.fv[iv]),
-        float(ctx.vr[iv]),
-        float(ctx.rr[iv]),
-        float(ctx.rr[iu]),
-        1.0 if v in ctx.close_friends[u] else 0.0,
-        ctx.pt(u, v),
-        float(ctx.n_t[iv, t]),
-        float(a_u),
-        float(a_v),
-        float(a_u * a_v),
-        ctx.ts_uv(u, v),
-    )
-    return FeatureVector(values)
 
 
 @dataclass
@@ -261,9 +190,6 @@ def build_instances(
         if tw.is_response and tw.responds_to_tweet:
             responded_pairs.add((tw.responds_to_tweet, tw.author))
 
-    static = ctx.edge_static_features()
-    edge_lookup = {(u, v): i for i, (u, v) in enumerate(ctx.edges)}
-
     rows: list[int] = []
     hours: list[int] = []
     keys: list[tuple[str, str, str, int]] = []
@@ -272,23 +198,17 @@ def build_instances(
         v = tw.author
         hour = dataset.hour_of(tw.timestamp)
         for u in dataset.graph.followers(v):
-            rows.append(edge_lookup[(u, v)])
+            rows.append(ctx.edge_index[(u, v)])
             hours.append(hour)
             keys.append((tw.tweet_id, u, v, hour))
             labels.append(1 if (tw.tweet_id, u) in responded_pairs else 0)
 
     order = sorted(range(len(keys)), key=lambda i: (keys[i][0], keys[i][1]))
-    rows_a = np.asarray(rows, dtype=int)[order]
-    hours_a = np.asarray(hours, dtype=int)[order]
-    x = static[rows_a].copy()
-    iu, iv = ctx.edge_src[rows_a], ctx.edge_dst[rows_a]
-    x[:, 7] = ctx.n_t[iv, hours_a]
-    x[:, 8] = ctx.a_t[iu, hours_a]
-    x[:, 9] = ctx.a_t[iv, hours_a]
-    x[:, 10] = x[:, 8] * x[:, 9]
     return InstanceSet(
         keys=[keys[i] for i in order],
-        features=x,
+        features=ctx.edge_features(
+            np.asarray(rows, dtype=int)[order], np.asarray(hours, dtype=int)[order]
+        ),
         labels=np.asarray(labels, dtype=int)[order],
     )
 

@@ -61,9 +61,6 @@ class LogisticModel:
         p = response_probability(self.w0, self.w, x)
         return float(p[0]) if scalar else p
 
-    def negated(self) -> "LogisticModel":
-        return LogisticModel(-self.w0, -self.w, self.scaler, dict(self.metadata))
-
     def to_json(self) -> dict:
         obj = {
             "w0": self.w0,

@@ -8,10 +8,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import sparse
 
-from .features import RE_INDEX, FeatureContext
+from .features import PT_INDEX, RE_INDEX, FeatureContext
 from .logistic import LogisticModel
 from .model import Dataset
-from .temporal import global_activity
 
 DEFAULT_GAMMA = 0.85
 DEFAULT_TOL = 1e-10
@@ -65,53 +64,27 @@ class RankVector:
 
     def order(self) -> list[str]:
         """User ids best-first; score ties broken by user id."""
-        return sorted(self.user_ids, key=lambda u: (-self.as_dict()[u], u))
+        idx = np.lexsort((np.array(self.user_ids), -self.scores))
+        return [self.user_ids[i] for i in idx]
 
     def ranks(self) -> dict[str, int]:
         return {u: i + 1 for i, u in enumerate(self.order())}
 
 
-def hourly_weights(
-    dataset: Dataset,
-    model: LogisticModel,
-    u: str,
-    v: str,
-    t: int,
-    c: float,
-    ctx: Optional[FeatureContext] = None,
-) -> float:
-    """Transition weight for edge (u, v) at hour t.
-
-    Response probability with the ever-responded feature forced to 1, times
-    the friend's hourly tweet rate, times c for close friends / (1 - c)
-    otherwise.
-    """
-    from .features import extract
-
-    if not 0.5 <= c <= 1.0:
-        raise ValueError("penalty factor c must be in [0.5, 1]")
-    if ctx is None:
-        ctx = FeatureContext(dataset)
-    x = extract(dataset, u, v, t, ctx=ctx).as_array().copy()
-    x[RE_INDEX] = 1.0
-    if model.scaler is not None:
-        x = model.scaler.transform(x)[0]
-    p = model.predict(x)
-    n_v_t = float(ctx.n_t[ctx.index[v], t])
-    mult = c if v in ctx.close_friends[u] else (1.0 - c)
-    return mult * n_v_t * p
-
-
 def _edge_weights_all_hours(
     ctx: FeatureContext, model: LogisticModel, c: float
 ) -> np.ndarray:
-    """(n_edges, 24) raw transition weights, vectorized over edges."""
-    static = ctx.edge_static_features().copy()
-    static[:, RE_INDEX] = 1.0
+    """(n_edges, 24) raw transition weights: the response probability with
+    the ever-responded feature forced to 1, times the friend's hourly tweet
+    rate, times c for close friends and 1 - c otherwise."""
+    if not 0.5 <= c <= 1.0:
+        raise ValueError("penalty factor c must be in [0.5, 1]")
+    rows = np.arange(len(ctx.edges))
     mult = np.where(ctx.edge_close, c, 1.0 - c)
     out = np.empty((len(ctx.edges), 24))
     for t in range(24):
-        x = ctx.fill_hourly(static.copy(), np.full(len(ctx.edges), t))
+        x = ctx.edge_features(rows, t)
+        x[:, RE_INDEX] = 1.0
         if model.scaler is not None:
             x = model.scaler.transform(x)
         p = model.predict(x)
@@ -140,8 +113,8 @@ def build_matrix(
     ctx: Optional[FeatureContext] = None,
     edge_weights: Optional[np.ndarray] = None,
 ) -> TransitionMatrix:
-    """Hourly TIR transition matrix: raw weights from hourly_weights, columns
-    normalized to sum 1, dangling columns replaced by uniform 1/|V|."""
+    """Hourly TIR transition matrix: raw weights from _edge_weights_all_hours,
+    columns normalized to sum 1, dangling columns replaced by uniform 1/|V|."""
     if dataset.n_users == 0:
         raise ValueError("empty dataset")
     if not 0.0 < gamma < 1.0:
@@ -215,9 +188,12 @@ def aggregate(
     )
 
 
-def activity_weights(dataset: Dataset) -> np.ndarray:
-    act = global_activity(dataset, "hour_of_day")
-    return act / act.sum()
+def activity_weights(ctx: FeatureContext) -> np.ndarray:
+    """Share of all tweets posted in each hour of the day."""
+    total = ctx.hour_counts.sum()
+    if total <= 0:
+        raise ValueError("empty dataset")
+    return ctx.hour_counts / total
 
 
 def personal_weights(ctx: FeatureContext, user_id: str) -> np.ndarray:
@@ -252,7 +228,7 @@ def tir_rank(
         for t in range(24)
     ]
     if mode == "global":
-        w = activity_weights(dataset)
+        w = activity_weights(ctx)
     elif mode == "personal":
         if user is None:
             raise ValueError("personal mode requires a user id")
@@ -270,34 +246,43 @@ def tunkrank(
 ) -> RankVector:
     """Fixed point of Influence(X) = sum over followers Y of
     (1 + p * Influence(Y)) / |Friends(Y)|."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    user_ids = sorted(dataset.users)
-    index = {u: i for i, u in enumerate(user_ids)}
-    n = len(user_ids)
-    rows, cols, data = [], [], []
-    for follower, friend in dataset.graph.edges():
-        deg = len(dataset.graph.friends(follower))
-        rows.append(index[friend])
-        cols.append(index[follower])
-        data.append(1.0 / deg)
-    if p == 1.0:
-        check_tunkrank_fixed_point(np.array(cols, dtype=int), np.array(rows, dtype=int), n)
-    a = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    influence = np.zeros(n)
+    user_ids, _, _, a = tunkrank_matrix(dataset, p)
+    a = a.tocsr()
+    influence = np.zeros(len(user_ids))
     for _ in range(max_iters):
         new = a @ (1.0 + p * influence)
         residual = float(np.abs(new - influence).sum())
         influence = new
         if residual < tol:
             return RankVector(
-                user_ids=tuple(user_ids),
+                user_ids=user_ids,
                 scores=influence,
                 hour=None,
                 model="tunkrank",
                 params={"p": p},
             )
     raise ConvergenceError("tunkrank did not converge", residual)
+
+
+def tunkrank_matrix(
+    dataset: Dataset, p: float
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, sparse.csc_matrix]:
+    """Sorted user ids, the follower and friend index of every edge, and the
+    follower -> friend matrix A with 1/|Friends(u)| on each friend in column
+    u. Rejects p outside [0, 1], and p = 1 when it has no fixed point."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be in [0, 1]")
+    user_ids = tuple(sorted(dataset.users))
+    index = {u: i for i, u in enumerate(user_ids)}
+    n = len(user_ids)
+    edges = list(dataset.graph.edges())
+    src = np.array([index[u] for u, _ in edges], dtype=int)
+    dst = np.array([index[v] for _, v in edges], dtype=int)
+    if p == 1.0:
+        check_tunkrank_fixed_point(src, dst, n)
+    deg = np.bincount(src, minlength=n)
+    a = sparse.csc_matrix((1.0 / deg[src], (dst, src)), shape=(n, n))
+    return user_ids, src, dst, a
 
 
 def check_tunkrank_fixed_point(follower: np.ndarray, friend: np.ndarray, n: int) -> None:
@@ -346,9 +331,7 @@ def twitterrank_matrices(
     n = len(ctx.user_ids)
     k = ctx.topics.shape[1]
     src, dst = ctx.edge_src, ctx.edge_dst
-    totals = ctx.friend_tweet_total[src]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(totals > 0, ctx.tweet_counts[dst] / np.maximum(totals, 1e-300), 0.0)
+    ratio = ctx.edge_static_features()[:, PT_INDEX]
     out = []
     for t in range(k):
         sim = 1.0 - np.abs(ctx.topics[src, t] - ctx.topics[dst, t])

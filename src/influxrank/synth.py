@@ -9,8 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .features import FEATURE_NAMES, N_FEATURES, FeatureContext
-from .model import Dataset, FollowGraph, Tweet, UserRecord, serialize
+from .features import FEATURE_NAMES, N_FEATURES, RE_INDEX, FeatureContext, MinMaxScaler
+from .model import Dataset, FollowGraph, Tweet, UserRecord
 
 SECONDS_PER_DAY = 86400
 
@@ -145,13 +145,6 @@ def _sample_graph(rng, config: GeneratorConfig) -> list[tuple[int, int]]:
     return sorted(edges)
 
 
-def _normalize_features(x: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
-    span = np.where(maxs > mins, maxs - mins, 1.0)
-    out = (x - mins) / span
-    out[:, maxs <= mins] = 0.0
-    return np.clip(out, 0.0, 1.0)
-
-
 def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
     """Sample a dataset with planted degrees, activity shapes, topics and
     logistic response behaviour; returns the dataset plus the ground truth
@@ -251,33 +244,22 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
         p_close = np.full(len(ctx.edges), config.close_fraction)
     close_mask = rng.random(len(ctx.edges)) < p_close
     close_edges = {e for e, m in zip(ctx.edges, close_mask) if m}
-    close_by_idx = {ctx.index[u] * n + ctx.index[v] for u, v in close_edges}
 
     # features for every (original tweet, follower) pair, in tweet order
-    static = ctx.edge_static_features().copy()
-    edge_lookup = {e: i for i, e in enumerate(ctx.edges)}
     rows, hours_l, keys = [], [], []
     for tw in base.tweets:
         h = base.hour_of(tw.timestamp)
         for u in base.graph.followers(tw.author):
-            rows.append(edge_lookup[(u, tw.author)])
+            rows.append(ctx.edge_index[(u, tw.author)])
             hours_l.append(h)
             keys.append((tw.tweet_id, u))
     rows_a = np.asarray(rows, dtype=int)
-    hours_a = np.asarray(hours_l, dtype=int)
-    x = static[rows_a]
-    iu = ctx.edge_src[rows_a]
-    iv = ctx.edge_dst[rows_a]
-    x = x.copy()
-    x[:, 5] = np.array([(a * n + b) in close_by_idx for a, b in zip(iu, iv)], float)
-    x[:, 7] = ctx.n_t[iv, hours_a]
-    x[:, 8] = ctx.a_t[iu, hours_a]
-    x[:, 9] = ctx.a_t[iv, hours_a]
-    x[:, 10] = x[:, 8] * x[:, 9]
+    x = ctx.edge_features(rows_a, np.asarray(hours_l, dtype=int))
+    x[:, RE_INDEX] = close_mask[rows_a]
 
     mins = x.min(axis=0) if len(x) else np.zeros(N_FEATURES)
     maxs = x.max(axis=0) if len(x) else np.zeros(N_FEATURES)
-    xn = _normalize_features(x, mins, maxs) if len(x) else x
+    xn = MinMaxScaler(mins, maxs).transform(x) if len(x) else x
     z = np.clip(config.w0_star + xn @ config.w_star, -500, 500) if len(x) else np.zeros(0)
     probs = 1.0 / (1.0 + np.exp(z))
 
@@ -359,7 +341,3 @@ def truth_report(truth: GroundTruth, path: str | Path) -> Path:
         )
         writer.writerow(["summary", "n_instances", len(truth.instance_keys)])
     return path
-
-
-def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
-    return serialize(dataset, out_dir)

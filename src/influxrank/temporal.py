@@ -247,18 +247,20 @@ def select_k(
     seed: int = 0,
     max_shift: int = 0,
     max_iters: int = 100,
-) -> tuple[int, dict[int, float]]:
-    """Pick the cluster count maximizing the average silhouette coefficient."""
+) -> tuple[ClusterResult, dict[int, float]]:
+    """Cluster for every k and return the clustering whose cluster count
+    maximizes the average silhouette coefficient, with the ASC per k."""
     ks = sorted(set(k_range))
     if not ks or ks[0] < 2 or ks[-1] > 10:
         raise ValueError("k_range must lie within [2, 10]")
+    results: dict[int, ClusterResult] = {}
     asc_per_k: dict[int, float] = {}
     for k in ks:
-        result = ksc_cluster(profiles, k, max_shift=max_shift, seed=seed,
-                             max_iters=max_iters)
-        asc_per_k[k] = result.asc if result.asc is not None else float("-inf")
+        results[k] = ksc_cluster(profiles, k, max_shift=max_shift, seed=seed,
+                                 max_iters=max_iters)
+        asc_per_k[k] = results[k].asc if results[k].asc is not None else float("-inf")
     best_k = max(ks, key=lambda k: (asc_per_k[k], -k))
-    return best_k, asc_per_k
+    return results[best_k], asc_per_k
 
 
 def response_metrics(dataset: Dataset) -> tuple[list[ResponseMetric], int]:

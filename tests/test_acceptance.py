@@ -286,8 +286,8 @@ def test_criterion_07_ksc_planted_clusters(report):
             if members:
                 purity += np.bincount(members).max()
         assert purity / 300 >= 0.9
-        best_k, _ = select_k(profiles, range(2, 6), seed=seed)
-        hits += best_k == 3
+        best, _ = select_k(profiles, range(2, 6), seed=seed)
+        hits += best.k == 3
     assert hits >= 8
     assert time.time() - started < 30
     report(7, f"purity >= 0.9 on all 10 runs, select_k chose 3 in {hits}/10",
@@ -300,16 +300,15 @@ def test_criterion_08_penalty_factor(report, small_synth, small_model, small_ctx
     ctx, model = small_ctx, small_model
 
     # (a) c = 0.5 ordering equals the model with no close/normal distinction
-    static = ctx.edge_static_features().copy()
-    static[:, 5] = 1.0
     hourly = []
     for t in range(24):
-        x = ctx.fill_hourly(static.copy(), np.full(len(ctx.edges), t))
+        x = ctx.edge_features(np.arange(len(ctx.edges)), t)
+        x[:, 5] = 1.0
         x = model.scaler.transform(x)
         w = ctx.n_t[ctx.edge_dst, t] * model.predict(x)
         tm = _assemble(ctx.edge_src, ctx.edge_dst, w, len(ctx.user_ids), t, 0.85)
         hourly.append(power_iterate(tm, ctx.user_ids))
-    no_distinction = aggregate(hourly, activity_weights(dataset))
+    no_distinction = aggregate(hourly, activity_weights(ctx))
     assert tir_rank(dataset, model, c=0.5, ctx=ctx).order() == no_distinction.order()
 
     # (b) c = 1 zeroes every normal-friend edge weight before normalization

@@ -9,7 +9,6 @@ from influxrank.evaluation import (
     build_link_sets,
     evaluate_link,
     kendall_tau,
-    kendall_tau_bruteforce,
     q_score,
     run_scenarios,
     sample_candidates,
@@ -18,6 +17,7 @@ from influxrank.features import FeatureContext
 from influxrank.ranking import RankVector, tir_rank, tunkrank, twitterrank
 
 from conftest import _remove_edge_dataset, make_dataset, make_user
+from oracles import kendall_tau_bruteforce
 
 
 class TestKendallTau:

@@ -12,10 +12,10 @@ from influxrank.features import (
     MinMaxScaler,
     balance_and_normalize,
     build_instances,
-    extract,
-    jensen_shannon_divergence,
-    topic_similarity,
+    js_divergence_rows,
 )
+
+from oracles import extract, jensen_shannon_divergence, topic_similarity, ts_uv
 
 
 def _jsd2_hand(p, q):
@@ -56,6 +56,37 @@ class TestTopicSimilarity:
         b = jensen_shannon_divergence(q, p)
         assert a == pytest.approx(b, abs=1e-12)
         assert -1e-12 <= a <= 1.0 + 1e-12
+
+
+# pairs of rows over 2..6 outcomes, often with zero entries; normalised in the test
+row_pairs = st.integers(min_value=2, max_value=6).flatmap(
+    lambda k: st.lists(
+        st.tuples(
+            st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 3.0]), min_size=k, max_size=k),
+            st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 3.0]), min_size=k, max_size=k),
+        ).filter(lambda pq: sum(pq[0]) > 0 and sum(pq[1]) > 0),
+        min_size=1,
+        max_size=8,
+    )
+)
+
+
+class TestJsDivergenceRows:
+    @given(row_pairs)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_oracle(self, pairs):
+        p = np.array([np.asarray(a) / sum(a) for a, _ in pairs])
+        q = np.array([np.asarray(b) / sum(b) for _, b in pairs])
+        got = js_divergence_rows(p, q)
+        want = [jensen_shannon_divergence(a, b) for a, b in zip(p, q)]
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        assert np.array_equal(got, js_divergence_rows(q, p))
+        assert np.all(got <= 1.0 + 1e-12)
+        assert np.all(js_divergence_rows(p, p) == 0.0)
+
+    def test_disjoint_rows_hit_the_bound(self):
+        p = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert np.allclose(js_divergence_rows(p, p[::-1]), 1.0, rtol=0.0, atol=1e-15)
 
 
 class TestExtract:
@@ -113,12 +144,8 @@ class TestExtract:
             u, v = small_ctx.edges[i]
             hour = int(rng.integers(0, 24))
             direct = extract(dataset, u, v, hour, ctx=small_ctx).as_array()
-            row = static[i].copy()
-            iu, iv = small_ctx.edge_src[i], small_ctx.edge_dst[i]
-            row[7] = small_ctx.n_t[iv, hour]
-            row[8] = small_ctx.a_t[iu, hour]
-            row[9] = small_ctx.a_t[iv, hour]
-            row[10] = row[8] * row[9]
+            row = small_ctx.edge_features(np.array([i]), hour)[0]
+            assert np.array_equal(row[:7], static[i, :7])
             assert np.allclose(row, direct, atol=1e-12)
 
     def test_static_features_read_no_uninitialised_memory(self, small_synth):
@@ -128,7 +155,7 @@ class TestExtract:
             warnings.simplefilter("error")
             static = ctx.edge_static_features()
         for i, (u, v) in enumerate(ctx.edges):
-            assert static[i, 11] == pytest.approx(ctx.ts_uv(u, v), abs=1e-12)
+            assert static[i, 11] == pytest.approx(ts_uv(ctx, u, v), abs=1e-12)
 
 
 class TestBuildInstances:

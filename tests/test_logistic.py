@@ -117,12 +117,6 @@ class TestModelObject:
         x = np.random.default_rng(0).random((5, len(again.w)))
         assert np.allclose(again.predict(x), small_model.predict(x))
 
-    def test_negated_flips_predictions(self, small_model):
-        x = np.random.default_rng(1).random((5, len(small_model.w)))
-        p = small_model.predict(x)
-        q = small_model.negated().predict(x)
-        assert np.allclose(p + q, 1.0)
-
     def test_dimension_mismatch(self, small_model):
         with pytest.raises(ValueError, match="dimension"):
             small_model.predict(np.zeros(3))

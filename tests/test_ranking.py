@@ -2,16 +2,19 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from influxrank.evaluation import TirLinkScorer
 from influxrank.features import FeatureContext, N_FEATURES
 from influxrank.logistic import LogisticModel
 from influxrank.ranking import (
     ConvergenceError,
     RankVector,
+    _edge_weights_all_hours,
     activity_weights,
     aggregate,
     build_matrix,
-    hourly_weights,
     personal_weights,
     power_iterate,
     tir_rank,
@@ -19,6 +22,8 @@ from influxrank.ranking import (
     twitterrank,
     twitterrank_matrices,
 )
+
+from influxrank.temporal import global_activity
 
 from conftest import make_dataset, make_user
 
@@ -36,25 +41,37 @@ def eig_stationary(dense):
     return v / v.sum()
 
 
+def edge_weight(dataset, model, u, v, t, c):
+    """Raw TIR transition weight of edge (u, v) at hour t."""
+    ctx = FeatureContext(dataset)
+    return _edge_weights_all_hours(ctx, model, c)[ctx.edge_index[(u, v)], t]
+
+
 class TestHourlyWeights:
     def test_close_friend_hand_value(self, tiny_dataset):
         # A replied to B, so B is a realized close friend of A.
         # weight = c * n_B(1) * p = 0.8 * 2 * 0.5
-        w = hourly_weights(tiny_dataset, flat_model(), "A", "B", 1, c=0.8)
+        w = edge_weight(tiny_dataset, flat_model(), "A", "B", 1, c=0.8)
         assert w == pytest.approx(0.8 * 2.0 * 0.5)
 
     def test_ordinary_friend_hand_value(self, tiny_dataset):
         # C is not a close friend of A; weight = (1-c) * n_C(17) * p
-        w = hourly_weights(tiny_dataset, flat_model(), "A", "C", 17, c=0.8)
+        w = edge_weight(tiny_dataset, flat_model(), "A", "C", 17, c=0.8)
         assert w == pytest.approx(0.2 * 1.0 * 0.5)
 
     def test_zero_rate_hour_gives_zero(self, tiny_dataset):
-        assert hourly_weights(tiny_dataset, flat_model(), "A", "C", 0, c=0.8) == 0.0
+        assert edge_weight(tiny_dataset, flat_model(), "A", "C", 0, c=0.8) == 0.0
 
     def test_c_range_enforced(self, tiny_dataset):
-        for bad in (0.4, 1.01, -1.0):
+        ctx = FeatureContext(tiny_dataset)
+        model = flat_model()
+        for bad in (0.4, 0.2, 1.01, 2.0, -1.0):
             with pytest.raises(ValueError, match="c must be"):
-                hourly_weights(tiny_dataset, flat_model(), "A", "B", 1, c=bad)
+                tir_rank(tiny_dataset, model, c=bad, ctx=ctx)
+            with pytest.raises(ValueError, match="c must be"):
+                build_matrix(tiny_dataset, model, t=1, c=bad, ctx=ctx)
+            with pytest.raises(ValueError, match="c must be"):
+                TirLinkScorer(tiny_dataset, model, bad, ctx=ctx)
 
     def test_responded_feature_is_forced_on(self, tiny_dataset):
         # a model that only looks at the ever-responded feature must give the
@@ -62,8 +79,8 @@ class TestHourlyWeights:
         w = np.zeros(N_FEATURES)
         w[5] = -3.0
         model = LogisticModel(w0=0.0, w=w)
-        close = hourly_weights(tiny_dataset, model, "A", "B", 1, c=0.5)
-        plain = hourly_weights(tiny_dataset, model, "A", "C", 17, c=0.5)
+        close = edge_weight(tiny_dataset, model, "A", "B", 1, c=0.5)
+        plain = edge_weight(tiny_dataset, model, "A", "C", 17, c=0.5)
         # both edges see the feature as 1, so p is identical; only n_v_t differs
         assert close / 2.0 == pytest.approx(plain / 1.0)
 
@@ -174,6 +191,30 @@ class TestRankVector:
         assert rv.order() == ["u1", "u2", "u3"]
         assert rv.ranks() == {"u1": 1, "u2": 2, "u3": 3}
 
+    @given(
+        st.dictionaries(
+            st.text(alphabet="abcuU019_", min_size=1, max_size=4),
+            st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, 1e-300]),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_order_matches_sorted_oracle(self, scores):
+        rv = RankVector(user_ids=tuple(scores), scores=np.array(list(scores.values())))
+        assert rv.order() == sorted(scores, key=lambda u: (-scores[u], u))
+
+
+class TestActivityWeights:
+    def test_equals_global_hourly_activity(self, small_synth, small_ctx):
+        dataset, _ = small_synth
+        hourly = global_activity(dataset, "hour_of_day")
+        assert np.array_equal(activity_weights(small_ctx), hourly / hourly.sum())
+
+    def test_no_tweets_rejected(self):
+        ds = make_dataset([make_user("a"), make_user("b")], [("a", "b")], [])
+        with pytest.raises(ValueError, match="empty dataset"):
+            activity_weights(FeatureContext(ds))
+
 
 class TestTirRank:
     def test_global_scores_form_distribution(self, small_synth, small_model,
@@ -194,7 +235,7 @@ class TestTirRank:
             )
             for t in range(24)
         ]
-        manual = aggregate(hourly, activity_weights(tiny_dataset))
+        manual = aggregate(hourly, activity_weights(ctx))
         auto = tir_rank(tiny_dataset, model, c=0.7, ctx=ctx)
         assert np.allclose(auto.scores, manual.scores, atol=1e-12)
 

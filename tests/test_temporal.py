@@ -199,20 +199,25 @@ class TestSelectK:
             profiles[f"u{i}"] = np.maximum(
                 p + rng.normal(0, 0.05 * np.linalg.norm(p), 24), 0
             )
-        best_k, _ = select_k(profiles, range(2, 6), seed=0)
-        assert best_k == 2
+        best, _ = select_k(profiles, range(2, 6), seed=0)
+        assert best.k == 2
 
     def test_three_planted_prototypes(self):
         profiles, _ = _planted_profiles(9)
-        best_k, asc = select_k(profiles, range(2, 6), seed=9)
-        assert best_k == 3
+        best, asc = select_k(profiles, range(2, 6), seed=9)
+        assert best.k == 3
+        # the returned clustering is the one ksc_cluster gives for that k
+        again = ksc_cluster(profiles, 3, seed=9)
+        assert best.assignment == again.assignment
+        assert np.array_equal(best.centroids, again.centroids)
+        assert best.asc == asc[3]
 
     def test_identical_users_degenerate(self):
         v = np.zeros(24)
         v[8] = 1.0
         profiles = {f"u{i}": v.copy() for i in range(10)}
-        best_k, asc = select_k(profiles, range(2, 4), seed=0)
-        assert best_k == 2  # ties broken toward smaller k
+        best, asc = select_k(profiles, range(2, 4), seed=0)
+        assert best.k == 2  # ties broken toward smaller k
 
     def test_k_range_validated(self):
         with pytest.raises(ValueError):
