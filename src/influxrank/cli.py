@@ -411,8 +411,10 @@ def rank_cmd(in_dir, out, model_name, model_file, c, gamma, p, aggregate_spec,
 
     def body(session: ArtifactSession):
         dataset = _load(in_dir)
-        ctx = features.FeatureContext(dataset)
-        if model_name == "tir":
+        if model_name == "tunkrank":
+            rv = ranking.tunkrank(dataset, p=p)
+        elif model_name == "tir":
+            ctx = features.FeatureContext(dataset)
             lm = logistic.LogisticModel.load(model_file)
             if hour != "all":
                 tm = ranking.build_matrix(dataset, lm, int(hour), c, gamma, ctx=ctx)
@@ -427,11 +429,9 @@ def rank_cmd(in_dir, out, model_name, model_file, c, gamma, p, aggregate_spec,
             else:
                 rv = ranking.tir_rank(dataset, lm, c, gamma, mode=mode, user=user,
                                       ctx=ctx)
-        elif model_name == "tunkrank":
-            rv = ranking.tunkrank(dataset, p=p)
         else:
             rv = ranking.twitterrank(dataset, gamma=gamma, mode=mode, user=user,
-                                     ctx=ctx)
+                                     ctx=features.FeatureContext(dataset))
         params = json.dumps(rv.params, sort_keys=True)
         scores = rv.as_dict()
         rows = [

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import sparse
 
-from .features import PT_INDEX, RE_INDEX, FeatureContext, js_divergence_rows
+from .features import FeatureContext, js_divergence_rows
 from .logistic import LogisticModel
 from .model import Dataset
 from .ranking import (
@@ -278,16 +278,10 @@ class TirLinkScorer:
         ctx = self.ctx
         iu = ctx.index[u]
         u_rows, dsts, shares = _friend_shares_without(ctx, iu, ctx.index[v])
-        mult = np.where(ctx.edge_close[u_rows], self.c, 1.0 - self.c)
+        weights = _edge_weights_all_hours(ctx, self.model, self.c, rows=u_rows, shares=shares)
         hourly = []
         for t, solver in enumerate(self.solvers):
-            xt = ctx.edge_features(u_rows, t)
-            xt[:, RE_INDEX] = 1.0
-            xt[:, PT_INDEX] = shares
-            if self.model.scaler is not None:
-                xt = self.model.scaler.transform(xt)
-            w_u = mult * ctx.n_t[dsts, t] * self.model.predict(xt)
-            y = solver.solve_with_column(iu, dsts, w_u)
+            y = solver.solve_with_column(iu, dsts, weights[:, t])
             hourly.append(RankVector(tuple(ctx.user_ids), y / y.sum(), hour=t))
         return aggregate(
             hourly,

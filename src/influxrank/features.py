@@ -31,6 +31,8 @@ N_FEATURES = len(FEATURE_NAMES)
 # column indices used elsewhere
 RE_INDEX = FEATURE_NAMES.index("re_uv")
 PT_INDEX = FEATURE_NAMES.index("pt_uv")
+# the four columns that depend on the hour t, in FeatureContext.fill_hourly order
+HOURLY_INDICES = tuple(FEATURE_NAMES.index(f) for f in ("n_v_t", "a_u_t", "a_v_t", "ja_uv_t"))
 
 
 def js_divergence_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -141,16 +143,25 @@ class FeatureContext:
         self._edge_static = x
         return x
 
+    def fill_hourly(self, rows: np.ndarray, hours, out):
+        """Write the hourly features n_v_t, a_u_t, a_v_t and ja_uv_t of edge
+        rows ``rows`` into the four arrays of ``out`` and return it. ``hours``
+        is one hour for all rows or one per row (each array of shape
+        (len(rows),)), or ``slice(None)`` for all 24 (each (len(rows), 24))."""
+        src, dst = self.edge_src[rows], self.edge_dst[rows]
+        n_v, a_u, a_v, ja = out
+        n_v[...] = self.n_t[dst, hours]
+        a_u[...] = self.a_t[src, hours]
+        a_v[...] = self.a_t[dst, hours]
+        np.multiply(a_u, a_v, out=ja)
+        return out
+
     def edge_features(self, rows: np.ndarray, hours) -> np.ndarray:
         """(len(rows), 12) features of edge rows ``rows`` at ``hours`` (one
         hour for all rows, or one per row): a new array, which callers may
         modify."""
         x = self.edge_static_features()[rows]
-        src, dst = self.edge_src[rows], self.edge_dst[rows]
-        x[:, 7] = self.n_t[dst, hours]
-        x[:, 8] = self.a_t[src, hours]
-        x[:, 9] = self.a_t[dst, hours]
-        x[:, 10] = x[:, 8] * x[:, 9]
+        self.fill_hourly(rows, hours, [x[:, j] for j in HOURLY_INDICES])
         return x
 
 
@@ -218,16 +229,19 @@ class MinMaxScaler:
     mins: np.ndarray
     maxs: np.ndarray
 
-    @property
-    def degenerate(self) -> np.ndarray:
-        return self.maxs <= self.mins
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        span = np.where(self.degenerate, 1.0, self.maxs - self.mins)
-        out = (x - self.mins) / span
-        out[:, self.degenerate] = 0.0
-        return np.clip(out, 0.0, 1.0)
+    def transform(self, x: np.ndarray, column: Optional[int] = None) -> np.ndarray:
+        """Scale rows of all features into [0, 1]; with ``column``, scale an
+        array of any shape that holds values of that one feature. A
+        degenerate feature (max <= min) scales to 0."""
+        if column is None:
+            x = np.atleast_2d(np.asarray(x, dtype=float))
+            mins, maxs = self.mins, self.maxs
+        else:
+            x = np.asarray(x, dtype=float)
+            mins, maxs = self.mins[column], self.maxs[column]
+        degenerate = maxs <= mins
+        span = np.where(degenerate, 1.0, maxs - mins)
+        return np.clip(np.where(degenerate, 0.0, (x - mins) / span), 0.0, 1.0)
 
     def to_json(self) -> dict:
         return {"mins": self.mins.tolist(), "maxs": self.maxs.tolist()}

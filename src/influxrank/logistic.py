@@ -20,9 +20,14 @@ class TrainingError(RuntimeError):
     pass
 
 
+def probability_of_score(z: np.ndarray) -> np.ndarray:
+    """Response probability 1 / (1 + exp(z)) of linear scores z = w0 + w.x,
+    clipped so exp cannot overflow."""
+    return 1.0 / (1.0 + np.exp(np.clip(z, -500.0, 500.0)))
+
+
 def response_probability(w0: float, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    z = np.clip(w0 + np.atleast_2d(x) @ np.asarray(w, float), -500.0, 500.0)
-    return 1.0 / (1.0 + np.exp(z))
+    return probability_of_score(w0 + np.atleast_2d(x) @ np.asarray(w, float))
 
 
 def log_loss(w0: float, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:

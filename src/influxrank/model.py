@@ -183,13 +183,15 @@ def ingest(
     users_stream: Iterable[str],
     edges_stream: Iterable[str],
     tweets_stream: Iterable[str],
-    window: tuple[int, int],
+    window: Optional[tuple[int, int]] = None,
     tz_offset: int = 0,
     min_tweets: int = 0,
 ) -> Dataset:
     """Parse and validate line-delimited JSON streams into a Dataset.
 
-    Tweets by unknown authors or outside the window are dropped and counted.
+    Without a window, the timestamp range of all parsed tweets (those by
+    unknown authors included) is used. Tweets by unknown authors or outside
+    the window are dropped and counted.
     When min_tweets > 0, users with fewer tweets (after windowing) are removed
     along with their edges and tweets, in a single pass.
     """
@@ -228,9 +230,7 @@ def ingest(
             )
         )
 
-    start, end = window
-    tweets: list[Tweet] = []
-    dropped = 0
+    parsed: list[Tweet] = []
     for line_no, obj in _parse_jsonl(tweets_stream, "tweets"):
         tw = Tweet(
             tweet_id=str(_require(obj, "id", "tweets", line_no)),
@@ -245,10 +245,13 @@ def ingest(
             ),
         )
         tw.validate()
-        if tw.author not in users or not (start <= tw.timestamp <= end):
-            dropped += 1
-            continue
-        tweets.append(tw)
+        parsed.append(tw)
+    if window is None:
+        stamps = [tw.timestamp for tw in parsed]
+        window = (min(stamps), max(stamps)) if stamps else (0, 0)
+    start, end = window
+    tweets = [tw for tw in parsed if tw.author in users and start <= tw.timestamp <= end]
+    dropped = len(parsed) - len(tweets)
 
     if min_tweets > 0:
         counts: dict[str, int] = {u: 0 for u in users}
@@ -331,14 +334,6 @@ def load_dataset(
     Without an explicit window, the tweet timestamp range is used.
     """
     in_dir = Path(in_dir)
-    if window is None:
-        ts = []
-        with (in_dir / "tweets.jsonl").open() as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    ts.append(int(json.loads(line)["ts"]))
-        window = (min(ts), max(ts)) if ts else (0, 0)
     with (in_dir / "users.jsonl").open() as uf, (in_dir / "edges.jsonl").open() as ef, (
         in_dir / "tweets.jsonl"
     ).open() as tf:

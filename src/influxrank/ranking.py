@@ -8,8 +8,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import sparse
 
-from .features import PT_INDEX, RE_INDEX, FeatureContext
-from .logistic import LogisticModel
+from .features import HOURLY_INDICES, N_FEATURES, PT_INDEX, RE_INDEX, FeatureContext
+from .logistic import LogisticModel, probability_of_score
 from .model import Dataset
 
 DEFAULT_GAMMA = 0.85
@@ -38,12 +38,17 @@ class TransitionMatrix:
     n: int
     matrix: sparse.csc_matrix
     dangling: np.ndarray  # boolean mask over columns
+    _dangling_index: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._dangling_index = np.flatnonzero(self.dangling)
 
     def step(self, r: np.ndarray) -> np.ndarray:
         y = self.matrix @ r
-        dangling_mass = float(r[self.dangling].sum())
-        y = y + dangling_mass / self.n
-        return self.gamma * y + (1.0 - self.gamma) / self.n
+        y += float(r[self._dangling_index].sum()) / self.n
+        y *= self.gamma
+        y += (1.0 - self.gamma) / self.n
+        return y
 
     def dense(self) -> np.ndarray:
         d = self.matrix.toarray()
@@ -72,36 +77,75 @@ class RankVector:
 
 
 def _edge_weights_all_hours(
-    ctx: FeatureContext, model: LogisticModel, c: float
+    ctx: FeatureContext,
+    model: LogisticModel,
+    c: float,
+    rows: Optional[np.ndarray] = None,
+    shares: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """(n_edges, 24) raw transition weights: the response probability with
-    the ever-responded feature forced to 1, times the friend's hourly tweet
-    rate, times c for close friends and 1 - c otherwise."""
+    """(len(rows), 24) raw transition weights of edge rows ``rows`` (all
+    edges by default): the response probability with the ever-responded
+    feature forced to 1, times the friend's hourly tweet rate, times c for
+    close friends and 1 - c otherwise. ``shares`` replaces the tweet-share
+    feature pt_uv of those rows.
+
+    The logit is w0 plus the terms of the static features, summed once per
+    edge, plus the terms of the four hourly features over all 24 hours."""
     if not 0.5 <= c <= 1.0:
         raise ValueError("penalty factor c must be in [0.5, 1]")
-    rows = np.arange(len(ctx.edges))
-    mult = np.where(ctx.edge_close, c, 1.0 - c)
-    out = np.empty((len(ctx.edges), 24))
-    for t in range(24):
-        x = ctx.edge_features(rows, t)
-        x[:, RE_INDEX] = 1.0
+    if len(model.w) != N_FEATURES:
+        raise ValueError(f"feature dimension {N_FEATURES} != model dimension {len(model.w)}")
+    if rows is None:
+        rows = np.arange(len(ctx.edges))
+    x = ctx.edge_static_features()[rows]
+    x[:, RE_INDEX] = 1.0
+    if shares is not None:
+        x[:, PT_INDEX] = shares
+
+    def term(values: np.ndarray, j: int) -> np.ndarray:
         if model.scaler is not None:
-            x = model.scaler.transform(x)
-        p = model.predict(x)
-        out[:, t] = mult * ctx.n_t[ctx.edge_dst, t] * p
-    return out
+            values = model.scaler.transform(values, column=j)
+        return model.w[j] * values
+
+    z = np.full(len(rows), float(model.w0))
+    for j in range(N_FEATURES):
+        if j not in HOURLY_INDICES:
+            z += term(x[:, j], j)
+    hourly = ctx.fill_hourly(rows, slice(None), np.empty((4, len(rows), 24)))
+    z = np.repeat(z[:, None], 24, axis=1)
+    for j, values in zip(HOURLY_INDICES, hourly):
+        z += term(values, j)
+    mult = np.where(ctx.edge_close[rows], c, 1.0 - c)
+    return mult[:, None] * hourly[0] * probability_of_score(z)
 
 
 def _assemble(
     src: np.ndarray, dst: np.ndarray, weights: np.ndarray, n: int, hour: int, gamma: float
 ) -> TransitionMatrix:
-    """Column-normalize raw edge weights; zero columns become uniform."""
-    m = sparse.coo_matrix((weights, (dst, src)), shape=(n, n)).tocsc()
-    col_sums = np.asarray(m.sum(axis=0)).ravel()
+    """Column-normalize raw edge weights (edge src -> dst is entry [dst, src])
+    into CSC form; zero columns become uniform.
+
+    Each column is summed the way scipy sums a CSC matrix's columns (one
+    ``np.add.reduceat`` over rows in ascending order), so the sums do not
+    depend on the input's edge order. Entries whose normalized weight is
+    exactly zero are dropped, and each column lists its rows in descending
+    order: the entry order that ``rank --dump-matrix`` writes."""
+    order = np.argsort(src * n + dst, kind="stable")
+    col, row, w = src[order], dst[order], weights[order]
+    counts = np.bincount(col, minlength=n)
+    nonempty = counts > 0
+    col_sums = np.zeros(n)
+    col_sums[nonempty] = np.add.reduceat(w, (np.cumsum(counts) - counts)[nonempty])
     dangling = col_sums <= 0.0
     scale = np.where(dangling, 1.0, col_sums)
-    m = m @ sparse.diags(1.0 / scale, format="csc")
-    return TransitionMatrix(hour=hour, gamma=gamma, n=n, matrix=m.tocsc(), dangling=dangling)
+    values = w * (1.0 / scale)[col]
+    keep = values != 0.0
+    col, row, values = col[keep], row[keep], values[keep]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
+    # position of each entry once every column's rows are reversed
+    flip = indptr[col] + indptr[col + 1] - 1 - np.arange(len(col))
+    m = sparse.csc_matrix((values[flip], row[flip], indptr), shape=(n, n))
+    return TransitionMatrix(hour=hour, gamma=gamma, n=n, matrix=m, dangling=dangling)
 
 
 def build_matrix(

@@ -10,10 +10,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
-from influxrank.features import FEATURE_NAMES, FeatureContext
+from influxrank.features import FEATURE_NAMES, RE_INDEX, FeatureContext
+from influxrank.logistic import LogisticModel
 from influxrank.model import Dataset
-from influxrank.ranking import RankVector
+from influxrank.ranking import RankVector, TransitionMatrix
 
 
 def jensen_shannon_divergence(p, q, base: float = 2.0) -> float:
@@ -109,3 +111,46 @@ def kendall_tau_bruteforce(rank_a, rank_b) -> float:
             concordant += s
             discordant += not s
     return (concordant - discordant) / (n * (n - 1) // 2)
+
+
+def edge_weights_by_hour(ctx: FeatureContext, model: LogisticModel, c: float) -> np.ndarray:
+    """(n_edges, 24) raw TIR transition weights, one feature fill, scaling
+    and prediction of all 12 columns per hour."""
+    rows = np.arange(len(ctx.edges))
+    mult = np.where(ctx.edge_close, c, 1.0 - c)
+    out = np.empty((len(ctx.edges), 24))
+    for t in range(24):
+        x = ctx.edge_features(rows, t)
+        x[:, RE_INDEX] = 1.0
+        if model.scaler is not None:
+            x = model.scaler.transform(x)
+        out[:, t] = mult * ctx.n_t[ctx.edge_dst, t] * model.predict(x)
+    return out
+
+
+def assemble_by_sparse_product(
+    src: np.ndarray, dst: np.ndarray, weights: np.ndarray, n: int, hour: int, gamma: float
+) -> TransitionMatrix:
+    """Column-normalised transition matrix built COO -> CSC -> product with
+    the diagonal of inverse column sums; zero columns are dangling."""
+    m = sparse.coo_matrix((weights, (dst, src)), shape=(n, n)).tocsc()
+    col_sums = np.asarray(m.sum(axis=0)).ravel()
+    dangling = col_sums <= 0.0
+    scale = np.where(dangling, 1.0, col_sums)
+    m = m @ sparse.diags(1.0 / scale, format="csc")
+    return TransitionMatrix(hour=hour, gamma=gamma, n=n, matrix=m.tocsc(), dangling=dangling)
+
+
+def iterate_from_uniform(tm: TransitionMatrix, tol: float) -> tuple[np.ndarray, int]:
+    """Power iteration r <- gamma (M r + dangling mass / n) + (1 - gamma) / n
+    from uniform until the L1 change drops below tol: (scores, iterations)."""
+    n = tm.n
+    r = np.full(n, 1.0 / n)
+    for it in range(1, 10_000):
+        y = tm.matrix @ r + float(r[tm.dangling].sum()) / n
+        r_new = tm.gamma * y + (1.0 - tm.gamma) / n
+        residual = float(np.abs(r_new - r).sum())
+        r = r_new
+        if residual < tol:
+            return r, it
+    raise AssertionError("no convergence")

@@ -109,6 +109,32 @@ def test_roundtrip_idempotent(tmp_path, small_synth):
         assert (tmp_path / name).read_bytes() == (second / name).read_bytes()
 
 
+def _write_inputs(path, tweets):
+    path.mkdir()
+    for name, lines in (("users", USERS), ("edges", EDGES), ("tweets", tweets)):
+        (path / f"{name}.jsonl").write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def test_load_dataset_window_spans_every_parsed_tweet(tmp_path):
+    # the unknown author's tweets widen the window but are dropped
+    extra = TWEETS + _jsonl(
+        [{"id": "tx", "author": "zzz", "kind": "original", "ts": 900},
+         {"id": "ty", "author": "zzz", "kind": "original", "ts": 2000}]
+    )
+    ds = load_dataset(_write_inputs(tmp_path / "in", extra))
+    assert ds.observation_window == (900, 2000)
+    assert len(ds.tweets) == 5
+    assert ds.dropped_tweets == 2
+    assert ingest(USERS, EDGES, []).observation_window == (0, 0)
+
+
+def test_load_dataset_reports_tweet_without_ts_by_line(tmp_path):
+    bad = TWEETS[:3] + _jsonl([{"id": "t9", "author": "a", "kind": "original"}])
+    with pytest.raises(ParseError, match="tweets, line 4: missing key 'ts'"):
+        load_dataset(_write_inputs(tmp_path / "in", bad))
+
+
 def test_follower_adjacency_is_transpose(small_synth):
     dataset, _ = small_synth
     g = dataset.graph

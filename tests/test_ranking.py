@@ -310,6 +310,10 @@ class TestTunkRank:
     def test_p1_closed_follow_class_fails_fast(self):
         users = [make_user(u) for u in "abc"]
         ds = make_dataset(users, [("a", "b"), ("b", "a"), ("c", "a")], [])
+        # the check imports csgraph lazily; keep that one-off import out of
+        # the time budget, which bounds the check itself
+        import scipy.sparse.csgraph  # noqa: F401
+
         started = time.perf_counter()
         with pytest.raises(ValueError, match="2 users form a closed follow class"):
             tunkrank(ds, p=1.0)
