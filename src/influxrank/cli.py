@@ -10,6 +10,7 @@ import csv
 import hashlib
 import json
 import sys
+from array import array
 from pathlib import Path
 
 import click
@@ -83,9 +84,9 @@ def run_stage(out_dir: Path, body) -> None:
     session.finish()
 
 
-def _load(in_dir: str, min_tweets: int = 0, tz_offset: int = 0) -> model.Dataset:
+def _load(in_dir: str, min_tweets: int = 0) -> model.Dataset:
     try:
-        return model.load_dataset(in_dir, min_tweets=min_tweets, tz_offset=tz_offset)
+        return model.load_dataset(in_dir, min_tweets=min_tweets)
     except FileNotFoundError as exc:
         raise click.ClickException(str(exc)) from exc
 
@@ -129,14 +130,15 @@ def synth_cmd(users, seed, days, topics, follower_exponent, close_fraction, out)
 @click.option("--in", "in_dir", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--min-tweets", type=int, default=0, show_default=True)
-@click.option("--tz-offset", type=int, default=0, show_default=True)
-def ingest_cmd(in_dir, out, min_tweets, tz_offset):
-    """Validate raw JSONL files and emit a normalized dataset copy."""
+def ingest_cmd(in_dir, out, min_tweets):
+    """Validate raw JSONL files and emit a normalized dataset copy, plus
+    the parse cache that later stages read in its place."""
 
     def body(session: ArtifactSession):
-        dataset = _load(in_dir, min_tweets=min_tweets, tz_offset=tz_offset)
+        dataset = _load(in_dir, min_tweets=min_tweets)
         for p in model.serialize(dataset, session.out_dir).values():
             session.paths.append(p)
+        session.paths.append(model.write_cache(dataset, session.out_dir))
         summary = {
             "n_users": dataset.n_users,
             "n_edges": dataset.graph.n_edges,
@@ -302,18 +304,21 @@ def features_cmd(in_dir, out, seed):
 
 
 def load_instances_csv(path: str | Path) -> features.InstanceSet:
-    keys, rows, labels = [], [], []
+    keys, labels = [], []
+    # packed doubles, not one float object per value: this reader sets the
+    # pipeline's peak memory
+    values = array("d")
+    n_feat = len(features.FEATURE_NAMES)
     with Path(path).open() as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        n_feat = len(features.FEATURE_NAMES)
+        next(reader)
         for rec in reader:
             keys.append((rec[0], rec[1], rec[2], int(rec[3])))
-            rows.append([float(v) for v in rec[4 : 4 + n_feat]])
+            values.extend(map(float, rec[4 : 4 + n_feat]))
             labels.append(int(rec[-1]))
     return features.InstanceSet(
         keys=keys,
-        features=np.asarray(rows, dtype=float),
+        features=np.frombuffer(values, dtype=float).reshape(-1, n_feat),
         labels=np.asarray(labels, dtype=int),
     )
 

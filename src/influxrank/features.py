@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Dataset
+from .model import ORIGINAL, RETWEET, Dataset
 from .temporal import all_profiles
 
 FEATURE_NAMES = (
@@ -60,13 +60,9 @@ class FeatureContext:
         self.index = {u: i for i, u in enumerate(self.user_ids)}
         n = len(self.user_ids)
 
-        tweet_counts = np.zeros(n)
-        retweet_counts = np.zeros(n)
-        for tw in dataset.tweets:
-            i = self.index[tw.author]
-            tweet_counts[i] += 1
-            if tw.kind == "retweet":
-                retweet_counts[i] += 1
+        authors, kinds = dataset.author_index, dataset.tweets.kind
+        tweet_counts = np.bincount(authors, minlength=n).astype(float)
+        retweet_counts = np.bincount(authors[kinds == RETWEET], minlength=n).astype(float)
         self.tweet_counts = tweet_counts
 
         listed = np.array([dataset.users[u].listed_count for u in self.user_ids], float)
@@ -102,15 +98,13 @@ class FeatureContext:
             ]
         )
 
-        # responded friends: u -> set of friends u retweeted/replied to
-        responded: dict[str, set[str]] = {u: set() for u in self.user_ids}
-        for tw in dataset.tweets:
-            if tw.is_response and tw.responds_to_user in dataset.users:
-                responded[tw.author].add(tw.responds_to_user)
-        self.close_friends = {
-            u: {v for v in targets if dataset.graph.has_edge(u, v)}
-            for u, targets in responded.items()
-        }
+        # close friends: u -> the friends u retweeted or replied to
+        replied = (kinds != ORIGINAL) & (dataset.target_user >= 0)
+        self.close_friends: dict[str, set[str]] = {u: set() for u in self.user_ids}
+        for a, b in set(zip(authors[replied].tolist(), dataset.target_user[replied].tolist())):
+            u, v = self.user_ids[a], self.user_ids[b]
+            if dataset.graph.has_edge(u, v):
+                self.close_friends[u].add(v)
 
         # edges in deterministic order
         self.edges = list(dataset.graph.edges())
@@ -185,6 +179,23 @@ class InstanceSet:
         return float(self.labels.mean()) if len(self.keys) else 0.0
 
 
+def follower_pairs(
+    dataset: Dataset, ctx: FeatureContext, tweet_rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every (tweet, follower of its author) pair as (tweet row, edge row):
+    tweets in the order of ``tweet_rows``, and each tweet's followers in
+    user-id order."""
+    # edge rows ordered by friend, then follower; friend v's in by_friend[lo[v]:lo[v + 1]]
+    by_friend = np.lexsort((ctx.edge_src, ctx.edge_dst))
+    degree = np.bincount(ctx.edge_dst, minlength=len(ctx.user_ids))
+    lo = np.concatenate(([0], np.cumsum(degree)))
+    authors = dataset.author_index[tweet_rows]
+    per_tweet = degree[authors]
+    starts = np.repeat(lo[authors] - (np.cumsum(per_tweet) - per_tweet), per_tweet)
+    pairs = np.repeat(np.asarray(tweet_rows, dtype=np.intp), per_tweet)
+    return pairs, by_friend[starts + np.arange(len(starts))]
+
+
 def build_instances(
     dataset: Dataset, ctx: Optional[FeatureContext] = None
 ) -> InstanceSet:
@@ -196,31 +207,22 @@ def build_instances(
     """
     if ctx is None:
         ctx = FeatureContext(dataset)
-    responded_pairs: set[tuple[str, str]] = set()
-    for tw in dataset.tweets:
-        if tw.is_response and tw.responds_to_tweet:
-            responded_pairs.add((tw.responds_to_tweet, tw.author))
-
-    rows: list[int] = []
-    hours: list[int] = []
-    keys: list[tuple[str, str, str, int]] = []
-    labels: list[int] = []
-    for tw in dataset.tweets:
-        v = tw.author
-        hour = dataset.hour_of(tw.timestamp)
-        for u in dataset.graph.followers(v):
-            rows.append(ctx.edge_index[(u, v)])
-            hours.append(hour)
-            keys.append((tw.tweet_id, u, v, hour))
-            labels.append(1 if (tw.tweet_id, u) in responded_pairs else 0)
-
-    order = sorted(range(len(keys)), key=lambda i: (keys[i][0], keys[i][1]))
+    # tweet ids are unique, so tweet-id order then follower order is the
+    # (tweet_id, follower) order
+    tweets, edges = follower_pairs(dataset, ctx, dataset.id_order)
+    followers, friends = ctx.edge_src[edges], ctx.edge_dst[edges]
+    hours = dataset.hour_of(dataset.tweets.ts[tweets])
+    n = len(ctx.user_ids)
+    responses = (dataset.tweets.kind != ORIGINAL) & (dataset.target_tweet >= 0)
+    responded = dataset.target_tweet[responses] * n + dataset.author_index[responses]
+    # ids as arrays of shared str objects: a key costs one tuple, not new strings
+    ids = np.array(dataset.tweets.tweet_id.tolist(), dtype=object)
+    users = np.array(ctx.user_ids, dtype=object)
     return InstanceSet(
-        keys=[keys[i] for i in order],
-        features=ctx.edge_features(
-            np.asarray(rows, dtype=int)[order], np.asarray(hours, dtype=int)[order]
-        ),
-        labels=np.asarray(labels, dtype=int)[order],
+        keys=list(zip(ids[tweets].tolist(), users[followers].tolist(),
+                      users[friends].tolist(), hours.tolist())),
+        features=ctx.edge_features(edges, hours),
+        labels=np.isin(tweets * n + followers, responded).astype(int),
     )
 
 

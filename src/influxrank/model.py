@@ -2,20 +2,33 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import zipfile
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 TWEET_KINDS = ("original", "retweet", "reply")
+# kind codes of the TweetTable.kind column: indices into TWEET_KINDS
+ORIGINAL, RETWEET, REPLY = range(len(TWEET_KINDS))
+_KIND_CODE = {kind: code for code, kind in enumerate(TWEET_KINDS)}
 
 SECONDS_PER_HOUR = 3600
 SECONDS_PER_DAY = 86400
 # Unix epoch day 0 is a Thursday; offset 3 makes Monday index 0.
 _EPOCH_WEEKDAY_OFFSET = 3
+_INT64_MAX = np.iinfo(np.int64).max
+
+# The parse cache ingest writes next to the JSONL files it mirrors.
+CACHE_NAME = "dataset.npz"
+_JSONL_NAMES = ("users", "edges", "tweets")
 
 
 class ParseError(ValueError):
@@ -42,6 +55,8 @@ class UserRecord:
     def validate(self) -> None:
         if self.listed_count < 0 or self.favourites_received < 0:
             raise ValidationError(f"user {self.user_id}: negative count field")
+        if max(self.listed_count, self.favourites_received) > _INT64_MAX:
+            raise ValidationError(f"user {self.user_id}: count field exceeds int64")
         topics = self.topic_distribution
         if not topics:
             raise ValidationError(f"user {self.user_id}: empty topic distribution")
@@ -49,6 +64,13 @@ class UserRecord:
             raise ValidationError(f"user {self.user_id}: negative topic weight")
         if abs(sum(topics) - 1.0) > 1e-9:
             raise ValidationError(f"user {self.user_id}: topics sum to {sum(topics)}")
+
+
+def _check_tweet(tweet_id: str, kind: str, to_user: Optional[str]) -> None:
+    if kind not in _KIND_CODE:
+        raise ValidationError(f"tweet {tweet_id}: unknown kind {kind!r}")
+    if kind != "original" and to_user is None:
+        raise ValidationError(f"tweet {tweet_id}: {kind} without a target user")
 
 
 @dataclass(frozen=True)
@@ -65,12 +87,98 @@ class Tweet:
         return self.kind in ("retweet", "reply")
 
     def validate(self) -> None:
-        if self.kind not in TWEET_KINDS:
-            raise ValidationError(f"tweet {self.tweet_id}: unknown kind {self.kind!r}")
-        if self.is_response and self.responds_to_user is None:
-            raise ValidationError(
-                f"tweet {self.tweet_id}: {self.kind} without a target user"
-            )
+        _check_tweet(self.tweet_id, self.kind, self.responds_to_user)
+
+
+def _str_column(values: list[str], what: str) -> np.ndarray:
+    col = np.array(values, dtype=str)
+    # fixed-width numpy strings drop trailing NULs, which would change an id
+    if col.size and int(np.strings.str_len(col).sum()) != sum(map(len, values)):
+        raise ValidationError(f"{what} must not end in a NUL character")
+    return col
+
+
+def _look_up(position: dict[str, int], names: np.ndarray) -> np.ndarray:
+    """position[name] for each of names, or -1 where it has none."""
+    return np.fromiter(map(position.get, names.tolist(), repeat(-1)), np.intp, len(names))
+
+
+@dataclass(frozen=True, eq=False)
+class TweetTable(Sequence):
+    """Tweets as columns, one row per tweet: a read-only sequence of Tweet
+    records that the package reads column by column.
+
+    ``to_user`` and ``to_tweet`` hold "" where ``has_to_user`` and
+    ``has_to_tweet`` are False, so an empty-string target stays distinct
+    from an absent one.
+    """
+
+    tweet_id: np.ndarray  # str
+    author: np.ndarray  # str
+    kind: np.ndarray  # int8 code, an index into TWEET_KINDS
+    ts: np.ndarray  # int64
+    to_user: np.ndarray  # str
+    has_to_user: np.ndarray  # bool
+    to_tweet: np.ndarray  # str
+    has_to_tweet: np.ndarray  # bool
+
+    @classmethod
+    def from_rows(cls, tweet_id: list, author: list, kind: list, ts: list,
+                  to_user: list, to_tweet: list) -> "TweetTable":
+        """Columns from one list per field; None marks an absent target.
+        Tweet ids must be unique."""
+        if len(set(tweet_id)) < len(tweet_id):
+            seen: set[str] = set()
+            duplicate = next(t for t in tweet_id if t in seen or seen.add(t))
+            raise ValidationError(f"duplicate tweet_id {duplicate!r}")
+        try:
+            stamps = np.array(ts, dtype=np.int64)
+        except OverflowError:
+            raise ValidationError("tweet timestamp exceeds int64") from None
+        return cls(
+            tweet_id=_str_column(tweet_id, "tweet ids"),
+            author=_str_column(author, "authors"),
+            kind=np.array([_KIND_CODE[k] for k in kind], dtype=np.int8),
+            ts=stamps,
+            to_user=_str_column(["" if u is None else u for u in to_user], "to_user"),
+            has_to_user=np.array([u is not None for u in to_user], dtype=bool),
+            to_tweet=_str_column(["" if t is None else t for t in to_tweet], "to_tweet"),
+            has_to_tweet=np.array([t is not None for t in to_tweet], dtype=bool),
+        )
+
+    @classmethod
+    def from_tweets(cls, tweets: Iterable[Tweet]) -> "TweetTable":
+        rows = []
+        for tw in tweets:
+            tw.validate()
+            rows.append((tw.tweet_id, tw.author, tw.kind, tw.timestamp,
+                         tw.responds_to_user, tw.responds_to_tweet))
+        return cls.from_rows(*([list(col) for col in zip(*rows)] or [[]] * 6))
+
+    def take(self, rows: np.ndarray) -> "TweetTable":
+        return TweetTable(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return Tweet(
+            str(self.tweet_id[i]), str(self.author[i]), TWEET_KINDS[self.kind[i]],
+            int(self.ts[i]),
+            str(self.to_user[i]) if self.has_to_user[i] else None,
+            str(self.to_tweet[i]) if self.has_to_tweet[i] else None,
+        )
+
+    def __iter__(self):
+        for tid, author, kind, ts, to_user, has_user, to_tweet, has_tweet in self._rows():
+            yield Tweet(tid, author, TWEET_KINDS[kind], ts,
+                        to_user if has_user else None, to_tweet if has_tweet else None)
+
+    def _rows(self) -> Iterable[tuple]:
+        """Each row as a tuple of Python values, in field order."""
+        return zip(*(getattr(self, f.name).tolist() for f in fields(self)))
 
 
 class FollowGraph:
@@ -121,26 +229,96 @@ class FollowGraph:
                 yield follower, friend
 
 
-@dataclass
 class Dataset:
-    """Immutable after ingestion; any number of concurrent readers is safe."""
+    """Users, follow graph and tweets; immutable after construction, so any
+    number of concurrent readers is safe.
 
-    users: dict[str, UserRecord]
-    graph: FollowGraph
-    tweets: list[Tweet]
-    observation_window: tuple[int, int]
-    tz_offset: int = 0
-    dropped_tweets: int = 0
-    tweets_by_id: dict[str, Tweet] = field(init=False, repr=False)
-    tweets_by_author: dict[str, list[Tweet]] = field(init=False, repr=False)
+    ``tweets`` may be given as Tweet records or as a TweetTable, in any
+    order. It is held as a TweetTable sorted by (timestamp, tweet_id), with
+    these columns alongside, one entry per tweet row:
 
-    def __post_init__(self):
-        self.tweets.sort(key=lambda tw: (tw.timestamp, tw.tweet_id))
-        self.tweets_by_id = {tw.tweet_id: tw for tw in self.tweets}
-        by_author: dict[str, list[Tweet]] = {u: [] for u in self.users}
-        for tw in self.tweets:
-            by_author[tw.author].append(tw)
-        self.tweets_by_author = by_author
+    - ``author_index``: the author's index into ``user_ids``, the sorted
+      user ids
+    - ``target_tweet``: the row of the tweet that ``to_tweet`` names, or -1
+      when it is absent, empty or not in the dataset (built on first use)
+    - ``target_user``: the index of ``to_user`` into ``user_ids``, or -1
+      when it is absent or not a user
+
+    ``id_order`` lists the rows in tweet-id order (built on first use).
+    Tweet ids are unique (``TweetTable.from_rows`` checks), and every author
+    must be a user.
+    """
+
+    def __init__(
+        self,
+        users: dict[str, UserRecord],
+        graph: FollowGraph,
+        tweets: Iterable[Tweet] | TweetTable,
+        observation_window: tuple[int, int],
+        tz_offset: int = 0,
+        dropped_tweets: int = 0,
+    ):
+        if not isinstance(tweets, TweetTable):
+            tweets = TweetTable.from_tweets(tweets)
+        ts, ids = tweets.ts, tweets.tweet_id
+        # serialize writes tweets in this order, so a loaded table is sorted
+        if not np.all((ts[1:] > ts[:-1]) | ((ts[1:] == ts[:-1]) & (ids[1:] > ids[:-1]))):
+            tweets = tweets.take(np.lexsort((ids, ts)))
+        self.users = users
+        self.graph = graph
+        self.tweets = tweets
+        self.observation_window = observation_window
+        self.tz_offset = tz_offset
+        self.dropped_tweets = dropped_tweets
+
+        user_list = sorted(users)
+        self.user_ids = _str_column(user_list, "user ids")
+        user_index = dict(zip(user_list, range(len(user_list))))
+        self.author_index = _look_up(user_index, tweets.author)
+        unknown = np.flatnonzero(self.author_index < 0)
+        if unknown.size:
+            i = unknown[0]
+            raise ValidationError(
+                f"tweet {tweets.tweet_id[i]}: unknown author {str(tweets.author[i])!r}"
+            )
+        self.target_user = np.full(len(tweets), -1, dtype=np.intp)
+        named = np.flatnonzero(tweets.has_to_user)
+        self.target_user[named] = _look_up(user_index, tweets.to_user[named])
+
+    @cached_property
+    def id_order(self) -> np.ndarray:
+        """The tweet rows in tweet-id order."""
+        return np.argsort(self.tweets.tweet_id, kind="stable")
+
+    @cached_property
+    def target_tweet(self) -> np.ndarray:
+        """Per tweet row, the row of the tweet that ``to_tweet`` names, or -1."""
+        tweets, order = self.tweets, self.id_order
+        by_id = tweets.tweet_id[order]
+        target = np.full(len(tweets), -1, dtype=np.intp)
+        named = np.flatnonzero(tweets.has_to_tweet & (tweets.to_tweet != ""))
+        if named.size and by_id.size:
+            at = np.minimum(np.searchsorted(by_id, tweets.to_tweet[named]), len(by_id) - 1)
+            found = by_id[at] == tweets.to_tweet[named]
+            target[named[found]] = order[at[found]]
+        return target
+
+    @cached_property
+    def author_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, bounds): the tweet rows grouped by author in user-id order,
+        each group in time order; user i's rows are rows[bounds[i]:bounds[i + 1]]."""
+        n = len(self.user_ids)
+        bounds = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.author_index, minlength=n), out=bounds[1:])
+        return np.argsort(self.author_index, kind="stable"), bounds
+
+    @cached_property
+    def tweets_by_author(self) -> dict[str, TweetTable]:
+        rows, bounds = self.author_groups
+        return {
+            uid: self.tweets.take(rows[bounds[i]:bounds[i + 1]])
+            for i, uid in enumerate(self.user_ids.tolist())
+        }
 
     @property
     def n_users(self) -> int:
@@ -151,12 +329,17 @@ class Dataset:
         first = next(iter(self.users.values()))
         return len(first.topic_distribution)
 
-    def hour_of(self, timestamp: int) -> int:
+    def hour_of(self, timestamp):
+        """Hour of day of a timestamp, or of each in an array."""
         return ((timestamp + self.tz_offset) // SECONDS_PER_HOUR) % 24
 
-    def weekday_of(self, timestamp: int) -> int:
+    def weekday_of(self, timestamp):
+        """Weekday (Monday 0) of a timestamp, or of each in an array."""
         day = (timestamp + self.tz_offset) // SECONDS_PER_DAY
         return (day + _EPOCH_WEEKDAY_OFFSET) % 7
+
+
+_decode = json.JSONDecoder().raw_decode
 
 
 def _parse_jsonl(lines: Iterable[str], source: str) -> Iterable[tuple[int, dict]]:
@@ -165,7 +348,9 @@ def _parse_jsonl(lines: Iterable[str], source: str) -> Iterable[tuple[int, dict]
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj, end = _decode(line)
+            if end != len(line):  # json.loads raises the "Extra data" error
+                obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(source, line_no, str(exc)) from exc
         if not isinstance(obj, dict):
@@ -179,25 +364,10 @@ def _require(obj: dict, key: str, source: str, line_no: int):
     return obj[key]
 
 
-def ingest(
-    users_stream: Iterable[str],
-    edges_stream: Iterable[str],
-    tweets_stream: Iterable[str],
-    window: Optional[tuple[int, int]] = None,
-    tz_offset: int = 0,
-    min_tweets: int = 0,
-) -> Dataset:
-    """Parse and validate line-delimited JSON streams into a Dataset.
-
-    Without a window, the timestamp range of all parsed tweets (those by
-    unknown authors included) is used. Tweets by unknown authors or outside
-    the window are dropped and counted.
-    When min_tweets > 0, users with fewer tweets (after windowing) are removed
-    along with their edges and tweets, in a single pass.
-    """
+def _parse_users(lines: Iterable[str]) -> dict[str, UserRecord]:
     users: dict[str, UserRecord] = {}
     topic_k: Optional[int] = None
-    for line_no, obj in _parse_jsonl(users_stream, "users"):
+    for line_no, obj in _parse_jsonl(lines, "users"):
         rec = UserRecord(
             user_id=str(_require(obj, "id", "users", line_no)),
             listed_count=int(_require(obj, "listed", "users", line_no)),
@@ -220,61 +390,91 @@ def ingest(
         users[rec.user_id] = rec
     if not users:
         raise ValidationError("empty user set")
+    return users
 
-    edges: list[tuple[str, str]] = []
-    for line_no, obj in _parse_jsonl(edges_stream, "edges"):
-        edges.append(
-            (
-                str(_require(obj, "follower", "edges", line_no)),
-                str(_require(obj, "friend", "edges", line_no)),
-            )
-        )
 
-    parsed: list[Tweet] = []
-    for line_no, obj in _parse_jsonl(tweets_stream, "tweets"):
-        tw = Tweet(
-            tweet_id=str(_require(obj, "id", "tweets", line_no)),
-            author=str(_require(obj, "author", "tweets", line_no)),
-            kind=str(_require(obj, "kind", "tweets", line_no)),
-            timestamp=int(_require(obj, "ts", "tweets", line_no)),
-            responds_to_user=(
-                str(obj["to_user"]) if obj.get("to_user") is not None else None
-            ),
-            responds_to_tweet=(
-                str(obj["to_tweet"]) if obj.get("to_tweet") is not None else None
-            ),
-        )
-        tw.validate()
-        parsed.append(tw)
+def _parse_tweets(lines: Iterable[str]) -> TweetTable:
+    ids, authors, kinds, stamps, to_users, to_tweets = [], [], [], [], [], []
+    for line_no, obj in _parse_jsonl(lines, "tweets"):
+        try:
+            tweet_id, author, kind, ts = obj["id"], obj["author"], obj["kind"], obj["ts"]
+        except KeyError:
+            for key in ("id", "author", "kind", "ts"):
+                _require(obj, key, "tweets", line_no)
+        tweet_id, kind = str(tweet_id), str(kind)
+        ids.append(tweet_id)
+        authors.append(str(author))
+        kinds.append(kind)
+        stamps.append(int(ts))
+        to_user, to_tweet = obj.get("to_user"), obj.get("to_tweet")
+        to_user = None if to_user is None else str(to_user)
+        _check_tweet(tweet_id, kind, to_user)
+        to_users.append(to_user)
+        to_tweets.append(None if to_tweet is None else str(to_tweet))
+    return TweetTable.from_rows(ids, authors, kinds, stamps, to_users, to_tweets)
+
+
+def _select(
+    users: dict[str, UserRecord],
+    edges: list[tuple[str, str]],
+    tweets: TweetTable,
+    window: Optional[tuple[int, int]],
+    tz_offset: int,
+    min_tweets: int,
+) -> Dataset:
+    """The Dataset of parsed users, edges and tweets, whether they came from
+    the JSONL files or the cache; see ingest for the rules."""
     if window is None:
-        stamps = [tw.timestamp for tw in parsed]
-        window = (min(stamps), max(stamps)) if stamps else (0, 0)
+        window = (int(tweets.ts.min()), int(tweets.ts.max())) if len(tweets) else (0, 0)
     start, end = window
-    tweets = [tw for tw in parsed if tw.author in users and start <= tw.timestamp <= end]
-    dropped = len(parsed) - len(tweets)
-
+    user_list = sorted(users)
+    author = _look_up(dict(zip(user_list, range(len(user_list)))), tweets.author)
+    keep = (author >= 0) & (tweets.ts >= start) & (tweets.ts <= end)
     if min_tweets > 0:
-        counts: dict[str, int] = {u: 0 for u in users}
-        for tw in tweets:
-            counts[tw.author] += 1
-        keep = {u for u, n in counts.items() if n >= min_tweets}
-        if not keep:
+        active = np.bincount(author[keep], minlength=len(user_list)) >= min_tweets
+        if not active.any():
             raise ValidationError(f"no user has >= {min_tweets} tweets")
-        users = {u: rec for u, rec in users.items() if u in keep}
-        edges = [(a, b) for a, b in edges if a in keep and b in keep]
-        pre = len(tweets)
-        tweets = [tw for tw in tweets if tw.author in keep]
-        dropped += pre - len(tweets)
-
-    graph = FollowGraph(users.keys(), edges)
+        kept = {u for u, a in zip(user_list, active.tolist()) if a}
+        users = {u: rec for u, rec in users.items() if u in kept}
+        edges = [(a, b) for a, b in edges if a in kept and b in kept]
+        keep[keep] = active[author[keep]]
+    dropped = len(tweets) - int(keep.sum())
     return Dataset(
         users=users,
-        graph=graph,
-        tweets=tweets,
+        graph=FollowGraph(users.keys(), edges),
+        tweets=tweets.take(np.flatnonzero(keep)) if dropped else tweets,
         observation_window=window,
         tz_offset=tz_offset,
         dropped_tweets=dropped,
     )
+
+
+def ingest(
+    users_stream: Iterable[str],
+    edges_stream: Iterable[str],
+    tweets_stream: Iterable[str],
+    window: Optional[tuple[int, int]] = None,
+    tz_offset: int = 0,
+    min_tweets: int = 0,
+) -> Dataset:
+    """Parse and validate line-delimited JSON streams into a Dataset.
+
+    Tweet ids must be unique. Without a window, the timestamp range of all
+    parsed tweets (those by unknown authors included) is used. Tweets by
+    unknown authors or outside the window are dropped and counted.
+    When min_tweets > 0, users with fewer tweets (after windowing) are removed
+    along with their edges and tweets, in a single pass.
+    """
+    users = _parse_users(users_stream)
+    edges = [
+        (
+            str(_require(obj, "follower", "edges", line_no)),
+            str(_require(obj, "friend", "edges", line_no)),
+        )
+        for line_no, obj in _parse_jsonl(edges_stream, "edges")
+    ]
+    tweets = _parse_tweets(tweets_stream)
+    return _select(users, edges, tweets, window, tz_offset, min_tweets)
 
 
 def serialize(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
@@ -307,20 +507,77 @@ def serialize(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     paths["edges"] = edges_path
     tweets_path = out / "tweets.jsonl"
     with tweets_path.open("w") as fh:
-        for tw in dataset.tweets:
-            obj = {
-                "id": tw.tweet_id,
-                "author": tw.author,
-                "kind": tw.kind,
-                "ts": tw.timestamp,
-            }
-            if tw.responds_to_user is not None:
-                obj["to_user"] = tw.responds_to_user
-            if tw.responds_to_tweet is not None:
-                obj["to_tweet"] = tw.responds_to_tweet
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        for tweet_id, author, kind, ts, to_user, has_user, to_tweet, has_tweet in (
+            dataset.tweets._rows()
+        ):
+            # keys inserted in sorted order, so the bytes are those of sort_keys=True
+            obj = {"author": author, "id": tweet_id, "kind": TWEET_KINDS[kind]}
+            if has_tweet:
+                obj["to_tweet"] = to_tweet
+            if has_user:
+                obj["to_user"] = to_user
+            obj["ts"] = ts
+            fh.write(json.dumps(obj) + "\n")
     paths["tweets"] = tweets_path
     return paths
+
+
+def _sha256(path: Path) -> str:
+    with path.open("rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
+def write_cache(dataset: Dataset, out_dir: str | Path) -> Path:
+    """Write CACHE_NAME into out_dir, where serialize(dataset, out_dir) has
+    just written the JSONL files: the users, edges and tweet columns that
+    parsing those files gives, and the sha256 of each file. load_dataset
+    reads it in place of the JSONL files while every digest still matches."""
+    out = Path(out_dir)
+    records = [dataset.users[u] for u in sorted(dataset.users)]
+    edges = list(dataset.graph.edges())
+    path = out / CACHE_NAME
+    np.savez(
+        path,
+        **{f"sha256_{name}": np.array(_sha256(out / f"{name}.jsonl")) for name in _JSONL_NAMES},
+        user_id=_str_column([r.user_id for r in records], "user ids"),
+        user_listed=np.array([r.listed_count for r in records], dtype=np.int64),
+        user_favourites=np.array([r.favourites_received for r in records], dtype=np.int64),
+        user_verified=np.array([r.verified for r in records], dtype=bool),
+        user_topics=np.array([r.topic_distribution for r in records], dtype=float),
+        edge_follower=_str_column([a for a, _ in edges], "edge followers"),
+        edge_friend=_str_column([b for _, b in edges], "edge friends"),
+        **{f"tweet_{f.name}": getattr(dataset.tweets, f.name) for f in fields(TweetTable)},
+    )
+    return path
+
+
+def _read_cache(
+    in_dir: Path,
+) -> Optional[tuple[dict[str, UserRecord], list[tuple[str, str]], TweetTable]]:
+    """The parsed users, edges and tweets held in in_dir's cache; None when
+    there is no cache, it cannot be read, or a JSONL file has changed since
+    it was written."""
+    try:
+        with np.load(in_dir / CACHE_NAME, allow_pickle=False) as npz:
+            for name in _JSONL_NAMES:
+                if str(npz[f"sha256_{name}"]) != _sha256(in_dir / f"{name}.jsonl"):
+                    return None
+            arrays = {key: npz[key] for key in npz.files}
+        users = {
+            uid: UserRecord(uid, listed, favourites, verified, tuple(topics))
+            for uid, listed, favourites, verified, topics in zip(
+                arrays["user_id"].tolist(),
+                arrays["user_listed"].tolist(),
+                arrays["user_favourites"].tolist(),
+                arrays["user_verified"].tolist(),
+                arrays["user_topics"].tolist(),
+            )
+        }
+        edges = list(zip(arrays["edge_follower"].tolist(), arrays["edge_friend"].tolist()))
+        tweets = TweetTable(**{f.name: arrays[f"tweet_{f.name}"] for f in fields(TweetTable)})
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    return users, edges, tweets
 
 
 def load_dataset(
@@ -331,9 +588,14 @@ def load_dataset(
 ) -> Dataset:
     """Ingest a directory produced by serialize() / the synth command.
 
-    Without an explicit window, the tweet timestamp range is used.
+    When ingest left a CACHE_NAME there and no JSONL file has changed since,
+    the cache is read in place of the JSONL files; both give the same
+    Dataset. Without an explicit window, the tweet timestamp range is used.
     """
     in_dir = Path(in_dir)
+    cached = _read_cache(in_dir)
+    if cached is not None:
+        return _select(*cached, window, tz_offset, min_tweets)
     with (in_dir / "users.jsonl").open() as uf, (in_dir / "edges.jsonl").open() as ef, (
         in_dir / "tweets.jsonl"
     ).open() as tf:
@@ -354,11 +616,10 @@ def degree_stats(dataset: Dataset) -> DistributionReport:
         raise ValidationError("empty dataset")
     followers = []
     friends = []
-    tweet_counts = []
     for uid in sorted(dataset.users):
         followers.append(len(dataset.graph.followers(uid)))
         friends.append(len(dataset.graph.friends(uid)))
-        tweet_counts.append(len(dataset.tweets_by_author[uid]))
+    tweet_counts = np.bincount(dataset.author_index, minlength=dataset.n_users).tolist()
 
     def hist(values):
         h: dict[int, int] = {}

@@ -50,11 +50,6 @@ class TransitionMatrix:
         y += (1.0 - self.gamma) / self.n
         return y
 
-    def dense(self) -> np.ndarray:
-        d = self.matrix.toarray()
-        d[:, self.dangling] = 1.0 / self.n
-        return self.gamma * d + (1.0 - self.gamma) / self.n
-
 
 @dataclass
 class RankVector:

@@ -9,8 +9,15 @@ from typing import Optional
 
 import numpy as np
 
-from .features import FEATURE_NAMES, N_FEATURES, RE_INDEX, FeatureContext, MinMaxScaler
-from .model import Dataset, FollowGraph, Tweet, UserRecord
+from .features import (
+    FEATURE_NAMES,
+    N_FEATURES,
+    RE_INDEX,
+    FeatureContext,
+    MinMaxScaler,
+    follower_pairs,
+)
+from .model import Dataset, FollowGraph, TweetTable, UserRecord
 
 SECONDS_PER_DAY = 86400
 
@@ -145,6 +152,27 @@ def _sample_graph(rng, config: GeneratorConfig) -> list[tuple[int, int]]:
     return sorted(edges)
 
 
+def _planted_probabilities(
+    ctx: FeatureContext,
+    rows: np.ndarray,
+    hours: np.ndarray,
+    close_mask: np.ndarray,
+    config: GeneratorConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Response probability of each (edge row, hour) pair under the planted
+    weights, on features min-max scaled over all pairs, plus those bounds.
+    The feature matrices are freed on return, before the caller builds the
+    final dataset."""
+    x = ctx.edge_features(rows, hours)
+    x[:, RE_INDEX] = close_mask[rows]
+    if not len(x):
+        return np.zeros(0), np.zeros(N_FEATURES), np.zeros(N_FEATURES)
+    mins, maxs = x.min(axis=0), x.max(axis=0)
+    xn = MinMaxScaler(mins, maxs).transform(x)
+    z = np.clip(config.w0_star + xn @ config.w_star, -500, 500)
+    return 1.0 / (1.0 + np.exp(z)), mins, maxs
+
+
 def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
     """Sample a dataset with planted degrees, activity shapes, topics and
     logistic response behaviour; returns the dataset plus the ground truth
@@ -206,8 +234,10 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
         for i, uid in enumerate(user_ids)
     }
 
-    tweets: list[Tweet] = []
-    tweet_counter = 0
+    # originals, drawn per user: one column list per TweetTable field
+    ids: list[str] = []
+    authors: list[str] = []
+    stamps: list[int] = []
     for i, uid in enumerate(user_ids):
         proto = np.asarray(config.prototypes[labels[i]], dtype=float)
         proto = proto / proto.sum()
@@ -215,21 +245,18 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
         days = rng.integers(0, config.observation_days, size=m)
         hours = rng.choice(24, size=m, p=proto)
         secs = rng.integers(0, 3600, size=m)
-        for d, h, s in zip(days, hours, secs):
-            tweets.append(
-                Tweet(
-                    tweet_id=f"t{tweet_counter:08d}",
-                    author=uid,
-                    kind="original",
-                    timestamp=int(d) * SECONDS_PER_DAY + int(h) * 3600 + int(s),
-                )
-            )
-            tweet_counter += 1
+        stamps.extend((days * SECONDS_PER_DAY + hours * 3600 + secs).tolist())
+        ids.extend(f"t{k:08d}" for k in range(len(ids), len(ids) + m))
+        authors.extend([uid] * m)
+    n_originals = len(ids)
+    kinds = ["original"] * n_originals
+    to_users: list[Optional[str]] = [None] * n_originals
+    to_tweets: list[Optional[str]] = [None] * n_originals
 
     base = Dataset(
         users=users,
         graph=FollowGraph(user_ids, edges),
-        tweets=list(tweets),
+        tweets=TweetTable.from_rows(ids, authors, kinds, stamps, to_users, to_tweets),
         observation_window=window,
     )
     ctx = FeatureContext(base)
@@ -246,49 +273,38 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
     close_edges = {e for e, m in zip(ctx.edges, close_mask) if m}
 
     # features for every (original tweet, follower) pair, in tweet order
-    rows, hours_l, keys = [], [], []
-    for tw in base.tweets:
-        h = base.hour_of(tw.timestamp)
-        for u in base.graph.followers(tw.author):
-            rows.append(ctx.edge_index[(u, tw.author)])
-            hours_l.append(h)
-            keys.append((tw.tweet_id, u))
-    rows_a = np.asarray(rows, dtype=int)
-    x = ctx.edge_features(rows_a, np.asarray(hours_l, dtype=int))
-    x[:, RE_INDEX] = close_mask[rows_a]
-
-    mins = x.min(axis=0) if len(x) else np.zeros(N_FEATURES)
-    maxs = x.max(axis=0) if len(x) else np.zeros(N_FEATURES)
-    xn = MinMaxScaler(mins, maxs).transform(x) if len(x) else x
-    z = np.clip(config.w0_star + xn @ config.w_star, -500, 500) if len(x) else np.zeros(0)
-    probs = 1.0 / (1.0 + np.exp(z))
+    pair_tweets, rows_a = follower_pairs(base, ctx, np.arange(n_originals))
+    probs, mins, maxs = _planted_probabilities(
+        ctx, rows_a, base.hour_of(base.tweets.ts[pair_tweets]), close_mask, config
+    )
+    # ids as arrays of shared str objects: a key costs one tuple, not new strings
+    base_ids = np.array(base.tweets.tweet_id.tolist(), dtype=object)
+    user_objs = np.array(ctx.user_ids, dtype=object)
+    followers = user_objs[ctx.edge_src[rows_a]]
+    keys = list(zip(base_ids[pair_tweets].tolist(), followers.tolist()))
 
     draws = rng.random(len(probs))
     responders = np.flatnonzero(draws < probs)
-    tweet_by_id = {tw.tweet_id: tw for tw in base.tweets}
     window_end = window[1]
-    for idx in responders:
-        tweet_id, follower = keys[idx]
-        orig = tweet_by_id[tweet_id]
+    originals = pair_tweets[responders]
+    for follower, orig_id, orig_author, orig_ts in zip(
+        followers[responders].tolist(),
+        base_ids[originals].tolist(),
+        user_objs[base.author_index[originals]].tolist(),
+        base.tweets.ts[originals].tolist(),
+    ):
         delay = rng.exponential(config.response_delay_mean)
-        ts = min(int(orig.timestamp + 1 + delay), window_end)
-        kind = "retweet" if rng.random() < 0.5 else "reply"
-        tweets.append(
-            Tweet(
-                tweet_id=f"t{tweet_counter:08d}",
-                author=follower,
-                kind=kind,
-                timestamp=ts,
-                responds_to_user=orig.author,
-                responds_to_tweet=orig.tweet_id,
-            )
-        )
-        tweet_counter += 1
+        ids.append(f"t{len(ids):08d}")
+        authors.append(follower)
+        kinds.append("retweet" if rng.random() < 0.5 else "reply")
+        stamps.append(min(int(orig_ts + 1 + delay), window_end))
+        to_users.append(orig_author)
+        to_tweets.append(orig_id)
 
     dataset = Dataset(
         users=users,
         graph=FollowGraph(user_ids, edges),
-        tweets=tweets,
+        tweets=TweetTable.from_rows(ids, authors, kinds, stamps, to_users, to_tweets),
         observation_window=window,
     )
     truth = GroundTruth(
@@ -302,25 +318,6 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
         feature_maxs=maxs,
     )
     return dataset, truth
-
-
-def planted_instances(
-    n: int,
-    w_star: Optional[np.ndarray] = None,
-    w0_star: float = 0.0,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Instances drawn uniformly on [0,1]^12 with labels from the planted
-    logistic law. Returns (features, labels, probabilities, Bayes accuracy)."""
-    if w_star is None:
-        w_star = DEFAULT_W_STAR
-    rng = np.random.default_rng(seed)
-    x = rng.random((n, len(w_star)))
-    z = w0_star + x @ w_star
-    p = 1.0 / (1.0 + np.exp(z))
-    y = (rng.random(n) < p).astype(float)
-    bayes = float(np.maximum(p, 1.0 - p).mean())
-    return x, y, p, bayes
 
 
 def truth_report(truth: GroundTruth, path: str | Path) -> Path:

@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Dataset, SECONDS_PER_DAY
+from .model import ORIGINAL, SECONDS_PER_DAY, TWEET_KINDS, Dataset
 
 
 @dataclass
@@ -41,6 +41,17 @@ class ResponseMetric:
     trace: int
 
 
+def _profile(user_id: str, counts: np.ndarray, first: int, last: int) -> HourlyProfile:
+    """The profile of a user with hourly tweet counts ``counts`` whose
+    tweets span the timestamps first..last."""
+    if not counts.any():
+        return HourlyProfile(user_id, counts, counts.copy(), counts.copy(), 1.0, False)
+    days = max((last - first) / SECONDS_PER_DAY, 1.0)
+    n_t = counts / days
+    a_t = n_t / n_t.sum()
+    return HourlyProfile(user_id, counts, n_t, a_t, days, True)
+
+
 def hourly_profile(dataset: Dataset, user_id: str) -> HourlyProfile:
     """Per-hour tweet rate and normalized activity for one user.
 
@@ -49,42 +60,48 @@ def hourly_profile(dataset: Dataset, user_id: str) -> HourlyProfile:
     """
     if user_id not in dataset.users:
         raise KeyError(f"unknown user {user_id!r}")
-    tweets = dataset.tweets_by_author[user_id]
-    counts = np.zeros(24)
-    if not tweets:
-        return HourlyProfile(user_id, counts, counts.copy(), counts.copy(), 1.0, False)
-    for tw in tweets:
-        counts[dataset.hour_of(tw.timestamp)] += 1
-    span = (tweets[-1].timestamp - tweets[0].timestamp) / SECONDS_PER_DAY
-    days = max(span, 1.0)
-    n_t = counts / days
-    a_t = n_t / n_t.sum()
-    return HourlyProfile(user_id, counts, n_t, a_t, days, True)
+    i = int(np.searchsorted(dataset.user_ids, user_id))
+    rows, bounds = dataset.author_groups
+    ts = dataset.tweets.ts[rows[bounds[i]:bounds[i + 1]]]
+    counts = np.bincount(dataset.hour_of(ts), minlength=24).astype(float)
+    return _profile(user_id, counts, *(ts[[0, -1]].tolist() if ts.size else (0, 0)))
 
 
 def all_profiles(dataset: Dataset) -> dict[str, HourlyProfile]:
-    return {uid: hourly_profile(dataset, uid) for uid in sorted(dataset.users)}
+    n = len(dataset.user_ids)
+    hours = dataset.hour_of(dataset.tweets.ts)
+    counts = np.bincount(dataset.author_index * 24 + hours, minlength=n * 24)
+    counts = counts.reshape(n, 24).astype(float)
+    rows, bounds = dataset.author_groups
+    ts = dataset.tweets.ts[rows]
+    has = bounds[1:] > bounds[:-1]
+    first = np.zeros(n, dtype=np.int64)
+    last = np.zeros(n, dtype=np.int64)
+    first[has] = ts[bounds[:-1][has]]
+    last[has] = ts[bounds[1:][has] - 1]
+    return {
+        uid: _profile(uid, counts[i], a, b)
+        for i, (uid, a, b) in enumerate(
+            zip(dataset.user_ids.tolist(), first.tolist(), last.tolist())
+        )
+    }
 
 
 def global_activity(dataset: Dataset, granularity: str = "hour_of_day") -> np.ndarray:
     """Total event counts binned by hour of day (24), day of week (7) or both (7x24)."""
-    if not dataset.tweets:
+    if not len(dataset.tweets):
         raise ValueError("empty dataset")
+    ts = dataset.tweets.ts
     if granularity == "hour_of_day":
-        out = np.zeros(24)
-        for tw in dataset.tweets:
-            out[dataset.hour_of(tw.timestamp)] += 1
+        out = np.bincount(dataset.hour_of(ts), minlength=24)
     elif granularity == "day_of_week":
-        out = np.zeros(7)
-        for tw in dataset.tweets:
-            out[dataset.weekday_of(tw.timestamp)] += 1
+        out = np.bincount(dataset.weekday_of(ts), minlength=7)
     elif granularity == "hour_x_day":
-        out = np.zeros((7, 24))
-        for tw in dataset.tweets:
-            out[dataset.weekday_of(tw.timestamp), dataset.hour_of(tw.timestamp)] += 1
+        cells = dataset.weekday_of(ts) * 24 + dataset.hour_of(ts)
+        out = np.bincount(cells, minlength=7 * 24).reshape(7, 24)
     else:
         raise ValueError(f"unknown granularity {granularity!r}")
-    return out
+    return out.astype(float)
 
 
 def _shift_set(max_shift: int) -> list[int]:
@@ -268,34 +285,33 @@ def response_metrics(dataset: Dataset) -> tuple[list[ResponseMetric], int]:
 
     Delay is the response-minus-original time gap. Trace counts the tweets the
     responder received (posted by any of their friends) strictly between the
-    original and the response.
+    original and the response. A response is excluded when its original is
+    not in the dataset or is later than the response.
     """
-    timelines: dict[str, list[int]] = {
-        uid: [tw.timestamp for tw in tws]
-        for uid, tws in dataset.tweets_by_author.items()
-    }
+    tweets = dataset.tweets
+    responses = np.flatnonzero(tweets.kind != ORIGINAL)
+    originals = dataset.target_tweet[responses]
+    resolved = originals >= 0
+    resolved[resolved] = tweets.ts[originals[resolved]] <= tweets.ts[responses[resolved]]
+    # every user's tweet times in order, user i's in timeline[lo[i]:lo[i + 1]]
+    rows, bounds = dataset.author_groups
+    timeline = tweets.ts[rows].tolist()
+    lo = bounds.tolist()
+    index = {uid: i for i, uid in enumerate(dataset.user_ids.tolist())}
+    friends = [[index[f] for f in dataset.graph.friends(uid)] for uid in index]
+    ids, kinds, stamps = tweets.tweet_id.tolist(), tweets.kind.tolist(), tweets.ts.tolist()
+    authors = dataset.author_index.tolist()
     metrics: list[ResponseMetric] = []
-    excluded = 0
-    for tw in dataset.tweets:
-        if not tw.is_response:
-            continue
-        orig = (
-            dataset.tweets_by_id.get(tw.responds_to_tweet)
-            if tw.responds_to_tweet
-            else None
-        )
-        if orig is None or orig.timestamp > tw.timestamp:
-            excluded += 1
-            continue
-        t_i, t_j = orig.timestamp, tw.timestamp
+    for j, i in zip(responses[resolved].tolist(), originals[resolved].tolist()):
+        t_i, t_j = stamps[i], stamps[j]
         trace = 0
-        for friend in dataset.graph.friends(tw.author):
-            ts = timelines[friend]
-            trace += bisect.bisect_left(ts, t_j) - bisect.bisect_right(ts, t_i)
+        for f in friends[authors[j]]:
+            trace += (bisect.bisect_left(timeline, t_j, lo[f], lo[f + 1])
+                      - bisect.bisect_right(timeline, t_i, lo[f], lo[f + 1]))
         metrics.append(
-            ResponseMetric(tw.tweet_id, tw.kind, delay=t_j - t_i, trace=trace)
+            ResponseMetric(ids[j], TWEET_KINDS[kinds[j]], delay=t_j - t_i, trace=trace)
         )
-    return metrics, excluded
+    return metrics, int((~resolved).sum())
 
 
 def cdf_table(values: Sequence[float]) -> list[tuple[float, float]]:

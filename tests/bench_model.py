@@ -1,0 +1,42 @@
+"""Benchmarks of ``load_dataset`` on the seed-3 1,000-user synthetic dataset
+(67,351 tweets), as ``influxrank synth --users 1000 --seed 3`` writes it:
+once parsing the JSONL files, once reading the ``dataset.npz`` cache that
+``influxrank ingest`` leaves next to them.
+
+The file name keeps it out of the default test run. Run it with
+
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest tests/bench_model.py
+
+(pytest-benchmark prints min/mean/median per case; add
+``--benchmark-json FILE`` to keep the figures). Set-up runs ``synth`` and
+``ingest`` once, in about 5 s.
+"""
+
+import pytest
+from click.testing import CliRunner
+
+from influxrank.cli import main
+from influxrank.model import CACHE_NAME, load_dataset
+
+
+@pytest.fixture(scope="module")
+def dirs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bench_model")
+    for args in (["synth", "--users", "1000", "--seed", "3", "--out", root / "raw"],
+                 ["ingest", "--in", root / "raw", "--out", root / "data"]):
+        res = CliRunner().invoke(main, [str(a) for a in args])
+        assert res.exit_code == 0, res.output
+    assert not (root / "raw" / CACHE_NAME).exists()
+    return root / "raw", root / "data"
+
+
+def test_load_dataset_jsonl_parse(benchmark, dirs):
+    raw, _ = dirs
+    dataset = benchmark(load_dataset, raw)
+    assert len(dataset.tweets) == 67_351
+
+
+def test_load_dataset_cached(benchmark, dirs):
+    _, data = dirs
+    dataset = benchmark(load_dataset, data)
+    assert len(dataset.tweets) == 67_351

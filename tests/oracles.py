@@ -3,21 +3,27 @@
 The scalar ones compute one value at a time, directly from its definition.
 The TIR weight loop, the sparse-product matrix assembly and the plain power
 iteration are the straightforward forms the vectorised ranking code replaced:
-one feature fill per hour and scipy's own COO -> CSC -> product path.
+one feature fill per hour and scipy's own COO -> CSC -> product path. The
+per-tweet loops over ``Tweet`` records (profiles, global activity, response
+metrics, instances) are the forms the column code in ``temporal`` and
+``features`` replaced. ``dense`` and ``planted_instances`` serve only tests.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
 
-from influxrank.features import FEATURE_NAMES, RE_INDEX, FeatureContext
+from influxrank.features import FEATURE_NAMES, RE_INDEX, FeatureContext, InstanceSet
 from influxrank.logistic import LogisticModel
-from influxrank.model import Dataset
+from influxrank.model import SECONDS_PER_DAY, Dataset
 from influxrank.ranking import RankVector, TransitionMatrix
+from influxrank.synth import DEFAULT_W_STAR
+from influxrank.temporal import HourlyProfile, ResponseMetric
 
 
 def jensen_shannon_divergence(p, q, base: float = 2.0) -> float:
@@ -156,3 +162,105 @@ def iterate_from_uniform(tm: TransitionMatrix, tol: float) -> tuple[np.ndarray, 
         if residual < tol:
             return r, it
     raise AssertionError("no convergence")
+
+
+def dense(tm: TransitionMatrix) -> np.ndarray:
+    """The full n x n Google matrix of ``tm``: dangling columns uniform,
+    then damped toward uniform."""
+    d = tm.matrix.toarray()
+    d[:, tm.dangling] = 1.0 / tm.n
+    return tm.gamma * d + (1.0 - tm.gamma) / tm.n
+
+
+def planted_instances(
+    n: int,
+    w_star: Optional[np.ndarray] = None,
+    w0_star: float = 0.0,
+    seed: int = 0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Instances drawn uniformly on [0,1]^12 with labels from the planted
+    logistic law. Returns (features, labels, probabilities, Bayes accuracy)."""
+    if w_star is None:
+        w_star = DEFAULT_W_STAR
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, len(w_star)))
+    z = w0_star + x @ w_star
+    p = 1.0 / (1.0 + np.exp(z))
+    y = (rng.random(n) < p).astype(float)
+    bayes = float(np.maximum(p, 1.0 - p).mean())
+    return x, y, p, bayes
+
+
+def hourly_profile_loop(dataset: Dataset, user_id: str) -> HourlyProfile:
+    """One user's profile counted tweet by tweet."""
+    tweets = list(dataset.tweets_by_author[user_id])
+    counts = np.zeros(24)
+    if not tweets:
+        return HourlyProfile(user_id, counts, counts.copy(), counts.copy(), 1.0, False)
+    for tw in tweets:
+        counts[dataset.hour_of(tw.timestamp)] += 1
+    span = (tweets[-1].timestamp - tweets[0].timestamp) / SECONDS_PER_DAY
+    days = max(span, 1.0)
+    n_t = counts / days
+    a_t = n_t / n_t.sum()
+    return HourlyProfile(user_id, counts, n_t, a_t, days, True)
+
+
+def global_activity_loop(dataset: Dataset, granularity: str) -> np.ndarray:
+    """Tweet counts by hour of day, day of week or both, tweet by tweet."""
+    shape = {"hour_of_day": (24,), "day_of_week": (7,), "hour_x_day": (7, 24)}[granularity]
+    out = np.zeros(shape)
+    for tw in dataset.tweets:
+        hour, day = dataset.hour_of(tw.timestamp), dataset.weekday_of(tw.timestamp)
+        cell = {"hour_of_day": hour, "day_of_week": day, "hour_x_day": (day, hour)}
+        out[cell[granularity]] += 1
+    return out
+
+
+def response_metrics_loop(dataset: Dataset) -> tuple[list[ResponseMetric], int]:
+    """Delay and trace of each response, bisecting each friend's timeline."""
+    by_id = {tw.tweet_id: tw for tw in dataset.tweets}
+    timelines = {
+        uid: [tw.timestamp for tw in tws] for uid, tws in dataset.tweets_by_author.items()
+    }
+    metrics, excluded = [], 0
+    for tw in dataset.tweets:
+        if not tw.is_response:
+            continue
+        orig = by_id.get(tw.responds_to_tweet) if tw.responds_to_tweet else None
+        if orig is None or orig.timestamp > tw.timestamp:
+            excluded += 1
+            continue
+        t_i, t_j = orig.timestamp, tw.timestamp
+        trace = 0
+        for friend in dataset.graph.friends(tw.author):
+            ts = timelines[friend]
+            trace += bisect.bisect_left(ts, t_j) - bisect.bisect_right(ts, t_i)
+        metrics.append(ResponseMetric(tw.tweet_id, tw.kind, delay=t_j - t_i, trace=trace))
+    return metrics, excluded
+
+
+def build_instances_loop(dataset: Dataset, ctx: FeatureContext) -> InstanceSet:
+    """One instance per (tweet, follower of its author), labelled by a set of
+    (responded tweet id, responder) pairs and sorted by (tweet_id, follower)."""
+    responded = {
+        (tw.responds_to_tweet, tw.author)
+        for tw in dataset.tweets
+        if tw.is_response and tw.responds_to_tweet
+    }
+    rows, hours, keys, labels = [], [], [], []
+    for tw in dataset.tweets:
+        v, hour = tw.author, dataset.hour_of(tw.timestamp)
+        for u in dataset.graph.followers(v):
+            rows.append(ctx.edge_index[(u, v)])
+            hours.append(hour)
+            keys.append((tw.tweet_id, u, v, hour))
+            labels.append(1 if (tw.tweet_id, u) in responded else 0)
+    order = sorted(range(len(keys)), key=lambda i: (keys[i][0], keys[i][1]))
+    return InstanceSet(
+        keys=[keys[i] for i in order],
+        features=ctx.edge_features(
+            np.asarray(rows, dtype=int)[order], np.asarray(hours, dtype=int)[order]
+        ),
+        labels=np.asarray(labels, dtype=int)[order],
+    )

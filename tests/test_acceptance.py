@@ -42,9 +42,10 @@ from influxrank.synth import (
     DEFAULT_W_STAR,
     GeneratorConfig,
     generate,
-    planted_instances,
 )
 from influxrank.temporal import ksc_cluster, response_metrics, select_k
+
+from oracles import dense, planted_instances
 
 
 @pytest.fixture
@@ -124,14 +125,14 @@ def test_criterion_01_stochasticity(report):
         ctx = FeatureContext(dataset)
         model = random_model(rng)
         for t in range(24):
-            dense = build_matrix(dataset, model, t, c=0.8, ctx=ctx).dense()
-            assert np.all(dense >= 0)
-            assert np.abs(dense.sum(axis=0) - 1.0).max() <= 1e-9
+            full = dense(build_matrix(dataset, model, t, c=0.8, ctx=ctx))
+            assert np.all(full >= 0)
+            assert np.abs(full.sum(axis=0) - 1.0).max() <= 1e-9
             checked += 1
         for tm in twitterrank_matrices(dataset, ctx=ctx):
-            dense = tm.dense()
-            assert np.all(dense >= 0)
-            assert np.abs(dense.sum(axis=0) - 1.0).max() <= 1e-9
+            full = dense(tm)
+            assert np.all(full >= 0)
+            assert np.abs(full.sum(axis=0) - 1.0).max() <= 1e-9
             checked += 1
     assert time.time() - started < 10
     report(1, f"{checked} materialized matrices column-stochastic within 1e-9",
@@ -149,7 +150,7 @@ def test_criterion_02_eigen_oracle(report):
             dataset, random_model(rng), t=int(rng.integers(24)), c=0.8, ctx=ctx
         )
         rv = power_iterate(tm, ctx.user_ids)
-        gap = float(np.abs(rv.scores - eig_stationary(tm.dense())).max())
+        gap = float(np.abs(rv.scores - eig_stationary(dense(tm))).max())
         worst = max(worst, gap)
         assert gap <= 1e-8
     assert time.time() - started < 5
@@ -244,7 +245,7 @@ def test_criterion_06_trace_oracle(report):
         )
         assert len(dataset.tweets) <= 1000
         metrics, _ = response_metrics(dataset)
-        by_id = dataset.tweets_by_id
+        by_id = {tw.tweet_id: tw for tw in dataset.tweets}
         for m in metrics:
             resp = by_id[m.tweet_id]
             orig = by_id[resp.responds_to_tweet]

@@ -188,6 +188,11 @@ class TestErrorHandling:
         assert res.exit_code == 2
         assert not (tmp_path / "x").exists() or not any((tmp_path / "x").iterdir())
 
+    def test_ingest_has_no_tz_offset_option(self, pipeline, tmp_path):
+        res = run_cli("ingest", "--in", pipeline["raw"], "--tz-offset", 3600,
+                      "--out", tmp_path / "x")
+        assert res.exit_code == 2
+
     def test_tir_requires_model_file(self, pipeline, tmp_path):
         res = run_cli("rank", "--in", pipeline["data"], "--model", "tir",
                       "--out", tmp_path / "x")

@@ -15,7 +15,8 @@ from influxrank.logistic import (
     response_probability,
     train,
 )
-from influxrank.synth import planted_instances
+
+from oracles import planted_instances
 
 
 class TestResponseProbability:

@@ -66,6 +66,23 @@ def test_ingest_duplicate_user_rejected():
         ingest(USERS + [USERS[0]], EDGES, TWEETS, window=(0, 10000))
 
 
+def test_ingest_duplicate_tweet_rejected():
+    # rejected before any filtering, even when one copy lies outside the window
+    dup = _jsonl([{"id": "t1", "author": "b", "kind": "original", "ts": 99999}])
+    with pytest.raises(ValidationError, match="duplicate tweet_id 't1'"):
+        ingest(USERS, EDGES, TWEETS + dup, window=(0, 10000))
+
+
+def test_ingest_values_beyond_int64_rejected():
+    big_count = _jsonl([{"id": "z", "listed": 2**63, "favourites": 0, "verified": False,
+                         "topics": [1.0]}])
+    with pytest.raises(ValidationError, match="count field exceeds int64"):
+        ingest(USERS + big_count, EDGES, TWEETS)
+    late = _jsonl([{"id": "tz", "author": "a", "kind": "original", "ts": 2**63}])
+    with pytest.raises(ValidationError, match="timestamp exceeds int64"):
+        ingest(USERS, EDGES, TWEETS + late)
+
+
 def test_ingest_empty_users_rejected():
     with pytest.raises(ValidationError, match="empty user set"):
         ingest([], EDGES, TWEETS, window=(0, 10000))

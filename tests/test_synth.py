@@ -8,9 +8,10 @@ from influxrank.synth import (
     DEFAULT_PROTOTYPES,
     GeneratorConfig,
     generate,
-    planted_instances,
     truth_report,
 )
+
+from oracles import planted_instances
 
 
 class TestConfigValidation:
@@ -35,7 +36,7 @@ class TestGenerate:
     def test_empty_dataset(self):
         dataset, truth = generate(GeneratorConfig(n_users=0))
         assert dataset.n_users == 0
-        assert dataset.tweets == []
+        assert len(dataset.tweets) == 0
         assert truth.instance_keys == []
         assert truth.expected_positives == 0.0
 
@@ -78,7 +79,7 @@ class TestGenerate:
 
     def test_responses_are_well_formed(self, small_synth):
         dataset, _ = small_synth
-        by_id = dataset.tweets_by_id
+        by_id = {tw.tweet_id: tw for tw in dataset.tweets}
         n_resp = 0
         for tw in dataset.tweets:
             if not tw.is_response:

@@ -268,7 +268,7 @@ class TestResponseMetrics:
         dataset, _ = small_synth
         metrics, _ = response_metrics(dataset)
         assert metrics, "fixture should contain responses"
-        by_id = dataset.tweets_by_id
+        by_id = {tw.tweet_id: tw for tw in dataset.tweets}
         for m in metrics:
             resp = by_id[m.tweet_id]
             orig = by_id[resp.responds_to_tweet]
