@@ -93,7 +93,7 @@ class Tweet:
 def _str_column(values: list[str], what: str) -> np.ndarray:
     col = np.array(values, dtype=str)
     # fixed-width numpy strings drop trailing NULs, which would change an id
-    if col.size and int(np.strings.str_len(col).sum()) != sum(map(len, values)):
+    if col.size and int(np.char.str_len(col).sum()) != sum(map(len, values)):
         raise ValidationError(f"{what} must not end in a NUL character")
     return col
 
@@ -101,6 +101,16 @@ def _str_column(values: list[str], what: str) -> np.ndarray:
 def _look_up(position: dict[str, int], names: np.ndarray) -> np.ndarray:
     """position[name] for each of names, or -1 where it has none."""
     return np.fromiter(map(position.get, names.tolist(), repeat(-1)), np.intp, len(names))
+
+
+def _user_indices(user_list: list[str], tweets: "TweetTable") -> tuple[np.ndarray, np.ndarray]:
+    """Per tweet row, the index into user_list of its author and of its
+    to_user, each -1 where that is not a user."""
+    position = dict(zip(user_list, range(len(user_list))))
+    target = np.full(len(tweets), -1, dtype=np.intp)
+    named = np.flatnonzero(tweets.has_to_user)
+    target[named] = _look_up(position, tweets.to_user[named])
+    return _look_up(position, tweets.author), target
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,6 +191,17 @@ class TweetTable(Sequence):
         return zip(*(getattr(self, f.name).tolist() for f in fields(self)))
 
 
+@dataclass(frozen=True)
+class _IndexedTweets:
+    """A TweetTable with the index into the sorted user ids of each row's
+    author and to_user (-1 where that is not a user) already found, as the
+    load filter hands it to Dataset; every author must be a user."""
+
+    table: TweetTable
+    author: np.ndarray
+    target_user: np.ndarray
+
+
 class FollowGraph:
     """Directed follow edges: (u, v) means u follows v (v is u's friend)."""
 
@@ -258,32 +279,32 @@ class Dataset:
         tz_offset: int = 0,
         dropped_tweets: int = 0,
     ):
-        if not isinstance(tweets, TweetTable):
-            tweets = TweetTable.from_tweets(tweets)
+        if isinstance(tweets, _IndexedTweets):
+            tweets, author, target_user = tweets.table, tweets.author, tweets.target_user
+        else:
+            if not isinstance(tweets, TweetTable):
+                tweets = TweetTable.from_tweets(tweets)
+            author, target_user = _user_indices(sorted(users), tweets)
+            unknown = np.flatnonzero(author < 0)
+            if unknown.size:
+                i = unknown[0]
+                raise ValidationError(
+                    f"tweet {tweets.tweet_id[i]}: unknown author {str(tweets.author[i])!r}"
+                )
         ts, ids = tweets.ts, tweets.tweet_id
         # serialize writes tweets in this order, so a loaded table is sorted
         if not np.all((ts[1:] > ts[:-1]) | ((ts[1:] == ts[:-1]) & (ids[1:] > ids[:-1]))):
-            tweets = tweets.take(np.lexsort((ids, ts)))
+            order = np.lexsort((ids, ts))
+            tweets, author, target_user = tweets.take(order), author[order], target_user[order]
         self.users = users
         self.graph = graph
         self.tweets = tweets
         self.observation_window = observation_window
         self.tz_offset = tz_offset
         self.dropped_tweets = dropped_tweets
-
-        user_list = sorted(users)
-        self.user_ids = _str_column(user_list, "user ids")
-        user_index = dict(zip(user_list, range(len(user_list))))
-        self.author_index = _look_up(user_index, tweets.author)
-        unknown = np.flatnonzero(self.author_index < 0)
-        if unknown.size:
-            i = unknown[0]
-            raise ValidationError(
-                f"tweet {tweets.tweet_id[i]}: unknown author {str(tweets.author[i])!r}"
-            )
-        self.target_user = np.full(len(tweets), -1, dtype=np.intp)
-        named = np.flatnonzero(tweets.has_to_user)
-        self.target_user[named] = _look_up(user_index, tweets.to_user[named])
+        self.user_ids = _str_column(sorted(users), "user ids")
+        self.author_index = author
+        self.target_user = target_user
 
     @cached_property
     def id_order(self) -> np.ndarray:
@@ -339,18 +360,13 @@ class Dataset:
         return (day + _EPOCH_WEEKDAY_OFFSET) % 7
 
 
-_decode = json.JSONDecoder().raw_decode
-
-
 def _parse_jsonl(lines: Iterable[str], source: str) -> Iterable[tuple[int, dict]]:
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            obj, end = _decode(line)
-            if end != len(line):  # json.loads raises the "Extra data" error
-                obj = json.loads(line)
+            obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(source, line_no, str(exc)) from exc
         if not isinstance(obj, dict):
@@ -428,7 +444,7 @@ def _select(
         window = (int(tweets.ts.min()), int(tweets.ts.max())) if len(tweets) else (0, 0)
     start, end = window
     user_list = sorted(users)
-    author = _look_up(dict(zip(user_list, range(len(user_list)))), tweets.author)
+    author, target_user = _user_indices(user_list, tweets)
     keep = (author >= 0) & (tweets.ts >= start) & (tweets.ts <= end)
     if min_tweets > 0:
         active = np.bincount(author[keep], minlength=len(user_list)) >= min_tweets
@@ -438,11 +454,19 @@ def _select(
         users = {u: rec for u, rec in users.items() if u in kept}
         edges = [(a, b) for a, b in edges if a in kept and b in kept]
         keep[keep] = active[author[keep]]
+        # each old index's index among the kept users; the extra last entry
+        # keeps -1 at -1
+        renumber = np.full(len(user_list) + 1, -1, dtype=np.intp)
+        renumber[np.flatnonzero(active)] = np.arange(int(active.sum()))
+        author, target_user = renumber[author], renumber[target_user]
     dropped = len(tweets) - int(keep.sum())
+    if dropped:
+        rows = np.flatnonzero(keep)
+        tweets, author, target_user = tweets.take(rows), author[rows], target_user[rows]
     return Dataset(
         users=users,
         graph=FollowGraph(users.keys(), edges),
-        tweets=tweets.take(np.flatnonzero(keep)) if dropped else tweets,
+        tweets=_IndexedTweets(tweets, author, target_user),
         observation_window=window,
         tz_offset=tz_offset,
         dropped_tweets=dropped,
@@ -510,21 +534,22 @@ def serialize(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
         for tweet_id, author, kind, ts, to_user, has_user, to_tweet, has_tweet in (
             dataset.tweets._rows()
         ):
-            # keys inserted in sorted order, so the bytes are those of sort_keys=True
-            obj = {"author": author, "id": tweet_id, "kind": TWEET_KINDS[kind]}
-            if has_tweet:
-                obj["to_tweet"] = to_tweet
+            obj = {"id": tweet_id, "author": author, "kind": TWEET_KINDS[kind], "ts": ts}
             if has_user:
                 obj["to_user"] = to_user
-            obj["ts"] = ts
-            fh.write(json.dumps(obj) + "\n")
+            if has_tweet:
+                obj["to_tweet"] = to_tweet
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
     paths["tweets"] = tweets_path
     return paths
 
 
 def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
     with path.open("rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_cache(dataset: Dataset, out_dir: str | Path) -> Path:

@@ -115,6 +115,15 @@ def assert_same_dataset(a: model.Dataset, b: model.Dataset) -> None:
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+def assert_as_constructed(dataset: model.Dataset) -> None:
+    """A loaded dataset, whose user indices the load computed before the
+    filter, equals the one the constructor builds from its parts."""
+    assert_same_dataset(dataset, model.Dataset(
+        dataset.users, dataset.graph, list(dataset.tweets), dataset.observation_window,
+        dataset.tz_offset, dataset.dropped_tweets,
+    ))
+
+
 def assert_matches_oracles(dataset: model.Dataset) -> None:
     profiles = all_profiles(dataset)
     assert list(profiles) == sorted(dataset.users)
@@ -172,6 +181,7 @@ def test_cached_load_equals_parse_and_columns_match_oracles(raw, window, min_twe
             return
         cached = load_dataset(data, **kwargs)
         assert_same_dataset(cached, parsed)
+        assert_as_constructed(cached)
         assert_matches_oracles(cached)
 
         # serialize -> load_dataset -> serialize is byte-identical, cached or not
@@ -194,6 +204,7 @@ def test_cached_load_equals_parse_and_columns_match_oracles(raw, window, min_twe
 def test_raw_parse_matches_oracles(raw, tz_offset):
     with tempfile.TemporaryDirectory() as tmp:
         dataset = load_dataset(_write(Path(tmp) / "raw", *raw), tz_offset=tz_offset)
+    assert_as_constructed(dataset)
     assert_matches_oracles(dataset)
 
 
@@ -208,6 +219,32 @@ def test_cache_read_in_place_of_jsonl(tmp_path, small_synth, monkeypatch):
     serialize(dataset, tmp_path)
     write_cache(dataset, tmp_path)
     assert_same_dataset(_cache_is_used(monkeypatch, tmp_path), _parse(tmp_path))
+
+
+def test_each_load_constructs_once_and_maps_authors_once(tmp_path, small_synth, monkeypatch):
+    dataset, _ = small_synth
+    serialize(dataset, tmp_path)
+    write_cache(dataset, tmp_path)
+    init, calls = model.Dataset.__init__, []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    indices, mapped = model._user_indices, []
+
+    def counted_indices(*args):
+        mapped.append(1)
+        return indices(*args)
+
+    monkeypatch.setattr(model.Dataset, "__init__", counted)
+    monkeypatch.setattr(model, "_user_indices", counted_indices)
+    cached = _cache_is_used(monkeypatch, tmp_path)
+    parsed = _parse(tmp_path, min_tweets=1)
+    # one constructor call and one author lookup per load
+    assert (len(calls), len(mapped)) == (2, 2)
+    assert_same_dataset(load_dataset(tmp_path, min_tweets=1), parsed)
+    assert_same_dataset(cached, _parse(tmp_path))
 
 
 def test_edited_jsonl_falls_back_to_parse(tmp_path, small_synth):
