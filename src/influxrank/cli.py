@@ -217,6 +217,10 @@ def cluster_cmd(in_dir, out, k, k_min, k_max, max_shift, seed):
     """K-SC clustering of per-user hourly activity shapes."""
     if not 0 <= max_shift <= 23:
         raise click.BadParameter("--max-shift must be in [0, 23]")
+    if k is not None and k < 1:
+        raise click.BadParameter("--k must be >= 1")
+    if k is None and not 2 <= k_min <= k_max <= 10:
+        raise click.BadParameter("need 2 <= --k-min <= --k-max <= 10")
 
     def body(session: ArtifactSession):
         dataset = _load(in_dir)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import bisect
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class ClusterResult:
     centroids: np.ndarray  # (k, 24), unit Euclidean norm each
     assignment: dict[str, int]
     proportions: np.ndarray
-    asc: Optional[float]
     objective: float
     objective_history: list[float]
 
@@ -52,22 +51,12 @@ def _profile(user_id: str, counts: np.ndarray, first: int, last: int) -> HourlyP
     return HourlyProfile(user_id, counts, n_t, a_t, days, True)
 
 
-def hourly_profile(dataset: Dataset, user_id: str) -> HourlyProfile:
-    """Per-hour tweet rate and normalized activity for one user.
+def all_profiles(dataset: Dataset) -> dict[str, HourlyProfile]:
+    """Per-hour tweet rate and normalized activity of every user.
 
     The available-day span is the interval between the user's first and last
     tweet, floored at one day to avoid rate blow-up for single-burst users.
     """
-    if user_id not in dataset.users:
-        raise KeyError(f"unknown user {user_id!r}")
-    i = int(np.searchsorted(dataset.user_ids, user_id))
-    rows, bounds = dataset.author_groups
-    ts = dataset.tweets.ts[rows[bounds[i]:bounds[i + 1]]]
-    counts = np.bincount(dataset.hour_of(ts), minlength=24).astype(float)
-    return _profile(user_id, counts, *(ts[[0, -1]].tolist() if ts.size else (0, 0)))
-
-
-def all_profiles(dataset: Dataset) -> dict[str, HourlyProfile]:
     n = len(dataset.user_ids)
     hours = dataset.hour_of(dataset.tweets.ts)
     counts = np.bincount(dataset.author_index * 24 + hours, minlength=n * 24)
@@ -131,12 +120,6 @@ def _shape_distances(x: np.ndarray, centroid: np.ndarray, shifts: Sequence[int])
     return best, best_q
 
 
-def ksc_distance(x: np.ndarray, c: np.ndarray, max_shift: int = 0) -> float:
-    d, _ = _shape_distances(np.asarray(x, dtype=float)[None, :], np.asarray(c, float),
-                            _shift_set(max_shift))
-    return float(d[0])
-
-
 def _update_centroid(members: np.ndarray) -> np.ndarray:
     """Unit minimizer of the summed scaled residuals over aligned members."""
     norms = np.linalg.norm(members, axis=1, keepdims=True)
@@ -160,24 +143,30 @@ def _pairwise_shape_distance(x: np.ndarray, shifts: Sequence[int]) -> np.ndarray
 
 
 def _silhouette(dist: np.ndarray, labels: np.ndarray, k: int) -> float:
-    n = len(labels)
-    scores = np.zeros(n)
-    for i in range(n):
-        own = labels == labels[i]
-        own[i] = False
-        a = dist[i, own].mean() if own.any() else 0.0
-        b = np.inf
-        for j in range(k):
-            if j == labels[i]:
-                continue
-            other = labels == j
-            if other.any():
-                b = min(b, dist[i, other].mean())
-        if not np.isfinite(b):
-            scores[i] = 0.0
+    """Average silhouette of the labelling ``labels`` in 0..k-1 over the
+    distance matrix ``dist``, one pass per cluster.
+
+    a is a point's mean distance to the rest of its cluster (0 for a
+    singleton), b its least mean distance to another nonempty cluster; a
+    point scores 0 where there is no other cluster or max(a, b) = 0.
+    """
+    a = np.zeros(len(labels))
+    b = np.full(len(labels), np.inf)
+    for j in range(k):
+        cols = np.flatnonzero(labels == j)
+        if not cols.size:
             continue
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+        # take, not dist[:, cols]: its rows are contiguous, so each mean sums
+        # in the same order as the mean of one gathered row
+        to_j = dist.take(cols, axis=1).mean(axis=1)
+        b = np.where(labels == j, b, np.minimum(b, to_j))
+        if cols.size > 1:
+            block = dist[np.ix_(cols, cols)]
+            off_diagonal = ~np.eye(cols.size, dtype=bool)
+            a[cols] = block[off_diagonal].reshape(cols.size, -1).mean(axis=1)
+    denom = np.maximum(a, b)
+    with np.errstate(invalid="ignore"):
+        scores = np.where(np.isfinite(b) & (denom > 0), (b - a) / denom, 0.0)
     return float(scores.mean())
 
 
@@ -209,11 +198,10 @@ def ksc_cluster(
 
     rng = np.random.default_rng(seed)
     centroid_idx = [int(rng.integers(len(ids)))]
+    min_d = np.full(len(ids), np.inf)
     while len(centroid_idx) < k:
-        min_d = np.full(len(ids), np.inf)
-        for ci in centroid_idx:
-            d, _ = _shape_distances(mat, mat[ci], shifts)
-            np.minimum(min_d, d, out=min_d)
+        d, _ = _shape_distances(mat, mat[centroid_idx[-1]], shifts)
+        np.minimum(min_d, d, out=min_d)
         centroid_idx.append(int(np.argmax(min_d)))
     centroids = mat[centroid_idx] / np.linalg.norm(mat[centroid_idx], axis=1, keepdims=True)
 
@@ -240,19 +228,16 @@ def ksc_cluster(
         for j in range(k):
             members = mat[labels == j]
             q = qs[labels == j, j]
-            aligned = np.stack([np.roll(row, -qi) for row, qi in zip(members, q)])
+            # row i rolled back by its best shift q[i]
+            aligned = members[np.arange(len(q))[:, None], (np.arange(24) + q[:, None]) % 24]
             centroids[j] = _update_centroid(aligned)
 
-    asc: Optional[float] = None
-    if k >= 2:
-        asc = _silhouette(_pairwise_shape_distance(mat, shifts), labels, k)
     proportions = np.bincount(labels, minlength=k) / len(ids)
     return ClusterResult(
         k=k,
         centroids=centroids,
         assignment=dict(zip(ids, (int(l) for l in labels))),
         proportions=proportions,
-        asc=asc,
         objective=history[-1],
         objective_history=history,
     )
@@ -266,16 +251,25 @@ def select_k(
     max_iters: int = 100,
 ) -> tuple[ClusterResult, dict[int, float]]:
     """Cluster for every k and return the clustering whose cluster count
-    maximizes the average silhouette coefficient, with the ASC per k."""
+    maximizes the average silhouette coefficient (ASC), with the ASC per k.
+
+    Every k is scored against one shape-distance matrix over the nonzero
+    profiles that the clusterings cover.
+    """
     ks = sorted(set(k_range))
     if not ks or ks[0] < 2 or ks[-1] > 10:
         raise ValueError("k_range must lie within [2, 10]")
-    results: dict[int, ClusterResult] = {}
-    asc_per_k: dict[int, float] = {}
-    for k in ks:
-        results[k] = ksc_cluster(profiles, k, max_shift=max_shift, seed=seed,
-                                 max_iters=max_iters)
-        asc_per_k[k] = results[k].asc if results[k].asc is not None else float("-inf")
+    results = {
+        k: ksc_cluster(profiles, k, max_shift=max_shift, seed=seed, max_iters=max_iters)
+        for k in ks
+    }
+    ids = sorted(results[ks[0]].assignment)
+    mat = np.asarray([profiles[u] for u in ids], dtype=float)
+    dist = _pairwise_shape_distance(mat, _shift_set(max_shift))
+    asc_per_k = {
+        k: _silhouette(dist, np.asarray([r.assignment[u] for u in ids]), k)
+        for k, r in results.items()
+    }
     best_k = max(ks, key=lambda k: (asc_per_k[k], -k))
     return results[best_k], asc_per_k
 
@@ -318,12 +312,5 @@ def cdf_table(values: Sequence[float]) -> list[tuple[float, float]]:
     """(value, cumulative fraction) pairs over the distinct sorted values."""
     if not values:
         return []
-    arr = np.sort(np.asarray(values, dtype=float))
-    n = len(arr)
-    out = []
-    uniq, idx = np.unique(arr, return_index=True)
-    counts = np.diff(np.append(idx, n))
-    cum = np.cumsum(counts) / n
-    for v, c in zip(uniq, cum):
-        out.append((float(v), float(c)))
-    return out
+    uniq, counts = np.unique(np.asarray(values, dtype=float), return_counts=True)
+    return list(zip(uniq.tolist(), (np.cumsum(counts) / len(values)).tolist()))

@@ -6,7 +6,10 @@ iteration are the straightforward forms the vectorised ranking code replaced:
 one feature fill per hour and scipy's own COO -> CSC -> product path. The
 per-tweet loops over ``Tweet`` records (profiles, global activity, response
 metrics, instances) are the forms the column code in ``temporal`` and
-``features`` replaced. ``dense`` and ``planted_instances`` serve only tests.
+``features`` replaced, and ``silhouette_loop`` is the per-point silhouette
+that ``temporal._silhouette`` replaced. ``ksc_distance`` is the K-SC shape
+distance of one pair, from its definition. ``dense`` and
+``planted_instances`` serve only tests.
 """
 
 from __future__ import annotations
@@ -264,3 +267,38 @@ def build_instances_loop(dataset: Dataset, ctx: FeatureContext) -> InstanceSet:
         ),
         labels=np.asarray(labels, dtype=int)[order],
     )
+
+
+def ksc_distance(x, c, max_shift: int = 0) -> float:
+    """K-SC distance min over cyclic shifts |q| <= max_shift of
+    sqrt(1 - cos^2(x, shift(c, q))); invariant to the scale of x and c."""
+    x, c = np.asarray(x, dtype=float), np.asarray(c, dtype=float)
+    best = np.inf
+    for q in range(-max_shift, max_shift + 1):
+        cq = np.roll(c, q)
+        cos = float(x @ cq) / (np.linalg.norm(x) * np.linalg.norm(cq))
+        best = min(best, float(np.sqrt(max(0.0, 1.0 - cos**2))))
+    return best
+
+
+def silhouette_loop(dist: np.ndarray, labels: np.ndarray, k: int) -> float:
+    """Average silhouette over the distance matrix ``dist``, point by point."""
+    n = len(labels)
+    scores = np.zeros(n)
+    for i in range(n):
+        own = labels == labels[i]
+        own[i] = False
+        a = dist[i, own].mean() if own.any() else 0.0
+        b = np.inf
+        for j in range(k):
+            if j == labels[i]:
+                continue
+            other = labels == j
+            if other.any():
+                b = min(b, dist[i, other].mean())
+        if not np.isfinite(b):
+            scores[i] = 0.0
+            continue
+        denom = max(a, b)
+        scores[i] = 0.0 if denom == 0 else (b - a) / denom
+    return float(scores.mean())

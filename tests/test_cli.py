@@ -203,6 +203,19 @@ class TestErrorHandling:
                       "--aggregate", "median", "--out", tmp_path / "x")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--k", 0],
+        ["--k-min", 5, "--k-max", 3],
+        ["--k-min", 1],
+        ["--k-max", 11],
+        ["--max-shift", 24],
+    ])
+    def test_bad_cluster_counts_fail_before_loading(self, tmp_path, args):
+        # the input directory holds no dataset, so a load would exit 1
+        res = run_cli("cluster", "--in", tmp_path, "--out", tmp_path / "x", *args)
+        assert res.exit_code == 2, res.output
+        assert not (tmp_path / "x").exists()
+
     def test_runtime_error_exits_1_and_cleans_up(self, tmp_path):
         bad = tmp_path / "bad"
         bad.mkdir()

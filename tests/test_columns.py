@@ -29,7 +29,7 @@ from influxrank.model import (
     serialize,
     write_cache,
 )
-from influxrank.temporal import all_profiles, global_activity, hourly_profile, response_metrics
+from influxrank.temporal import all_profiles, global_activity, response_metrics
 
 from conftest import make_dataset, make_user
 from oracles import (
@@ -128,13 +128,12 @@ def assert_matches_oracles(dataset: model.Dataset) -> None:
     profiles = all_profiles(dataset)
     assert list(profiles) == sorted(dataset.users)
     for uid, prof in profiles.items():
-        for got in (prof, hourly_profile(dataset, uid)):
-            want = hourly_profile_loop(dataset, uid)
-            assert np.array_equal(got.raw_counts, want.raw_counts)
-            assert np.array_equal(got.n_t, want.n_t)
-            assert np.array_equal(got.a_t, want.a_t)
-            assert (got.available_days, got.has_tweets) == (want.available_days,
-                                                            want.has_tweets)
+        want = hourly_profile_loop(dataset, uid)
+        assert np.array_equal(prof.raw_counts, want.raw_counts)
+        assert np.array_equal(prof.n_t, want.n_t)
+        assert np.array_equal(prof.a_t, want.a_t)
+        assert (prof.available_days, prof.has_tweets) == (want.available_days,
+                                                          want.has_tweets)
     for granularity in GRANULARITIES:
         if len(dataset.tweets):
             assert np.array_equal(global_activity(dataset, granularity),

@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from influxrank.model import Tweet
 from influxrank.synth import DEFAULT_PROTOTYPES, GeneratorConfig, generate
 from influxrank.temporal import (
+    _pairwise_shape_distance,
+    _shift_set,
+    _silhouette,
+    all_profiles,
     cdf_table,
     global_activity,
-    hourly_profile,
     ksc_cluster,
-    ksc_distance,
     response_metrics,
     select_k,
 )
 
 from conftest import make_dataset, make_user
+from oracles import ksc_distance, silhouette_loop
 
 
 def _originals(author, timestamps, prefix):
@@ -29,7 +34,7 @@ class TestHourlyProfile:
         ts = [h * 3600 for h in range(24)]
         ts[-1] = 86400 - 3600  # keep span exactly under a day
         ds = make_dataset(users, [], _originals("a", [h * 3600 for h in range(24)], "t"))
-        prof = hourly_profile(ds, "a")
+        prof = all_profiles(ds)["a"]
         assert np.allclose(prof.n_t, 1.0)
         assert np.allclose(prof.a_t, 1 / 24)
 
@@ -41,7 +46,7 @@ class TestHourlyProfile:
         stamps = [base + (i % 2) * 2 * 86400 // 2 * 0 for i in range(10)]
         stamps = [base, base + 2 * 86400] + [base + 86400] * 8
         ds = make_dataset(users, [], _originals("a", stamps, "t"), window=(0, 4 * 86400))
-        prof = hourly_profile(ds, "a")
+        prof = all_profiles(ds)["a"]
         assert prof.available_days == pytest.approx(2.0)
         assert prof.n_t[17] == pytest.approx(5.0)
         assert prof.a_t[17] == pytest.approx(1.0)
@@ -60,7 +65,7 @@ class TestHourlyProfile:
             2 * 3600 + int(3.5 * 86400),  # hour 14 on day 3.5
         ]
         ds = make_dataset(users, [], _originals("a", stamps, "t"), window=(0, 5 * 86400))
-        prof = hourly_profile(ds, "a")
+        prof = all_profiles(ds)["a"]
         assert prof.available_days == pytest.approx(3.5)
         assert prof.n_t[2] == pytest.approx(3 / 3.5)
         assert prof.n_t[9] == pytest.approx(3 / 3.5)
@@ -71,14 +76,14 @@ class TestHourlyProfile:
     def test_zero_tweets_flagged(self):
         ds = make_dataset([make_user("a"), make_user("b")], [],
                           _originals("b", [100], "t"))
-        prof = hourly_profile(ds, "a")
+        prof = all_profiles(ds)["a"]
         assert not prof.has_tweets
         assert prof.n_t.sum() == 0
         assert prof.a_t.sum() == 0
 
     def test_unknown_user(self, tiny_dataset):
         with pytest.raises(KeyError):
-            hourly_profile(tiny_dataset, "nobody")
+            all_profiles(tiny_dataset)["nobody"]
 
 
 class TestGlobalActivity:
@@ -141,7 +146,6 @@ class TestKsc:
         v[5] = 2.0
         v[6] = 1.0
         result = ksc_cluster({"a": v, "b": v.copy()}, k=1)
-        assert result.asc is None
         unit = v / np.linalg.norm(v)
         assert np.allclose(np.abs(result.centroids[0]), unit, atol=1e-9)
 
@@ -180,6 +184,30 @@ class TestKsc:
             result = ksc_cluster(profiles, 2, seed=0)
         assert "zzz" not in result.assignment
 
+    @pytest.mark.parametrize("max_shift", [3, 23])
+    def test_shifted_copies_align_to_one_centroid(self, max_shift):
+        """Cyclic shifts of one shape align exactly, so the centroid is that
+        shape and the final objective is 0 up to rounding."""
+        v = np.random.default_rng(0).random(24)
+        profiles = {f"u{s}": np.roll(v, s) for s in range(max_shift + 1)}
+        result = ksc_cluster(profiles, 1, max_shift=max_shift, seed=0)
+        assert result.objective < 1e-12
+        unit = v / np.linalg.norm(v)
+        assert any(np.allclose(result.centroids[0], np.roll(unit, s), atol=1e-9)
+                   for s in range(24))
+
+    def test_farthest_point_seeding_covers_every_group(self):
+        """Seeds land one per group, so the first objective, taken against
+        the seeds themselves, is only the noise: groups peaked at hour 0, at
+        hour 12 and at both, where the two-peak group is 0.71 from either."""
+        rng = np.random.default_rng(0)
+        shapes = [np.eye(24)[0], np.eye(24)[12], np.eye(24)[0] + np.eye(24)[12]]
+        profiles = {f"g{g}u{i}": shape + rng.random(24) * 0.01
+                    for g, shape in enumerate(shapes) for i in range(10)}
+        for seed in range(6):
+            result = ksc_cluster(profiles, 3, seed=seed, max_iters=1)
+            assert result.objective_history[0] < 0.05
+
     def test_k_too_large(self):
         with pytest.raises(ValueError, match="exceeds"):
             ksc_cluster({"a": np.ones(24)}, k=2)
@@ -210,7 +238,6 @@ class TestSelectK:
         again = ksc_cluster(profiles, 3, seed=9)
         assert best.assignment == again.assignment
         assert np.array_equal(best.centroids, again.centroids)
-        assert best.asc == asc[3]
 
     def test_identical_users_degenerate(self):
         v = np.zeros(24)
@@ -222,6 +249,61 @@ class TestSelectK:
     def test_k_range_validated(self):
         with pytest.raises(ValueError):
             select_k({"a": np.ones(24)}, [1, 2], seed=0)
+
+
+@st.composite
+def labelled_distances(draw):
+    """A shape-distance matrix over a few random profiles, or over equal
+    profiles (every distance 0), or an arbitrary nonnegative matrix, with a
+    labelling in 0..k-1 that may leave clusters empty or singleton."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 6))
+    labels = np.asarray(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    source = draw(st.sampled_from(("profiles", "equal", "arbitrary")))
+    if source == "arbitrary":
+        dist = rng.random((n, n))
+        np.fill_diagonal(dist, 0.0)
+    else:
+        mat = rng.random((n, 24)) if source == "profiles" else np.tile(rng.random(24), (n, 1))
+        dist = _pairwise_shape_distance(mat, _shift_set(draw(st.integers(0, 23))))
+    return dist, labels, k
+
+
+class TestSilhouette:
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_distances())
+    def test_matches_per_point_loop(self, case):
+        # each mean sums the same gathered elements in the same order as the
+        # loop's, so the two agree exactly, not only within rel 1e-12
+        dist, labels, k = case
+        assert _silhouette(dist, labels, k) == silhouette_loop(dist, labels, k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(0, 23))
+    def test_pairwise_distance_matches_oracle(self, seed, n, max_shift):
+        mat = np.random.default_rng(seed).random((n, 24)) + 0.01
+        dist = _pairwise_shape_distance(mat, _shift_set(max_shift))
+        for i in range(n):
+            for j in range(n):
+                assert dist[i, j] == pytest.approx(
+                    ksc_distance(mat[i], mat[j], max_shift), rel=1e-6, abs=1e-7)
+
+    @pytest.mark.parametrize("max_shift", [0, 3, 23])
+    def test_select_k_scores_each_clustering(self, max_shift):
+        profiles, _ = _planted_profiles(5, n=40)
+        profiles["zero"] = np.zeros(24)
+        with pytest.warns(UserWarning, match="all-zero"):
+            best, asc = select_k(profiles, range(2, 7), seed=1, max_shift=max_shift)
+        ids = sorted(u for u in profiles if u != "zero")
+        mat = np.asarray([profiles[u] for u in ids])
+        dist = _pairwise_shape_distance(mat, _shift_set(max_shift))
+        for k in range(2, 7):
+            with pytest.warns(UserWarning, match="all-zero"):
+                result = ksc_cluster(profiles, k, seed=1, max_shift=max_shift)
+            labels = np.asarray([result.assignment[u] for u in ids])
+            assert asc[k] == silhouette_loop(dist, labels, k)
+        assert best.k == max(asc, key=lambda k: (asc[k], -k))
 
 
 class TestResponseMetrics:
