@@ -8,10 +8,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import re
 import sys
+import zipfile
 from array import array
 from pathlib import Path
+from typing import Optional
 
 import click
 import numpy as np
@@ -287,7 +291,8 @@ def respstats_cmd(in_dir, out):
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def features_cmd(in_dir, out, seed):
-    """Materialize labeled response instances and the min-max scaler."""
+    """Materialize labeled response instances and the min-max scaler, plus
+    the parsed copy of the instances that train reads in their place."""
 
     def body(session: ArtifactSession):
         dataset = _load(in_dir)
@@ -295,36 +300,183 @@ def features_cmd(in_dir, out, seed):
         _, scaler = features.balance_and_normalize(
             instances, seed=stage_seed(seed, "features")
         )
-        header = ["tweet_id", "follower", "friend", "hour"] + list(
-            features.FEATURE_NAMES
-        ) + ["label"]
-        def rows():
-            for key, x, y in zip(instances.keys, instances.features, instances.labels):
-                yield list(key) + list(x) + [int(y)]
-        session.write_csv("instances.csv", header, rows())
+        write_instances(session, instances)
         scaler.save(session.path("scaler.json"))
 
     run_stage(Path(out), body)
 
 
-def load_instances_csv(path: str | Path) -> features.InstanceSet:
-    keys, labels = [], []
-    # packed doubles, not one float object per value: this reader sets the
-    # pipeline's peak memory
-    values = array("d")
-    n_feat = len(features.FEATURE_NAMES)
-    with Path(path).open() as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for rec in reader:
-            keys.append((rec[0], rec[1], rec[2], int(rec[3])))
-            values.extend(map(float, rec[4 : 4 + n_feat]))
-            labels.append(int(rec[-1]))
-    return features.InstanceSet(
-        keys=keys,
-        features=np.frombuffer(values, dtype=float).reshape(-1, n_feat),
-        labels=np.asarray(labels, dtype=int),
+INSTANCE_HEADER = ["tweet_id", "follower", "friend", "hour", *features.FEATURE_NAMES, "label"]
+# ids made of these characters alone are printed as they are by csv.writer
+_PLAIN_FIELD = re.compile(r"[\w.-]+", re.ASCII)
+# instance rows per pass: bounds the text and the row copies held at once
+_BLOCK_ROWS = 1 << 12
+# odd 64-bit multiplier (2^64 / golden ratio) of the row hash
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _csv_fields(values: list[str]) -> list[str]:
+    """Each value as csv.writer prints it as a field of a longer row."""
+    if all(values) and _PLAIN_FIELD.fullmatch("".join(values)):
+        return values
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    # a row's one empty field prints as "", so each value gets a second field
+    tail = "," + writer.dialect.lineterminator
+    out = []
+    for v in values:
+        if _PLAIN_FIELD.fullmatch(v):
+            out.append(v)
+            continue
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((v, ""))
+        out.append(buf.getvalue()[: -len(tail)])
+    return out
+
+
+def _equal_row_groups(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, group): a row of each group and the group of each row, where
+    a group holds rows with equal bits, so equal text; -0.0 and each NaN
+    keep their own.
+
+    Rows are sorted by a hash of their bits and a group starts wherever a
+    row differs from the one before it. A group so never holds unequal
+    rows; a hash collision can only split equal rows into two groups, which
+    print alike. Unlike np.unique over the rows, this makes no sorted copy
+    of the matrix.
+    """
+    bits = x.view(np.uint64)
+    h = np.zeros(len(x), dtype=np.uint64)
+    for column in bits.T:
+        h ^= column
+        h *= _HASH_MULTIPLIER
+        h ^= h >> np.uint64(29)
+    order = np.argsort(h, kind="stable")
+    starts = np.ones(len(x), dtype=bool)
+    for lo in range(1, len(x), _BLOCK_ROWS):
+        rows = order[lo : lo + _BLOCK_ROWS]
+        before = order[lo - 1 : lo - 1 + len(rows)]
+        starts[lo : lo + len(rows)] = (bits[rows] != bits[before]).any(axis=1)
+    group = np.empty(len(x), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return order[starts], group
+
+
+def write_instances(session: ArtifactSession, instances: features.InstanceSet) -> None:
+    """Write instances.csv, with the bytes write_csv would give it, and
+    instances.npz: the columns that parsing that CSV gives, and its sha256.
+
+    Every feature is a function of (edge, hour), so rows repeat: each
+    distinct value is formatted once, each distinct row joined once, and
+    each id encoded once.
+    """
+    x = np.ascontiguousarray(instances.features, dtype=float)
+    first, row_of = _equal_row_groups(x)
+    # values are told apart by their bits, as rows are
+    bits, value_of = np.unique(x[first].view(np.int64).ravel(), return_inverse=True)
+    value_of = value_of.reshape(len(first), x.shape[1])
+    text = np.array([FLOAT_FMT.format(v) for v in bits.view(float).tolist()], dtype=object)
+    fragments = [",".join(row) for row in text[value_of].tolist()]
+    tweets = _csv_fields(instances.tweet_ids.tolist())
+    users = _csv_fields(instances.user_ids.tolist())
+    labels = instances.labels.astype(np.int64)
+
+    csv_path = session.path("instances.csv")
+    with csv_path.open("w", newline="") as fh:
+        csv.writer(fh).writerow(INSTANCE_HEADER)
+        for lo in range(0, len(labels), _BLOCK_ROWS):
+            block = slice(lo, lo + _BLOCK_ROWS)
+            t, u, v, h = instances.keys[block].T.tolist()
+            fh.write("".join([
+                f"{tweets[a]},{users[b]},{users[c]},{d},{fragments[r]},{y}\r\n"
+                for a, b, c, d, r, y in zip(t, u, v, h, row_of[block].tolist(),
+                                            labels[block].tolist())
+            ]))
+    np.savez(
+        session.path(csv_path.with_suffix(".npz").name),
+        sha256_csv=np.array(model.sha256_file(csv_path)),
+        keys=instances.keys,
+        # the features as parsing the CSV gives them back, stored as the
+        # distinct rows and each instance's row
+        feature_rows=np.array([float(t) for t in text.tolist()], dtype=float)[value_of],
+        feature_row_of=row_of,
+        labels=labels,
+        tweet_ids=instances.tweet_ids,
+        user_ids=instances.user_ids,
     )
+
+
+def _instance_set(keys, values, labels, tweet_ids, user_ids) -> features.InstanceSet:
+    """The InstanceSet of parsed or cached columns, checked for shape."""
+    n = len(labels)
+    if keys.shape != (n, 4) or values.shape != (n, len(features.FEATURE_NAMES)):
+        raise ValueError(f"instance columns of shapes {keys.shape}, {values.shape}, ({n},)")
+    return features.InstanceSet(keys=keys, features=values, labels=labels,
+                                tweet_ids=tweet_ids, user_ids=user_ids)
+
+
+def _parse_instances_csv(path: Path) -> features.InstanceSet:
+    """The instances of an instance CSV, checked line by line."""
+    source, width, n_feat = path.name, len(INSTANCE_HEADER), len(features.FEATURE_NAMES)
+    tweet, follower, friend = [], [], []
+    hours, labels = array("q"), array("q")
+    # packed doubles, not one float object per value
+    values = array("d")
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != INSTANCE_HEADER:
+            raise model.ParseError(source, 1, "header is not " + ",".join(INSTANCE_HEADER))
+        for rec in reader:
+            if len(rec) != width:
+                raise model.ParseError(source, reader.line_num,
+                                       f"{len(rec)} fields, want {width}")
+            try:
+                hour, label = int(rec[3]), int(rec[-1])
+                values.extend(map(float, rec[4:-1]))
+            except ValueError as exc:
+                raise model.ParseError(source, reader.line_num, str(exc)) from None
+            if label not in (0, 1):
+                raise model.ParseError(source, reader.line_num, f"label {rec[-1]!r} is not 0 or 1")
+            tweet.append(rec[0])
+            follower.append(rec[1])
+            friend.append(rec[2])
+            hours.append(hour)
+            labels.append(label)
+    tweet_ids, tweet_code = np.unique(np.array(tweet, dtype=str), return_inverse=True)
+    user_ids, user_code = np.unique(np.array(follower + friend, dtype=str), return_inverse=True)
+    n = len(labels)
+    return _instance_set(
+        np.column_stack([tweet_code, user_code[:n], user_code[n:],
+                         np.frombuffer(hours, dtype=np.int64)]).astype(np.int64),
+        np.frombuffer(values, dtype=float).reshape(n, n_feat),
+        np.frombuffer(labels, dtype=np.int64).astype(int),
+        tweet_ids,
+        user_ids,
+    )
+
+
+def _read_instances_npz(path: Path) -> Optional[features.InstanceSet]:
+    """The instances held in the npz that features wrote beside path (same
+    name, .npz); None when there is none, it cannot be read, or path has
+    changed since."""
+    try:
+        with np.load(path.with_suffix(".npz"), allow_pickle=False) as npz:
+            if str(npz["sha256_csv"]) != model.sha256_file(path):
+                return None
+            return _instance_set(npz["keys"], npz["feature_rows"][npz["feature_row_of"]],
+                                 npz["labels"], npz["tweet_ids"], npz["user_ids"])
+    except (OSError, ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile):
+        return None
+
+
+def load_instances_csv(path: str | Path) -> features.InstanceSet:
+    """The instances of an instances.csv that features wrote: from the
+    instances.npz beside it while that holds the file's sha256, parsed from
+    the CSV otherwise. Both give the same columns."""
+    path = Path(path)
+    cached = _read_instances_npz(path)
+    return cached if cached is not None else _parse_instances_csv(path)
 
 
 @main.command("train")
@@ -338,6 +490,10 @@ def train_cmd(instances, out, folds, seed, lr, epochs):
     """Balance, normalize, cross-validate and fit the logistic response model."""
     if folds < 2:
         raise click.BadParameter("--folds must be >= 2")
+    if epochs < 1:
+        raise click.BadParameter("--epochs must be >= 1")
+    if not lr > 0:
+        raise click.BadParameter("--lr must be > 0")
 
     def body(session: ArtifactSession):
         inst = load_instances_csv(instances)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -161,14 +161,22 @@ class FeatureContext:
 
 @dataclass
 class InstanceSet:
-    """Columnar store of labeled (tweet, follower) response instances."""
+    """Columnar store of labeled (tweet, follower) response instances.
 
-    keys: list[tuple[str, str, str, int]]  # (tweet_id, follower, friend, hour)
+    Each row of ``keys`` is one instance's (tweet, follower, friend, hour):
+    the tweet column indexes ``tweet_ids`` and the follower and friend
+    columns index ``user_ids``. Both tables are sorted, so key rows sort in
+    the order of the id tuples they stand for.
+    """
+
+    keys: np.ndarray  # (n, 4) int64: (tweet, follower, friend, hour)
     features: np.ndarray  # (n, 12), raw or normalized
     labels: np.ndarray  # (n,) in {0, 1}
+    tweet_ids: np.ndarray  # str, sorted
+    user_ids: np.ndarray  # str, sorted
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.labels)
 
     @property
     def positive_count(self) -> int:
@@ -176,7 +184,7 @@ class InstanceSet:
 
     @property
     def positive_rate(self) -> float:
-        return float(self.labels.mean()) if len(self.keys) else 0.0
+        return float(self.labels.mean()) if len(self) else 0.0
 
 
 def follower_pairs(
@@ -215,14 +223,19 @@ def build_instances(
     n = len(ctx.user_ids)
     responses = (dataset.tweets.kind != ORIGINAL) & (dataset.target_tweet >= 0)
     responded = dataset.target_tweet[responses] * n + dataset.author_index[responses]
-    # ids as arrays of shared str objects: a key costs one tuple, not new strings
-    ids = np.array(dataset.tweets.tweet_id.tolist(), dtype=object)
-    users = np.array(ctx.user_ids, dtype=object)
+    # key codes index only the tweets and users that occur; the pairs come in
+    # tweet-id order, so a tweet's code follows its position in id_order
+    position = np.empty(len(dataset.tweets), dtype=np.intp)
+    position[dataset.id_order] = np.arange(len(dataset.tweets))
+    used_tweets, tweet_code = np.unique(position[tweets], return_inverse=True)
+    used_users, user_code = np.unique(np.concatenate([followers, friends]), return_inverse=True)
     return InstanceSet(
-        keys=list(zip(ids[tweets].tolist(), users[followers].tolist(),
-                      users[friends].tolist(), hours.tolist())),
+        keys=np.column_stack([tweet_code, user_code[: len(edges)], user_code[len(edges):],
+                              hours]).astype(np.int64),
         features=ctx.edge_features(edges, hours),
         labels=np.isin(tweets * n + followers, responded).astype(int),
+        tweet_ids=dataset.tweets.tweet_id[dataset.id_order[used_tweets]],
+        user_ids=dataset.user_ids[used_users],
     )
 
 
@@ -282,10 +295,7 @@ def balance_and_normalize(
     x = instances.features[keep]
     scaler = MinMaxScaler(mins=x.min(axis=0), maxs=x.max(axis=0))
     return (
-        InstanceSet(
-            keys=[instances.keys[i] for i in keep],
-            features=scaler.transform(x),
-            labels=instances.labels[keep],
-        ),
+        replace(instances, keys=instances.keys[keep], features=scaler.transform(x),
+                labels=instances.labels[keep]),
         scaler,
     )

@@ -144,12 +144,19 @@ def train(
 
 
 def _stratified_folds(
-    y: np.ndarray, folds: int, seed: int, keys: Optional[Sequence] = None
+    y: np.ndarray, folds: int, seed: int, keys: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Fold index per instance; permutation-invariant when keys are given."""
+    """Fold index per instance; permutation-invariant when keys are given.
+
+    ``keys`` is one sortable value per instance, or one row per instance
+    compared column by column (an ``InstanceSet.keys``); instances are dealt
+    to folds in key order.
+    """
     n = len(y)
     if keys is not None:
-        base = np.asarray(sorted(range(n), key=lambda i: keys[i]), dtype=int)
+        keys = np.asarray(keys)
+        columns = [keys] if keys.ndim == 1 else keys.T[::-1]
+        base = np.lexsort(columns)
     else:
         base = np.arange(n)
     rng = np.random.default_rng(seed)
@@ -168,7 +175,7 @@ def cross_validate(
     seed: int = 0,
     learning_rate: float = 0.1,
     epochs: int = 500,
-    keys: Optional[Sequence] = None,
+    keys: Optional[np.ndarray] = None,
 ) -> tuple[list[float], float]:
     """Stratified k-fold accuracy at threshold 0.5."""
     if folds < 2:

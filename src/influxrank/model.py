@@ -544,7 +544,7 @@ def serialize(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     return paths
 
 
-def _sha256(path: Path) -> str:
+def sha256_file(path: Path) -> str:
     digest = hashlib.sha256()
     with path.open("rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -563,7 +563,7 @@ def write_cache(dataset: Dataset, out_dir: str | Path) -> Path:
     path = out / CACHE_NAME
     np.savez(
         path,
-        **{f"sha256_{name}": np.array(_sha256(out / f"{name}.jsonl")) for name in _JSONL_NAMES},
+        **{f"sha256_{name}": np.array(sha256_file(out / f"{name}.jsonl")) for name in _JSONL_NAMES},
         user_id=_str_column([r.user_id for r in records], "user ids"),
         user_listed=np.array([r.listed_count for r in records], dtype=np.int64),
         user_favourites=np.array([r.favourites_received for r in records], dtype=np.int64),
@@ -585,7 +585,7 @@ def _read_cache(
     try:
         with np.load(in_dir / CACHE_NAME, allow_pickle=False) as npz:
             for name in _JSONL_NAMES:
-                if str(npz[f"sha256_{name}"]) != _sha256(in_dir / f"{name}.jsonl"):
+                if str(npz[f"sha256_{name}"]) != sha256_file(in_dir / f"{name}.jsonl"):
                     return None
             arrays = {key: npz[key] for key in npz.files}
         users = {

@@ -1,0 +1,67 @@
+"""Benchmarks of the ``features`` -> ``train`` hand-off on the seed-3
+1,000-user synthetic dataset (127,594 instances), as ``influxrank synth
+--users 1000 --seed 3``, ``ingest`` and ``features`` write it: the
+``instances.csv`` and ``instances.npz`` write, the same CSV written one value
+at a time (the oracle), and ``load_instances_csv`` reading the npz and
+parsing the CSV.
+
+The file name keeps it out of the default test run. Run it with
+
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest tests/bench_features.py
+
+(pytest-benchmark prints min/mean/median per case; add
+``--benchmark-json FILE`` to keep the figures). Set-up runs ``synth``,
+``ingest`` and ``features`` once, in about 7 s.
+"""
+
+import pytest
+from click.testing import CliRunner
+
+from influxrank import cli
+from influxrank.features import build_instances
+from influxrank.model import load_dataset
+
+from oracles import write_instances_loop
+
+N_INSTANCES = 127_594
+
+
+@pytest.fixture(scope="module")
+def root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bench_features")
+    for args in (["synth", "--users", "1000", "--seed", "3", "--out", root / "raw"],
+                 ["ingest", "--in", root / "raw", "--out", root / "data"],
+                 ["features", "--in", root / "data", "--seed", "3",
+                  "--out", root / "features"]):
+        res = CliRunner().invoke(cli.main, [str(a) for a in args])
+        assert res.exit_code == 0, res.output
+    return root
+
+
+@pytest.fixture(scope="module")
+def instances(root):
+    return build_instances(load_dataset(root / "data"))
+
+
+def test_write_instances(benchmark, root, instances):
+    out = root / "write"
+    benchmark(lambda: cli.write_instances(cli.ArtifactSession(out), instances))
+    assert (out / "instances.csv").read_bytes() == (
+        root / "features" / "instances.csv").read_bytes()
+
+
+def test_write_instances_value_at_a_time(benchmark, root, instances):
+    out = root / "oracle.csv"
+    benchmark(write_instances_loop, out, instances)
+    assert out.read_bytes() == (root / "features" / "instances.csv").read_bytes()
+
+
+def test_load_instances_npz(benchmark, root):
+    path = root / "features" / "instances.csv"
+    assert cli._read_instances_npz(path) is not None
+    assert len(benchmark(cli.load_instances_csv, path)) == N_INSTANCES
+
+
+def test_load_instances_csv_parse(benchmark, root):
+    path = root / "features" / "instances.csv"
+    assert len(benchmark(cli._parse_instances_csv, path)) == N_INSTANCES

@@ -7,14 +7,18 @@ one feature fill per hour and scipy's own COO -> CSC -> product path. The
 per-tweet loops over ``Tweet`` records (profiles, global activity, response
 metrics, instances) are the forms the column code in ``temporal`` and
 ``features`` replaced, and ``silhouette_loop`` is the per-point silhouette
-that ``temporal._silhouette`` replaced. ``ksc_distance`` is the K-SC shape
-distance of one pair, from its definition. ``dense`` and
+that ``temporal._silhouette`` replaced. ``write_instances_loop`` is the
+value-at-a-time ``instances.csv`` writer that ``cli.write_instances``
+replaced, and ``stratified_folds_loop`` the id-tuple sort that the integer
+keys of ``logistic._stratified_folds`` replaced. ``ksc_distance`` is the K-SC
+shape distance of one pair, from its definition. ``dense`` and
 ``planted_instances`` serve only tests.
 """
 
 from __future__ import annotations
 
 import bisect
+import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -260,13 +264,65 @@ def build_instances_loop(dataset: Dataset, ctx: FeatureContext) -> InstanceSet:
             keys.append((tw.tweet_id, u, v, hour))
             labels.append(1 if (tw.tweet_id, u) in responded else 0)
     order = sorted(range(len(keys)), key=lambda i: (keys[i][0], keys[i][1]))
-    return InstanceSet(
-        keys=[keys[i] for i in order],
-        features=ctx.edge_features(
+    return instance_set_of_ids(
+        [keys[i] for i in order],
+        ctx.edge_features(
             np.asarray(rows, dtype=int)[order], np.asarray(hours, dtype=int)[order]
         ),
-        labels=np.asarray(labels, dtype=int)[order],
+        np.asarray(labels, dtype=int)[order],
     )
+
+
+def instance_set_of_ids(id_keys: list[tuple], features: np.ndarray,
+                        labels: np.ndarray) -> InstanceSet:
+    """The InstanceSet of (tweet_id, follower, friend, hour) tuples, with its
+    id tables built by sorting the distinct ids."""
+    tweet_ids = sorted({k[0] for k in id_keys})
+    user_ids = sorted({k[1] for k in id_keys} | {k[2] for k in id_keys})
+    tweet_at = {t: i for i, t in enumerate(tweet_ids)}
+    user_at = {u: i for i, u in enumerate(user_ids)}
+    return InstanceSet(
+        keys=np.array([(tweet_at[t], user_at[u], user_at[v], h) for t, u, v, h in id_keys],
+                      dtype=np.int64).reshape(-1, 4),
+        features=features,
+        labels=labels,
+        tweet_ids=np.array(tweet_ids, dtype=str),
+        user_ids=np.array(user_ids, dtype=str),
+    )
+
+
+def instance_id_keys(instances: InstanceSet) -> list[tuple[str, str, str, int]]:
+    """The (tweet_id, follower, friend, hour) tuple of each instance."""
+    t, u, v, h = instances.keys.T.tolist()
+    tweets, users = instances.tweet_ids.tolist(), instances.user_ids.tolist()
+    return [(tweets[a], users[b], users[c], d) for a, b, c, d in zip(t, u, v, h)]
+
+
+def write_instances_loop(path, instances: InstanceSet) -> None:
+    """instances.csv through csv.writer, one formatted value at a time: the
+    bytes the features stage writes."""
+    header = ["tweet_id", "follower", "friend", "hour", *FEATURE_NAMES, "label"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for key, x, y in zip(instance_id_keys(instances), instances.features,
+                             instances.labels):
+            writer.writerow([str(v) for v in key] + ["{:.12g}".format(float(v)) for v in x]
+                            + [str(int(y))])
+
+
+def stratified_folds_loop(y: np.ndarray, folds: int, seed: int, keys: list) -> np.ndarray:
+    """Fold index per instance, dealing the instances of each class to folds
+    in the order of a Python sort of their keys."""
+    n = len(y)
+    base = np.asarray(sorted(range(n), key=lambda i: keys[i]), dtype=int)
+    rng = np.random.default_rng(seed)
+    assignment = np.empty(n, dtype=int)
+    for cls in (0, 1):
+        members = base[y[base] == cls]
+        members = members[rng.permutation(len(members))]
+        assignment[members] = np.arange(len(members)) % folds
+    return assignment
 
 
 def ksc_distance(x, c, max_shift: int = 0) -> float:

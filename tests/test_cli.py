@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import time
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from influxrank import cli
 from influxrank.cli import main, stage_seed
 from influxrank.logistic import LogisticModel
 from influxrank.model import serialize
@@ -258,6 +260,61 @@ class TestErrorHandling:
                       "--model-file", pipeline["train"] / "model.json",
                       "--scenarios", "L_zz", "--out", tmp_path / "x")
         assert res.exit_code == 2
+
+
+class TestInstanceHandOff:
+    """features leaves instances.npz beside instances.csv; train reads it
+    while it holds the CSV's sha256, and parses the CSV otherwise."""
+
+    def test_features_manifest_lists_the_npz(self, pipeline):
+        manifest = json.loads((pipeline["features"] / "manifest.json").read_text())
+        assert sorted(manifest["artifacts"]) == ["instances.csv", "instances.npz",
+                                                 "scaler.json"]
+
+    def test_train_reads_the_npz(self, pipeline, tmp_path, monkeypatch):
+        def no_parse(path):
+            raise AssertionError("instances.csv was parsed")
+
+        monkeypatch.setattr(cli, "_parse_instances_csv", no_parse)
+        ok(run_cli("train", "--instances", pipeline["features"] / "instances.csv",
+                   "--epochs", 150, "--out", tmp_path / "train"))
+        assert ((tmp_path / "train" / "model.json").read_bytes()
+                == (pipeline["train"] / "model.json").read_bytes())
+
+    def test_model_from_the_csv_alone_is_byte_identical(self, pipeline, tmp_path):
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        shutil.copy(pipeline["features"] / "instances.csv", alone)
+        ok(run_cli("train", "--instances", alone / "instances.csv",
+                   "--epochs", 150, "--out", tmp_path / "train"))
+        for name in ("model.json", "cv_report.csv", "feature_weights.csv", "manifest.json"):
+            assert ((tmp_path / "train" / name).read_bytes()
+                    == (pipeline["train"] / name).read_bytes()), name
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda rows: rows[:2] + [rows[2][:-1]] + rows[3:], 3),  # a short row
+        (lambda rows: [r[:-1] for r in rows], 1),  # no label column
+        (lambda rows: rows[:3] + [rows[3][:-1] + ["2"]] + rows[4:], 4),  # label 2
+        (lambda rows: rows[:2] + [rows[2][:3] + ["noon"] + rows[2][4:]] + rows[3:], 3),
+    ])
+    def test_malformed_csv_names_the_line(self, pipeline, tmp_path, edit, line):
+        rows = read_csv(pipeline["features"] / "instances.csv")
+        path = tmp_path / "instances.csv"
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(edit(rows))
+        res = run_cli("train", "--instances", path, "--out", tmp_path / "train")
+        assert res.exit_code == 1, res.output
+        assert f"instances.csv, line {line}:" in res.output
+        assert not (tmp_path / "train" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("args", [["--epochs", 0], ["--lr", 0], ["--lr", -5]])
+    def test_bad_training_parameters_fail_before_reading(self, tmp_path, args):
+        # the instances file is not a CSV of instances, so a read would exit 1
+        bad = tmp_path / "instances.csv"
+        bad.write_text("not instances\n")
+        res = run_cli("train", "--instances", bad, "--out", tmp_path / "x", *args)
+        assert res.exit_code == 2, res.output
+        assert not (tmp_path / "x").exists()
 
 
 class TestSingleHourRank:

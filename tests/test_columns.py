@@ -36,6 +36,7 @@ from oracles import (
     build_instances_loop,
     global_activity_loop,
     hourly_profile_loop,
+    instance_id_keys,
     response_metrics_loop,
 )
 
@@ -155,7 +156,10 @@ def assert_matches_oracles(dataset: model.Dataset) -> None:
         counts[tw.author] += 1
     assert ctx.tweet_counts.tolist() == [counts[u] for u in ctx.user_ids]
     got, want = build_instances(dataset, ctx), build_instances_loop(dataset, ctx)
-    assert got.keys == want.keys
+    assert instance_id_keys(got) == instance_id_keys(want)
+    assert np.array_equal(got.keys, want.keys)
+    assert np.array_equal(got.tweet_ids, want.tweet_ids)
+    assert np.array_equal(got.user_ids, want.user_ids)
     assert np.array_equal(got.features, want.features)
     assert np.array_equal(got.labels, want.labels)
 

@@ -15,7 +15,7 @@ from influxrank.features import (
     js_divergence_rows,
 )
 
-from oracles import extract, jensen_shannon_divergence, topic_similarity, ts_uv
+from oracles import extract, instance_id_keys, jensen_shannon_divergence, topic_similarity, ts_uv
 
 
 def _jsd2_hand(p, q):
@@ -161,10 +161,11 @@ class TestExtract:
 class TestBuildInstances:
     def test_tiny_dataset_enumeration(self, tiny_dataset):
         inst = build_instances(tiny_dataset)
+        keys = instance_id_keys(inst)
         # one row per (tweet, follower-of-author); A follows B,C and B follows A
-        assert [k[0] for k in inst.keys] == ["a1", "a2", "b1", "b2", "b3", "c1"]
-        assert [k[1] for k in inst.keys] == ["B", "B", "A", "A", "A", "A"]
-        labels = dict(zip([k[0] for k in inst.keys], inst.labels))
+        assert [k[0] for k in keys] == ["a1", "a2", "b1", "b2", "b3", "c1"]
+        assert [k[1] for k in keys] == ["B", "B", "A", "A", "A", "A"]
+        labels = dict(zip([k[0] for k in keys], inst.labels))
         assert labels == {"a1": 1, "a2": 0, "b1": 1, "b2": 0, "b3": 0, "c1": 0}
         assert inst.positive_count == 2
         assert inst.positive_rate == pytest.approx(2 / 6)
@@ -172,7 +173,7 @@ class TestBuildInstances:
     def test_features_match_extract(self, tiny_dataset):
         inst = build_instances(tiny_dataset)
         ctx = FeatureContext(tiny_dataset)
-        for (tweet_id, u, v, hour), row in zip(inst.keys, inst.features):
+        for (tweet_id, u, v, hour), row in zip(instance_id_keys(inst), inst.features):
             assert np.allclose(
                 row, extract(tiny_dataset, u, v, hour, ctx=ctx).as_array()
             )
@@ -189,7 +190,7 @@ class TestBuildInstances:
         dataset, _ = small_synth
         inst = build_instances(dataset)
         positive_keys = {
-            (k[0], k[1]) for k, y in zip(inst.keys, inst.labels) if y == 1
+            (k[0], k[1]) for k, y in zip(instance_id_keys(inst), inst.labels) if y == 1
         }
         for tw in dataset.tweets:
             if tw.is_response and dataset.graph.has_edge(tw.author, tw.responds_to_user):
@@ -245,7 +246,7 @@ class TestBalance:
         inst = build_instances(dataset)
         a, _ = balance_and_normalize(inst, seed=7)
         b, _ = balance_and_normalize(inst, seed=7)
-        assert a.keys == b.keys
+        assert np.array_equal(a.keys, b.keys)
         assert np.array_equal(a.features, b.features)
 
     def test_single_class_rejected(self, tiny_dataset):

@@ -1,0 +1,177 @@
+"""The features -> train hand-off: instances.csv and instances.npz.
+
+``cli.write_instances`` must print the bytes of the value-at-a-time writer in
+oracles.py, also for ids that need quoting and for an empty instance set.
+The npz it leaves must hold exactly what parsing the CSV gives, and
+``load_instances_csv`` must fall back to that parse when the npz is missing,
+damaged or older than the CSV. The integer keys must deal folds as the id
+tuples they stand for did.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from influxrank import cli
+from influxrank.features import N_FEATURES, build_instances
+from influxrank.logistic import _stratified_folds
+from influxrank.model import Tweet
+
+from conftest import make_dataset, make_user
+from oracles import (
+    instance_id_keys,
+    instance_set_of_ids,
+    stratified_folds_loop,
+    write_instances_loop,
+)
+
+# ids with a delimiter, a quote, spaces, line breaks, non-ASCII and nothing
+USER_POOL = ("a", "b,c", 'q"x', "sp ace", " lead", "", "n\nl", "r\rq", "é")
+TWEET_POOL = ("t0", "t,1", 't"2"', "t 3", "", "t\r\n4", "ü5", "6", "t.7")
+TOPICS = ((1.0, 0.0), (0.5, 0.5), (0.25, 0.75))
+# repeated, signed-zero, non-finite, subnormal and long values, so that rows
+# repeat and bit patterns that print alike or not are both present
+VALUES = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, 1 / 3, -2.5,
+          123456789012345.0, 0.1 + 0.2)
+
+
+@st.composite
+def datasets(draw):
+    users = draw(st.lists(st.sampled_from(USER_POOL), min_size=1, max_size=6, unique=True))
+    pairs = [(u, v) for u in users for v in users if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    ids = draw(st.lists(st.sampled_from(TWEET_POOL), max_size=9, unique=True))
+    tweets = []
+    for tweet_id in ids:
+        kind = draw(st.sampled_from(("original", "original", "retweet", "reply")))
+        to_user = to_tweet = None
+        if kind != "original":
+            to_user, to_tweet = draw(st.sampled_from(users)), draw(st.sampled_from(ids))
+        ts = draw(st.sampled_from((0, 1, 3600, 7200, 86400, 90000)))
+        tweets.append(Tweet(tweet_id, draw(st.sampled_from(users)), kind, ts,
+                            to_user, to_tweet))
+    records = [
+        make_user(u, listed=draw(st.integers(0, 3)), favourites=draw(st.integers(0, 3)),
+                  verified=draw(st.booleans()), topics=draw(st.sampled_from(TOPICS)))
+        for u in users
+    ]
+    return make_dataset(records, edges, tweets, window=(0, 2 * 86400))
+
+
+@st.composite
+def instance_sets(draw):
+    """Instances with any feature values; few distinct rows, so rows repeat."""
+    rows = draw(st.lists(st.lists(st.sampled_from(VALUES), min_size=N_FEATURES,
+                                  max_size=N_FEATURES), min_size=1, max_size=4))
+    n = draw(st.integers(0, 30))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(TWEET_POOL), st.sampled_from(USER_POOL),
+                                    st.sampled_from(USER_POOL), st.integers(0, 23)),
+                          min_size=n, max_size=n, unique_by=lambda k: k[:2]))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    order = sorted(range(n), key=lambda i: pairs[i])
+    return instance_set_of_ids(
+        [pairs[i] for i in order],
+        np.array([rows[picks[i]] for i in order], dtype=float).reshape(n, N_FEATURES),
+        np.array([labels[i] for i in order], dtype=int),
+    )
+
+
+def assert_same_instances(a, b) -> None:
+    for name in ("keys", "labels", "tweet_ids", "user_ids"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    # bit for bit, so NaN and -0.0 count
+    assert a.features.shape == b.features.shape
+    assert a.features.tobytes() == b.features.tobytes()
+
+
+def check_hand_off(instances, root: Path) -> Path:
+    """Write instances both ways under root and check the CSV bytes and the
+    npz; return the CSV path."""
+    cli.write_instances(cli.ArtifactSession(root / "new"), instances)
+    write_instances_loop(root / "oracle.csv", instances)
+    path = root / "new" / "instances.csv"
+    assert path.read_bytes() == (root / "oracle.csv").read_bytes()
+    cached, parsed = cli._read_instances_npz(path), cli._parse_instances_csv(path)
+    assert cached is not None
+    assert_same_instances(cached, parsed)
+    assert instance_id_keys(parsed) == instance_id_keys(instances)
+    assert np.array_equal(parsed.labels, instances.labels)
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(dataset=datasets(), seed=st.integers(0, 2**32 - 1))
+def test_instances_of_datasets_match_oracles(dataset, seed):
+    instances = build_instances(dataset)
+    with tempfile.TemporaryDirectory() as tmp:
+        check_hand_off(instances, Path(tmp))
+    y = instances.labels.astype(float)
+    assert np.array_equal(_stratified_folds(y, 3, seed, instances.keys),
+                          stratified_folds_loop(y, 3, seed, instance_id_keys(instances)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances=instance_sets())
+def test_repeated_and_special_rows_match_oracle(instances):
+    with tempfile.TemporaryDirectory() as tmp:
+        check_hand_off(instances, Path(tmp))
+
+
+@pytest.mark.parametrize("multiplier", [cli._HASH_MULTIPLIER, np.uint64(0)])
+def test_rows_that_differ_only_in_the_sign_of_zero(tmp_path, monkeypatch, multiplier):
+    # a zero multiplier hashes every row alike: rows are then grouped by
+    # their bits alone
+    monkeypatch.setattr(cli, "_HASH_MULTIPLIER", multiplier)
+    zero, negative = np.zeros(N_FEATURES), np.zeros(N_FEATURES)
+    negative[[0, 5]] = -0.0
+    nan = np.full(N_FEATURES, np.nan)
+    rows = [zero, negative, nan, negative, zero]
+    keys = [(f"t{i}", "a", "b,c", i) for i in range(len(rows))]
+    instances = instance_set_of_ids(keys, np.array(rows), np.array([0, 1, 0, 1, 0]))
+    check_hand_off(instances, tmp_path)
+
+
+def test_empty_instance_set(tmp_path):
+    dataset = make_dataset([make_user("a"), make_user("b,c")], [("a", "b,c")], [])
+    instances = build_instances(dataset)
+    assert len(instances) == 0
+    path = check_hand_off(instances, tmp_path)
+    assert path.read_bytes() == (",".join(cli.INSTANCE_HEADER) + "\r\n").encode()
+    assert len(cli.load_instances_csv(path)) == 0
+
+
+@pytest.mark.parametrize("damage", ["edit_csv", "truncate", "garbage", "missing"])
+def test_load_falls_back_to_parse(tmp_path, small_synth, damage):
+    dataset, _ = small_synth
+    path = check_hand_off(build_instances(dataset), tmp_path)
+    npz = path.with_suffix(".npz")
+    if damage == "edit_csv":
+        # the first instance's label flips; the npz still holds the old one
+        lines = path.read_bytes().split(b"\r\n")
+        lines[1] = lines[1][:-1] + (b"1" if lines[1].endswith(b"0") else b"0")
+        path.write_bytes(b"\r\n".join(lines))
+    elif damage == "truncate":
+        npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
+    elif damage == "garbage":
+        npz.write_bytes(b"not a zip file")
+    else:
+        npz.unlink()
+    assert cli._read_instances_npz(path) is None
+    loaded = cli.load_instances_csv(path)
+    assert_same_instances(loaded, cli._parse_instances_csv(path))
+    if damage == "edit_csv":
+        assert loaded.labels[0] != build_instances(dataset).labels[0]
+
+
+def test_integer_key_folds_equal_id_tuple_folds(small_synth):
+    dataset, _ = small_synth
+    instances = build_instances(dataset)
+    y = instances.labels.astype(float)
+    for seed in (0, 7):
+        assert np.array_equal(_stratified_folds(y, 5, seed, instances.keys),
+                              stratified_folds_loop(y, 5, seed, instance_id_keys(instances)))
