@@ -666,6 +666,12 @@ def recommend_cmd(in_dir, model_file, out, seed, gamma, p, c_grid, n_links, scen
         raise click.BadParameter("--c-grid must be comma-separated floats")
     if any(not 0.5 <= c <= 1.0 for c in grid):
         raise click.BadParameter("--c-grid values must be in [0.5, 1]")
+    if not 0.0 < gamma < 1.0:
+        raise click.BadParameter("--gamma must be in (0, 1)")
+    if not 0.0 <= p <= 1.0:
+        raise click.BadParameter("--p must be in [0, 1]")
+    if n_links < 1:
+        raise click.BadParameter("--n-links must be >= 1")
     tags = tuple(scenarios.split(",")) if scenarios else None
     if tags and any(t not in evaluation.SCENARIO_TAGS for t in tags):
         raise click.BadParameter(f"scenarios must be among {evaluation.SCENARIO_TAGS}")

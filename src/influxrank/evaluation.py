@@ -17,9 +17,9 @@ from .ranking import (
     DEFAULT_GAMMA,
     RankVector,
     _edge_weights_all_hours,
-    aggregate,
     build_matrix,
     check_tunkrank_fixed_point,
+    normalise_weights,
     personal_weights,
     tunkrank_matrix,
     twitterrank_matrices,
@@ -170,9 +170,15 @@ def build_link_sets(
     return out
 
 
+# Links scored together, in one multi-column solve per matrix. At 2,000
+# users larger blocks are no faster, and their (n x links) work arrays
+# raised the process's peak RSS.
+BLOCK_LINKS = 16
+
+
 class ColumnUpdateSolver:
     """Direct solve of (I - s S) x = b, and of the same system after one
-    column of S is replaced.
+    column of S is replaced, for a block of such replacements at once.
 
     S is a column-normalised edge matrix: each column sums to 1 or is zero.
     The right-hand side b is either all ones or S 1. With ones and s = gamma,
@@ -184,9 +190,12 @@ class ColumnUpdateSolver:
     Removing edge (u, v) replaces column u only: S' = S + d e_u^T with
     d = S'_u - S_u, and S' 1 = S 1 + d. By Sherman-Morrison the new solution
     is x + z (eta + s x_u) / (1 - s z_u), where z = (I - s S)^{-1} d and eta
-    is 1 for the S 1 right-hand side, 0 for ones: one extra LU solve per
-    removed link (Langville and Meyer, "Updating Markov Chains with an Eye
-    on Google's PageRank", 2006).
+    is 1 for the S 1 right-hand side, 0 for ones (Langville and Meyer,
+    "Updating Markov Chains with an Eye on Google's PageRank", 2006). The
+    differences d of L removals form an (n x L) matrix, and one multi-column
+    LU solve gives all L vectors z. On the synthetic follow graphs that solve
+    equals L single-column solves bit for bit; where the factors hold large
+    dense supernodes, SuperLU's multi-column kernels may round differently.
     """
 
     def __init__(self, matrix: sparse.csc_matrix, s: float, rhs_from_matrix: bool = False):
@@ -202,54 +211,129 @@ class ColumnUpdateSolver:
         rhs = self.matrix @ np.ones(n) if rhs_from_matrix else np.ones(n)
         self.x = self.lu.solve(rhs)
 
-    def solve_with_column(self, u: int, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Solution with column u of S replaced by raw ``weights`` on ``rows``,
-        normalised to sum 1; a column whose weights sum to 0 becomes zero."""
-        total = weights.sum()
-        column = weights * (1.0 / total) if total > 0 else np.zeros(len(rows))
-        d = np.zeros(len(self.x))
-        d[rows] = column
-        start, stop = self.matrix.indptr[u], self.matrix.indptr[u + 1]
-        d[self.matrix.indices[start:stop]] -= self.matrix.data[start:stop]
-        z = self.lu.solve(d)
-        x = self.x + z * ((self.eta + self.s * self.x[u]) / (1.0 - self.s * z[u]))
+    def solve_with_columns(
+        self, us: np.ndarray, rows: np.ndarray, columns: np.ndarray, link: np.ndarray
+    ) -> np.ndarray:
+        """(L, n) solutions, one per replaced column: in solution k, column
+        us[k] of S holds the values ``columns[link == k]`` on rows
+        ``rows[link == k]`` (each a column that sums to 1, or all zero) and
+        nothing else."""
+        n, cols = len(self.x), np.arange(len(us))
+        d = np.zeros((n, len(us)), order="F")
+        d[rows, link] = columns
+        starts, stops = self.matrix.indptr[us], self.matrix.indptr[us + 1]
+        old = _concat_ranges(starts, stops)
+        d[self.matrix.indices[old], np.repeat(cols, stops - starts)] -= self.matrix.data[old]
+        # z becomes x, then w, in place: IEEE + and * commute exactly, so
+        # z f + x and x s + eta have the bits of self.x + z f and eta + s x
+        w = self.lu.solve(d)
+        del d
+        w *= (self.eta + self.s * self.x[us]) / (1.0 - self.s * w[us, cols])
+        w += self.x[:, None]
         # One fixed-point step, x <- b' + S'(eta + s x). It moves x by rounding
         # only, but computes each score from the user's in-edges as power
         # iteration does: users with the same in-edges (everyone nobody
         # follows, to begin with) get bitwise-equal scores, and such exact
         # ties fall to the user-id order instead of to LU rounding.
-        w = self.eta + self.s * x
-        w_u, w[u] = w[u], 0.0
+        w *= self.s
+        w += self.eta
+        w_u = w[us, cols]
+        w[us, cols] = 0.0
+        # the sparse product reads a C-ordered block; copy it once here, so
+        # that only two (n x L) blocks are held at a time
+        w = np.ascontiguousarray(w)
         y = self.matrix @ w
-        y[rows] += column * w_u
-        return (1.0 - self.eta) + y
+        del w
+        y[rows, link] += columns * w_u[link]
+        y += 1.0 - self.eta
+        return np.ascontiguousarray(y.T)
 
 
-def _friend_rows(src: np.ndarray, dst: np.ndarray, iu: int, iv: int) -> np.ndarray:
-    """Edge rows of follower iu that remain once iu unfollows iv."""
-    rows = np.flatnonzero(src == iu)
-    return rows[dst[rows] != iv]
+def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The integers of range(starts[i], stops[i]) for each i, concatenated."""
+    counts = stops - starts
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
+def _friend_rows(
+    src: np.ndarray, dst: np.ndarray, ius: np.ndarray, ivs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edge rows of follower ius[k] that remain once it unfollows ivs[k], in
+    ascending order, for each k in turn, and the k of each row. ``src`` must
+    be sorted, as the follower indices of ``graph.edges()`` are."""
+    starts = np.searchsorted(src, ius, "left")
+    stops = np.searchsorted(src, ius, "right")
+    rows = _concat_ranges(starts, stops)
+    link = np.repeat(np.arange(len(ius)), stops - starts)
+    keep = dst[rows] != ivs[link]
+    return rows[keep], link[keep]
 
 
 def _friend_shares_without(
-    ctx: FeatureContext, iu: int, iv: int
+    ctx: FeatureContext, ius: np.ndarray, ivs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u's remaining friend rows, those friends' indices, and each friend's
-    share of the tweets of u's friends once u unfollows v (feature pt_uv)."""
-    rows = _friend_rows(ctx.edge_src, ctx.edge_dst, iu, iv)
-    dsts = ctx.edge_dst[rows]
-    total = ctx.friend_tweet_total[iu] - ctx.tweet_counts[iv]
-    shares = ctx.tweet_counts[dsts] / total if total > 0 else np.zeros(len(dsts))
-    return rows, dsts, shares
+    """_friend_rows of the context's edges, and each remaining friend's share
+    of the tweets of u's friends once u unfollows v (feature pt_uv)."""
+    rows, link = _friend_rows(ctx.edge_src, ctx.edge_dst, ius, ivs)
+    total = (ctx.friend_tweet_total[ius] - ctx.tweet_counts[ivs])[link]
+    shares = np.zeros(len(rows))
+    pos = total > 0
+    shares[pos] = ctx.tweet_counts[ctx.edge_dst[rows[pos]]] / total[pos]
+    return rows, link, shares
 
 
-class TirLinkScorer:
+def _normalise_columns(weights: np.ndarray, link: np.ndarray, n_links: int) -> np.ndarray:
+    """(k, m) columns from (m, k) raw ``weights`` whose rows belong to the
+    ascending links ``link``: each link's rows divided, per column, by their
+    sum, or zero where that sum is not positive. Each sum is a contiguous
+    1-D ``.sum()``, the sum the link would get alone."""
+    by_column = np.ascontiguousarray(weights.T)
+    out = np.zeros_like(by_column)
+    bounds = np.searchsorted(link, np.arange(n_links + 1))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        total = by_column[:, a:b].sum(axis=1)
+        ok = total > 0
+        out[ok, a:b] = by_column[ok, a:b] * (1.0 / total[ok])[:, None]
+    return out
+
+
+def _link_indices(index: dict[str, int], links: Sequence[tuple[str, str]]):
+    ius = np.array([index[u] for u, _ in links], dtype=np.intp)
+    ivs = np.array([index[v] for _, v in links], dtype=np.intp)
+    return ius, ivs
+
+
+class _LinkBlocks:
+    """Single-link scores served from blocks of links scored together.
+
+    ``expect(links)`` lists the links that will be asked for, in that order.
+    Asking for the next expected link scores it with the BLOCK_LINKS - 1
+    expected links after it in one ``scores_without_links`` call, and the
+    rest of that block is then served from memory. Any other link is scored
+    alone, as a block of one."""
+
+    def expect(self, links: Sequence[tuple[str, str]]) -> None:
+        self._queue = list(links)
+        self._rows: dict[tuple[str, str], np.ndarray] = {}
+
+    def _scores(self, u: str, v: str) -> np.ndarray:
+        link = (u, v)
+        if link not in self._rows:
+            block = [link]
+            if self._queue[:1] == block:
+                block, self._queue = self._queue[:BLOCK_LINKS], self._queue[BLOCK_LINKS:]
+            self._rows.update(zip(block, self.scores_without_links(block)))
+        return self._rows.pop(link)
+
+
+class TirLinkScorer(_LinkBlocks):
     """Reusable TIR machinery for repeated single-edge-removal rankings.
 
     Removing edge (u, v) only changes column u of every hourly matrix: u
     loses a friend, which shifts the tweet-share feature and close-friend
-    multiplier for u's remaining edges. Those weights are recomputed and each
-    hour's ranking is updated by one ColumnUpdateSolver solve.
+    multiplier for u's remaining edges. Those weights are recomputed for a
+    block of links at once, and each hour's rankings are updated by one
+    ColumnUpdateSolver solve for the block.
     """
 
     def __init__(
@@ -265,6 +349,8 @@ class TirLinkScorer:
         self.c = c
         self.gamma = gamma
         self.ctx = ctx if ctx is not None else FeatureContext(dataset)
+        self.user_ids = tuple(self.ctx.user_ids)
+        self.expect(())
         weights = _edge_weights_all_hours(self.ctx, model, c)
         self.solvers = [
             ColumnUpdateSolver(
@@ -274,24 +360,35 @@ class TirLinkScorer:
             for t in range(24)
         ]
 
-    def personal_scores_without(self, u: str, v: str) -> RankVector:
+    def scores_without_links(self, links: Sequence[tuple[str, str]]) -> np.ndarray:
+        """(len(links), n) personal TIR scores of each link's follower u once
+        u unfollows v, aggregated over the hours with u's activity."""
         ctx = self.ctx
-        iu = ctx.index[u]
-        u_rows, dsts, shares = _friend_shares_without(ctx, iu, ctx.index[v])
-        weights = _edge_weights_all_hours(ctx, self.model, self.c, rows=u_rows, shares=shares)
-        hourly = []
+        ius, ivs = _link_indices(ctx.index, links)
+        rows, link, shares = _friend_shares_without(ctx, ius, ivs)
+        weights = _edge_weights_all_hours(ctx, self.model, self.c, rows=rows, shares=shares)
+        columns = _normalise_columns(weights, link, len(links))
+        dsts = ctx.edge_dst[rows]
+        hour_w = normalise_weights(personal_weights(ctx, ius))
+        scores = np.zeros((len(links), len(ctx.user_ids)))
         for t, solver in enumerate(self.solvers):
-            y = solver.solve_with_column(iu, dsts, weights[:, t])
-            hourly.append(RankVector(tuple(ctx.user_ids), y / y.sum(), hour=t))
-        return aggregate(
-            hourly,
-            personal_weights(ctx, u),
+            y = solver.solve_with_columns(ius, dsts, columns[t], link)
+            y /= y.sum(axis=1)[:, None]
+            y *= hour_w[:, t, None]
+            scores += y
+        return scores
+
+    def personal_scores_without(self, u: str, v: str) -> RankVector:
+        return RankVector(
+            self.user_ids,
+            self._scores(u, v),
+            hour=None,
             model="tir",
             params={"c": self.c, "mode": "personal", "user": u},
         )
 
 
-class TwitterRankLinkScorer:
+class TwitterRankLinkScorer(_LinkBlocks):
     """TwitterRank counterpart of TirLinkScorer (per-topic matrices)."""
 
     def __init__(
@@ -303,75 +400,111 @@ class TwitterRankLinkScorer:
         self.dataset = dataset
         self.gamma = gamma
         self.ctx = ctx if ctx is not None else FeatureContext(dataset)
+        self.user_ids = tuple(self.ctx.user_ids)
+        self.expect(())
         self.solvers = [
             ColumnUpdateSolver(tm.matrix, gamma)
             for tm in twitterrank_matrices(dataset, gamma, self.ctx)
         ]
 
-    def personal_scores_without(self, u: str, v: str) -> RankVector:
+    def scores_without_links(self, links: Sequence[tuple[str, str]]) -> np.ndarray:
+        """(len(links), n) personal TwitterRank scores of each link's follower
+        u once u unfollows v: the topic rankings weighted by u's topic
+        shares, over the topics where that share is positive."""
         ctx = self.ctx
-        iu = ctx.index[u]
-        _, dsts, ratio = _friend_shares_without(ctx, iu, ctx.index[v])
-        sims = 1.0 - np.abs(ctx.topics[iu] - ctx.topics[dsts])  # (len(dsts), k)
-        shares = ctx.topics[iu]
-        scores = np.zeros(len(ctx.user_ids))
+        ius, ivs = _link_indices(ctx.index, links)
+        rows, link, ratio = _friend_shares_without(ctx, ius, ivs)
+        dsts = ctx.edge_dst[rows]
+        sims = 1.0 - np.abs(ctx.topics[ius[link]] - ctx.topics[dsts])  # (len(rows), k)
+        columns = _normalise_columns(ratio[:, None] * sims, link, len(links))
+        shares = ctx.topics[ius]
+        scores = np.zeros((len(links), len(ctx.user_ids)))
         for t, solver in enumerate(self.solvers):
-            if shares[t] <= 0:
+            on = shares[:, t] > 0
+            if not on.any():
                 continue
-            y = solver.solve_with_column(iu, dsts, ratio * sims[:, t])
-            scores += shares[t] * (y / y.sum())
-        if shares.sum() > 0:
-            scores /= shares.sum()
+            y = solver.solve_with_columns(ius, dsts, columns[t], link)[on]
+            y /= y.sum(axis=1)[:, None]
+            y *= shares[on, t, None]
+            scores[on] += y
+        total = shares.sum(axis=1)
+        on = total > 0
+        scores[on] /= total[on, None]
+        return scores
+
+    def personal_scores_without(self, u: str, v: str) -> RankVector:
         return RankVector(
-            user_ids=tuple(ctx.user_ids),
-            scores=scores,
+            user_ids=self.user_ids,
+            scores=self._scores(u, v),
             hour=None,
             model="twitterrank",
             params={"mode": "personal", "user": u},
         )
 
 
-class TunkRankLinkScorer:
-    """TunkRank after removing one follow link, by one ColumnUpdateSolver
-    solve: column u of the follower -> friend matrix holds 1/deg(u) on each
-    friend, and without (u, v) it holds 1/(deg(u) - 1) on the rest."""
+class TunkRankLinkScorer(_LinkBlocks):
+    """TunkRank after removing follow links, by one ColumnUpdateSolver
+    solve per block of links: column u of the follower -> friend matrix
+    holds 1/deg(u) on each friend, and without (u, v) it holds
+    1/(deg(u) - 1) on the rest."""
 
     def __init__(self, dataset: Dataset, p: float = 0.05):
         self.p = p
         self.user_ids, self.src, self.dst, a = tunkrank_matrix(dataset, p)
         self.index = {u: i for i, u in enumerate(self.user_ids)}
+        self.expect(())
         self.solver = ColumnUpdateSolver(a, p, rhs_from_matrix=True)
 
-    def scores_without(self, u: str, v: str) -> RankVector:
-        iu, iv = self.index[u], self.index[v]
+    def scores_without_links(self, links: Sequence[tuple[str, str]]) -> np.ndarray:
+        """(len(links), n) global TunkRank scores, each once its link is
+        removed. With p = 1, a removal that leaves a closed follow class
+        raises ValueError."""
+        ius, ivs = _link_indices(self.index, links)
         if self.p == 1.0:
-            keep = (self.src != iu) | (self.dst != iv)
-            check_tunkrank_fixed_point(self.src[keep], self.dst[keep], len(self.user_ids))
-        u_rows = _friend_rows(self.src, self.dst, iu, iv)
-        x = self.solver.solve_with_column(iu, self.dst[u_rows], np.ones(len(u_rows)))
+            for iu, iv in zip(ius, ivs):
+                keep = (self.src != iu) | (self.dst != iv)
+                check_tunkrank_fixed_point(self.src[keep], self.dst[keep], len(self.user_ids))
+        rows, link = _friend_rows(self.src, self.dst, ius, ivs)
+        columns = 1.0 / np.bincount(link, minlength=len(links))[link]
+        return self.solver.solve_with_columns(ius, self.dst[rows], columns, link)
+
+    def scores_without(self, u: str, v: str) -> RankVector:
         return RankVector(
-            user_ids=self.user_ids, scores=x, hour=None, model="tunkrank", params={"p": self.p}
+            user_ids=self.user_ids,
+            scores=self._scores(u, v),
+            hour=None,
+            model="tunkrank",
+            params={"p": self.p},
         )
+
+
+def _candidate_rows(dataset: Dataset, u: str, seed: int, size: int = 10) -> np.ndarray:
+    """Indices into the sorted ``dataset.user_ids`` of ``size`` users drawn
+    with ``seed`` from those u does not follow, u excluded; ascending."""
+    ids = dataset.user_ids
+    allowed = np.ones(len(ids), dtype=bool)
+    allowed[np.searchsorted(ids, [u, *dataset.graph.friends(u)])] = False
+    pool = np.flatnonzero(allowed)
+    if len(pool) < size:
+        raise ValueError(f"fewer than {size} non-followed users for {u!r}")
+    rng = np.random.default_rng(seed)
+    return pool[np.sort(rng.choice(len(pool), size=size, replace=False))]
 
 
 def sample_candidates(
     dataset: Dataset, u: str, seed: int, size: int = 10
 ) -> list[str]:
-    not_followed = sorted(
-        x for x in dataset.users if x != u and not dataset.graph.has_edge(u, x)
-    )
-    if len(not_followed) < size:
-        raise ValueError(f"fewer than {size} non-followed users for {u!r}")
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(not_followed), size=size, replace=False)
-    return [not_followed[i] for i in sorted(chosen)]
+    """``size`` user ids u does not follow, u excluded, drawn with ``seed``;
+    in id order."""
+    return dataset.user_ids[_candidate_rows(dataset, u, seed, size)].tolist()
 
 
-def q_score(scores: RankVector, v: str, candidates: Sequence[str]) -> int:
-    """Number of candidates the true friend v outranks (ties by user id)."""
-    d = scores.as_dict()
-    key_v = (-d[v], v)
-    return sum(1 for cand in candidates if key_v < (-d[cand], cand))
+def q_score(scores: np.ndarray, iv: int, candidates: np.ndarray) -> int:
+    """Number of candidates the true friend outranks. ``scores`` and the
+    indices ``iv`` and ``candidates`` follow the sorted user ids, so a score
+    tie goes to the lower index, as it goes to the lower id."""
+    s_v, s_c = scores[iv], scores[candidates]
+    return int(np.count_nonzero((s_v > s_c) | ((s_v == s_c) & (iv < candidates))))
 
 
 def evaluate_link(
@@ -381,29 +514,33 @@ def evaluate_link(
     model: str = "tunkrank",
     scorer=None,
     tunkrank_p: float = 0.05,
+    candidates: Optional[np.ndarray] = None,
 ) -> int:
     """Q(l) for one removed link: sample 10 non-followed candidates, rank on
     the reduced graph, count candidates ranked below the true friend.
 
     TIR and TwitterRank use personal-perspective aggregation via the given
     scorer; TunkRank uses its global ranking, from the given scorer or one
-    built here with ``tunkrank_p``.
+    built here with ``tunkrank_p``. ``candidates`` are the candidates' rows
+    in the sorted user ids when the caller has drawn them already, as
+    run_scenarios does once per link for every model.
     """
     u, v = link
     if not dataset.graph.has_edge(u, v):
         raise ValueError(f"link ({u!r}, {v!r}) not in graph")
-    candidates = sample_candidates(dataset, u, _sub_seed(seed, "candidates", u, v))
     if model == "tunkrank":
         if scorer is None:
             scorer = TunkRankLinkScorer(dataset, p=tunkrank_p)
-        scores = scorer.scores_without(u, v)
+        score = scorer.scores_without
     elif model in ("tir", "twitterrank"):
         if scorer is None:
             raise ValueError(f"{model} evaluation requires a prepared scorer")
-        scores = scorer.personal_scores_without(u, v)
+        score = scorer.personal_scores_without
     else:
         raise ValueError(f"unknown model {model!r}")
-    return q_score(scores, v, candidates)
+    if candidates is None:
+        candidates = _candidate_rows(dataset, u, _sub_seed(seed, "candidates", u, v))
+    return q_score(score(u, v).scores, np.searchsorted(dataset.user_ids, v), candidates)
 
 
 @dataclass
@@ -434,34 +571,48 @@ def run_scenarios(
 ) -> list[ScenarioResult]:
     """Mean Q per (scenario, model); TIR additionally swept over c_grid.
 
-    Results come in the order scenario -> model -> c; each scorer serves
-    every scenario's links before the next one is built.
+    Results come in the order scenario -> model -> c. Each link is
+    evaluated once per (model, c) even when several scenarios hold it, and
+    its candidates are drawn once for all of them. Each scorer is told the
+    links in advance and scores them BLOCK_LINKS at a time, with one
+    multi-column solve per matrix, before the next scorer is built; Q is
+    still taken link by link through evaluate_link. Bad parameters raise
+    ValueError before any scorer is built.
     """
+    if not 0.0 <= tunkrank_p <= 1.0:
+        raise ValueError("p must be in [0, 1]")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must be in (0, 1)")
+    if n_links < 1:
+        raise ValueError("n_links must be at least 1")
+    if "tir" in models and any(not 0.5 <= c <= 1.0 for c in c_grid):
+        raise ValueError("penalty factor c must be in [0.5, 1]")
+    unknown = [m for m in models if m not in ("tir", "tunkrank", "twitterrank")]
+    if unknown:
+        raise ValueError(f"unknown model {unknown[0]!r}")
     if ctx is None:
         ctx = FeatureContext(dataset)
     link_sets = build_link_sets(dataset, seed=seed, ctx=ctx, n_links=n_links)
     tags = [t for t in (scenarios or SCENARIO_TAGS) if link_sets[t].links]
+    links = list(dict.fromkeys(l for tag in tags for l in link_sets[tag].links))
+    candidates = {(u, v): _candidate_rows(dataset, u, _sub_seed(seed, "candidates", u, v))
+                  for u, v in links}
 
-    def q_by_tag(model: str, scorer) -> dict[str, list[int]]:
-        return {
-            tag: [evaluate_link(dataset, l, seed, model, scorer) for l in link_sets[tag].links]
-            for tag in tags
-        }
+    def q_by_tag(model, scorer) -> dict[str, list[int]]:
+        scorer.expect(links)
+        q = {l: evaluate_link(dataset, l, seed, model, scorer, candidates=candidates[l])
+             for l in links}
+        return {tag: [q[l] for l in link_sets[tag].links] for tag in tags}
+
+    def build_scorer(model, c):
+        if model == "tir":
+            return TirLinkScorer(dataset, logistic_model, c, gamma=gamma, ctx=ctx)
+        if model == "twitterrank":
+            return TwitterRankLinkScorer(dataset, gamma=gamma, ctx=ctx)
+        return TunkRankLinkScorer(dataset, p=tunkrank_p)
 
     # Scorers are temporaries: one c's TIR factorisations are freed before
     # the next c's are built.
-    per_model: list[tuple[str, Optional[float], dict[str, list[int]]]] = []
-    for model in models:
-        if model == "tir":
-            for c in c_grid:
-                per_model.append(("tir", c, q_by_tag(
-                    "tir", TirLinkScorer(dataset, logistic_model, c, gamma=gamma, ctx=ctx))))
-        elif model == "twitterrank":
-            per_model.append(("twitterrank", None, q_by_tag(
-                "twitterrank", TwitterRankLinkScorer(dataset, gamma=gamma, ctx=ctx))))
-        elif model == "tunkrank":
-            per_model.append(("tunkrank", None, q_by_tag(
-                "tunkrank", TunkRankLinkScorer(dataset, p=tunkrank_p))))
-        else:
-            raise ValueError(f"unknown model {model!r}")
+    per_model = [(model, c, q_by_tag(model, build_scorer(model, c)))
+                 for model in models for c in (c_grid if model == "tir" else (None,))]
     return [ScenarioResult(tag, m, c, qs[tag]) for tag in tags for m, c, qs in per_model]

@@ -215,7 +215,7 @@ def aggregate(
     w = np.asarray(weights, dtype=float)
     if (w < 0).any() or w.sum() <= 0:
         raise ValueError("weights must be non-negative with positive sum")
-    w = w / w.sum()
+    w = normalise_weights(w)
     user_ids = rank_vectors[0].user_ids
     scores = np.zeros(len(user_ids))
     for wt, rv in zip(w, rank_vectors):
@@ -235,11 +235,19 @@ def activity_weights(ctx: FeatureContext) -> np.ndarray:
     return ctx.hour_counts / total
 
 
-def personal_weights(ctx: FeatureContext, user_id: str) -> np.ndarray:
-    a = ctx.a_t[ctx.index[user_id]]
-    if a.sum() <= 0:
-        return np.full(24, 1.0 / 24)
-    return a
+def normalise_weights(weights: np.ndarray) -> np.ndarray:
+    """Weights divided by their sum along the last axis, as ``aggregate``
+    applies them; each row of a 2-D array is divided by its own sum."""
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def personal_weights(ctx: FeatureContext, users: Sequence[int]) -> np.ndarray:
+    """(len(users), 24) hour weights of personal aggregation for the user
+    indices ``users``: each user's own hourly activity, or uniform for a
+    user without tweets."""
+    w = ctx.a_t[np.asarray(users, dtype=np.intp)]
+    w[w.sum(axis=1) <= 0] = 1.0 / 24
+    return w
 
 
 def tir_rank(
@@ -271,7 +279,7 @@ def tir_rank(
     elif mode == "personal":
         if user is None:
             raise ValueError("personal mode requires a user id")
-        w = personal_weights(ctx, user)
+        w = personal_weights(ctx, [ctx.index[user]])[0]
     else:
         raise ValueError(f"unknown aggregation mode {mode!r}")
     return aggregate(hourly, w, model="tir", params={"c": c, "gamma": gamma, "mode": mode})

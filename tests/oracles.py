@@ -12,7 +12,13 @@ value-at-a-time ``instances.csv`` writer that ``cli.write_instances``
 replaced, and ``stratified_folds_loop`` the id-tuple sort that the integer
 keys of ``logistic._stratified_folds`` replaced. ``ksc_distance`` is the K-SC
 shape distance of one pair, from its definition. ``dense`` and
-``planted_instances`` serve only tests.
+``planted_instances`` serve only tests. The link-removal oracles score one
+removed link at a time from a scorer's factorisations
+(``solve_with_column_loop`` is the single-column solve that
+``ColumnUpdateSolver.solve_with_columns`` replaced), draw candidates with a
+sort of the ids (``sample_candidates_loop``) and count Q from the score
+dictionary (``q_score_dict``); ``run_scenarios_loop`` is the protocol built
+from them, link by link and scenario by scenario.
 """
 
 from __future__ import annotations
@@ -25,10 +31,25 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
+from influxrank.evaluation import (
+    SCENARIO_TAGS,
+    TirLinkScorer,
+    TunkRankLinkScorer,
+    TwitterRankLinkScorer,
+    _sub_seed,
+    build_link_sets,
+)
 from influxrank.features import FEATURE_NAMES, RE_INDEX, FeatureContext, InstanceSet
 from influxrank.logistic import LogisticModel
 from influxrank.model import SECONDS_PER_DAY, Dataset
-from influxrank.ranking import RankVector, TransitionMatrix
+from influxrank.ranking import (
+    RankVector,
+    TransitionMatrix,
+    _edge_weights_all_hours,
+    aggregate,
+    check_tunkrank_fixed_point,
+    personal_weights,
+)
 from influxrank.synth import DEFAULT_W_STAR
 from influxrank.temporal import HourlyProfile, ResponseMetric
 
@@ -358,3 +379,136 @@ def silhouette_loop(dist: np.ndarray, labels: np.ndarray, k: int) -> float:
         denom = max(a, b)
         scores[i] = 0.0 if denom == 0 else (b - a) / denom
     return float(scores.mean())
+
+
+# ------------------------------------------------- link-removal evaluation
+
+def solve_with_column_loop(solver, u: int, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """One replaced column of a ``ColumnUpdateSolver``: one single-column LU
+    solve, the Sherman-Morrison factor and the fixed-point step."""
+    total = weights.sum()
+    column = weights * (1.0 / total) if total > 0 else np.zeros(len(rows))
+    d = np.zeros(len(solver.x))
+    d[rows] = column
+    start, stop = solver.matrix.indptr[u], solver.matrix.indptr[u + 1]
+    d[solver.matrix.indices[start:stop]] -= solver.matrix.data[start:stop]
+    z = solver.lu.solve(d)
+    x = solver.x + z * ((solver.eta + solver.s * solver.x[u]) / (1.0 - solver.s * z[u]))
+    w = solver.eta + solver.s * x
+    w_u, w[u] = w[u], 0.0
+    y = solver.matrix @ w
+    y[rows] += column * w_u
+    return (1.0 - solver.eta) + y
+
+
+def _friend_shares_loop(ctx: FeatureContext, iu: int, iv: int):
+    rows = np.flatnonzero(ctx.edge_src == iu)
+    rows = rows[ctx.edge_dst[rows] != iv]
+    dsts = ctx.edge_dst[rows]
+    total = ctx.friend_tweet_total[iu] - ctx.tweet_counts[iv]
+    shares = ctx.tweet_counts[dsts] / total if total > 0 else np.zeros(len(dsts))
+    return rows, dsts, shares
+
+
+def tir_scores_without_loop(scorer, u: str, v: str) -> np.ndarray:
+    """Personal TIR scores once u unfollows v, from the factorisations of a
+    ``TirLinkScorer``: one column solve per hour, then ``aggregate``."""
+    ctx = scorer.ctx
+    iu = ctx.index[u]
+    rows, dsts, shares = _friend_shares_loop(ctx, iu, ctx.index[v])
+    weights = _edge_weights_all_hours(ctx, scorer.model, scorer.c, rows=rows, shares=shares)
+    hourly = []
+    for t, solver in enumerate(scorer.solvers):
+        y = solve_with_column_loop(solver, iu, dsts, weights[:, t])
+        hourly.append(RankVector(tuple(ctx.user_ids), y / y.sum(), hour=t))
+    return aggregate(hourly, personal_weights(ctx, [ctx.index[u]])[0]).scores
+
+
+def twitterrank_scores_without_loop(scorer, u: str, v: str) -> np.ndarray:
+    """Personal TwitterRank scores once u unfollows v, from the
+    factorisations of a ``TwitterRankLinkScorer``, topic by topic."""
+    ctx = scorer.ctx
+    iu = ctx.index[u]
+    _, dsts, ratio = _friend_shares_loop(ctx, iu, ctx.index[v])
+    sims = 1.0 - np.abs(ctx.topics[iu] - ctx.topics[dsts])
+    shares = ctx.topics[iu]
+    scores = np.zeros(len(ctx.user_ids))
+    for t, solver in enumerate(scorer.solvers):
+        if shares[t] <= 0:
+            continue
+        y = solve_with_column_loop(solver, iu, dsts, ratio * sims[:, t])
+        scores += shares[t] * (y / y.sum())
+    if shares.sum() > 0:
+        scores /= shares.sum()
+    return scores
+
+
+def tunkrank_scores_without_loop(scorer, u: str, v: str) -> np.ndarray:
+    """TunkRank once (u, v) is removed, from a ``TunkRankLinkScorer``'s
+    factorisation; p = 1 checks the reduced graph for a closed class."""
+    iu, iv = scorer.index[u], scorer.index[v]
+    if scorer.p == 1.0:
+        keep = (scorer.src != iu) | (scorer.dst != iv)
+        check_tunkrank_fixed_point(scorer.src[keep], scorer.dst[keep], len(scorer.user_ids))
+    rows = np.flatnonzero(scorer.src == iu)
+    rows = rows[scorer.dst[rows] != iv]
+    return solve_with_column_loop(scorer.solver, iu, scorer.dst[rows], np.ones(len(rows)))
+
+
+def scores_without_loop(scorer, u: str, v: str) -> np.ndarray:
+    """The per-link oracle for any of the three link scorers."""
+    if isinstance(scorer, TirLinkScorer):
+        return tir_scores_without_loop(scorer, u, v)
+    if isinstance(scorer, TwitterRankLinkScorer):
+        return twitterrank_scores_without_loop(scorer, u, v)
+    assert isinstance(scorer, TunkRankLinkScorer)
+    return tunkrank_scores_without_loop(scorer, u, v)
+
+
+def sample_candidates_loop(dataset: Dataset, u: str, seed: int, size: int = 10) -> list[str]:
+    """Candidates as a sort of the ids u does not follow and one draw."""
+    not_followed = sorted(
+        x for x in dataset.users if x != u and not dataset.graph.has_edge(u, x)
+    )
+    if len(not_followed) < size:
+        raise ValueError(f"fewer than {size} non-followed users for {u!r}")
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(len(not_followed), size=size, replace=False)
+    return [not_followed[i] for i in sorted(chosen)]
+
+
+def q_score_dict(scores: RankVector, v: str, candidates) -> int:
+    """Q from the score dictionary: candidates that v outranks, ties by id."""
+    d = scores.as_dict()
+    key_v = (-d[v], v)
+    return sum(1 for cand in candidates if key_v < (-d[cand], cand))
+
+
+def run_scenarios_loop(dataset: Dataset, logistic_model: LogisticModel, seed: int,
+                       models, c_grid, gamma: float, tunkrank_p: float, n_links: int,
+                       ctx: FeatureContext) -> list[tuple]:
+    """(tag, model, c, Q list) in ``run_scenarios`` order, scoring each link
+    of each scenario on its own: candidates drawn per evaluation, scores from
+    the per-link loops, Q from the score dictionary."""
+    link_sets = build_link_sets(dataset, seed=seed, ctx=ctx, n_links=n_links)
+    tags = [t for t in SCENARIO_TAGS if link_sets[t].links]
+    ids = tuple(ctx.user_ids)
+    per_model = []
+    for model in models:
+        if model == "tir":
+            scorers = [(c, TirLinkScorer(dataset, logistic_model, c, gamma=gamma, ctx=ctx))
+                       for c in c_grid]
+        elif model == "twitterrank":
+            scorers = [(None, TwitterRankLinkScorer(dataset, gamma=gamma, ctx=ctx))]
+        else:
+            scorers = [(None, TunkRankLinkScorer(dataset, p=tunkrank_p))]
+        for c, scorer in scorers:
+            q = {}
+            for tag in tags:
+                q[tag] = []
+                for u, v in link_sets[tag].links:
+                    cands = sample_candidates_loop(dataset, u, _sub_seed(seed, "candidates", u, v))
+                    rv = RankVector(ids, scores_without_loop(scorer, u, v))
+                    q[tag].append(q_score_dict(rv, v, cands))
+            per_model.append((model, c, q))
+    return [(tag, m, c, q[tag]) for tag in tags for m, c, q in per_model]

@@ -218,6 +218,21 @@ class TestErrorHandling:
         assert res.exit_code == 2, res.output
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--p", 2],
+        ["--p", -0.1],
+        ["--gamma", 0],
+        ["--gamma", 1],
+        ["--n-links", 0],
+        ["--n-links", -1],
+    ])
+    def test_bad_recommend_parameters_fail_before_loading(self, tmp_path, args):
+        # neither input holds a dataset or a model, so a load would exit 1
+        res = run_cli("recommend", "--in", tmp_path, "--model-file", tmp_path,
+                      "--out", tmp_path / "x", *args)
+        assert res.exit_code == 2, res.output
+        assert not (tmp_path / "x").exists()
+
     def test_runtime_error_exits_1_and_cleans_up(self, tmp_path):
         bad = tmp_path / "bad"
         bad.mkdir()

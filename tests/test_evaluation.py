@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from influxrank import evaluation
 from influxrank.evaluation import (
     SCENARIO_TAGS,
     TirLinkScorer,
@@ -17,7 +18,7 @@ from influxrank.features import FeatureContext
 from influxrank.ranking import RankVector, tir_rank, tunkrank, twitterrank
 
 from conftest import _remove_edge_dataset, make_dataset, make_user
-from oracles import kendall_tau_bruteforce
+from oracles import kendall_tau_bruteforce, q_score_dict, sample_candidates_loop
 
 
 class TestKendallTau:
@@ -122,17 +123,24 @@ class TestCandidatesAndQ:
         assert cands == sample_candidates(dataset, u, seed=0)
         assert cands != sample_candidates(dataset, u, seed=1)
 
+    def test_candidates_equal_the_sorting_oracle(self, small_synth):
+        dataset, _ = small_synth
+        for i, u in enumerate(sorted(dataset.users)):
+            assert sample_candidates(dataset, u, seed=i) == \
+                sample_candidates_loop(dataset, u, seed=i)
+
     def test_candidates_insufficient(self, tiny_dataset):
         with pytest.raises(ValueError, match="fewer than 10"):
             sample_candidates(tiny_dataset, "A", seed=0)
 
     def test_q_score_hand_value(self):
         rv = RankVector(
-            ("v", "c1", "c2", "c3"), np.array([0.4, 0.5, 0.3, 0.4])
+            ("c1", "c2", "c3", "v"), np.array([0.5, 0.3, 0.4, 0.4])
         )
         # v (0.4) outranks c2 (0.3) and ties c3 (0.4): tie broken by id,
         # "v" > "c3" so c3 wins the tie
-        assert q_score(rv, "v", ["c1", "c2", "c3"]) == 1
+        assert q_score(rv.scores, 3, np.array([0, 1, 2])) == 1
+        assert q_score_dict(rv, "v", ["c1", "c2", "c3"]) == 1
 
     def test_q_score_range(self, small_synth):
         dataset, _ = small_synth
@@ -261,3 +269,65 @@ class TestRunScenarios:
                 assert res.c in (0.5, 0.95)
             else:
                 assert res.c is None
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"tunkrank_p": 2.0}, "p must be in"),
+        ({"tunkrank_p": -0.5}, "p must be in"),
+        ({"gamma": 1.0}, "gamma must be in"),
+        ({"gamma": 0.0}, "gamma must be in"),
+        ({"n_links": 0}, "n_links must be at least 1"),
+        ({"n_links": -1}, "n_links must be at least 1"),
+        ({"c_grid": (0.5, 0.3)}, "penalty factor c"),
+        ({"models": ("tir", "hits")}, "unknown model 'hits'"),
+    ])
+    def test_bad_parameters_raise_before_any_scorer(self, small_synth, small_model, small_ctx,
+                                                    monkeypatch, kwargs, match):
+        def refuse(*args, **kw):
+            raise AssertionError("a scorer was built")
+
+        for name in ("TirLinkScorer", "TwitterRankLinkScorer", "TunkRankLinkScorer"):
+            monkeypatch.setattr(evaluation, name, refuse)
+        dataset, _ = small_synth
+        with pytest.raises(ValueError, match=match):
+            run_scenarios(dataset, small_model, ctx=small_ctx, **kwargs)
+
+    def test_block_size_does_not_change_q(self, small_synth, small_model, small_ctx,
+                                          monkeypatch):
+        dataset, _ = small_synth
+
+        def q_lists():
+            return [(r.tag, r.model, r.c, r.q_values) for r in run_scenarios(
+                dataset, small_model, seed=2, c_grid=(0.85,), n_links=5, ctx=small_ctx)]
+
+        whole = q_lists()
+        monkeypatch.setattr(evaluation, "BLOCK_LINKS", 3)
+        assert q_lists() == whole
+
+    def test_blocks_scored_once_and_each_link_evaluated(self, small_synth, small_model,
+                                                        small_ctx, monkeypatch):
+        # each scorer scores the distinct links in blocks of BLOCK_LINKS, and
+        # evaluate_link still runs once per (link, model, c)
+        dataset, _ = small_synth
+        blocks, evaluated = [], []
+        for cls in (TirLinkScorer, TwitterRankLinkScorer, TunkRankLinkScorer):
+            def counted(self, links, score=cls.scores_without_links):
+                blocks.append((self.__class__.__name__, len(links)))
+                return score(self, links)
+            monkeypatch.setattr(cls, "scores_without_links", counted)
+
+        def evaluate(*args, **kwargs):
+            evaluated.append((args[1], args[3]))
+            return evaluate_link(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "evaluate_link", evaluate)
+        monkeypatch.setattr(evaluation, "BLOCK_LINKS", 4)
+        run_scenarios(dataset, small_model, seed=2, c_grid=(0.5, 0.85), n_links=5,
+                      ctx=small_ctx)
+        link_sets = build_link_sets(dataset, seed=2, ctx=small_ctx, n_links=5)
+        links = list(dict.fromkeys(l for t in SCENARIO_TAGS for l in link_sets[t].links))
+        sizes = [min(4, len(links) - i) for i in range(0, len(links), 4)]
+        assert blocks == [(name, k) for name in ("TirLinkScorer", "TirLinkScorer",
+                                                 "TunkRankLinkScorer", "TwitterRankLinkScorer")
+                          for k in sizes]
+        assert evaluated == [(l, m) for m in ("tir", "tir", "tunkrank", "twitterrank")
+                             for l in links]

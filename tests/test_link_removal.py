@@ -1,14 +1,17 @@
 """Single-edge-removal scorers against a full rebuild and a dense direct solve
-of the reduced system, on random small graphs."""
+of the reduced system, and their blocks of links against the per-link
+oracles bit for bit, on random small graphs."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from influxrank import evaluation
 from influxrank.evaluation import (
     TirLinkScorer,
     TunkRankLinkScorer,
     TwitterRankLinkScorer,
+    run_scenarios,
 )
 from influxrank.features import FeatureContext, MinMaxScaler
 from influxrank.logistic import LogisticModel
@@ -26,6 +29,7 @@ from influxrank.ranking import (
 )
 
 from conftest import _remove_edge_dataset, make_dataset, make_user
+from oracles import run_scenarios_loop, scores_without_loop
 
 GAMMA = 0.85
 # fixed, non-trivial response model; the scaler clips some raw features
@@ -54,7 +58,7 @@ def dense_tir(reduced, u, c):
             build_matrix(reduced, MODEL, t, c, GAMMA, ctx=ctx, edge_weights=weights)))
         for t in range(24)
     ]
-    return aggregate(hourly, personal_weights(ctx, u)).scores
+    return aggregate(hourly, personal_weights(ctx, [ctx.index[u]])[0]).scores
 
 
 def dense_twitterrank(reduced, u):
@@ -117,23 +121,43 @@ def build(n_users, edges, tweet_hours, topics, responses=()):
                         window=(0, 5 * 86400))
 
 
-@st.composite
-def link_cases(draw):
-    n = draw(st.integers(2, 12))
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=30, unique=True))
-    # many tweetless users, so all-zero and dangling columns are common
+def draw_dataset(draw, n, edges):
+    # many tweetless users, so all-zero and dangling columns are common;
+    # topic rows like (1, 0, 0) give TwitterRank topics with zero share, and
+    # rows like (1, 2, 4) / 7 shares that do not sum to exactly 1
     tweet_hours = [draw(st.lists(st.integers(0, 23), max_size=3)) for _ in range(n)]
     topics = []
     for _ in range(n):
-        raw = np.array(draw(st.lists(st.integers(0, 3), min_size=2, max_size=2)), float)
-        topics.append(raw / raw.sum() if raw.sum() > 0 else np.array([1.0, 0.0]))
+        raw = np.array(draw(st.lists(st.integers(0, 5), min_size=3, max_size=3)), float)
+        topics.append(raw / raw.sum() if raw.sum() > 0 else np.array([1.0, 0.0, 0.0]))
     responses = draw(st.lists(
         st.tuples(st.sampled_from(edges), st.integers(0, 23)), max_size=4))
-    dataset = build(n, edges, tweet_hours, topics,
-                    [(a, b, h) for (a, b), h in responses])
+    return build(n, edges, tweet_hours, topics, [(a, b, h) for (a, b), h in responses])
+
+
+def draw_graph(draw, n_min, n_max):
+    n = draw(st.integers(n_min, n_max))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=30, unique=True))
+    return n, edges
+
+
+@st.composite
+def link_cases(draw):
+    n, edges = draw_graph(draw, 2, 12)
+    dataset = draw_dataset(draw, n, edges)
     a, b = draw(st.sampled_from(edges))
     return dataset, f"u{a:02d}", f"u{b:02d}"
+
+
+@st.composite
+def link_blocks(draw):
+    """A dataset and a block of its edges, with repeated links and repeated
+    followers common."""
+    n, edges = draw_graph(draw, 2, 12)
+    dataset = draw_dataset(draw, n, edges)
+    links = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=8))
+    return dataset, [(f"u{a:02d}", f"u{b:02d}") for a, b in links]
 
 
 @settings(max_examples=40, deadline=None,
@@ -170,3 +194,128 @@ class TestColumnCases:
                         responses=[(5, 1, 4)])
         for c in (0.5, 0.95, 1.0):
             assert_scorers_match(dataset, "u05", "u04", c=c, p=0.05)
+
+
+# ---------------------------------------------- batched scorers vs per link
+
+def assert_batch_matches_oracle(dataset, links, c, p):
+    """Every row of each scorer's block equals the per-link oracle's scores
+    bit for bit, and the single-link methods are the block of one."""
+    ctx = FeatureContext(dataset)
+    scorers = [
+        TirLinkScorer(dataset, MODEL, c, gamma=GAMMA, ctx=ctx),
+        TwitterRankLinkScorer(dataset, gamma=GAMMA, ctx=ctx),
+        TunkRankLinkScorer(dataset, p=p),
+    ]
+    for scorer in scorers:
+        block = scorer.scores_without_links(links)
+        assert block.shape == (len(links), len(ctx.user_ids))
+        for row, (u, v) in zip(block, links):
+            assert np.array_equal(row, scores_without_loop(scorer, u, v))
+    u, v = links[0]
+    tir, tw, tunk = scorers
+    assert np.array_equal(tir.personal_scores_without(u, v).scores, scores_without_loop(tir, u, v))
+    assert np.array_equal(tw.personal_scores_without(u, v).scores, scores_without_loop(tw, u, v))
+    assert np.array_equal(tunk.scores_without(u, v).scores, scores_without_loop(tunk, u, v))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=link_blocks(), c=st.sampled_from([0.5, 0.85, 1.0]),
+       p=st.sampled_from([0.0, 0.05, 0.3]))
+def test_batched_scorers_equal_per_link_oracle(case, c, p):
+    dataset, links = case
+    assert_batch_matches_oracle(dataset, links, c, p)
+
+
+class TestBatchCases:
+    """Blocks that hold the column cases of TestColumnCases together."""
+
+    def dataset(self, responses=()):
+        return build(6, TestColumnCases.EDGES, TestColumnCases.HOURS, TestColumnCases.TOPICS,
+                     responses=responses)
+
+    @pytest.mark.parametrize("c", [0.5, 0.85, 1.0])
+    def test_every_link_in_one_block(self, c):
+        # u00 loses its only friend (zero column), u02's friends are
+        # tweetless (dangling before and after), u02 and u05 repeat as
+        # followers, (u02, u03) repeats; u00 has no share of topic 1
+        links = [(f"u{a:02d}", f"u{b:02d}") for a, b in TestColumnCases.EDGES]
+        links += [("u02", "u03"), ("u00", "u01")]
+        assert_batch_matches_oracle(self.dataset(responses=[(5, 1, 4)]), links, c, p=0.05)
+
+    def test_follower_with_many_friends(self):
+        # u00 follows the 19 others, so its column sums run over 18 weights
+        hours = [[(5 * i + j) % 24 for j in range(i % 4 + 1)] for i in range(20)]
+        topics = [(1 + i % 3, 1 + i % 5, 1 + i % 7) for i in range(20)]
+        topics = [np.array(t, float) / sum(t) for t in topics]
+        edges = [(0, b) for b in range(1, 20)] + [(b, 0) for b in range(1, 20, 3)]
+        dataset = build(20, edges, hours, topics, responses=[(0, 3, 5), (0, 7, 9)])
+        links = [("u00", f"u{b:02d}") for b in (1, 3, 7, 12, 19)] + [("u04", "u00")]
+        for c in (0.5, 0.85):
+            assert_batch_matches_oracle(dataset, links, c, p=0.05)
+
+    def test_topic_totals_below_one(self):
+        # the topic rows of followers u01, u02 and u05 sum to 1 - 2**-53 in
+        # floating point, where dividing by that total and multiplying by
+        # its reciprocal round differently; u00 has no share of topics 1, 2
+        topics = [(1.0, 0.0, 0.0), (0.7, 0.2, 0.1), (0.6, 0.3, 0.1), (0.5, 0.5, 0.0),
+                  (0.0, 0.2, 0.8), (0.7, 0.2, 0.1)]
+        dataset = build(6, TestColumnCases.EDGES, TestColumnCases.HOURS, topics,
+                        responses=[(5, 1, 4)])
+        assert FeatureContext(dataset).topics[[1, 2, 5]].sum(axis=1).tolist() == [1 - 2**-53] * 3
+        links = [(f"u{a:02d}", f"u{b:02d}") for a, b in TestColumnCases.EDGES]
+        assert_batch_matches_oracle(dataset, links, 0.85, p=0.05)
+
+    def test_expected_links_asked_out_of_order(self, monkeypatch):
+        # rows left over from a block are served by link, and a link asked
+        # for again, or ahead of its turn, is scored alone
+        monkeypatch.setattr(evaluation, "BLOCK_LINKS", 4)
+        links = [(f"u{a:02d}", f"u{b:02d}") for a, b in TestColumnCases.EDGES]
+        scorer = TunkRankLinkScorer(self.dataset(), p=0.05)
+        want = scorer.scores_without_links(links)
+        scorer.expect(links)
+        for i in (0, 2, 1, 5, 3, 4, 0):
+            assert np.array_equal(scorer.scores_without(*links[i]).scores, want[i])
+
+    def test_block_of_one(self):
+        assert_batch_matches_oracle(self.dataset(), [("u05", "u01")], 0.85, p=0.3)
+
+    def test_tunkrank_p1_rejects_the_link_that_closes_a_class(self):
+        users = [make_user(u) for u in "abc"]
+        ds = make_dataset(users, [("a", "b"), ("b", "a"), ("a", "c")], [])
+        scorer = TunkRankLinkScorer(ds, p=1.0)
+        with pytest.raises(ValueError, match="2 users form a closed follow class"):
+            scorer.scores_without_links([("b", "a"), ("a", "c")])
+        block = scorer.scores_without_links([("b", "a"), ("b", "a")])
+        for row in block:
+            assert np.array_equal(row, scores_without_loop(scorer, "b", "a"))
+
+
+@st.composite
+def scenario_cases(draw):
+    """Datasets where every follower leaves at least ten users unfollowed,
+    as the candidate draw needs."""
+    n = draw(st.integers(13, 16))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    drawn = draw(st.lists(st.sampled_from(pairs), min_size=4, max_size=30, unique=True))
+    edges, out_degree = [], [0] * n
+    for a, b in drawn:
+        if out_degree[a] < n - 11:
+            edges.append((a, b))
+            out_degree[a] += 1
+    return draw_dataset(draw, n, edges)
+
+
+@pytest.mark.filterwarnings("ignore:scenario")
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dataset=scenario_cases(), seed=st.integers(0, 2**31),
+       n_links=st.integers(1, 3), p=st.sampled_from([0.0, 0.05, 0.3]))
+def test_run_scenarios_q_equal_per_link_oracle(dataset, seed, n_links, p):
+    ctx = FeatureContext(dataset)
+    models, c_grid = ("tir", "tunkrank", "twitterrank"), (0.5, 1.0)
+    got = run_scenarios(dataset, MODEL, seed=seed, models=models, c_grid=c_grid, gamma=GAMMA,
+                        tunkrank_p=p, n_links=n_links, ctx=ctx)
+    want = run_scenarios_loop(dataset, MODEL, seed, models, c_grid, GAMMA, p, n_links, ctx)
+    assert [(r.tag, r.model, r.c, r.q_values) for r in got] == want

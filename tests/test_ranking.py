@@ -265,7 +265,7 @@ class TestTirRank:
 
         ds = make_dataset(users, [("a", "b")], [Tweet("t", "b", "original", 3600)])
         ctx = FeatureContext(ds)
-        assert np.allclose(personal_weights(ctx, "a"), 1 / 24)
+        assert np.allclose(personal_weights(ctx, [ctx.index["a"]]), 1 / 24)
 
 
 class TestTunkRank:

@@ -148,7 +148,8 @@ def test_link_scorer_rows_match_oracle_on_reduced_graph(dataset, model, c):
     ctx = FeatureContext(dataset)
     eps = np.finfo(float).eps
     for u, v in ctx.edges:
-        rows, _, shares = _friend_shares_without(ctx, ctx.index[u], ctx.index[v])
+        rows, _, shares = _friend_shares_without(
+            ctx, np.array([ctx.index[u]]), np.array([ctx.index[v]]))
         fast = _edge_weights_all_hours(ctx, model, c, rows=rows, shares=shares)
         reduced = FeatureContext(_remove_edge_dataset(dataset, u, v))
         kept = np.flatnonzero(reduced.edge_src == reduced.index[u])
