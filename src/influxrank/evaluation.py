@@ -95,10 +95,8 @@ def user_signature_distributions(dataset: Dataset, ctx: FeatureContext) -> np.nd
     interpretive construction; only the relative distances matter.
     """
     n = len(ctx.user_ids)
-    friend_deg = np.array([len(dataset.graph.friends(u)) for u in ctx.user_ids], float)
-    follower_deg = np.array(
-        [len(dataset.graph.followers(u)) for u in ctx.user_ids], float
-    )
+    friend_deg = np.bincount(ctx.edge_src, minlength=n).astype(float)
+    follower_deg = np.bincount(ctx.edge_dst, minlength=n).astype(float)
     cols = np.stack(
         [ctx.listed, ctx.fv, ctx.vr, ctx.rr, ctx.tweet_counts, friend_deg, follower_deg],
         axis=1,
@@ -126,15 +124,11 @@ def build_link_sets(
     pairwise Jensen-Shannon distance high/low 10%, reciprocal, unreciprocal."""
     if ctx is None:
         ctx = FeatureContext(dataset)
-    edges = ctx.edges
-    follower_deg = np.array(
-        [len(dataset.graph.followers(v)) for _, v in edges], dtype=float
-    )
-    tweet_count = ctx.tweet_counts[ctx.edge_dst]
+    edges, src, dst, n = ctx.edges, ctx.edge_src, ctx.edge_dst, len(ctx.user_ids)
+    follower_deg = np.bincount(dst, minlength=n)[dst].astype(float)
+    tweet_count = ctx.tweet_counts[dst]
     js_dist = edge_js_distances(dataset, ctx)
-    reciprocal = np.array(
-        [dataset.graph.has_edge(v, u) for u, v in edges], dtype=bool
-    )
+    reciprocal = np.isin(src * n + dst, dst * n + src)
 
     def top_pool(values: np.ndarray, high: bool) -> list[int]:
         k = max(1, int(len(edges) * pool_fraction))
@@ -260,7 +254,7 @@ def _friend_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Edge rows of follower ius[k] that remain once it unfollows ivs[k], in
     ascending order, for each k in turn, and the k of each row. ``src`` must
-    be sorted, as the follower indices of ``graph.edges()`` are."""
+    be sorted, as ``FollowGraph.src`` is (see its docstring)."""
     starts = np.searchsorted(src, ius, "left")
     stops = np.searchsorted(src, ius, "right")
     rows = _concat_ranges(starts, stops)
@@ -450,7 +444,8 @@ class TunkRankLinkScorer(_LinkBlocks):
 
     def __init__(self, dataset: Dataset, p: float = 0.05):
         self.p = p
-        self.user_ids, self.src, self.dst, a = tunkrank_matrix(dataset, p)
+        self.user_ids, a = tunkrank_matrix(dataset, p)
+        self.src, self.dst = dataset.graph.src, dataset.graph.dst
         self.index = {u: i for i, u in enumerate(self.user_ids)}
         self.expect(())
         self.solver = ColumnUpdateSolver(a, p, rhs_from_matrix=True)

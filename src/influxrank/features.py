@@ -52,6 +52,8 @@ class FeatureContext:
     """Precomputed per-user and per-edge quantities for fast feature lookup.
 
     Built once per dataset; all arrays are indexed by the sorted-user order.
+    The edge arrays ``edge_src`` and ``edge_dst`` are the graph's own
+    ``FollowGraph.src`` and ``dst``, one row per edge of ``edges``.
     """
 
     def __init__(self, dataset: Dataset):
@@ -90,29 +92,20 @@ class FeatureContext:
             [dataset.users[u].topic_distribution for u in self.user_ids]
         )
 
+        # edges in graph.edges() order, by follower and then by friend
+        graph = dataset.graph
+        self.edges = list(graph.edges())
+        self.edge_src, self.edge_dst = graph.src, graph.dst
+
         # friend-tweet totals per follower: sum of |T_f| over f in F_u
-        self.friend_tweet_total = np.array(
-            [
-                sum(tweet_counts[self.index[f]] for f in dataset.graph.friends(u))
-                for u in self.user_ids
-            ]
+        self.friend_tweet_total = np.bincount(
+            self.edge_src, weights=tweet_counts[self.edge_dst], minlength=n
         )
-
-        # close friends: u -> the friends u retweeted or replied to
+        # close friends: the edges whose follower retweeted or replied to the friend
         replied = (kinds != ORIGINAL) & (dataset.target_user >= 0)
-        self.close_friends: dict[str, set[str]] = {u: set() for u in self.user_ids}
-        for a, b in set(zip(authors[replied].tolist(), dataset.target_user[replied].tolist())):
-            u, v = self.user_ids[a], self.user_ids[b]
-            if dataset.graph.has_edge(u, v):
-                self.close_friends[u].add(v)
-
-        # edges in deterministic order
-        self.edges = list(dataset.graph.edges())
-        self.edge_src = np.array([self.index[u] for u, _ in self.edges], dtype=int)
-        self.edge_dst = np.array([self.index[v] for _, v in self.edges], dtype=int)
-        self.edge_index = {e: i for i, e in enumerate(self.edges)}
-        self.edge_close = np.array(
-            [v in self.close_friends[u] for u, v in self.edges], dtype=bool
+        self.edge_close = np.isin(
+            self.edge_src * n + self.edge_dst,
+            authors[replied] * n + dataset.target_user[replied],
         )
         self._edge_static: Optional[np.ndarray] = None
 

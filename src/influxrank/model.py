@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
 import zipfile
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -203,7 +205,15 @@ class _IndexedTweets:
 
 
 class FollowGraph:
-    """Directed follow edges: (u, v) means u follows v (v is u's friend)."""
+    """Directed follow edges: (u, v) means u follows v (v is u's friend).
+
+    ``src`` and ``dst`` are the index form of ``edges()``: each edge's
+    follower and friend as an index into the sorted ``vertices``, in
+    ``edges()`` order, so by follower and then by friend. ``src`` is
+    therefore sorted, and follower i's friends are one run of ``dst``, in
+    id order (``evaluation._friend_rows`` relies on both). They are built
+    on first use and are read-only.
+    """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
         self._friends: dict[str, list[str]] = {v: [] for v in vertices}
@@ -242,12 +252,32 @@ class FollowGraph:
         return self._followers[user_id]
 
     def has_edge(self, follower: str, friend: str) -> bool:
-        return friend in self._friends.get(follower, ())
+        friends = self._friends.get(follower, [])
+        i = bisect.bisect_left(friends, friend)
+        return i < len(friends) and friends[i] == friend
 
     def edges(self) -> Iterable[tuple[str, str]]:
         for follower in sorted(self._friends):
             for friend in self._friends[follower]:
                 yield follower, friend
+
+    @cached_property
+    def src(self) -> np.ndarray:
+        """Each edge's follower, as an index into ``vertices``; sorted."""
+        degree = np.array([len(self._friends[v]) for v in self.vertices], dtype=np.intp)
+        src = np.repeat(np.arange(len(degree)), degree)
+        src.flags.writeable = False
+        return src
+
+    @cached_property
+    def dst(self) -> np.ndarray:
+        """Each edge's friend, as an index into ``vertices``."""
+        order = self.vertices
+        position = dict(zip(order, range(len(order))))
+        friends = chain.from_iterable(map(self._friends.__getitem__, order))
+        dst = np.fromiter(map(position.__getitem__, friends), np.intp, self._n_edges)
+        dst.flags.writeable = False
+        return dst
 
 
 class Dataset:
@@ -267,7 +297,8 @@ class Dataset:
 
     ``id_order`` lists the rows in tweet-id order (built on first use).
     Tweet ids are unique (``TweetTable.from_rows`` checks), and every author
-    must be a user.
+    must be a user. The graph's vertices must be exactly the users, so its
+    ``src``/``dst`` index ``user_ids`` too.
     """
 
     def __init__(
@@ -279,12 +310,16 @@ class Dataset:
         tz_offset: int = 0,
         dropped_tweets: int = 0,
     ):
+        user_list = sorted(users)
+        if graph.vertices != user_list:
+            odd = sorted(set(graph.vertices).symmetric_difference(user_list))
+            raise ValidationError(f"graph vertices are not the users; in only one: {odd[:3]}")
         if isinstance(tweets, _IndexedTweets):
             tweets, author, target_user = tweets.table, tweets.author, tweets.target_user
         else:
             if not isinstance(tweets, TweetTable):
                 tweets = TweetTable.from_tweets(tweets)
-            author, target_user = _user_indices(sorted(users), tweets)
+            author, target_user = _user_indices(user_list, tweets)
             unknown = np.flatnonzero(author < 0)
             if unknown.size:
                 i = unknown[0]
@@ -302,7 +337,7 @@ class Dataset:
         self.observation_window = observation_window
         self.tz_offset = tz_offset
         self.dropped_tweets = dropped_tweets
-        self.user_ids = _str_column(sorted(users), "user ids")
+        self.user_ids = _str_column(user_list, "user ids")
         self.author_index = author
         self.target_user = target_user
 
@@ -344,11 +379,6 @@ class Dataset:
     @property
     def n_users(self) -> int:
         return len(self.users)
-
-    @property
-    def topic_count(self) -> int:
-        first = next(iter(self.users.values()))
-        return len(first.topic_distribution)
 
     def hour_of(self, timestamp):
         """Hour of day of a timestamp, or of each in an array."""
@@ -637,30 +667,19 @@ class DistributionReport:
 
 def degree_stats(dataset: Dataset) -> DistributionReport:
     """Histograms of follower / friend / tweet counts plus their correlation."""
-    if dataset.n_users == 0:
+    n = dataset.n_users
+    if n == 0:
         raise ValidationError("empty dataset")
-    followers = []
-    friends = []
-    for uid in sorted(dataset.users):
-        followers.append(len(dataset.graph.followers(uid)))
-        friends.append(len(dataset.graph.friends(uid)))
-    tweet_counts = np.bincount(dataset.author_index, minlength=dataset.n_users).tolist()
-
-    def hist(values):
-        h: dict[int, int] = {}
-        for v in values:
-            h[v] = h.get(v, 0) + 1
-        return h
-
-    fol = np.asarray(followers, dtype=float)
-    fri = np.asarray(friends, dtype=float)
+    followers = np.bincount(dataset.graph.dst, minlength=n)
+    friends = np.bincount(dataset.graph.src, minlength=n)
+    tweet_counts = np.bincount(dataset.author_index, minlength=n)
     corr: Optional[float] = None
-    if len(fol) >= 2 and fol.std() > 0 and fri.std() > 0:
-        corr = float(np.corrcoef(fol, fri)[0, 1])
+    if n >= 2 and followers.std() > 0 and friends.std() > 0:
+        corr = float(np.corrcoef(followers, friends)[0, 1])
     return DistributionReport(
-        follower_hist=hist(followers),
-        friend_hist=hist(friends),
-        tweet_hist=hist(tweet_counts),
+        follower_hist=dict(Counter(followers.tolist())),
+        friend_hist=dict(Counter(friends.tolist())),
+        tweet_hist=dict(Counter(tweet_counts.tolist())),
         follower_friend_corr=corr,
     )
 

@@ -67,9 +67,6 @@ class RankVector:
         idx = np.lexsort((np.array(self.user_ids), -self.scores))
         return [self.user_ids[i] for i in idx]
 
-    def ranks(self) -> dict[str, int]:
-        return {u: i + 1 for i, u in enumerate(self.order())}
-
 
 def _edge_weights_all_hours(
     ctx: FeatureContext,
@@ -293,7 +290,7 @@ def tunkrank(
 ) -> RankVector:
     """Fixed point of Influence(X) = sum over followers Y of
     (1 + p * Influence(Y)) / |Friends(Y)|."""
-    user_ids, _, _, a = tunkrank_matrix(dataset, p)
+    user_ids, a = tunkrank_matrix(dataset, p)
     a = a.tocsr()
     influence = np.zeros(len(user_ids))
     for _ in range(max_iters):
@@ -311,25 +308,20 @@ def tunkrank(
     raise ConvergenceError("tunkrank did not converge", residual)
 
 
-def tunkrank_matrix(
-    dataset: Dataset, p: float
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, sparse.csc_matrix]:
-    """Sorted user ids, the follower and friend index of every edge, and the
-    follower -> friend matrix A with 1/|Friends(u)| on each friend in column
-    u. Rejects p outside [0, 1], and p = 1 when it has no fixed point."""
+def tunkrank_matrix(dataset: Dataset, p: float) -> tuple[tuple[str, ...], sparse.csc_matrix]:
+    """Sorted user ids and the follower -> friend matrix A with
+    1/|Friends(u)| on each friend in column u. Rejects p outside [0, 1], and
+    p = 1 when it has no fixed point."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    user_ids = tuple(sorted(dataset.users))
-    index = {u: i for i, u in enumerate(user_ids)}
+    user_ids = tuple(dataset.user_ids.tolist())
     n = len(user_ids)
-    edges = list(dataset.graph.edges())
-    src = np.array([index[u] for u, _ in edges], dtype=int)
-    dst = np.array([index[v] for _, v in edges], dtype=int)
+    src, dst = dataset.graph.src, dataset.graph.dst
     if p == 1.0:
         check_tunkrank_fixed_point(src, dst, n)
     deg = np.bincount(src, minlength=n)
     a = sparse.csc_matrix((1.0 / deg[src], (dst, src)), shape=(n, n))
-    return user_ids, src, dst, a
+    return user_ids, a
 
 
 def check_tunkrank_fixed_point(follower: np.ndarray, friend: np.ndarray, n: int) -> None:
@@ -391,7 +383,6 @@ def twitterrank(
     gamma: float = DEFAULT_GAMMA,
     mode: str = "global",
     user: Optional[str] = None,
-    topic: Optional[int] = None,
     ctx: Optional[FeatureContext] = None,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
@@ -407,10 +398,6 @@ def twitterrank(
         power_iterate(m, ctx.user_ids, tol=tol, max_iters=max_iters, model="twitterrank")
         for m in twitterrank_matrices(dataset, gamma, ctx)
     ]
-    if topic is not None:
-        rv = per_topic[topic]
-        rv.params.update({"gamma": gamma, "topic": topic})
-        return rv
     if mode == "global":
         mass = ctx.tweet_counts if ctx.tweet_counts.sum() > 0 else np.ones(len(ctx.user_ids))
         shares = mass @ ctx.topics

@@ -262,9 +262,7 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
     ctx = FeatureContext(base)
 
     if config.close_low_follower_bias > 0:
-        in_deg_v = np.array(
-            [len(base.graph.followers(v)) for _, v in ctx.edges], dtype=float
-        )
+        in_deg_v = np.bincount(ctx.edge_dst, minlength=n)[ctx.edge_dst].astype(float)
         w = in_deg_v ** (-config.close_low_follower_bias)
         p_close = np.minimum(1.0, config.close_fraction * w / w.mean())
     else:

@@ -291,8 +291,11 @@ def response_metrics(dataset: Dataset) -> tuple[list[ResponseMetric], int]:
     rows, bounds = dataset.author_groups
     timeline = tweets.ts[rows].tolist()
     lo = bounds.tolist()
-    index = {uid: i for i, uid in enumerate(dataset.user_ids.tolist())}
-    friends = [[index[f] for f in dataset.graph.friends(uid)] for uid in index]
+    # every user's friend indices: user i's run of the graph's dst
+    graph = dataset.graph
+    first = np.searchsorted(graph.src, np.arange(len(dataset.user_ids) + 1)).tolist()
+    dst = graph.dst.tolist()
+    friends = [dst[a:b] for a, b in zip(first[:-1], first[1:])]
     ids, kinds, stamps = tweets.tweet_id.tolist(), tweets.kind.tolist(), tweets.ts.tolist()
     authors = dataset.author_index.tolist()
     metrics: list[ResponseMetric] = []

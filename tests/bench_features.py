@@ -3,7 +3,9 @@
 --users 1000 --seed 3``, ``ingest`` and ``features`` write it: the
 ``instances.csv`` and ``instances.npz`` write, the same CSV written one value
 at a time (the oracle), and ``load_instances_csv`` reading the npz and
-parsing the CSV.
+parsing the CSV. One more case builds a ``FeatureContext`` on the seed-3
+2,000-user dataset (3,807 edges), each round on a freshly built graph and
+dataset, as a stage that has just loaded them does.
 
 The file name keeps it out of the default test run. Run it with
 
@@ -11,31 +13,44 @@ The file name keeps it out of the default test run. Run it with
 
 (pytest-benchmark prints min/mean/median per case; add
 ``--benchmark-json FILE`` to keep the figures). Set-up runs ``synth``,
-``ingest`` and ``features`` once, in about 7 s.
+``ingest`` and ``features`` once, in about 7 s, and ``synth`` and ``ingest``
+at 2,000 users once more.
 """
 
 import pytest
 from click.testing import CliRunner
 
 from influxrank import cli
-from influxrank.features import build_instances
-from influxrank.model import load_dataset
+from influxrank.features import FeatureContext, build_instances
+from influxrank.model import Dataset, FollowGraph, load_dataset
 
 from oracles import write_instances_loop
 
 N_INSTANCES = 127_594
+N_EDGES_2K = 3_807
+
+
+def _run(*commands):
+    for args in commands:
+        res = CliRunner().invoke(cli.main, [str(a) for a in args])
+        assert res.exit_code == 0, res.output
 
 
 @pytest.fixture(scope="module")
 def root(tmp_path_factory):
     root = tmp_path_factory.mktemp("bench_features")
-    for args in (["synth", "--users", "1000", "--seed", "3", "--out", root / "raw"],
-                 ["ingest", "--in", root / "raw", "--out", root / "data"],
-                 ["features", "--in", root / "data", "--seed", "3",
-                  "--out", root / "features"]):
-        res = CliRunner().invoke(cli.main, [str(a) for a in args])
-        assert res.exit_code == 0, res.output
+    _run(["synth", "--users", "1000", "--seed", "3", "--out", root / "raw"],
+         ["ingest", "--in", root / "raw", "--out", root / "data"],
+         ["features", "--in", root / "data", "--seed", "3", "--out", root / "features"])
     return root
+
+
+@pytest.fixture(scope="module")
+def dataset_2k(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bench_context")
+    _run(["synth", "--users", "2000", "--seed", "3", "--out", root / "raw"],
+         ["ingest", "--in", root / "raw", "--out", root / "data"])
+    return load_dataset(root / "data")
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +80,13 @@ def test_load_instances_npz(benchmark, root):
 def test_load_instances_csv_parse(benchmark, root):
     path = root / "features" / "instances.csv"
     assert len(benchmark(cli._parse_instances_csv, path)) == N_INSTANCES
+
+
+def test_feature_context(benchmark, dataset_2k):
+    def fresh():
+        ds = dataset_2k
+        graph = FollowGraph(ds.users, ds.graph.edges())
+        return (Dataset(ds.users, graph, ds.tweets, ds.observation_window),), {}
+
+    ctx = benchmark.pedantic(FeatureContext, setup=fresh, rounds=20)
+    assert len(ctx.edges) == N_EDGES_2K

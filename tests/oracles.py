@@ -12,9 +12,12 @@ value-at-a-time ``instances.csv`` writer that ``cli.write_instances``
 replaced, and ``stratified_folds_loop`` the id-tuple sort that the integer
 keys of ``logistic._stratified_folds`` replaced. ``ksc_distance`` is the K-SC
 shape distance of one pair, from its definition. ``dense`` and
-``planted_instances`` serve only tests. The link-removal oracles score one
-removed link at a time from a scorer's factorisations
-(``solve_with_column_loop`` is the single-column solve that
+``planted_instances`` serve only tests. The follow-graph loops (friend
+tweet totals, close friends, reciprocity, degree counts, edge rows) walk
+``graph.friends``/``followers``/``has_edge``/``edges()`` user by user: the
+forms that the array code over ``FollowGraph.src``/``dst`` replaced. The
+link-removal oracles score one removed link at a time from a scorer's
+factorisations (``solve_with_column_loop`` is the single-column solve that
 ``ColumnUpdateSolver.solve_with_columns`` replaced), draw candidates with a
 sort of the ids (``sample_candidates_loop``) and count Q from the score
 dictionary (``q_score_dict``); ``run_scenarios_loop`` is the protocol built
@@ -76,11 +79,50 @@ def ts_uv(ctx: FeatureContext, u: str, v: str) -> float:
     return topic_similarity(ctx.topics[ctx.index[u]], ctx.topics[ctx.index[v]])
 
 
+def friend_tweet_total_loop(ctx: FeatureContext, u: str) -> float:
+    """The tweets of all of u's friends, summed friend by friend."""
+    return sum(ctx.tweet_counts[ctx.index[f]] for f in ctx.dataset.graph.friends(u))
+
+
 def pt(ctx: FeatureContext, u: str, v: str) -> float:
     """Feature pt_uv: v's share of all tweets by u's friends."""
-    total = ctx.friend_tweet_total[ctx.index[u]]
+    total = friend_tweet_total_loop(ctx, u)
     tv = ctx.tweet_counts[ctx.index[v]]
     return float(tv / total) if total > 0 else 0.0
+
+
+def close_friends_loop(dataset: Dataset) -> dict[str, set[str]]:
+    """u -> the friends u retweeted or replied to."""
+    close: dict[str, set[str]] = {u: set() for u in dataset.users}
+    for tw in dataset.tweets:
+        if tw.is_response and tw.responds_to_user in dataset.users:
+            if dataset.graph.has_edge(tw.author, tw.responds_to_user):
+                close[tw.author].add(tw.responds_to_user)
+    return close
+
+
+def edge_close_loop(dataset: Dataset) -> np.ndarray:
+    """Per edge of ``graph.edges()``: is the friend a close friend."""
+    close = close_friends_loop(dataset)
+    return np.array([v in close[u] for u, v in dataset.graph.edges()], dtype=bool)
+
+
+def reciprocal_loop(dataset: Dataset) -> np.ndarray:
+    """Per edge (u, v) of ``graph.edges()``: does v follow u back."""
+    return np.array([dataset.graph.has_edge(v, u) for u, v in dataset.graph.edges()],
+                    dtype=bool)
+
+
+def degree_counts_loop(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's friend count and follower count, in user-id order."""
+    users = sorted(dataset.users)
+    return (np.array([len(dataset.graph.friends(u)) for u in users], dtype=int),
+            np.array([len(dataset.graph.followers(u)) for u in users], dtype=int))
+
+
+def edge_rows_loop(dataset: Dataset) -> dict[tuple[str, str], int]:
+    """Each edge's row in ``graph.edges()`` order."""
+    return {e: i for i, e in enumerate(dataset.graph.edges())}
 
 
 @dataclass(frozen=True)
@@ -120,7 +162,7 @@ def extract(
         float(ctx.vr[iv]),
         float(ctx.rr[iv]),
         float(ctx.rr[iu]),
-        1.0 if v in ctx.close_friends[u] else 0.0,
+        1.0 if v in close_friends_loop(dataset)[u] else 0.0,
         pt(ctx, u, v),
         float(ctx.n_t[iv, t]),
         float(a_u),
@@ -276,11 +318,12 @@ def build_instances_loop(dataset: Dataset, ctx: FeatureContext) -> InstanceSet:
         for tw in dataset.tweets
         if tw.is_response and tw.responds_to_tweet
     }
+    edge_rows = edge_rows_loop(dataset)
     rows, hours, keys, labels = [], [], [], []
     for tw in dataset.tweets:
         v, hour = tw.author, dataset.hour_of(tw.timestamp)
         for u in dataset.graph.followers(v):
-            rows.append(ctx.edge_index[(u, v)])
+            rows.append(edge_rows[(u, v)])
             hours.append(hour)
             keys.append((tw.tweet_id, u, v, hour))
             labels.append(1 if (tw.tweet_id, u) in responded else 0)

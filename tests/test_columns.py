@@ -34,6 +34,7 @@ from influxrank.temporal import all_profiles, global_activity, response_metrics
 from conftest import make_dataset, make_user
 from oracles import (
     build_instances_loop,
+    edge_close_loop,
     global_activity_loop,
     hourly_profile_loop,
     instance_id_keys,
@@ -145,12 +146,7 @@ def assert_matches_oracles(dataset: model.Dataset) -> None:
     assert response_metrics(dataset) == response_metrics_loop(dataset)
 
     ctx = FeatureContext(dataset)
-    close = {u: set() for u in ctx.user_ids}
-    for tw in dataset.tweets:
-        if tw.is_response and tw.responds_to_user in dataset.users:
-            if dataset.graph.has_edge(tw.author, tw.responds_to_user):
-                close[tw.author].add(tw.responds_to_user)
-    assert ctx.close_friends == close
+    assert np.array_equal(ctx.edge_close, edge_close_loop(dataset))
     counts = {u: 0 for u in ctx.user_ids}
     for tw in dataset.tweets:
         counts[tw.author] += 1

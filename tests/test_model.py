@@ -5,6 +5,7 @@ import pytest
 
 from influxrank.model import (
     Dataset,
+    FollowGraph,
     ParseError,
     Tweet,
     ValidationError,
@@ -160,6 +161,15 @@ def test_follower_adjacency_is_transpose(small_synth):
         via_friends = {u for u in g.vertices if v in g.friends(u)}
         assert direct == via_friends
     assert sum(len(g.followers(v)) for v in g.vertices) == g.n_edges
+
+
+@pytest.mark.parametrize("vertices, odd", [(["b", "a", "c"], "c"), (["a"], "b")],
+                         ids=["extra_vertex", "missing_vertex"])
+def test_graph_vertices_must_be_the_users(vertices, odd):
+    users = {u: make_user(u) for u in "ab"}
+    graph = FollowGraph(vertices, [("a", v) for v in vertices if v != "a"])
+    with pytest.raises(ValidationError, match=f"graph vertices are not the users.*'{odd}'"):
+        Dataset(users, graph, [], (0, 1))
 
 
 def test_hour_and_weekday_binning():
