@@ -309,10 +309,8 @@ def features_cmd(in_dir, out, seed):
 INSTANCE_HEADER = ["tweet_id", "follower", "friend", "hour", *features.FEATURE_NAMES, "label"]
 # ids made of these characters alone are printed as they are by csv.writer
 _PLAIN_FIELD = re.compile(r"[\w.-]+", re.ASCII)
-# instance rows per pass: bounds the text and the row copies held at once
+# instance rows per pass: bounds the text held at once
 _BLOCK_ROWS = 1 << 12
-# odd 64-bit multiplier (2^64 / golden ratio) of the row hash
-_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _csv_fields(values: list[str]) -> list[str]:
@@ -335,47 +333,17 @@ def _csv_fields(values: list[str]) -> list[str]:
     return out
 
 
-def _equal_row_groups(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, group): a row of each group and the group of each row, where
-    a group holds rows with equal bits, so equal text; -0.0 and each NaN
-    keep their own.
-
-    Rows are sorted by a hash of their bits and a group starts wherever a
-    row differs from the one before it. A group so never holds unequal
-    rows; a hash collision can only split equal rows into two groups, which
-    print alike. Unlike np.unique over the rows, this makes no sorted copy
-    of the matrix.
-    """
-    bits = x.view(np.uint64)
-    h = np.zeros(len(x), dtype=np.uint64)
-    for column in bits.T:
-        h ^= column
-        h *= _HASH_MULTIPLIER
-        h ^= h >> np.uint64(29)
-    order = np.argsort(h, kind="stable")
-    starts = np.ones(len(x), dtype=bool)
-    for lo in range(1, len(x), _BLOCK_ROWS):
-        rows = order[lo : lo + _BLOCK_ROWS]
-        before = order[lo - 1 : lo - 1 + len(rows)]
-        starts[lo : lo + len(rows)] = (bits[rows] != bits[before]).any(axis=1)
-    group = np.empty(len(x), dtype=np.intp)
-    group[order] = np.cumsum(starts) - 1
-    return order[starts], group
-
-
 def write_instances(session: ArtifactSession, instances: features.InstanceSet) -> None:
     """Write instances.csv, with the bytes write_csv would give it, and
     instances.npz: the columns that parsing that CSV gives, and its sha256.
 
-    Every feature is a function of (edge, hour), so rows repeat: each
-    distinct value is formatted once, each distinct row joined once, and
-    each id encoded once.
+    Each distinct value is formatted once, each feature row joined once,
+    and each id encoded once.
     """
-    x = np.ascontiguousarray(instances.features, dtype=float)
-    first, row_of = _equal_row_groups(x)
+    rows = np.ascontiguousarray(instances.rows, dtype=float)
     # values are told apart by their bits, as rows are
-    bits, value_of = np.unique(x[first].view(np.int64).ravel(), return_inverse=True)
-    value_of = value_of.reshape(len(first), x.shape[1])
+    bits, value_of = np.unique(rows.view(np.int64).ravel(), return_inverse=True)
+    value_of = value_of.reshape(rows.shape)
     text = np.array([FLOAT_FMT.format(v) for v in bits.view(float).tolist()], dtype=object)
     fragments = [",".join(row) for row in text[value_of].tolist()]
     tweets = _csv_fields(instances.tweet_ids.tolist())
@@ -390,29 +358,37 @@ def write_instances(session: ArtifactSession, instances: features.InstanceSet) -
             t, u, v, h = instances.keys[block].T.tolist()
             fh.write("".join([
                 f"{tweets[a]},{users[b]},{users[c]},{d},{fragments[r]},{y}\r\n"
-                for a, b, c, d, r, y in zip(t, u, v, h, row_of[block].tolist(),
+                for a, b, c, d, r, y in zip(t, u, v, h, instances.row_of[block].tolist(),
                                             labels[block].tolist())
             ]))
     np.savez(
         session.path(csv_path.with_suffix(".npz").name),
         sha256_csv=np.array(model.sha256_file(csv_path)),
         keys=instances.keys,
-        # the features as parsing the CSV gives them back, stored as the
-        # distinct rows and each instance's row
+        # the rows as parsing the CSV gives them back, and each instance's row
         feature_rows=np.array([float(t) for t in text.tolist()], dtype=float)[value_of],
-        feature_row_of=row_of,
+        feature_row_of=instances.row_of,
         labels=labels,
         tweet_ids=instances.tweet_ids,
         user_ids=instances.user_ids,
     )
 
 
-def _instance_set(keys, values, labels, tweet_ids, user_ids) -> features.InstanceSet:
-    """The InstanceSet of parsed or cached columns, checked for shape."""
+def _instance_set(keys, x, row_of, labels, tweet_ids, user_ids) -> features.InstanceSet:
+    """The InstanceSet of parsed or cached columns, where instance i has the
+    features x[row_of[i]]: checked for shape and for row indices in range,
+    and with x grouped by bits. The same instances so give the same rows,
+    in the same order, whether they were parsed or cached."""
     n = len(labels)
-    if keys.shape != (n, 4) or values.shape != (n, len(features.FEATURE_NAMES)):
-        raise ValueError(f"instance columns of shapes {keys.shape}, {values.shape}, ({n},)")
-    return features.InstanceSet(keys=keys, features=values, labels=labels,
+    if (keys.shape != (n, 4) or x.ndim != 2 or x.shape[1] != len(features.FEATURE_NAMES)
+            or row_of.shape != (n,)):
+        raise ValueError(f"instance columns of shapes {keys.shape}, {x.shape}, "
+                         f"{row_of.shape}, ({n},)")
+    if not np.issubdtype(row_of.dtype, np.integer) or (
+            n and not 0 <= row_of.min() <= row_of.max() < len(x)):
+        raise ValueError(f"feature row indices are not integers in [0, {len(x)})")
+    first, group = features.equal_row_groups(x)
+    return features.InstanceSet(keys=keys, rows=x[first], row_of=group[row_of], labels=labels,
                                 tweet_ids=tweet_ids, user_ids=user_ids)
 
 
@@ -450,6 +426,7 @@ def _parse_instances_csv(path: Path) -> features.InstanceSet:
         np.column_stack([tweet_code, user_code[:n], user_code[n:],
                          np.frombuffer(hours, dtype=np.int64)]).astype(np.int64),
         np.frombuffer(values, dtype=float).reshape(n, n_feat),
+        np.arange(n),
         np.frombuffer(labels, dtype=np.int64).astype(int),
         tweet_ids,
         user_ids,
@@ -464,7 +441,7 @@ def _read_instances_npz(path: Path) -> Optional[features.InstanceSet]:
         with np.load(path.with_suffix(".npz"), allow_pickle=False) as npz:
             if str(npz["sha256_csv"]) != model.sha256_file(path):
                 return None
-            return _instance_set(npz["keys"], npz["feature_rows"][npz["feature_row_of"]],
+            return _instance_set(npz["keys"], npz["feature_rows"], npz["feature_row_of"],
                                  npz["labels"], npz["tweet_ids"], npz["user_ids"])
     except (OSError, ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile):
         return None
@@ -499,22 +476,27 @@ def train_cmd(instances, out, folds, seed, lr, epochs):
         inst = load_instances_csv(instances)
         sub = stage_seed(seed, "train")
         balanced, scaler = features.balance_and_normalize(inst, seed=sub)
+        # fits run on the distinct feature rows, weighted by instance counts
+        x, y = balanced.rows, balanced.labels.astype(float)
         per_fold, mean_acc = logistic.cross_validate(
-            balanced.features,
-            balanced.labels.astype(float),
+            x,
+            y,
             folds=folds,
             seed=sub,
             learning_rate=lr,
             epochs=epochs,
             keys=balanced.keys,
+            row_of=balanced.row_of,
         )
+        counts, positives = logistic.grouped_counts(balanced.row_of, y, len(x))
         fitted = logistic.train(
-            balanced.features,
-            balanced.labels.astype(float),
+            x,
+            positives,
             learning_rate=lr,
             epochs=epochs,
             seed=sub,
             scaler=scaler,
+            counts=counts,
         )
         fitted.metadata.update({"folds": folds, "cv_mean_accuracy": mean_acc})
         fitted.save(session.path("model.json"))

@@ -152,6 +152,53 @@ class FeatureContext:
         return x
 
 
+# odd 64-bit multiplier (2^64 / golden ratio) of the row hash
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+# rows compared per pass: bounds the row copies held at once
+_BLOCK_ROWS = 1 << 12
+
+
+def _group_starts(bits: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Whether each row of ``bits[order]`` differs from the row before it
+    (the first always does)."""
+    starts = np.ones(len(order), dtype=bool)
+    for lo in range(1, len(order), _BLOCK_ROWS):
+        rows = order[lo : lo + _BLOCK_ROWS]
+        before = order[lo - 1 : lo - 1 + len(rows)]
+        starts[lo : lo + len(rows)] = (bits[rows] != bits[before]).any(axis=1)
+    return starts
+
+
+def equal_row_groups(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, group): a row of each group and the group of each row of the
+    float matrix x, where a group holds the rows with equal bits; -0.0 and
+    each NaN keep their own.
+
+    Groups are numbered in the order of a hash of their bits and then of
+    the bits themselves, so the numbering depends only on which rows occur:
+    any matrix that holds the same distinct rows gives the same rows
+    ``x[first]`` in the same order. Rows are sorted by the hash alone unless
+    two unequal rows share one. Unlike np.unique over the rows, this makes
+    no sorted copy of the matrix.
+    """
+    bits = np.ascontiguousarray(x, dtype=float).view(np.uint64)
+    h = np.zeros(len(bits), dtype=np.uint64)
+    for column in bits.T:
+        h ^= column
+        h *= _HASH_MULTIPLIER
+        h ^= h >> np.uint64(29)
+    order = np.argsort(h, kind="stable")
+    starts = _group_starts(bits, order)
+    if (starts[1:] & (h[order[1:]] == h[order[:-1]])).any():
+        # unequal rows share a hash: sort by the bits as well, so that equal
+        # rows are neighbours and the groups come in (hash, bits) order
+        order = np.lexsort(np.vstack([bits.T[::-1], h]))
+        starts = _group_starts(bits, order)
+    group = np.empty(len(bits), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return order[starts], group
+
+
 @dataclass
 class InstanceSet:
     """Columnar store of labeled (tweet, follower) response instances.
@@ -160,16 +207,27 @@ class InstanceSet:
     the tweet column indexes ``tweet_ids`` and the follower and friend
     columns index ``user_ids``. Both tables are sorted, so key rows sort in
     the order of the id tuples they stand for.
+
+    Features are a function of (edge, hour), so they repeat: ``rows`` holds
+    feature rows and ``row_of`` the row of each instance, and every row is
+    some instance's. Built or loaded, the rows are distinct and in the order
+    of ``equal_row_groups``.
     """
 
     keys: np.ndarray  # (n, 4) int64: (tweet, follower, friend, hour)
-    features: np.ndarray  # (n, 12), raw or normalized
+    rows: np.ndarray  # (R, 12), raw or normalized
+    row_of: np.ndarray  # (n,) int: index into rows
     labels: np.ndarray  # (n,) in {0, 1}
     tweet_ids: np.ndarray  # str, sorted
     user_ids: np.ndarray  # str, sorted
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    @property
+    def features(self) -> np.ndarray:
+        """(n, 12) features of each instance: a new array."""
+        return self.rows[self.row_of]
 
     @property
     def positive_count(self) -> int:
@@ -212,24 +270,46 @@ def build_instances(
     # (tweet_id, follower) order
     tweets, edges = follower_pairs(dataset, ctx, dataset.id_order)
     followers, friends = ctx.edge_src[edges], ctx.edge_dst[edges]
-    hours = dataset.hour_of(dataset.tweets.ts[tweets])
     n = len(ctx.user_ids)
     responses = (dataset.tweets.kind != ORIGINAL) & (dataset.target_tweet >= 0)
     responded = dataset.target_tweet[responses] * n + dataset.author_index[responses]
+    labels = np.isin(tweets * n + followers, responded).astype(int)
     # key codes index only the tweets and users that occur; the pairs come in
     # tweet-id order, so a tweet's code follows its position in id_order
     position = np.empty(len(dataset.tweets), dtype=np.intp)
     position[dataset.id_order] = np.arange(len(dataset.tweets))
-    used_tweets, tweet_code = np.unique(position[tweets], return_inverse=True)
-    used_users, user_code = np.unique(np.concatenate([followers, friends]), return_inverse=True)
+    tweet_position = position[tweets]
+    used_tweets, tweet_code = _used_codes(len(dataset.tweets), tweet_position)
+    used_users, user_code = _used_codes(n, followers, friends)
+    hours = dataset.hour_of(dataset.tweets.ts[tweets])
+    keys = np.empty((len(tweets), 4), dtype=np.int64)
+    keys[:, 0] = tweet_code[tweet_position]
+    keys[:, 1] = user_code[followers]
+    keys[:, 2] = user_code[friends]
+    keys[:, 3] = hours
+    # features once per distinct (edge, hour), then grouped by their bits
+    edge_hour = edges * 24 + hours
+    codes, code = _used_codes(len(ctx.edges) * 24, edge_hour)
+    x = ctx.edge_features(codes // 24, codes % 24)
+    first, group = equal_row_groups(x)
     return InstanceSet(
-        keys=np.column_stack([tweet_code, user_code[: len(edges)], user_code[len(edges):],
-                              hours]).astype(np.int64),
-        features=ctx.edge_features(edges, hours),
-        labels=np.isin(tweets * n + followers, responded).astype(int),
+        keys=keys,
+        rows=x[first],
+        row_of=group[code[edge_hour]],
+        labels=labels,
         tweet_ids=dataset.tweets.tweet_id[dataset.id_order[used_tweets]],
         user_ids=dataset.user_ids[used_users],
     )
+
+
+def _used_codes(size: int, *values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(used, code): the distinct ints in ``values``, each in [0, size),
+    in order, and for each int in [0, size) its index among them. As
+    np.unique with return_inverse, by a mask instead of a sort."""
+    mask = np.zeros(size, dtype=bool)
+    for v in values:
+        mask[v] = True
+    return np.flatnonzero(mask), np.cumsum(mask) - 1
 
 
 @dataclass
@@ -272,7 +352,8 @@ def balance_and_normalize(
     """Keep all positives, subsample an equal number of negatives, then fit
     a per-feature min-max scaler on the balanced set.
 
-    Unseen data run through the scaler is clamped to [0, 1].
+    The balanced set holds only the rows its instances use, scaled. Unseen
+    data run through the scaler is clamped to [0, 1].
     """
     pos_idx = np.flatnonzero(instances.labels == 1)
     neg_idx = np.flatnonzero(instances.labels == 0)
@@ -285,10 +366,14 @@ def balance_and_normalize(
     if len(pos_idx) > n_keep:
         pos_idx = rng.choice(pos_idx, size=n_keep, replace=False)
     keep = np.sort(np.concatenate([pos_idx, neg_idx]))
-    x = instances.features[keep]
+    # only the rows that kept instances use: min and max over them are min
+    # and max over the kept instances
+    kept_rows = instances.row_of[keep]
+    used, code = _used_codes(len(instances.rows), kept_rows)
+    x = instances.rows[used]
     scaler = MinMaxScaler(mins=x.min(axis=0), maxs=x.max(axis=0))
     return (
-        replace(instances, keys=instances.keys[keep], features=scaler.transform(x),
-                labels=instances.labels[keep]),
+        replace(instances, keys=instances.keys[keep], rows=scaler.transform(x),
+                row_of=code[kept_rows], labels=instances.labels[keep]),
         scaler,
     )

@@ -30,10 +30,16 @@ def response_probability(w0: float, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return probability_of_score(w0 + np.atleast_2d(x) @ np.asarray(w, float))
 
 
-def log_loss(w0: float, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+def log_loss(
+    w0: float, w: np.ndarray, x: np.ndarray, y: np.ndarray,
+    counts: Optional[np.ndarray] = None,
+) -> float:
+    """Mean log loss of labels y at rows x; with ``counts``, row r stands
+    for counts[r] instances, y[r] of them positive."""
     p = np.clip(response_probability(w0, w, x), 1e-12, 1.0 - 1e-12)
     y = np.asarray(y, float)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    counts = np.ones(len(y)) if counts is None else counts
+    return float(-np.sum(y * np.log(p) + (counts - y) * np.log(1.0 - p)) / counts.sum())
 
 
 def log_loss_gradient(
@@ -47,6 +53,30 @@ def log_loss_gradient(
     p = response_probability(w0, w, x)
     err = np.asarray(y, float) - p
     return float(err.mean()), (err @ x) / len(x)
+
+
+def grouped_log_loss_gradient(
+    w0: float, w: np.ndarray, x: np.ndarray, positives: np.ndarray, counts: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """log_loss_gradient of the instances that row r of x stands for:
+    counts[r] of them, positives[r] labelled 1.
+
+    With n_r = counts[r], n1_r = positives[r] and N instances in all, this
+    is the grouped binomial gradient sum_r x_r (n1_r - n_r p_r) / N.
+    """
+    x = np.atleast_2d(x)
+    err = positives - counts * response_probability(w0, w, x)
+    n = counts.sum()
+    return float(err.sum() / n), (err @ x) / n
+
+
+def grouped_counts(
+    row_of: np.ndarray, y: np.ndarray, n_rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, positives): for each of n_rows rows, how many instances of
+    ``row_of`` use it and how many of those have label 1 in y."""
+    return (np.bincount(row_of, minlength=n_rows).astype(float),
+            np.bincount(row_of, weights=y, minlength=n_rows))
 
 
 @dataclass
@@ -103,20 +133,30 @@ def train(
     seed: int = 0,
     l2: float = 0.0,
     scaler: Optional[MinMaxScaler] = None,
+    counts: Optional[np.ndarray] = None,
 ) -> LogisticModel:
     """Full-batch gradient descent on the log loss; deterministic given inputs.
 
-    Weights start at zero, so the seed only flows into metadata. L2 is off by
-    default.
+    y holds one 0/1 label per row of x. With ``counts``, row r of x stands
+    for counts[r] instances instead, y[r] of them positive: the same loss
+    over fewer rows. Without, every count is 1, and the grouped gradient
+    equals log_loss_gradient bit for bit. Weights start at zero, so the
+    seed only flows into metadata. L2 is off by default.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if set(np.unique(y)) - {0.0, 1.0}:
-        raise ValueError("labels must be 0/1")
+    counts = np.ones(len(y)) if counts is None else np.asarray(counts, dtype=float)
+    if not (counts.shape == y.shape and (y >= 0).all() and (y <= counts).all()
+            and (y == np.round(y)).all() and (counts == np.round(counts)).all()):
+        raise ValueError("labels must be 0/1, or whole positives in [0, counts]")
+    used = counts > 0
+    if not used.all():
+        # rows that no instance uses add nothing
+        x, y, counts = x[used], y[used], counts[used]
     w0 = 0.0
     w = np.zeros(x.shape[1])
     for epoch in range(epochs):
-        g0, g = log_loss_gradient(w0, w, x, y)
+        g0, g = grouped_log_loss_gradient(w0, w, x, y, counts)
         if l2 > 0:
             g = g + l2 * w
         w0 -= learning_rate * g0
@@ -126,7 +166,7 @@ def train(
         if not (np.isfinite(g0) and np.isfinite(g).all()
                 and np.isfinite(w0) and np.isfinite(w).all()):
             raise TrainingError(f"non-finite gradient or weights at epoch {epoch}")
-    final_loss = log_loss(w0, w, x, y)
+    final_loss = log_loss(w0, w, x, y, counts)
     if not np.isfinite(final_loss):
         raise TrainingError("non-finite final loss")
     return LogisticModel(
@@ -176,22 +216,33 @@ def cross_validate(
     learning_rate: float = 0.1,
     epochs: int = 500,
     keys: Optional[np.ndarray] = None,
+    row_of: Optional[np.ndarray] = None,
 ) -> tuple[list[float], float]:
-    """Stratified k-fold accuracy at threshold 0.5."""
+    """Stratified k-fold accuracy at threshold 0.5.
+
+    y holds one label per instance. With ``row_of``, instance i has the
+    features x[row_of[i]], and each fold trains on the counts of its own
+    instances per row of x; without, instance i is row i.
+    """
     if folds < 2:
         raise ValueError("folds must be >= 2")
     x = np.asarray(x, float)
     y = np.asarray(y, float)
+    row_of = np.arange(len(y)) if row_of is None else row_of
     assignment = _stratified_folds(y, folds, seed, keys)
+    # every fold is checked before the first fit
+    for f in range(folds):
+        test = assignment == f
+        for name, mask in (("train", ~test), ("test", test)):
+            if len(np.unique(y[mask])) < 2:
+                raise ValueError(f"fold {f}: {name} split lacks both classes")
     accuracies = []
     for f in range(folds):
         test = assignment == f
         train_mask = ~test
-        for name, mask in (("train", train_mask), ("test", test)):
-            if len(np.unique(y[mask])) < 2:
-                raise ValueError(f"fold {f}: {name} split lacks both classes")
-        model = train(x[train_mask], y[train_mask], learning_rate, epochs, seed)
-        pred = (model.predict(x[test]) >= 0.5).astype(float)
+        counts, positives = grouped_counts(row_of[train_mask], y[train_mask], len(x))
+        model = train(x, positives, learning_rate, epochs, seed, counts=counts)
+        pred = (model.predict(x)[row_of[test]] >= 0.5).astype(float)
         accuracies.append(float((pred == y[test]).mean()))
     return accuracies, float(np.mean(accuracies))
 

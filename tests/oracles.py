@@ -42,8 +42,14 @@ from influxrank.evaluation import (
     _sub_seed,
     build_link_sets,
 )
-from influxrank.features import FEATURE_NAMES, RE_INDEX, FeatureContext, InstanceSet
-from influxrank.logistic import LogisticModel
+from influxrank.features import (
+    FEATURE_NAMES,
+    RE_INDEX,
+    FeatureContext,
+    InstanceSet,
+    equal_row_groups,
+)
+from influxrank.logistic import LogisticModel, _stratified_folds, train
 from influxrank.model import SECONDS_PER_DAY, Dataset
 from influxrank.ranking import (
     RankVector,
@@ -340,7 +346,9 @@ def build_instances_loop(dataset: Dataset, ctx: FeatureContext) -> InstanceSet:
 def instance_set_of_ids(id_keys: list[tuple], features: np.ndarray,
                         labels: np.ndarray) -> InstanceSet:
     """The InstanceSet of (tweet_id, follower, friend, hour) tuples, with its
-    id tables built by sorting the distinct ids."""
+    id tables built by sorting the distinct ids and its feature rows grouped
+    by their bits."""
+    first, row_of = equal_row_groups(features)
     tweet_ids = sorted({k[0] for k in id_keys})
     user_ids = sorted({k[1] for k in id_keys} | {k[2] for k in id_keys})
     tweet_at = {t: i for i, t in enumerate(tweet_ids)}
@@ -348,7 +356,8 @@ def instance_set_of_ids(id_keys: list[tuple], features: np.ndarray,
     return InstanceSet(
         keys=np.array([(tweet_at[t], user_at[u], user_at[v], h) for t, u, v, h in id_keys],
                       dtype=np.int64).reshape(-1, 4),
-        features=features,
+        rows=features[first],
+        row_of=row_of,
         labels=labels,
         tweet_ids=np.array(tweet_ids, dtype=str),
         user_ids=np.array(user_ids, dtype=str),
@@ -387,6 +396,21 @@ def stratified_folds_loop(y: np.ndarray, folds: int, seed: int, keys: list) -> n
         members = members[rng.permutation(len(members))]
         assignment[members] = np.arange(len(members)) % folds
     return assignment
+
+
+def cross_validate_per_row(x: np.ndarray, y: np.ndarray, folds: int = 5, seed: int = 0,
+                           learning_rate: float = 0.1, epochs: int = 500,
+                           keys=None) -> tuple[list[float], float]:
+    """cross_validate with one row of x per instance: each fold fits its
+    training instances' rows and predicts its test instances' rows."""
+    assignment = _stratified_folds(y, folds, seed, keys)
+    accuracies = []
+    for f in range(folds):
+        test = assignment == f
+        model = train(x[~test], y[~test], learning_rate, epochs, seed)
+        pred = (model.predict(x[test]) >= 0.5).astype(float)
+        accuracies.append(float((pred == y[test]).mean()))
+    return accuracies, float(np.mean(accuracies))
 
 
 def ksc_distance(x, c, max_shift: int = 0) -> float:

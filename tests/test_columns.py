@@ -156,7 +156,10 @@ def assert_matches_oracles(dataset: model.Dataset) -> None:
     assert np.array_equal(got.keys, want.keys)
     assert np.array_equal(got.tweet_ids, want.tweet_ids)
     assert np.array_equal(got.user_ids, want.user_ids)
-    assert np.array_equal(got.features, want.features)
+    # bit for bit, and grouped into the same rows as the per-instance oracle
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.rows.tobytes() == want.rows.tobytes()
+    assert np.array_equal(got.row_of, want.row_of)
     assert np.array_equal(got.labels, want.labels)
 
 

@@ -2,10 +2,10 @@
 
 ``cli.write_instances`` must print the bytes of the value-at-a-time writer in
 oracles.py, also for ids that need quoting and for an empty instance set.
-The npz it leaves must hold exactly what parsing the CSV gives, and
-``load_instances_csv`` must fall back to that parse when the npz is missing,
-damaged or older than the CSV. The integer keys must deal folds as the id
-tuples they stand for did.
+The npz it leaves must hold exactly what parsing the CSV gives, grouped
+into the same distinct rows, and ``load_instances_csv`` must fall back to
+that parse when the npz is missing, damaged or older than the CSV. The
+integer keys must deal folds as the id tuples they stand for did.
 """
 
 import tempfile
@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from influxrank import cli
-from influxrank.features import N_FEATURES, build_instances
+from influxrank import cli, features
+from influxrank.features import N_FEATURES, build_instances, equal_row_groups
 from influxrank.logistic import _stratified_folds
 from influxrank.model import Tweet
 
@@ -63,12 +63,19 @@ def datasets(draw):
 
 
 @st.composite
-def instance_sets(draw):
-    """Instances with any feature values; few distinct rows, so rows repeat."""
+def feature_matrices(draw, n):
+    """n feature rows of any values; few distinct rows, so rows repeat."""
     rows = draw(st.lists(st.lists(st.sampled_from(VALUES), min_size=N_FEATURES,
                                   max_size=N_FEATURES), min_size=1, max_size=4))
-    n = draw(st.integers(0, 30))
     picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n))
+    return np.array([rows[i] for i in picks], dtype=float).reshape(n, N_FEATURES)
+
+
+@st.composite
+def instance_sets(draw):
+    """Instances with any feature values, as feature_matrices draws them."""
+    n = draw(st.integers(0, 30))
+    x = draw(feature_matrices(n))
     pairs = draw(st.lists(st.tuples(st.sampled_from(TWEET_POOL), st.sampled_from(USER_POOL),
                                     st.sampled_from(USER_POOL), st.integers(0, 23)),
                           min_size=n, max_size=n, unique_by=lambda k: k[:2]))
@@ -76,17 +83,17 @@ def instance_sets(draw):
     order = sorted(range(n), key=lambda i: pairs[i])
     return instance_set_of_ids(
         [pairs[i] for i in order],
-        np.array([rows[picks[i]] for i in order], dtype=float).reshape(n, N_FEATURES),
+        x[order],
         np.array([labels[i] for i in order], dtype=int),
     )
 
 
 def assert_same_instances(a, b) -> None:
-    for name in ("keys", "labels", "tweet_ids", "user_ids"):
+    for name in ("keys", "row_of", "labels", "tweet_ids", "user_ids"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     # bit for bit, so NaN and -0.0 count
-    assert a.features.shape == b.features.shape
-    assert a.features.tobytes() == b.features.tobytes()
+    assert a.rows.shape == b.rows.shape
+    assert a.rows.tobytes() == b.rows.tobytes()
 
 
 def check_hand_off(instances, root: Path) -> Path:
@@ -122,11 +129,31 @@ def test_repeated_and_special_rows_match_oracle(instances):
         check_hand_off(instances, Path(tmp))
 
 
-@pytest.mark.parametrize("multiplier", [cli._HASH_MULTIPLIER, np.uint64(0)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 30))
+def test_grouped_rows_give_back_every_instance_row(data, n):
+    x = data.draw(feature_matrices(n))
+    again = x[np.array(data.draw(st.permutations(range(n))), dtype=int)]
+    # a zero multiplier hashes every row alike, so that rows are grouped by
+    # their bits alone
+    for multiplier in (features._HASH_MULTIPLIER, np.uint64(0)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(features, "_HASH_MULTIPLIER", multiplier)
+            first, group = equal_row_groups(x)
+            rows = x[first]
+            # bit for bit, -0.0 and NaN included, and each distinct row once
+            assert rows[group].tobytes() == x.tobytes()
+            assert len({r.tobytes() for r in rows}) == len(rows)
+            # the same distinct rows in another order and number group alike
+            assert rows.tobytes() == again[equal_row_groups(again)[0]].tobytes()
+            assert rows.tobytes() == rows[equal_row_groups(rows)[0]].tobytes()
+
+
+@pytest.mark.parametrize("multiplier", [features._HASH_MULTIPLIER, np.uint64(0)])
 def test_rows_that_differ_only_in_the_sign_of_zero(tmp_path, monkeypatch, multiplier):
     # a zero multiplier hashes every row alike: rows are then grouped by
     # their bits alone
-    monkeypatch.setattr(cli, "_HASH_MULTIPLIER", multiplier)
+    monkeypatch.setattr(features, "_HASH_MULTIPLIER", multiplier)
     zero, negative = np.zeros(N_FEATURES), np.zeros(N_FEATURES)
     negative[[0, 5]] = -0.0
     nan = np.full(N_FEATURES, np.nan)
@@ -145,7 +172,17 @@ def test_empty_instance_set(tmp_path):
     assert len(cli.load_instances_csv(path)) == 0
 
 
-@pytest.mark.parametrize("damage", ["edit_csv", "truncate", "garbage", "missing"])
+def _rewrite_npz(npz: Path, name: str, edit) -> None:
+    """Replace one column of the npz by edit(column), keeping the rest (its
+    sha256 too)."""
+    with np.load(npz) as old:
+        columns = {k: old[k] for k in old.files}
+    columns[name] = edit(columns[name])
+    np.savez(npz, **columns)
+
+
+@pytest.mark.parametrize("damage", ["edit_csv", "truncate", "garbage", "missing",
+                                    "negative_row", "float_row_of", "short_rows"])
 def test_load_falls_back_to_parse(tmp_path, small_synth, damage):
     dataset, _ = small_synth
     path = check_hand_off(build_instances(dataset), tmp_path)
@@ -159,6 +196,13 @@ def test_load_falls_back_to_parse(tmp_path, small_synth, damage):
         npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
     elif damage == "garbage":
         npz.write_bytes(b"not a zip file")
+    elif damage == "negative_row":
+        # a gather would wrap -1 round to the last row without an error
+        _rewrite_npz(npz, "feature_row_of", lambda r: np.concatenate(([-1], r[1:])))
+    elif damage == "float_row_of":
+        _rewrite_npz(npz, "feature_row_of", lambda r: r.astype(float))
+    elif damage == "short_rows":
+        _rewrite_npz(npz, "feature_rows", lambda r: r[:, :-1])
     else:
         npz.unlink()
     assert cli._read_instances_npz(path) is None

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from influxrank import logistic
+from influxrank.features import balance_and_normalize, build_instances
 from influxrank.logistic import (
     LogisticModel,
     TrainingError,
     cross_validate,
+    grouped_counts,
+    grouped_log_loss_gradient,
     log_loss,
     log_loss_gradient,
     rank_features,
@@ -16,7 +20,16 @@ from influxrank.logistic import (
     train,
 )
 
-from oracles import planted_instances
+from oracles import cross_validate_per_row, planted_instances
+
+
+def repeated_rows(n_rows=15, n=400, seed=0):
+    """(rows, row_of, y): n instances over n_rows distinct random rows,
+    some of them unused, with random 0/1 labels."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n_rows, 5))
+    row_of = rng.integers(0, n_rows - 2, size=n)
+    return rows, row_of, (rng.random(n) < 0.4).astype(float)
 
 
 class TestResponseProbability:
@@ -72,6 +85,20 @@ class TestLossAndGradient:
             assert g[j] == pytest.approx(num, abs=1e-6)
 
 
+    def test_grouped_gradient_and_loss_equal_per_row(self):
+        rows, row_of, y = repeated_rows()
+        counts, positives = grouped_counts(row_of, y, len(rows))
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            w0, w = rng.normal(), rng.normal(size=5)
+            g0, g = grouped_log_loss_gradient(w0, w, rows, positives, counts)
+            want0, want = log_loss_gradient(w0, w, rows[row_of], y)
+            np.testing.assert_allclose(g0, want0, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
+            assert log_loss(w0, w, rows, positives, counts) == pytest.approx(
+                log_loss(w0, w, rows[row_of], y), rel=1e-12)
+
+
 class TestTrain:
     def test_separable_data_is_fit(self):
         rng = np.random.default_rng(1)
@@ -98,6 +125,25 @@ class TestTrain:
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError, match="0/1"):
             train(np.ones((2, 1)), np.array([0.5, 1.0]))
+
+    def test_grouped_fit_equals_per_row_fit(self):
+        rows, row_of, y = repeated_rows(seed=2)
+        counts, positives = grouped_counts(row_of, y, len(rows))
+        grouped = train(rows, positives, learning_rate=0.5, epochs=300, counts=counts)
+        per_row = train(rows[row_of], y, learning_rate=0.5, epochs=300)
+        assert grouped.w0 == pytest.approx(per_row.w0, rel=1e-10)
+        np.testing.assert_allclose(grouped.w, per_row.w, rtol=1e-10)
+        assert grouped.metadata["final_loss"] == pytest.approx(
+            per_row.metadata["final_loss"], rel=1e-12)
+
+    @pytest.mark.parametrize("positives, counts", [([2.0, 0.0], [1.0, 1.0]),
+                                                   ([-1.0, 0.0], [1.0, 1.0]),
+                                                   ([1.0], [1.0, 1.0]),
+                                                   ([0.5, 0.0], [1.0, 1.0]),
+                                                   ([1.0, 0.0], [1.5, 1.0])])
+    def test_bad_grouped_counts_rejected(self, positives, counts):
+        with pytest.raises(ValueError, match="counts"):
+            train(np.ones((2, 1)), np.array(positives), counts=np.array(counts))
 
     def test_deterministic(self):
         x, y, _, _ = planted_instances(500, seed=9)
@@ -154,6 +200,28 @@ class TestCrossValidate:
         y = np.array([1.0, 0, 0, 0, 0, 0])  # one positive cannot cover 2 folds
         with pytest.raises(ValueError, match="lacks both classes"):
             cross_validate(x, y, folds=2, seed=0)
+
+
+    def test_bad_fold_fails_before_any_fit(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(logistic, "train", lambda *a, **k: fits.append(a))
+        x = np.ones((9, 1))
+        # two positives fill the test splits of folds 0 and 1, not of fold 2
+        y = np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0, 0])
+        with pytest.raises(ValueError, match="fold 2: test split lacks both classes"):
+            cross_validate(x, y, folds=3, seed=0)
+        assert fits == []
+
+    def test_grouped_equals_per_row_on_small_synth(self, small_synth):
+        dataset, _ = small_synth
+        balanced, _ = balance_and_normalize(build_instances(dataset), seed=2)
+        y = balanced.labels.astype(float)
+        per_row = cross_validate_per_row(balanced.features, y, folds=5, seed=3, epochs=200,
+                                         keys=balanced.keys)
+        grouped = cross_validate(balanced.rows, y, folds=5, seed=3, epochs=200,
+                                 keys=balanced.keys, row_of=balanced.row_of)
+        assert len(balanced.rows) < len(balanced)
+        assert grouped == per_row
 
 
 def test_rank_features_orders_by_magnitude():
