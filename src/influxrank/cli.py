@@ -137,6 +137,8 @@ def synth_cmd(users, seed, days, topics, follower_exponent, close_fraction, out)
 def ingest_cmd(in_dir, out, min_tweets):
     """Validate raw JSONL files and emit a normalized dataset copy, plus
     the parse cache that later stages read in its place."""
+    if min_tweets < 0:
+        raise click.BadParameter("--min-tweets must be >= 0")
 
     def body(session: ArtifactSession):
         dataset = _load(in_dir, min_tweets=min_tweets)
@@ -272,10 +274,10 @@ def respstats_cmd(in_dir, out):
         metrics, excluded = temporal.response_metrics(dataset)
         for field in ("delay", "trace"):
             rows = []
-            for kind in ("retweet", "reply"):
-                values = [getattr(m, field) for m in metrics if m.kind == kind]
+            for kind in (model.RETWEET, model.REPLY):
+                values = getattr(metrics, field)[metrics.kind == kind]
                 for v, frac in temporal.cdf_table(values):
-                    rows.append([kind, v, frac])
+                    rows.append([model.TWEET_KINDS[kind], v, frac])
             session.write_csv(f"{field}_cdf.csv", ["kind", "value", "cum_frac"], rows)
         session.path("respstats_summary.json").write_text(
             json.dumps(
@@ -601,6 +603,12 @@ def rank_cmd(in_dir, out, model_name, model_file, c, gamma, p, aggregate_spec,
 @click.option("--top", type=int, default=10, show_default=True)
 def compare_cmd(in_dir, model_file, out, gamma, p, top):
     """Global rankings for all models plus the pairwise Kendall tau table."""
+    if not 0.0 < gamma < 1.0:
+        raise click.BadParameter("--gamma must be in (0, 1)")
+    if not 0.0 <= p <= 1.0:
+        raise click.BadParameter("--p must be in [0, 1]")
+    if top < 1:
+        raise click.BadParameter("--top must be >= 1")
 
     def body(session: ArtifactSession):
         dataset = _load(in_dir)

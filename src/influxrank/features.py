@@ -272,8 +272,8 @@ def build_instances(
     followers, friends = ctx.edge_src[edges], ctx.edge_dst[edges]
     n = len(ctx.user_ids)
     responses = (dataset.tweets.kind != ORIGINAL) & (dataset.target_tweet >= 0)
-    responded = dataset.target_tweet[responses] * n + dataset.author_index[responses]
-    labels = np.isin(tweets * n + followers, responded).astype(int)
+    responded = np.unique(dataset.target_tweet[responses] * n + dataset.author_index[responses])
+    labels = _in_sorted(tweets * n + followers, responded).astype(int)
     # key codes index only the tweets and users that occur; the pairs come in
     # tweet-id order, so a tweet's code follows its position in id_order
     position = np.empty(len(dataset.tweets), dtype=np.intp)
@@ -300,6 +300,16 @@ def build_instances(
         tweet_ids=dataset.tweets.tweet_id[dataset.id_order[used_tweets]],
         user_ids=dataset.user_ids[used_users],
     )
+
+
+def _in_sorted(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """np.isin(values, keys) for sorted keys, by a binary search of each
+    value instead of np.isin's sort of both arrays together."""
+    if not keys.size:
+        return np.zeros(values.shape, dtype=bool)
+    at = np.searchsorted(keys, values)
+    np.minimum(at, len(keys) - 1, out=at)
+    return keys[at] == values
 
 
 def _used_codes(size: int, *values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -184,13 +185,10 @@ class TweetTable(Sequence):
         )
 
     def __iter__(self):
-        for tid, author, kind, ts, to_user, has_user, to_tweet, has_tweet in self._rows():
+        rows = zip(*(getattr(self, f.name).tolist() for f in fields(self)))
+        for tid, author, kind, ts, to_user, has_user, to_tweet, has_tweet in rows:
             yield Tweet(tid, author, TWEET_KINDS[kind], ts,
                         to_user if has_user else None, to_tweet if has_tweet else None)
-
-    def _rows(self) -> Iterable[tuple]:
-        """Each row as a tuple of Python values, in field order."""
-        return zip(*(getattr(self, f.name).tolist() for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -531,13 +529,44 @@ def ingest(
     return _select(users, edges, tweets, window, tz_offset, min_tweets)
 
 
+# tweet and edge lines are written this many rows at a time
+_WRITE_ROWS = 1 << 14
+_TWEET_LINE = '{"author": %s, "id": %s, "kind": %s%s%s, "ts": %d}\n'
+_EDGE_LINE = '{"follower": %s, "friend": %s}\n'
+
+
+def _json_strings(values: np.ndarray) -> np.ndarray:
+    """Each string as the JSON string literal json.dumps writes for it."""
+    out = np.empty(len(values), dtype=object)
+    out[:] = list(map(encode_basestring_ascii, values.tolist()))
+    return out
+
+
+def _optional_members(key: str, values: np.ndarray, present: np.ndarray) -> list[str]:
+    """Per row, ', "key": value' where present is True and "" elsewhere."""
+    out = np.full(len(values), "", dtype=object)
+    out[present] = f', "{key}": ' + _json_strings(values[present])
+    return out.tolist()
+
+
+def _write_lines(path: Path, n_rows: int, lines) -> None:
+    """Write lines(rows) for consecutive slices of _WRITE_ROWS of n_rows rows."""
+    with path.open("w") as fh:
+        for lo in range(0, n_rows, _WRITE_ROWS):
+            fh.write(lines(slice(lo, lo + _WRITE_ROWS)))
+
+
 def serialize(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
-    """Write users/edges/tweets JSONL files; inverse of ingest."""
+    """Write users/edges/tweets JSONL files; inverse of ingest.
+
+    Every line holds the bytes ``json.dumps`` writes for its record, with
+    sorted keys for users and tweets. Tweet and edge lines are formatted
+    from the columns through fixed templates, each user id escaped once.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    users_path = out / "users.jsonl"
-    with users_path.open("w") as fh:
+    paths = {name: out / f"{name}.jsonl" for name in _JSONL_NAMES}
+    with paths["users"].open("w") as fh:
         for uid in sorted(dataset.users):
             rec = dataset.users[uid]
             fh.write(
@@ -553,24 +582,27 @@ def serialize(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
                 )
                 + "\n"
             )
-    paths["users"] = users_path
-    edges_path = out / "edges.jsonl"
-    with edges_path.open("w") as fh:
-        for follower, friend in dataset.graph.edges():
-            fh.write(json.dumps({"follower": follower, "friend": friend}) + "\n")
-    paths["edges"] = edges_path
-    tweets_path = out / "tweets.jsonl"
-    with tweets_path.open("w") as fh:
-        for tweet_id, author, kind, ts, to_user, has_user, to_tweet, has_tweet in (
-            dataset.tweets._rows()
-        ):
-            obj = {"id": tweet_id, "author": author, "kind": TWEET_KINDS[kind], "ts": ts}
-            if has_user:
-                obj["to_user"] = to_user
-            if has_tweet:
-                obj["to_tweet"] = to_tweet
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-    paths["tweets"] = tweets_path
+    user = _json_strings(dataset.user_ids)
+    graph, tweets = dataset.graph, dataset.tweets
+    kind = _json_strings(np.array(TWEET_KINDS))
+
+    def edge_lines(rows: slice) -> str:
+        pairs = zip(user[graph.src[rows]].tolist(), user[graph.dst[rows]].tolist())
+        return "".join([_EDGE_LINE % pair for pair in pairs])
+
+    def tweet_lines(rows: slice) -> str:
+        records = zip(
+            user[dataset.author_index[rows]].tolist(),
+            map(encode_basestring_ascii, tweets.tweet_id[rows].tolist()),
+            kind[tweets.kind[rows]].tolist(),
+            _optional_members("to_tweet", tweets.to_tweet[rows], tweets.has_to_tweet[rows]),
+            _optional_members("to_user", tweets.to_user[rows], tweets.has_to_user[rows]),
+            tweets.ts[rows].tolist(),
+        )
+        return "".join([_TWEET_LINE % record for record in records])
+
+    _write_lines(paths["edges"], graph.n_edges, edge_lines)
+    _write_lines(paths["tweets"], len(tweets), tweet_lines)
     return paths
 
 

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import bisect
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .model import ORIGINAL, SECONDS_PER_DAY, TWEET_KINDS, Dataset
+from .model import ORIGINAL, SECONDS_PER_DAY, Dataset
 
 
 @dataclass
@@ -32,12 +31,17 @@ class ClusterResult:
     objective_history: list[float]
 
 
-@dataclass(frozen=True)
-class ResponseMetric:
-    tweet_id: str
-    kind: str
-    delay: int
-    trace: int
+@dataclass(frozen=True, eq=False)
+class ResponseColumns:
+    """Delay and trace of responses, one entry per response in each column."""
+
+    row: np.ndarray  # the response's tweet row
+    kind: np.ndarray  # its kind code, an index into TWEET_KINDS
+    delay: np.ndarray  # response time minus original time, uint64
+    trace: np.ndarray  # friends' tweets strictly between the two, int64
+
+    def __len__(self) -> int:
+        return len(self.row)
 
 
 def _profile(user_id: str, counts: np.ndarray, first: int, last: int) -> HourlyProfile:
@@ -274,46 +278,76 @@ def select_k(
     return results[best_k], asc_per_k
 
 
-def response_metrics(dataset: Dataset) -> tuple[list[ResponseMetric], int]:
+# (follower, tweet) pairs expanded per pass of _received_keys
+_PAIRS_PER_PASS = 1 << 18
+
+
+def _received_keys(dataset: Dataset, rank: np.ndarray, n_ranks: int) -> np.ndarray:
+    """Every tweet as each follower of its author receives it, as one sorted
+    key per (follower, tweet): follower * n_ranks + the tweet's time rank.
+    Follower u's keys are then one run, in time order."""
+    rows, bounds = dataset.author_groups
+    times = rank[rows]  # user i's tweet time ranks, in order, at bounds[i]:bounds[i + 1]
+    graph = dataset.graph
+    count = np.diff(bounds)[graph.dst]  # per edge, the friend's tweets
+    end = np.cumsum(count)
+    first = end - count  # each edge's first pair
+    keys = np.empty(int(end[-1]) if len(end) else 0, dtype=np.int64)
+    lo = 0
+    while lo < len(count):
+        # the most edges whose pairs fit one pass, and at least one
+        hi = max(int(np.searchsorted(end, first[lo] + _PAIRS_PER_PASS, "right")), lo + 1)
+        edge = np.repeat(np.arange(lo, hi), count[lo:hi])
+        pairs = np.arange(first[lo], end[hi - 1])
+        at = bounds[graph.dst[edge]] + pairs - first[edge]
+        keys[pairs] = graph.src[edge] * n_ranks + times[at]
+        lo = hi
+    # edges come by follower, so each follower's keys are already together;
+    # the sort merges their friends' runs
+    keys.sort(kind="stable")
+    return keys
+
+
+def response_metrics(dataset: Dataset) -> tuple[ResponseColumns, int]:
     """Delay and trace for every resolvable response, plus the excluded count.
 
     Delay is the response-minus-original time gap. Trace counts the tweets the
     responder received (posted by any of their friends) strictly between the
     original and the response. A response is excluded when its original is
-    not in the dataset or is later than the response.
+    not in the dataset or is later than the response. The responses come in
+    tweet-row order.
     """
     tweets = dataset.tweets
     responses = np.flatnonzero(tweets.kind != ORIGINAL)
     originals = dataset.target_tweet[responses]
     resolved = originals >= 0
     resolved[resolved] = tweets.ts[originals[resolved]] <= tweets.ts[responses[resolved]]
-    # every user's tweet times in order, user i's in timeline[lo[i]:lo[i + 1]]
-    rows, bounds = dataset.author_groups
-    timeline = tweets.ts[rows].tolist()
-    lo = bounds.tolist()
-    # every user's friend indices: user i's run of the graph's dst
-    graph = dataset.graph
-    first = np.searchsorted(graph.src, np.arange(len(dataset.user_ids) + 1)).tolist()
-    dst = graph.dst.tolist()
-    friends = [dst[a:b] for a, b in zip(first[:-1], first[1:])]
-    ids, kinds, stamps = tweets.tweet_id.tolist(), tweets.kind.tolist(), tweets.ts.tolist()
-    authors = dataset.author_index.tolist()
-    metrics: list[ResponseMetric] = []
-    for j, i in zip(responses[resolved].tolist(), originals[resolved].tolist()):
-        t_i, t_j = stamps[i], stamps[j]
-        trace = 0
-        for f in friends[authors[j]]:
-            trace += (bisect.bisect_left(timeline, t_j, lo[f], lo[f + 1])
-                      - bisect.bisect_right(timeline, t_i, lo[f], lo[f + 1]))
-        metrics.append(
-            ResponseMetric(ids[j], TWEET_KINDS[kinds[j]], delay=t_j - t_i, trace=trace)
-        )
-    return metrics, int((~resolved).sum())
+    responses, originals = responses[resolved], originals[resolved]
+    # keys hold each timestamp's rank among the distinct ones (tweets are in
+    # time order), not the timestamp: no int64 timestamp can overflow them
+    ts = tweets.ts
+    rank = np.zeros(len(ts), dtype=np.int64)
+    np.cumsum(ts[1:] != ts[:-1], out=rank[1:])
+    n_ranks = int(rank[-1]) + 1 if len(ts) else 0
+    received = _received_keys(dataset, rank, n_ranks)
+    # the responder's received tweets before t_j, less those at or before t_i
+    responder = dataset.author_index[responses] * n_ranks
+    trace = (np.searchsorted(received, responder + rank[responses], "left")
+             - np.searchsorted(received, responder + rank[originals], "right"))
+    columns = ResponseColumns(
+        row=responses,
+        kind=tweets.kind[responses],
+        # t_j - t_i >= 0 for any two int64 times, so it is exact in uint64
+        delay=ts[responses].astype(np.uint64) - ts[originals].astype(np.uint64),
+        trace=trace.astype(np.int64),
+    )
+    return columns, int((~resolved).sum())
 
 
-def cdf_table(values: Sequence[float]) -> list[tuple[float, float]]:
+def cdf_table(values: Sequence[float] | np.ndarray) -> list[tuple[float, float]]:
     """(value, cumulative fraction) pairs over the distinct sorted values."""
-    if not values:
+    values = np.asarray(values, dtype=float)
+    if not values.size:
         return []
-    uniq, counts = np.unique(np.asarray(values, dtype=float), return_counts=True)
-    return list(zip(uniq.tolist(), (np.cumsum(counts) / len(values)).tolist()))
+    uniq, counts = np.unique(values, return_counts=True)
+    return list(zip(uniq.tolist(), (np.cumsum(counts) / values.size).tolist()))

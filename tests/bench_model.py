@@ -1,7 +1,8 @@
-"""Benchmarks of ``load_dataset`` on the seed-3 1,000-user synthetic dataset
-(67,351 tweets), as ``influxrank synth --users 1000 --seed 3`` writes it:
-once parsing the JSONL files, once reading the ``dataset.npz`` cache that
-``influxrank ingest`` leaves next to them.
+"""Benchmarks of ``load_dataset`` and ``serialize`` on the seed-3 1,000-user
+synthetic dataset (67,351 tweets), as ``influxrank synth --users 1000 --seed
+3`` writes it: loading once parsing the JSONL files, once reading the
+``dataset.npz`` cache that ``influxrank ingest`` leaves next to them, and
+writing the three JSONL files of the loaded dataset.
 
 The file name keeps it out of the default test run. Run it with
 
@@ -16,7 +17,7 @@ import pytest
 from click.testing import CliRunner
 
 from influxrank.cli import main
-from influxrank.model import CACHE_NAME, load_dataset
+from influxrank.model import CACHE_NAME, load_dataset, serialize
 
 
 @pytest.fixture(scope="module")
@@ -40,3 +41,11 @@ def test_load_dataset_cached(benchmark, dirs):
     _, data = dirs
     dataset = benchmark(load_dataset, data)
     assert len(dataset.tweets) == 67_351
+
+
+def test_serialize(benchmark, dirs, tmp_path):
+    raw, _ = dirs
+    dataset = load_dataset(raw)
+    paths = benchmark(serialize, dataset, tmp_path)
+    for name in ("users", "edges", "tweets"):
+        assert paths[name].read_bytes() == (raw / f"{name}.jsonl").read_bytes()

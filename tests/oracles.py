@@ -6,8 +6,10 @@ iteration are the straightforward forms the vectorised ranking code replaced:
 one feature fill per hour and scipy's own COO -> CSC -> product path. The
 per-tweet loops over ``Tweet`` records (profiles, global activity, response
 metrics, instances) are the forms the column code in ``temporal`` and
-``features`` replaced, and ``silhouette_loop`` is the per-point silhouette
-that ``temporal._silhouette`` replaced. ``write_instances_loop`` is the
+``features`` replaced, ``serialize_loop`` is the one-``json.dumps``-per-record
+JSONL writer that the line templates of ``model.serialize`` replaced, and
+``silhouette_loop`` is the per-point silhouette that ``temporal._silhouette``
+replaced. ``write_instances_loop`` is the
 value-at-a-time ``instances.csv`` writer that ``cli.write_instances``
 replaced, and ``stratified_folds_loop`` the id-tuple sort that the integer
 keys of ``logistic._stratified_folds`` replaced. ``ksc_distance`` is the K-SC
@@ -28,7 +30,9 @@ from __future__ import annotations
 
 import bisect
 import csv
+import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -50,7 +54,7 @@ from influxrank.features import (
     equal_row_groups,
 )
 from influxrank.logistic import LogisticModel, _stratified_folds, train
-from influxrank.model import SECONDS_PER_DAY, Dataset
+from influxrank.model import SECONDS_PER_DAY, TWEET_KINDS, Dataset
 from influxrank.ranking import (
     RankVector,
     TransitionMatrix,
@@ -60,7 +64,7 @@ from influxrank.ranking import (
     personal_weights,
 )
 from influxrank.synth import DEFAULT_W_STAR
-from influxrank.temporal import HourlyProfile, ResponseMetric
+from influxrank.temporal import HourlyProfile, ResponseColumns
 
 
 def jensen_shannon_divergence(p, q, base: float = 2.0) -> float:
@@ -293,6 +297,24 @@ def global_activity_loop(dataset: Dataset, granularity: str) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class ResponseMetric:
+    tweet_id: str
+    kind: str
+    delay: int
+    trace: int
+
+
+def response_records(dataset: Dataset, columns: ResponseColumns) -> list[ResponseMetric]:
+    """The columns that ``response_metrics`` returns, as one record per response."""
+    ids = dataset.tweets.tweet_id[columns.row].tolist()
+    return [
+        ResponseMetric(tweet_id, TWEET_KINDS[kind], delay, trace)
+        for tweet_id, kind, delay, trace in zip(ids, columns.kind.tolist(),
+                                                columns.delay.tolist(), columns.trace.tolist())
+    ]
+
+
 def response_metrics_loop(dataset: Dataset) -> tuple[list[ResponseMetric], int]:
     """Delay and trace of each response, bisecting each friend's timeline."""
     by_id = {tw.tweet_id: tw for tw in dataset.tweets}
@@ -314,6 +336,33 @@ def response_metrics_loop(dataset: Dataset) -> tuple[list[ResponseMetric], int]:
             trace += bisect.bisect_left(ts, t_j) - bisect.bisect_right(ts, t_i)
         metrics.append(ResponseMetric(tw.tweet_id, tw.kind, delay=t_j - t_i, trace=trace))
     return metrics, excluded
+
+
+def serialize_loop(dataset: Dataset, out_dir) -> dict[str, Path]:
+    """The users/edges/tweets JSONL files, one ``json.dumps`` per record."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {name: out / f"{name}.jsonl" for name in ("users", "edges", "tweets")}
+    with paths["users"].open("w") as fh:
+        for uid in sorted(dataset.users):
+            rec = dataset.users[uid]
+            fh.write(json.dumps({"id": rec.user_id, "listed": rec.listed_count,
+                                 "favourites": rec.favourites_received,
+                                 "verified": rec.verified,
+                                 "topics": list(rec.topic_distribution)},
+                                sort_keys=True) + "\n")
+    with paths["edges"].open("w") as fh:
+        for follower, friend in dataset.graph.edges():
+            fh.write(json.dumps({"follower": follower, "friend": friend}) + "\n")
+    with paths["tweets"].open("w") as fh:
+        for tw in dataset.tweets:
+            obj = {"id": tw.tweet_id, "author": tw.author, "kind": tw.kind, "ts": tw.timestamp}
+            if tw.responds_to_user is not None:
+                obj["to_user"] = tw.responds_to_user
+            if tw.responds_to_tweet is not None:
+                obj["to_tweet"] = tw.responds_to_tweet
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    return paths
 
 
 def build_instances_loop(dataset: Dataset, ctx: FeatureContext) -> InstanceSet:

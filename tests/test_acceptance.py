@@ -45,7 +45,7 @@ from influxrank.synth import (
 )
 from influxrank.temporal import ksc_cluster, response_metrics, select_k
 
-from oracles import dense, planted_instances
+from oracles import dense, planted_instances, response_records
 
 
 @pytest.fixture
@@ -246,7 +246,7 @@ def test_criterion_06_trace_oracle(report):
         assert len(dataset.tweets) <= 1000
         metrics, _ = response_metrics(dataset)
         by_id = {tw.tweet_id: tw for tw in dataset.tweets}
-        for m in metrics:
+        for m in response_records(dataset, metrics):
             resp = by_id[m.tweet_id]
             orig = by_id[resp.responds_to_tweet]
             friends = set(dataset.graph.friends(resp.author))

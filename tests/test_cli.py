@@ -233,6 +233,28 @@ class TestErrorHandling:
         assert res.exit_code == 2, res.output
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--gamma", 0],
+        ["--gamma", 1],
+        ["--p", 1.5],
+        ["--p", -0.1],
+        ["--top", 0],
+        ["--top", -1],
+    ])
+    def test_bad_compare_parameters_fail_before_loading(self, tmp_path, args):
+        # neither input holds a dataset or a model, so a load would exit 1
+        res = run_cli("compare", "--in", tmp_path, "--model-file", tmp_path,
+                      "--out", tmp_path / "x", *args)
+        assert res.exit_code == 2, res.output
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_min_tweets_fails_before_loading(self, tmp_path):
+        # the input directory holds no dataset, so a load would exit 1
+        res = run_cli("ingest", "--in", tmp_path, "--out", tmp_path / "x",
+                      "--min-tweets", -1)
+        assert res.exit_code == 2, res.output
+        assert not (tmp_path / "x").exists()
+
     def test_runtime_error_exits_1_and_cleans_up(self, tmp_path):
         bad = tmp_path / "bad"
         bad.mkdir()

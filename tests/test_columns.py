@@ -9,6 +9,7 @@ import json
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from influxrank.cli import main
 from influxrank.features import FeatureContext, build_instances
 from influxrank.model import (
     CACHE_NAME,
+    TWEET_KINDS,
     Tweet,
     TweetTable,
     ValidationError,
@@ -39,6 +41,8 @@ from oracles import (
     hourly_profile_loop,
     instance_id_keys,
     response_metrics_loop,
+    response_records,
+    serialize_loop,
 )
 
 USER_POOL = ("a", "b", "c", "d", "e")
@@ -143,7 +147,8 @@ def assert_matches_oracles(dataset: model.Dataset) -> None:
         else:
             with pytest.raises(ValueError, match="empty dataset"):
                 global_activity(dataset, granularity)
-    assert response_metrics(dataset) == response_metrics_loop(dataset)
+    metrics, excluded = response_metrics(dataset)
+    assert (response_records(dataset, metrics), excluded) == response_metrics_loop(dataset)
 
     ctx = FeatureContext(dataset)
     assert np.array_equal(ctx.edge_close, edge_close_loop(dataset))
@@ -208,6 +213,45 @@ def test_raw_parse_matches_oracles(raw, tz_offset):
         dataset = load_dataset(_write(Path(tmp) / "raw", *raw), tz_offset=tz_offset)
     assert_as_constructed(dataset)
     assert_matches_oracles(dataset)
+
+
+# JSON's hard cases: quotes, backslashes, control characters, non-ASCII
+# text (astral too) and the empty string; ids may not end in a NUL
+ODD_TEXT = st.one_of(
+    st.sampled_from(("", '"', "\\", 'a"b\\c', "\x00x", "\x1f\n\t\x7f", "é", "\u2028",
+                     "\U0001f600", "ü\"")),
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=5).filter(
+        lambda s: not s.endswith("\x00")),
+)
+
+
+@st.composite
+def odd_datasets(draw):
+    """Datasets whose ids and targets are ODD_TEXT: originals with or
+    without targets, responses with a target user and maybe a target tweet,
+    and timestamps over the whole int64 range."""
+    users = draw(st.lists(ODD_TEXT, min_size=1, max_size=4, unique=True))
+    pairs = [(u, v) for u in users for v in users if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    tweets = []
+    for tweet_id in draw(st.lists(ODD_TEXT, max_size=10, unique=True)):
+        kind = draw(st.sampled_from(TWEET_KINDS))
+        to_user = draw(ODD_TEXT if kind != "original" else st.none() | ODD_TEXT)
+        tweets.append(Tweet(tweet_id, draw(st.sampled_from(users)), kind,
+                            draw(st.integers(-2**63, 2**63 - 1)), to_user,
+                            draw(st.none() | ODD_TEXT)))
+    return make_dataset([make_user(u) for u in users], edges, tweets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dataset=odd_datasets(), rows=st.sampled_from((1, 3, 1 << 14)))
+def test_serialize_writes_the_json_dumps_bytes(dataset, rows):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(model, "_WRITE_ROWS", rows):
+        got = serialize(dataset, Path(tmp) / "got")
+        want = serialize_loop(dataset, Path(tmp) / "want")
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].read_bytes() == want[name].read_bytes(), name
 
 
 def _cache_is_used(monkeypatch, data: Path) -> model.Dataset:

@@ -10,6 +10,7 @@ from influxrank.features import (
     FEATURE_NAMES,
     FeatureContext,
     MinMaxScaler,
+    _in_sorted,
     balance_and_normalize,
     build_instances,
     js_divergence_rows,
@@ -195,6 +196,17 @@ class TestBuildInstances:
         for tw in dataset.tweets:
             if tw.is_response and dataset.graph.has_edge(tw.author, tw.responds_to_user):
                 assert (tw.responds_to_tweet, tw.author) in positive_keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-3, 3), max_size=30),
+       keys=st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-3, 3), max_size=10))
+def test_in_sorted_equals_isin(values, keys):
+    values = np.array(values, dtype=np.int64)
+    keys = np.unique(np.array(keys, dtype=np.int64))
+    got = _in_sorted(values, keys)
+    assert got.dtype == bool
+    assert np.array_equal(got, np.isin(values, keys))
 
 
 class TestScaler:

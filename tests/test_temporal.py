@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from influxrank.model import Tweet
+from influxrank import temporal
+from influxrank.model import RETWEET, Tweet
 from influxrank.synth import DEFAULT_PROTOTYPES, GeneratorConfig, generate
 from influxrank.temporal import (
     _pairwise_shape_distance,
@@ -18,7 +21,7 @@ from influxrank.temporal import (
 )
 
 from conftest import make_dataset, make_user
-from oracles import ksc_distance, silhouette_loop
+from oracles import ksc_distance, response_metrics_loop, response_records, silhouette_loop
 
 
 def _originals(author, timestamps, prefix):
@@ -318,8 +321,10 @@ class TestResponseMetrics:
         metrics, excluded = response_metrics(ds)
         assert excluded == 0
         assert len(metrics) == 1
-        assert metrics[0].delay == 30
-        assert metrics[0].trace == 0
+        assert ds.tweets.tweet_id[metrics.row[0]] == "r1"
+        assert metrics.kind[0] == RETWEET
+        assert metrics.delay[0] == 30
+        assert metrics.trace[0] == 0
 
     def test_trace_counts_intervening_friend_tweets(self):
         users = [make_user(u) for u in "uvw"]
@@ -332,8 +337,8 @@ class TestResponseMetrics:
         ]
         ds = make_dataset(users, [("u", "v"), ("u", "w")], tweets)
         metrics, _ = response_metrics(ds)
-        assert metrics[0].delay == 30
-        assert metrics[0].trace == 2
+        assert metrics.delay[0] == 30
+        assert metrics.trace[0] == 2
 
     def test_unresolvable_original_excluded(self):
         users = [make_user(u) for u in "uv"]
@@ -343,15 +348,15 @@ class TestResponseMetrics:
         ]
         ds = make_dataset(users, [("u", "v")], tweets)
         metrics, excluded = response_metrics(ds)
-        assert metrics == []
+        assert len(metrics) == 0
         assert excluded == 1
 
     def test_trace_matches_bruteforce_recount(self, small_synth):
         dataset, _ = small_synth
         metrics, _ = response_metrics(dataset)
-        assert metrics, "fixture should contain responses"
+        assert len(metrics), "fixture should contain responses"
         by_id = {tw.tweet_id: tw for tw in dataset.tweets}
-        for m in metrics:
+        for m in response_records(dataset, metrics):
             resp = by_id[m.tweet_id]
             orig = by_id[resp.responds_to_tweet]
             friends = set(dataset.graph.friends(resp.author))
@@ -366,16 +371,51 @@ class TestResponseMetrics:
             assert m.delay >= 0
 
 
+@st.composite
+def response_datasets(draw):
+    """Small datasets of responses: tied timestamps, responses to responses
+    and to themselves, originals that are unknown, empty or later than the
+    response, responders with no friends and friends with no tweets."""
+    users = [f"u{i}" for i in range(draw(st.integers(1, 5)))]
+    pairs = [(u, v) for u in users for v in users if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    ids = [f"t{i}" for i in range(draw(st.integers(0, 16)))]
+    # extreme times too: the sort key must not overflow, nor the delay
+    times = st.sampled_from((0, 1, 2, 5, 9, -2**63, 2**63 - 1))
+    tweets = []
+    for tweet_id in ids:
+        author, kind = draw(st.sampled_from(users)), draw(st.sampled_from(
+            ("original", "retweet", "reply")))
+        if kind == "original":
+            tweets.append(Tweet(tweet_id, author, kind, draw(times)))
+        else:
+            tweets.append(Tweet(tweet_id, author, kind, draw(times),
+                                draw(st.sampled_from(users)),
+                                draw(st.sampled_from(ids + ["gone", ""]))))
+    return make_dataset([make_user(u) for u in users], edges, tweets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dataset=response_datasets(), pairs_per_pass=st.sampled_from((1, 3, 1 << 18)))
+def test_response_columns_equal_the_loop(dataset, pairs_per_pass):
+    with mock.patch.object(temporal, "_PAIRS_PER_PASS", pairs_per_pass):
+        metrics, excluded = response_metrics(dataset)
+    assert (metrics.trace.dtype, metrics.delay.dtype) == (np.int64, np.uint64)
+    assert (response_records(dataset, metrics), excluded) == response_metrics_loop(dataset)
+
+
 class TestCdf:
     def test_monotone_and_reaches_one(self, small_synth):
         dataset, _ = small_synth
         metrics, _ = response_metrics(dataset)
-        table = cdf_table([m.delay for m in metrics])
+        table = cdf_table(metrics.delay)
+        assert table == cdf_table(metrics.delay.tolist())
         fracs = [f for _, f in table]
         assert all(b >= a for a, b in zip(fracs, fracs[1:]))
         assert fracs[-1] == pytest.approx(1.0)
         values = [v for v, _ in table]
-        assert values[-1] == max(m.delay for m in metrics)
+        assert values[-1] == metrics.delay.max()
 
     def test_empty(self):
         assert cdf_table([]) == []
+        assert cdf_table(np.array([], dtype=np.int64)) == []
