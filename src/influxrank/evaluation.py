@@ -18,6 +18,7 @@ from .ranking import (
     RankVector,
     _edge_weights_all_hours,
     build_matrix,
+    check_params,
     check_tunkrank_fixed_point,
     normalise_weights,
     personal_weights,
@@ -291,6 +292,36 @@ def _normalise_columns(weights: np.ndarray, link: np.ndarray, n_links: int) -> n
     return out
 
 
+def _weighted_solutions(
+    solvers: Sequence[ColumnUpdateSolver],
+    weights: np.ndarray,
+    us: np.ndarray,
+    rows: np.ndarray,
+    columns: np.ndarray,
+    link: np.ndarray,
+) -> np.ndarray:
+    """(L, n) sum over matrices t of weights[k, t] times link k's solution
+    of ``solvers[t]``, each solution scaled to sum 1. ``us``, ``rows`` and
+    ``link`` are as in ``ColumnUpdateSolver.solve_with_columns`` and
+    ``columns[t]`` holds the replaced columns' values for matrix t.
+
+    Matrix t solves only the links of positive weight[k, t], and a matrix
+    no link weighs is not solved at all. A skipped term would add the zero
+    0 * y to a sum that starts at +0.0, so skipping it changes no bit."""
+    scores = np.zeros((len(us), len(solvers[0].x)))
+    for t, solver in enumerate(solvers):
+        on = weights[:, t] > 0
+        if not on.any():
+            continue
+        keep = on[link]
+        renumber = np.cumsum(on) - 1
+        y = solver.solve_with_columns(us[on], rows[keep], columns[t][keep], renumber[link[keep]])
+        y /= y.sum(axis=1)[:, None]
+        y *= weights[on, t, None]
+        scores[on] += y
+    return scores
+
+
 def _link_indices(index: dict[str, int], links: Sequence[tuple[str, str]]):
     ius = np.array([index[u] for u, _ in links], dtype=np.intp)
     ivs = np.array([index[v] for _, v in links], dtype=np.intp)
@@ -356,21 +387,19 @@ class TirLinkScorer(_LinkBlocks):
 
     def scores_without_links(self, links: Sequence[tuple[str, str]]) -> np.ndarray:
         """(len(links), n) personal TIR scores of each link's follower u once
-        u unfollows v, aggregated over the hours with u's activity."""
+        u unfollows v, aggregated over the hours with u's activity.
+
+        Each hour solves only the links whose follower gives it a positive
+        weight (``personal_weights``, normalised), and an hour that no
+        follower of the block is active in is skipped: the scores equal the
+        aggregation of all 24 hours bit for bit."""
         ctx = self.ctx
         ius, ivs = _link_indices(ctx.index, links)
         rows, link, shares = _friend_shares_without(ctx, ius, ivs)
         weights = _edge_weights_all_hours(ctx, self.model, self.c, rows=rows, shares=shares)
         columns = _normalise_columns(weights, link, len(links))
-        dsts = ctx.edge_dst[rows]
         hour_w = normalise_weights(personal_weights(ctx, ius))
-        scores = np.zeros((len(links), len(ctx.user_ids)))
-        for t, solver in enumerate(self.solvers):
-            y = solver.solve_with_columns(ius, dsts, columns[t], link)
-            y /= y.sum(axis=1)[:, None]
-            y *= hour_w[:, t, None]
-            scores += y
-        return scores
+        return _weighted_solutions(self.solvers, hour_w, ius, ctx.edge_dst[rows], columns, link)
 
     def personal_scores_without(self, u: str, v: str) -> RankVector:
         return RankVector(
@@ -412,15 +441,7 @@ class TwitterRankLinkScorer(_LinkBlocks):
         sims = 1.0 - np.abs(ctx.topics[ius[link]] - ctx.topics[dsts])  # (len(rows), k)
         columns = _normalise_columns(ratio[:, None] * sims, link, len(links))
         shares = ctx.topics[ius]
-        scores = np.zeros((len(links), len(ctx.user_ids)))
-        for t, solver in enumerate(self.solvers):
-            on = shares[:, t] > 0
-            if not on.any():
-                continue
-            y = solver.solve_with_columns(ius, dsts, columns[t], link)[on]
-            y /= y.sum(axis=1)[:, None]
-            y *= shares[on, t, None]
-            scores[on] += y
+        scores = _weighted_solutions(self.solvers, shares, ius, dsts, columns, link)
         total = shares.sum(axis=1)
         on = total > 0
         scores[on] /= total[on, None]
@@ -576,8 +597,7 @@ def run_scenarios(
     """
     if not 0.0 <= tunkrank_p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must be in (0, 1)")
+    check_params(gamma=gamma)
     if n_links < 1:
         raise ValueError("n_links must be at least 1")
     if "tir" in models and any(not 0.5 <= c <= 1.0 for c in c_grid):

@@ -23,6 +23,22 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
+def check_params(
+    gamma: Optional[float] = None,
+    tol: Optional[float] = None,
+    max_iters: Optional[int] = None,
+) -> None:
+    """Raise ValueError for a damping factor outside (0, 1), a tolerance
+    that is not finite and positive, or fewer than one iteration; a
+    parameter left None is not checked."""
+    if gamma is not None and not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must be in (0, 1)")
+    if tol is not None and not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
+    if max_iters is not None and max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+
+
 @dataclass
 class TransitionMatrix:
     """Column-stochastic hourly transition structure.
@@ -153,8 +169,7 @@ def build_matrix(
     columns normalized to sum 1, dangling columns replaced by uniform 1/|V|."""
     if dataset.n_users == 0:
         raise ValueError("empty dataset")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must be in (0, 1)")
+    check_params(gamma=gamma)
     if ctx is None:
         ctx = FeatureContext(dataset)
     if edge_weights is None:
@@ -174,8 +189,7 @@ def power_iterate(
 ) -> RankVector:
     """Iterate r <- gamma M r + (1 - gamma)/n from uniform until the L1
     change drops below tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_params(tol=tol, max_iters=max_iters)
     n = matrix.n
     r = np.full(n, 1.0 / n)
     residual = np.inf
@@ -201,21 +215,30 @@ def power_iterate(
 
 
 def aggregate(
-    rank_vectors: Sequence[RankVector],
+    rank_vectors: Sequence[Optional[RankVector]],
     weights: Sequence[float],
     model: str = "tir",
     params: Optional[dict] = None,
 ) -> RankVector:
-    """Convex combination of 24 hourly rank vectors; weights are renormalized."""
+    """Convex combination of 24 hourly rank vectors; weights are renormalized.
+
+    An hour of weight 0 adds nothing, so its rank vector may be None: a
+    ranking need not compute it. None where the weight is positive raises
+    ValueError. Leaving a zero-weight hour out changes no bit of the result:
+    the running sum starts at +0.0, so it is never -0.0, and adding the zero
+    0 * r (r finite) to it leaves it as it is."""
     if len(rank_vectors) != 24 or len(weights) != 24:
         raise ValueError("expected 24 hourly rank vectors and 24 weights")
     w = np.asarray(weights, dtype=float)
     if (w < 0).any() or w.sum() <= 0:
         raise ValueError("weights must be non-negative with positive sum")
+    if any(rv is None for rv, wt in zip(rank_vectors, w) if wt > 0):
+        raise ValueError("an hour with positive weight has no rank vector")
     w = normalise_weights(w)
-    user_ids = rank_vectors[0].user_ids
+    present = [(wt, rv) for wt, rv in zip(w, rank_vectors) if rv is not None]
+    user_ids = present[0][1].user_ids
     scores = np.zeros(len(user_ids))
-    for wt, rv in zip(w, rank_vectors):
+    for wt, rv in present:
         if rv.user_ids != user_ids:
             raise ValueError("hourly rank vectors cover different user sets")
         scores += wt * rv.scores
@@ -258,19 +281,18 @@ def tir_rank(
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> RankVector:
-    """Full TIR pipeline: 24 hourly matrices -> power iteration -> aggregate."""
+    """Full TIR pipeline: hour weights -> hourly matrices -> power
+    iteration -> aggregate.
+
+    The hour weights come first: the share of all tweets in each hour
+    (global mode) or the user's own hourly activity (personal mode, uniform
+    for a user without tweets). Only the hours of positive weight are built
+    and iterated; the others enter ``aggregate`` as None. The scores equal
+    the aggregation of all 24 hours bit for bit, but an hour of weight 0 can
+    no longer raise ConvergenceError, as it is never iterated."""
+    check_params(gamma, tol, max_iters)
     if ctx is None:
         ctx = FeatureContext(dataset)
-    weights = _edge_weights_all_hours(ctx, model, c)
-    hourly = [
-        power_iterate(
-            build_matrix(dataset, model, t, c, gamma, ctx=ctx, edge_weights=weights),
-            ctx.user_ids,
-            tol=tol,
-            max_iters=max_iters,
-        )
-        for t in range(24)
-    ]
     if mode == "global":
         w = activity_weights(ctx)
     elif mode == "personal":
@@ -279,6 +301,18 @@ def tir_rank(
         w = personal_weights(ctx, [ctx.index[user]])[0]
     else:
         raise ValueError(f"unknown aggregation mode {mode!r}")
+    weights = _edge_weights_all_hours(ctx, model, c)
+    hourly = [
+        power_iterate(
+            build_matrix(dataset, model, t, c, gamma, ctx=ctx, edge_weights=weights),
+            ctx.user_ids,
+            tol=tol,
+            max_iters=max_iters,
+        )
+        if w[t] > 0
+        else None
+        for t in range(24)
+    ]
     return aggregate(hourly, w, model="tir", params={"c": c, "gamma": gamma, "mode": mode})
 
 
@@ -290,6 +324,7 @@ def tunkrank(
 ) -> RankVector:
     """Fixed point of Influence(X) = sum over followers Y of
     (1 + p * Influence(Y)) / |Friends(Y)|."""
+    check_params(tol=tol, max_iters=max_iters)
     user_ids, a = tunkrank_matrix(dataset, p)
     a = a.tocsr()
     influence = np.zeros(len(user_ids))
@@ -365,6 +400,7 @@ def twitterrank_matrices(
     Raw edge weight at topic t: friend's tweet share among the follower's
     friends times 1 - |topic_t(u) - topic_t(v)|.
     """
+    check_params(gamma=gamma)
     if ctx is None:
         ctx = FeatureContext(dataset)
     n = len(ctx.user_ids)
@@ -391,13 +427,11 @@ def twitterrank(
 
     Global mode weighs topics by the tweet-weighted mean of user topic
     distributions; personal mode uses the query user's own distribution.
+    As in ``tir_rank``, only the topics of positive share are iterated.
     """
+    check_params(gamma, tol, max_iters)
     if ctx is None:
         ctx = FeatureContext(dataset)
-    per_topic = [
-        power_iterate(m, ctx.user_ids, tol=tol, max_iters=max_iters, model="twitterrank")
-        for m in twitterrank_matrices(dataset, gamma, ctx)
-    ]
     if mode == "global":
         mass = ctx.tweet_counts if ctx.tweet_counts.sum() > 0 else np.ones(len(ctx.user_ids))
         shares = mass @ ctx.topics
@@ -410,9 +444,12 @@ def twitterrank(
     if shares.sum() <= 0:
         shares = np.ones(len(shares))
     shares = shares / shares.sum()
+    matrices = twitterrank_matrices(dataset, gamma, ctx)
     scores = np.zeros(len(ctx.user_ids))
-    for s, rv in zip(shares, per_topic):
-        scores += s * rv.scores
+    for t in np.flatnonzero(shares > 0):
+        rv = power_iterate(matrices[t], ctx.user_ids, tol=tol, max_iters=max_iters,
+                           model="twitterrank")
+        scores += shares[t] * rv.scores
     return RankVector(
         user_ids=tuple(ctx.user_ids),
         scores=scores,

@@ -330,10 +330,14 @@ def response_metrics(dataset: Dataset) -> tuple[ResponseColumns, int]:
     np.cumsum(ts[1:] != ts[:-1], out=rank[1:])
     n_ranks = int(rank[-1]) + 1 if len(ts) else 0
     received = _received_keys(dataset, rank, n_ranks)
-    # the responder's received tweets before t_j, less those at or before t_i
+    # the responder's received tweets before t_j, less those at or before
+    # t_i; for a response in the same second as its original (t_i = t_j)
+    # that difference is minus the tweets of that second, and nothing lies
+    # strictly between, so it is clipped to 0
     responder = dataset.author_index[responses] * n_ranks
     trace = (np.searchsorted(received, responder + rank[responses], "left")
              - np.searchsorted(received, responder + rank[originals], "right"))
+    np.maximum(trace, 0, out=trace)
     columns = ResponseColumns(
         row=responses,
         kind=tweets.kind[responses],

@@ -4,7 +4,11 @@ scenario drawn with the sub-seed that ``influxrank recommend --seed 3`` uses
 (56 links; the seven non-empty scenarios share two), at c = 0.85. It times
 the scorer's batched path, in blocks of ``BLOCK_LINKS`` as ``run_scenarios``
 scores them, against the per-link oracle of ``tests/oracles.py``; the
-factorisations are built once, outside the timing.
+factorisations are built once, outside the timing. Two more cases time one
+block of ``BLOCK_LINKS`` links, one per follower, from the followers active
+in the fewest and in the most hours of the day (a tweetless follower weighs
+all 24 hours): each hour solves only the links whose follower is active in
+it, so the first block solves few hours and the second nearly all.
 
 The file name keeps it out of the default test run. Run it with
 
@@ -25,6 +29,7 @@ from influxrank.cli import stage_seed
 from influxrank.evaluation import BLOCK_LINKS, SCENARIO_TAGS, TirLinkScorer, build_link_sets
 from influxrank.features import FeatureContext, balance_and_normalize, build_instances
 from influxrank.logistic import train
+from influxrank.ranking import personal_weights
 from influxrank.synth import GeneratorConfig, generate
 
 from oracles import tir_scores_without_loop
@@ -62,3 +67,20 @@ def test_tir_links_per_link_oracle(benchmark, scored):
     scorer, links = scored
     rows = benchmark(lambda: [tir_scores_without_loop(scorer, u, v) for u, v in links])
     assert np.array_equal(np.array(rows), scorer.scores_without_links(links))
+
+
+@pytest.mark.parametrize("active", ["fewest", "most"])
+def test_tir_links_block_by_active_hours(benchmark, scored, active):
+    scorer, _ = scored
+    ctx = scorer.ctx
+    hours = (personal_weights(ctx, np.arange(len(ctx.user_ids))) > 0).sum(axis=1)
+    first_edge = {}
+    for row, u in enumerate(ctx.edge_src.tolist()):
+        first_edge.setdefault(u, row)
+    followers = sorted(first_edge, key=lambda u: (hours[u], u))
+    if active == "most":
+        followers.reverse()
+    rows = [first_edge[u] for u in followers[:BLOCK_LINKS]]
+    links = [(ctx.user_ids[ctx.edge_src[r]], ctx.user_ids[ctx.edge_dst[r]]) for r in rows]
+    scores = benchmark(scorer.scores_without_links, links)
+    assert scores.shape == (BLOCK_LINKS, len(ctx.user_ids))

@@ -1,6 +1,8 @@
 """Kernel benchmarks of the TIR ranking path on the seed-3 2,000-user
 synthetic dataset (3,807 edges): the 24-hour weight kernel, the 24 hourly
-matrix assemblies and one global ``tir_rank`` call.
+matrix assemblies, one global ``tir_rank`` call, and personal ``tir_rank``
+calls for the four users that ``rank-2k`` draws with ``--seed 3`` (those
+iterate only the hours their user is active in).
 
 The file name keeps it out of the default test run. Run it with
 
@@ -12,6 +14,7 @@ and trains the response model the way the ``train`` stage does, without
 cross-validation, and takes about 10 s.
 """
 
+import numpy as np
 import pytest
 
 from influxrank.features import FeatureContext, balance_and_normalize, build_instances
@@ -54,3 +57,16 @@ def test_tir_rank_global(benchmark, trained):
     dataset, ctx, model = trained
     rv = benchmark(tir_rank, dataset, model, C, GAMMA, ctx=ctx)
     assert abs(rv.scores.sum() - 1.0) < 1e-9
+
+
+def test_tir_rank_personal(benchmark, trained):
+    dataset, ctx, model = trained
+    rng = np.random.default_rng(3)
+    users = [ctx.user_ids[i] for i in sorted(rng.choice(len(ctx.user_ids), 4, replace=False))]
+
+    def personal():
+        return [tir_rank(dataset, model, C, GAMMA, mode="personal", user=u, ctx=ctx)
+                for u in users]
+
+    for rv in benchmark(personal):
+        assert abs(rv.scores.sum() - 1.0) < 1e-9

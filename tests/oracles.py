@@ -333,7 +333,7 @@ def response_metrics_loop(dataset: Dataset) -> tuple[list[ResponseMetric], int]:
         trace = 0
         for friend in dataset.graph.friends(tw.author):
             ts = timelines[friend]
-            trace += bisect.bisect_left(ts, t_j) - bisect.bisect_right(ts, t_i)
+            trace += max(0, bisect.bisect_left(ts, t_j) - bisect.bisect_right(ts, t_i))
         metrics.append(ResponseMetric(tw.tweet_id, tw.kind, delay=t_j - t_i, trace=trace))
     return metrics, excluded
 

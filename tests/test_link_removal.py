@@ -278,6 +278,27 @@ class TestBatchCases:
         for i in (0, 2, 1, 5, 3, 4, 0):
             assert np.array_equal(scorer.scores_without(*links[i]).scores, want[i])
 
+    def test_followers_without_a_shared_active_hour(self, monkeypatch):
+        # followers u00 (hour 1), u02 (hour 3) and u05 (hours 4 and 20,
+        # its retweet and its original) are active in disjoint hours: each
+        # hour solves only its own follower's links, and the 20 hours that
+        # none of them is active in are not solved
+        solved = []
+        solve = evaluation.ColumnUpdateSolver.solve_with_columns
+
+        def counted(self, us, rows, columns, link):
+            solved.append(us.tolist())
+            return solve(self, us, rows, columns, link)
+
+        links = [("u00", "u01"), ("u02", "u03"), ("u05", "u01"), ("u02", "u04")]
+        dataset = self.dataset(responses=[(5, 1, 4)])
+        scorer = TirLinkScorer(dataset, MODEL, 0.85, gamma=GAMMA)
+        monkeypatch.setattr(evaluation.ColumnUpdateSolver, "solve_with_columns", counted)
+        block = scorer.scores_without_links(links)
+        assert solved == [[0], [2, 2], [5], [5]]
+        for row, (u, v) in zip(block, links):
+            assert np.array_equal(row, scores_without_loop(scorer, u, v))
+
     def test_block_of_one(self):
         assert_batch_matches_oracle(self.dataset(), [("u05", "u01")], 0.85, p=0.3)
 

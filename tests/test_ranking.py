@@ -1,13 +1,15 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from influxrank.evaluation import TirLinkScorer
 from influxrank.features import FeatureContext, N_FEATURES
 from influxrank.logistic import LogisticModel
+from influxrank.model import Tweet
 from influxrank.ranking import (
     ConvergenceError,
     RankVector,
@@ -372,3 +374,139 @@ class TestTwitterRank:
         rv = twitterrank(dataset, ctx=small_ctx)
         assert rv.scores.sum() == pytest.approx(1.0)
         assert np.all(rv.scores > 0)
+
+
+# ------------------------------------------------------- zero-weight hours
+
+SKIP_MODEL = LogisticModel(w0=0.3, w=np.linspace(-0.6, 0.4, N_FEATURES))
+
+
+def hours_dataset(n, edges, tweet_hours):
+    """Users u0.. following ``edges``; tweet_hours[i] lists the hours of
+    user i's originals, one per day."""
+    ids = [f"u{i}" for i in range(n)]
+    tweets = [Tweet(f"t{i}_{j}", ids[i], "original", 86400 * j + 3600 * h)
+              for i, hours in enumerate(tweet_hours) for j, h in enumerate(hours)]
+    return make_dataset([make_user(x) for x in ids],
+                        [(ids[a], ids[b]) for a, b in edges], tweets,
+                        window=(0, 5 * 86400))
+
+
+def all_hours_tir(dataset, ctx, c, user):
+    """Personal TIR the long way: 24 power iterations, then aggregate."""
+    weights = _edge_weights_all_hours(ctx, SKIP_MODEL, c)
+    hourly = [power_iterate(build_matrix(dataset, SKIP_MODEL, t, c, ctx=ctx, edge_weights=weights),
+                            ctx.user_ids)
+              for t in range(24)]
+    return aggregate(hourly, personal_weights(ctx, [ctx.index[user]])[0]).scores
+
+
+@st.composite
+def personal_cases(draw):
+    n = draw(st.integers(2, 8))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=20, unique=True))
+    tweet_hours = [draw(st.lists(st.integers(0, 23), max_size=4)) for _ in range(n)]
+    return n, edges, tweet_hours, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=personal_cases(), c=st.sampled_from([0.5, 0.85, 1.0]))
+# user u0 has tweets in one hour only, and in none at all (uniform weights)
+@example(case=(3, [(0, 1), (1, 2), (2, 0)], [[7, 7], [1, 7], [3]], 0), c=0.85)
+@example(case=(3, [(0, 1), (1, 2), (2, 0)], [[], [1, 7], [3]], 0), c=0.85)
+def test_personal_tir_equals_all_hours_aggregation(case, c):
+    n, edges, tweet_hours, i = case
+    dataset = hours_dataset(n, edges, tweet_hours)
+    ctx = FeatureContext(dataset)
+    user = f"u{i}"
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].hour)
+        return power_iterate(*args, **kwargs)
+
+    with mock.patch("influxrank.ranking.power_iterate", counted):
+        got = tir_rank(dataset, SKIP_MODEL, c, mode="personal", user=user, ctx=ctx)
+    assert np.array_equal(got.scores, all_hours_tir(dataset, ctx, c, user))
+    weighed = np.flatnonzero(personal_weights(ctx, [i])[0] > 0).tolist()
+    assert calls == weighed
+    assert len(weighed) == (24 if not tweet_hours[i] else len(set(tweet_hours[i])))
+
+
+class TestZeroWeightHours:
+    # u0 follows u1 and u2 and tweets only at hour 5, where nobody else
+    # does and nobody follows u0: hour 5's matrix has no edge mass and
+    # converges at once, every other matrix needs many iterations
+    def dataset(self):
+        return hours_dataset(3, [(0, 1), (0, 2), (1, 2), (2, 1)], [[5], [9, 14], [9, 20]])
+
+    def test_unweighted_hour_that_would_not_converge_is_not_iterated(self):
+        ds = self.dataset()
+        rv = tir_rank(ds, SKIP_MODEL, mode="personal", user="u0", max_iters=1)
+        assert np.allclose(rv.scores, 1 / 3)
+        with pytest.raises(ConvergenceError):
+            tir_rank(ds, SKIP_MODEL, mode="personal", user="u1", max_iters=1)
+        with pytest.raises(ConvergenceError):
+            tir_rank(ds, SKIP_MODEL, mode="global", max_iters=1)
+
+    def test_aggregate_accepts_none_only_at_zero_weight(self):
+        ids = ("a", "b")
+        hourly = [RankVector(ids, np.array([0.25, 0.75]), hour=t) for t in range(24)]
+        weights = [0.0] * 24
+        weights[3], weights[9] = 1.0, 3.0
+        full = aggregate(hourly, weights)
+        sparse_hours = [rv if w > 0 else None for rv, w in zip(hourly, weights)]
+        assert np.array_equal(aggregate(sparse_hours, weights).scores, full.scores)
+        sparse_hours[9] = None
+        with pytest.raises(ValueError, match="positive weight"):
+            aggregate(sparse_hours, weights)
+
+    def test_twitterrank_skips_topics_without_share(self, tiny_dataset):
+        # A's topic row is (1, 0): only topic 0 is iterated
+        ctx = FeatureContext(tiny_dataset)
+        with mock.patch("influxrank.ranking.power_iterate", wraps=power_iterate) as spy:
+            rv = twitterrank(tiny_dataset, mode="personal", user="A", ctx=ctx)
+        assert [call.args[0].hour for call in spy.call_args_list] == [0]
+        only = power_iterate(twitterrank_matrices(tiny_dataset, ctx=ctx)[0], ctx.user_ids)
+        assert np.array_equal(rv.scores, only.scores)
+
+
+class TestParametersFailFast:
+    """Bad iteration parameters raise ValueError before any work."""
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"max_iters": 0}, "max_iters"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": float("nan")}, "tol"),
+    ])
+    def test_tunkrank(self, tiny_dataset, kwargs, match):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=match):
+            tunkrank(tiny_dataset, **kwargs)
+        assert time.perf_counter() - started < 0.1
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, -0.2])
+    def test_twitterrank_gamma(self, tiny_dataset, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            twitterrank(tiny_dataset, gamma=gamma)
+        with pytest.raises(ValueError, match="gamma"):
+            twitterrank_matrices(tiny_dataset, gamma=gamma)
+
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_power_iterate_max_iters(self, tiny_dataset, max_iters):
+        ctx = FeatureContext(tiny_dataset)
+        tm = build_matrix(tiny_dataset, flat_model(), t=1, ctx=ctx)
+        with pytest.raises(ValueError, match="max_iters"):
+            power_iterate(tm, ctx.user_ids, max_iters=max_iters)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"tol": float("inf")}, "tol"),
+        ({"max_iters": 0}, "max_iters"),
+        ({"gamma": 1.0}, "gamma"),
+    ])
+    def test_tir_rank(self, tiny_dataset, kwargs, match):
+        with mock.patch("influxrank.ranking._edge_weights_all_hours") as spy:
+            with pytest.raises(ValueError, match=match):
+                tir_rank(tiny_dataset, flat_model(), **kwargs)
+        spy.assert_not_called()

@@ -340,6 +340,21 @@ class TestResponseMetrics:
         assert metrics.delay[0] == 30
         assert metrics.trace[0] == 2
 
+    def test_same_second_response_has_zero_trace(self):
+        # u follows v and w; v's original, w's original and u's retweet of
+        # v all fall in the same second, so no tweet lies strictly between
+        users = [make_user(u) for u in "uvw"]
+        tweets = [
+            Tweet("t1", "v", "original", 100),
+            Tweet("w1", "w", "original", 100),
+            Tweet("r1", "u", "retweet", 100, responds_to_user="v",
+                  responds_to_tweet="t1"),
+        ]
+        ds = make_dataset(users, [("u", "v"), ("u", "w")], tweets)
+        metrics, _ = response_metrics(ds)
+        assert (metrics.delay[0], metrics.trace[0]) == (0, 0)
+        assert [m.trace for m in response_metrics_loop(ds)[0]] == [0]
+
     def test_unresolvable_original_excluded(self):
         users = [make_user(u) for u in "uv"]
         tweets = [
