@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -16,10 +16,12 @@ from .model import Dataset
 from .ranking import (
     DEFAULT_GAMMA,
     RankVector,
+    TransitionMatrix,
     _edge_weights_all_hours,
-    build_matrix,
     check_params,
+    check_tir_model,
     check_tunkrank_fixed_point,
+    hourly_matrices,
     normalise_weights,
     personal_weights,
     tunkrank_matrix,
@@ -292,33 +294,54 @@ def _normalise_columns(weights: np.ndarray, link: np.ndarray, n_links: int) -> n
     return out
 
 
+def _link_blocks(link: np.ndarray, n_links: int):
+    """(a, b, ra, rb) for each block of BLOCK_LINKS consecutive links, in
+    order: links a..b-1 own the entries ra..rb-1 of the ascending ``link``."""
+    starts = np.arange(0, n_links, BLOCK_LINKS)
+    stops = np.minimum(starts + BLOCK_LINKS, n_links)
+    return zip(starts, stops, np.searchsorted(link, starts), np.searchsorted(link, stops))
+
+
 def _weighted_solutions(
-    solvers: Sequence[ColumnUpdateSolver],
+    matrices: Iterable[TransitionMatrix],
+    n: int,
     weights: np.ndarray,
     us: np.ndarray,
     rows: np.ndarray,
     columns: np.ndarray,
     link: np.ndarray,
 ) -> np.ndarray:
-    """(L, n) sum over matrices t of weights[k, t] times link k's solution
-    of ``solvers[t]``, each solution scaled to sum 1. ``us``, ``rows`` and
+    """(L, n) sum over n-user matrices t of weights[k, t] times link k's
+    solution of matrix t, each solution scaled to sum 1. ``us``, ``rows`` and
     ``link`` are as in ``ColumnUpdateSolver.solve_with_columns`` and
     ``columns[t]`` holds the replaced columns' values for matrix t.
 
-    Matrix t solves only the links of positive weight[k, t], and a matrix
-    no link weighs is not solved at all. A skipped term would add the zero
-    0 * y to a sum that starts at +0.0, so skipping it changes no bit."""
-    scores = np.zeros((len(us), len(solvers[0].x)))
-    for t, solver in enumerate(solvers):
-        on = weights[:, t] > 0
-        if not on.any():
-            continue
-        keep = on[link]
-        renumber = np.cumsum(on) - 1
-        y = solver.solve_with_columns(us[on], rows[keep], columns[t][keep], renumber[link[keep]])
-        y /= y.sum(axis=1)[:, None]
-        y *= weights[on, t, None]
-        scores[on] += y
+    ``matrices`` gives the matrix of every t that some link weighs
+    (weights[k, t] > 0), in ascending t. Each is factored when it is
+    reached, every block of BLOCK_LINKS links is solved against that factor
+    in one multi-column solve, and the factor is freed before the next
+    matrix is taken: one factorisation is alive at a time. A block solves
+    only its links of positive weight, and skips a matrix none of them
+    weighs. A skipped term would add the zero 0 * y to a sum that starts
+    at +0.0, so skipping it changes no bit, and each link's terms are added
+    in ascending t."""
+    n_links = len(us)
+    scores = np.zeros((n_links, n))
+    for tm in matrices:
+        t = tm.hour
+        solver = ColumnUpdateSolver(tm.matrix, tm.gamma)
+        for a, b, ra, rb in _link_blocks(link, n_links):
+            on = weights[a:b, t] > 0
+            if not on.any():
+                continue
+            keep = on[link[ra:rb] - a]
+            renumber = np.cumsum(on) - 1
+            y = solver.solve_with_columns(us[a:b][on], rows[ra:rb][keep],
+                                          columns[t, ra:rb][keep], renumber[link[ra:rb][keep] - a])
+            y /= y.sum(axis=1)[:, None]
+            y *= weights[a:b][on, t, None]
+            scores[a:b][on] += y
+        del solver
     return scores
 
 
@@ -329,36 +352,40 @@ def _link_indices(index: dict[str, int], links: Sequence[tuple[str, str]]):
 
 
 class _LinkBlocks:
-    """Single-link scores served from blocks of links scored together.
+    """Single-link scores served from one ``scores_without_links`` call.
 
-    ``expect(links)`` lists the links that will be asked for, in that order.
-    Asking for the next expected link scores it with the BLOCK_LINKS - 1
-    expected links after it in one ``scores_without_links`` call, and the
-    rest of that block is then served from memory. Any other link is scored
-    alone, as a block of one."""
+    ``expect(links)`` announces the links that will be asked for. The first
+    request for an announced link scores every announced link in one
+    ``scores_without_links`` call, and each row is then served from memory
+    once. Any other link, or an announced link asked for again, is scored
+    alone; for the TIR and TwitterRank scorers that factors every hour
+    (topic) its follower weighs, so a caller that scores many links should
+    announce them."""
 
     def expect(self, links: Sequence[tuple[str, str]]) -> None:
-        self._queue = list(links)
+        self._queue = list(dict.fromkeys(links))
         self._rows: dict[tuple[str, str], np.ndarray] = {}
 
     def _scores(self, u: str, v: str) -> np.ndarray:
         link = (u, v)
         if link not in self._rows:
             block = [link]
-            if self._queue[:1] == block:
-                block, self._queue = self._queue[:BLOCK_LINKS], self._queue[BLOCK_LINKS:]
+            if link in self._queue:
+                block, self._queue = self._queue, []
             self._rows.update(zip(block, self.scores_without_links(block)))
         return self._rows.pop(link)
 
 
 class TirLinkScorer(_LinkBlocks):
-    """Reusable TIR machinery for repeated single-edge-removal rankings.
+    """Personal TIR rankings after single-edge removals.
 
     Removing edge (u, v) only changes column u of every hourly matrix: u
     loses a friend, which shifts the tweet-share feature and close-friend
-    multiplier for u's remaining edges. Those weights are recomputed for a
-    block of links at once, and each hour's rankings are updated by one
-    ColumnUpdateSolver solve for the block.
+    multiplier for u's remaining edges. ``scores_without_links`` recomputes
+    those columns for all its links, then builds and factors the hourly
+    matrices one at a time, only the hours that some link's follower
+    weighs, and updates each hour's ranking by one ColumnUpdateSolver solve
+    per block of links. The scorer holds no factorisation between calls.
     """
 
     def __init__(
@@ -369,6 +396,8 @@ class TirLinkScorer(_LinkBlocks):
         gamma: float = DEFAULT_GAMMA,
         ctx: Optional[FeatureContext] = None,
     ):
+        check_tir_model(model, c)
+        check_params(gamma=gamma)
         self.dataset = dataset
         self.model = model
         self.c = c
@@ -376,14 +405,6 @@ class TirLinkScorer(_LinkBlocks):
         self.ctx = ctx if ctx is not None else FeatureContext(dataset)
         self.user_ids = tuple(self.ctx.user_ids)
         self.expect(())
-        weights = _edge_weights_all_hours(self.ctx, model, c)
-        self.solvers = [
-            ColumnUpdateSolver(
-                build_matrix(dataset, model, t, c, gamma, ctx=self.ctx, edge_weights=weights).matrix,
-                gamma,
-            )
-            for t in range(24)
-        ]
 
     def scores_without_links(self, links: Sequence[tuple[str, str]]) -> np.ndarray:
         """(len(links), n) personal TIR scores of each link's follower u once
@@ -391,15 +412,18 @@ class TirLinkScorer(_LinkBlocks):
 
         Each hour solves only the links whose follower gives it a positive
         weight (``personal_weights``, normalised), and an hour that no
-        follower of the block is active in is skipped: the scores equal the
-        aggregation of all 24 hours bit for bit."""
+        follower is active in is neither built nor factored: the scores
+        equal the aggregation of all 24 hours bit for bit."""
         ctx = self.ctx
         ius, ivs = _link_indices(ctx.index, links)
         rows, link, shares = _friend_shares_without(ctx, ius, ivs)
         weights = _edge_weights_all_hours(ctx, self.model, self.c, rows=rows, shares=shares)
         columns = _normalise_columns(weights, link, len(links))
         hour_w = normalise_weights(personal_weights(ctx, ius))
-        return _weighted_solutions(self.solvers, hour_w, ius, ctx.edge_dst[rows], columns, link)
+        hours = np.flatnonzero((hour_w > 0).any(axis=0))
+        matrices = hourly_matrices(self.dataset, self.model, hours, self.c, self.gamma, ctx)
+        return _weighted_solutions(matrices, len(self.user_ids), hour_w, ius, ctx.edge_dst[rows],
+                                   columns, link)
 
     def personal_scores_without(self, u: str, v: str) -> RankVector:
         return RankVector(
@@ -412,7 +436,9 @@ class TirLinkScorer(_LinkBlocks):
 
 
 class TwitterRankLinkScorer(_LinkBlocks):
-    """TwitterRank counterpart of TirLinkScorer (per-topic matrices)."""
+    """TwitterRank counterpart of TirLinkScorer. It keeps the sparse topic
+    matrices and, like TirLinkScorer, factors them one at a time per
+    ``scores_without_links`` call."""
 
     def __init__(
         self,
@@ -425,15 +451,13 @@ class TwitterRankLinkScorer(_LinkBlocks):
         self.ctx = ctx if ctx is not None else FeatureContext(dataset)
         self.user_ids = tuple(self.ctx.user_ids)
         self.expect(())
-        self.solvers = [
-            ColumnUpdateSolver(tm.matrix, gamma)
-            for tm in twitterrank_matrices(dataset, gamma, self.ctx)
-        ]
+        self.matrices = twitterrank_matrices(dataset, gamma, self.ctx)
 
     def scores_without_links(self, links: Sequence[tuple[str, str]]) -> np.ndarray:
         """(len(links), n) personal TwitterRank scores of each link's follower
         u once u unfollows v: the topic rankings weighted by u's topic
-        shares, over the topics where that share is positive."""
+        shares, over the topics where that share is positive; a topic no
+        follower has a share of is not factored."""
         ctx = self.ctx
         ius, ivs = _link_indices(ctx.index, links)
         rows, link, ratio = _friend_shares_without(ctx, ius, ivs)
@@ -441,7 +465,9 @@ class TwitterRankLinkScorer(_LinkBlocks):
         sims = 1.0 - np.abs(ctx.topics[ius[link]] - ctx.topics[dsts])  # (len(rows), k)
         columns = _normalise_columns(ratio[:, None] * sims, link, len(links))
         shares = ctx.topics[ius]
-        scores = _weighted_solutions(self.solvers, shares, ius, dsts, columns, link)
+        topics = np.flatnonzero((shares > 0).any(axis=0))
+        matrices = (self.matrices[t] for t in topics)
+        scores = _weighted_solutions(matrices, len(self.user_ids), shares, ius, dsts, columns, link)
         total = shares.sum(axis=1)
         on = total > 0
         scores[on] /= total[on, None]
@@ -459,9 +485,10 @@ class TwitterRankLinkScorer(_LinkBlocks):
 
 class TunkRankLinkScorer(_LinkBlocks):
     """TunkRank after removing follow links, by one ColumnUpdateSolver
-    solve per block of links: column u of the follower -> friend matrix
-    holds 1/deg(u) on each friend, and without (u, v) it holds
-    1/(deg(u) - 1) on the rest."""
+    solve per block of BLOCK_LINKS links against one factorisation, which
+    the scorer keeps: column u of the follower -> friend matrix holds
+    1/deg(u) on each friend, and without (u, v) it holds 1/(deg(u) - 1) on
+    the rest."""
 
     def __init__(self, dataset: Dataset, p: float = 0.05):
         self.p = p
@@ -481,8 +508,13 @@ class TunkRankLinkScorer(_LinkBlocks):
                 keep = (self.src != iu) | (self.dst != iv)
                 check_tunkrank_fixed_point(self.src[keep], self.dst[keep], len(self.user_ids))
         rows, link = _friend_rows(self.src, self.dst, ius, ivs)
+        dsts = self.dst[rows]
         columns = 1.0 / np.bincount(link, minlength=len(links))[link]
-        return self.solver.solve_with_columns(ius, self.dst[rows], columns, link)
+        scores = np.empty((len(links), len(self.user_ids)))
+        for a, b, ra, rb in _link_blocks(link, len(links)):
+            scores[a:b] = self.solver.solve_with_columns(ius[a:b], dsts[ra:rb], columns[ra:rb],
+                                                         link[ra:rb] - a)
+        return scores
 
     def scores_without(self, u: str, v: str) -> RankVector:
         return RankVector(
@@ -537,9 +569,12 @@ def evaluate_link(
 
     TIR and TwitterRank use personal-perspective aggregation via the given
     scorer; TunkRank uses its global ranking, from the given scorer or one
-    built here with ``tunkrank_p``. ``candidates`` are the candidates' rows
-    in the sorted user ids when the caller has drawn them already, as
-    run_scenarios does once per link for every model.
+    built here with ``tunkrank_p``. A TIR or TwitterRank link the scorer was
+    not told of by ``expect`` is scored alone, which factors every hour
+    (topic) its follower weighs; callers that score many links announce
+    them first. ``candidates`` are the candidates' rows in the sorted user
+    ids when the caller has drawn them already, as run_scenarios does once
+    per link for every model.
     """
     u, v = link
     if not dataset.graph.has_edge(u, v):
@@ -590,10 +625,11 @@ def run_scenarios(
     Results come in the order scenario -> model -> c. Each link is
     evaluated once per (model, c) even when several scenarios hold it, and
     its candidates are drawn once for all of them. Each scorer is told the
-    links in advance and scores them BLOCK_LINKS at a time, with one
-    multi-column solve per matrix, before the next scorer is built; Q is
-    still taken link by link through evaluate_link. Bad parameters raise
-    ValueError before any scorer is built.
+    links in advance and scores them all in one call, matrix by matrix,
+    with one multi-column solve per matrix for each block of BLOCK_LINKS
+    links, before the next scorer is built; Q is still taken link by link
+    through evaluate_link. Bad parameters raise ValueError before any
+    scorer is built.
     """
     if not 0.0 <= tunkrank_p <= 1.0:
         raise ValueError("p must be in [0, 1]")
@@ -626,8 +662,10 @@ def run_scenarios(
             return TwitterRankLinkScorer(dataset, gamma=gamma, ctx=ctx)
         return TunkRankLinkScorer(dataset, p=tunkrank_p)
 
-    # Scorers are temporaries: one c's TIR factorisations are freed before
-    # the next c's are built.
+    # Scorers are temporaries. The TIR and TwitterRank scorers factor one
+    # hour (topic) at a time and free it before the next, so at most one of
+    # their factorisations is alive; TunkRank's own factor lives while its
+    # scorer does.
     per_model = [(model, c, q_by_tag(model, build_scorer(model, c)))
                  for model in models for c in (c_grid if model == "tir" else (None,))]
     return [ScenarioResult(tag, m, c, qs[tag]) for tag in tags for m, c, qs in per_model]

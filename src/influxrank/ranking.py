@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -84,25 +84,35 @@ class RankVector:
         return [self.user_ids[i] for i in idx]
 
 
+def check_tir_model(model: LogisticModel, c: float) -> None:
+    """Raise ValueError for a penalty factor c outside [0.5, 1], or for a
+    response model whose dimension is not the feature count."""
+    if not 0.5 <= c <= 1.0:
+        raise ValueError("penalty factor c must be in [0.5, 1]")
+    if len(model.w) != N_FEATURES:
+        raise ValueError(f"feature dimension {N_FEATURES} != model dimension {len(model.w)}")
+
+
 def _edge_weights_all_hours(
     ctx: FeatureContext,
     model: LogisticModel,
     c: float,
     rows: Optional[np.ndarray] = None,
     shares: Optional[np.ndarray] = None,
+    hours: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """(len(rows), 24) raw transition weights of edge rows ``rows`` (all
-    edges by default): the response probability with the ever-responded
-    feature forced to 1, times the friend's hourly tweet rate, times c for
-    close friends and 1 - c otherwise. ``shares`` replaces the tweet-share
-    feature pt_uv of those rows.
+    """(len(rows), len(hours)) raw transition weights of edge rows ``rows``
+    (all edges by default) at ``hours`` (all 24 by default): the response
+    probability with the ever-responded feature forced to 1, times the
+    friend's hourly tweet rate, times c for close friends and 1 - c
+    otherwise. ``shares`` replaces the tweet-share feature pt_uv of those
+    rows.
 
     The logit is w0 plus the terms of the static features, summed once per
-    edge, plus the terms of the four hourly features over all 24 hours."""
-    if not 0.5 <= c <= 1.0:
-        raise ValueError("penalty factor c must be in [0.5, 1]")
-    if len(model.w) != N_FEATURES:
-        raise ValueError(f"feature dimension {N_FEATURES} != model dimension {len(model.w)}")
+    edge, plus the terms of the four hourly features at each hour. Every
+    hour's column is computed elementwise, so it has the same bits whichever
+    other hours are computed with it."""
+    check_tir_model(model, c)
     if rows is None:
         rows = np.arange(len(ctx.edges))
     x = ctx.edge_static_features()[rows]
@@ -119,8 +129,13 @@ def _edge_weights_all_hours(
     for j in range(N_FEATURES):
         if j not in HOURLY_INDICES:
             z += term(x[:, j], j)
+    # gathered for all 24 hours (a row gather, cheaper than a rows x hours
+    # gather of a few), then the hours' columns copied out unless they are
+    # all 24 in order
     hourly = ctx.fill_hourly(rows, slice(None), np.empty((4, len(rows), 24)))
-    z = np.repeat(z[:, None], 24, axis=1)
+    if hours is not None and list(hours) != list(range(24)):
+        hourly = hourly[:, :, hours]
+    z = np.repeat(z[:, None], hourly.shape[2], axis=1)
     for j, values in zip(HOURLY_INDICES, hourly):
         z += term(values, j)
     mult = np.where(ctx.edge_close[rows], c, 1.0 - c)
@@ -156,6 +171,35 @@ def _assemble(
     return TransitionMatrix(hour=hour, gamma=gamma, n=n, matrix=m, dangling=dangling)
 
 
+def hourly_matrices(
+    dataset: Dataset,
+    model: LogisticModel,
+    hours: Sequence[int],
+    c: float = 0.85,
+    gamma: float = DEFAULT_GAMMA,
+    ctx: Optional[FeatureContext] = None,
+) -> Iterator[TransitionMatrix]:
+    """The TIR transition matrices of ``hours``, in that order: raw weights
+    from _edge_weights_all_hours, columns normalized to sum 1, dangling
+    columns replaced by uniform 1/|V|.
+
+    The parameters are checked and the weight grid over ``hours`` is
+    computed at the call; each matrix is assembled only when the iterator
+    reaches it, so a caller that lets go of one matrix before it asks for
+    the next holds one at a time."""
+    if dataset.n_users == 0:
+        raise ValueError("empty dataset")
+    check_params(gamma=gamma)
+    if ctx is None:
+        ctx = FeatureContext(dataset)
+    weights = _edge_weights_all_hours(ctx, model, c, hours=hours)
+    n = len(ctx.user_ids)
+    return (
+        _assemble(ctx.edge_src, ctx.edge_dst, weights[:, j], n, int(t), gamma)
+        for j, t in enumerate(hours)
+    )
+
+
 def build_matrix(
     dataset: Dataset,
     model: LogisticModel,
@@ -163,20 +207,9 @@ def build_matrix(
     c: float = 0.85,
     gamma: float = DEFAULT_GAMMA,
     ctx: Optional[FeatureContext] = None,
-    edge_weights: Optional[np.ndarray] = None,
 ) -> TransitionMatrix:
-    """Hourly TIR transition matrix: raw weights from _edge_weights_all_hours,
-    columns normalized to sum 1, dangling columns replaced by uniform 1/|V|."""
-    if dataset.n_users == 0:
-        raise ValueError("empty dataset")
-    check_params(gamma=gamma)
-    if ctx is None:
-        ctx = FeatureContext(dataset)
-    if edge_weights is None:
-        edge_weights = _edge_weights_all_hours(ctx, model, c)
-    return _assemble(
-        ctx.edge_src, ctx.edge_dst, edge_weights[:, t], len(ctx.user_ids), t, gamma
-    )
+    """Hourly TIR transition matrix of hour t (see ``hourly_matrices``)."""
+    return next(hourly_matrices(dataset, model, [t], c, gamma, ctx))
 
 
 def power_iterate(
@@ -286,10 +319,11 @@ def tir_rank(
 
     The hour weights come first: the share of all tweets in each hour
     (global mode) or the user's own hourly activity (personal mode, uniform
-    for a user without tweets). Only the hours of positive weight are built
-    and iterated; the others enter ``aggregate`` as None. The scores equal
-    the aggregation of all 24 hours bit for bit, but an hour of weight 0 can
-    no longer raise ConvergenceError, as it is never iterated."""
+    for a user without tweets). Only the hours of positive weight get edge
+    weights, a matrix and an iteration; the others enter ``aggregate`` as
+    None. The scores equal the aggregation of all 24 hours bit for bit, but
+    an hour of weight 0 can no longer raise ConvergenceError, as it is never
+    iterated."""
     check_params(gamma, tol, max_iters)
     if ctx is None:
         ctx = FeatureContext(dataset)
@@ -301,18 +335,9 @@ def tir_rank(
         w = personal_weights(ctx, [ctx.index[user]])[0]
     else:
         raise ValueError(f"unknown aggregation mode {mode!r}")
-    weights = _edge_weights_all_hours(ctx, model, c)
-    hourly = [
-        power_iterate(
-            build_matrix(dataset, model, t, c, gamma, ctx=ctx, edge_weights=weights),
-            ctx.user_ids,
-            tol=tol,
-            max_iters=max_iters,
-        )
-        if w[t] > 0
-        else None
-        for t in range(24)
-    ]
+    hourly: list[Optional[RankVector]] = [None] * 24
+    for tm in hourly_matrices(dataset, model, np.flatnonzero(w > 0), c, gamma, ctx):
+        hourly[tm.hour] = power_iterate(tm, ctx.user_ids, tol=tol, max_iters=max_iters)
     return aggregate(hourly, w, model="tir", params={"c": c, "gamma": gamma, "mode": mode})
 
 

@@ -189,6 +189,8 @@ def ksc_cluster(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     shifts = _shift_set(max_shift)
     ids = sorted(profiles)
     mat = np.asarray([profiles[u] for u in ids], dtype=float)

@@ -2,13 +2,15 @@
 benchmark workload: the seed-3 2,000-user synthetic dataset, eight links per
 scenario drawn with the sub-seed that ``influxrank recommend --seed 3`` uses
 (56 links; the seven non-empty scenarios share two), at c = 0.85. It times
-the scorer's batched path, in blocks of ``BLOCK_LINKS`` as ``run_scenarios``
-scores them, against the per-link oracle of ``tests/oracles.py``; the
-factorisations are built once, outside the timing. Two more cases time one
-block of ``BLOCK_LINKS`` links, one per follower, from the followers active
-in the fewest and in the most hours of the day (a tweetless follower weighs
-all 24 hours): each hour solves only the links whose follower is active in
-it, so the first block solves few hours and the second nearly all.
+the scorer's batched path, one ``scores_without_links`` call over all 56
+links as ``run_scenarios`` makes it (each hour that some follower weighs is
+built, factored and solved in blocks of ``BLOCK_LINKS``, then freed), against
+the per-link oracle of ``tests/oracles.py``, whose 24 hourly factorisations
+are built once, outside the timing. Two more cases time one call on
+``BLOCK_LINKS`` links, one per follower, from the followers active in the
+fewest and in the most hours of the day (a tweetless follower weighs all
+24 hours): only the hours some follower is active in are factored, so the
+first call factors few hours and the second nearly all.
 
 The file name keeps it out of the default test run. Run it with
 
@@ -32,7 +34,7 @@ from influxrank.logistic import train
 from influxrank.ranking import personal_weights
 from influxrank.synth import GeneratorConfig, generate
 
-from oracles import tir_scores_without_loop
+from oracles import link_solvers, tir_scores_without_loop
 
 C = 0.85
 LINKS_PER_SCENARIO = 8
@@ -54,18 +56,14 @@ def scored():
 
 def test_tir_links_batched(benchmark, scored):
     scorer, links = scored
-
-    def blocks():
-        return [scorer.scores_without_links(links[i:i + BLOCK_LINKS])
-                for i in range(0, len(links), BLOCK_LINKS)]
-
-    scores = np.concatenate(benchmark(blocks))
+    scores = benchmark(scorer.scores_without_links, links)
     assert scores.shape == (len(links), len(scorer.ctx.user_ids))
 
 
 def test_tir_links_per_link_oracle(benchmark, scored):
     scorer, links = scored
-    rows = benchmark(lambda: [tir_scores_without_loop(scorer, u, v) for u, v in links])
+    solvers = link_solvers(scorer)
+    rows = benchmark(lambda: [tir_scores_without_loop(scorer, u, v, solvers) for u, v in links])
     assert np.array_equal(np.array(rows), scorer.scores_without_links(links))
 
 

@@ -18,8 +18,9 @@ shape distance of one pair, from its definition. ``dense`` and
 tweet totals, close friends, reciprocity, degree counts, edge rows) walk
 ``graph.friends``/``followers``/``has_edge``/``edges()`` user by user: the
 forms that the array code over ``FollowGraph.src``/``dst`` replaced. The
-link-removal oracles score one removed link at a time from a scorer's
-factorisations (``solve_with_column_loop`` is the single-column solve that
+link-removal oracles score one removed link at a time against all of a
+model's factorisations, which ``link_solvers`` builds and holds together
+(``solve_with_column_loop`` is the single-column solve that
 ``ColumnUpdateSolver.solve_with_columns`` replaced), draw candidates with a
 sort of the ids (``sample_candidates_loop``) and count Q from the score
 dictionary (``q_score_dict``); ``run_scenarios_loop`` is the protocol built
@@ -40,6 +41,7 @@ from scipy import sparse
 
 from influxrank.evaluation import (
     SCENARIO_TAGS,
+    ColumnUpdateSolver,
     TirLinkScorer,
     TunkRankLinkScorer,
     TwitterRankLinkScorer,
@@ -60,8 +62,10 @@ from influxrank.ranking import (
     TransitionMatrix,
     _edge_weights_all_hours,
     aggregate,
+    build_matrix,
     check_tunkrank_fixed_point,
     personal_weights,
+    twitterrank_matrices,
 )
 from influxrank.synth import DEFAULT_W_STAR
 from influxrank.temporal import HourlyProfile, ResponseColumns
@@ -526,30 +530,44 @@ def _friend_shares_loop(ctx: FeatureContext, iu: int, iv: int):
     return rows, dsts, shares
 
 
-def tir_scores_without_loop(scorer, u: str, v: str) -> np.ndarray:
-    """Personal TIR scores once u unfollows v, from the factorisations of a
-    ``TirLinkScorer``: one column solve per hour, then ``aggregate``."""
+def link_solvers(scorer) -> list[ColumnUpdateSolver]:
+    """The solvers of a ``TirLinkScorer``'s 24 hourly matrices (from
+    ``build_matrix``) or of a ``TwitterRankLinkScorer``'s topic matrices
+    (from ``twitterrank_matrices``), all factored here and held together."""
+    if isinstance(scorer, TirLinkScorer):
+        matrices = [build_matrix(scorer.dataset, scorer.model, t, scorer.c, scorer.gamma,
+                                 ctx=scorer.ctx) for t in range(24)]
+    else:
+        matrices = twitterrank_matrices(scorer.dataset, scorer.gamma, scorer.ctx)
+    return [ColumnUpdateSolver(tm.matrix, scorer.gamma) for tm in matrices]
+
+
+def tir_scores_without_loop(scorer, u: str, v: str, solvers=None) -> np.ndarray:
+    """Personal TIR scores once u unfollows v, with the parameters of a
+    ``TirLinkScorer``: one column solve per hour against ``solvers`` (by
+    default ``link_solvers(scorer)``), then ``aggregate``."""
     ctx = scorer.ctx
     iu = ctx.index[u]
     rows, dsts, shares = _friend_shares_loop(ctx, iu, ctx.index[v])
     weights = _edge_weights_all_hours(ctx, scorer.model, scorer.c, rows=rows, shares=shares)
     hourly = []
-    for t, solver in enumerate(scorer.solvers):
+    for t, solver in enumerate(solvers or link_solvers(scorer)):
         y = solve_with_column_loop(solver, iu, dsts, weights[:, t])
         hourly.append(RankVector(tuple(ctx.user_ids), y / y.sum(), hour=t))
     return aggregate(hourly, personal_weights(ctx, [ctx.index[u]])[0]).scores
 
 
-def twitterrank_scores_without_loop(scorer, u: str, v: str) -> np.ndarray:
-    """Personal TwitterRank scores once u unfollows v, from the
-    factorisations of a ``TwitterRankLinkScorer``, topic by topic."""
+def twitterrank_scores_without_loop(scorer, u: str, v: str, solvers=None) -> np.ndarray:
+    """Personal TwitterRank scores once u unfollows v, with the parameters
+    of a ``TwitterRankLinkScorer``, topic by topic against ``solvers`` (by
+    default ``link_solvers(scorer)``)."""
     ctx = scorer.ctx
     iu = ctx.index[u]
     _, dsts, ratio = _friend_shares_loop(ctx, iu, ctx.index[v])
     sims = 1.0 - np.abs(ctx.topics[iu] - ctx.topics[dsts])
     shares = ctx.topics[iu]
     scores = np.zeros(len(ctx.user_ids))
-    for t, solver in enumerate(scorer.solvers):
+    for t, solver in enumerate(solvers or link_solvers(scorer)):
         if shares[t] <= 0:
             continue
         y = solve_with_column_loop(solver, iu, dsts, ratio * sims[:, t])
@@ -571,12 +589,13 @@ def tunkrank_scores_without_loop(scorer, u: str, v: str) -> np.ndarray:
     return solve_with_column_loop(scorer.solver, iu, scorer.dst[rows], np.ones(len(rows)))
 
 
-def scores_without_loop(scorer, u: str, v: str) -> np.ndarray:
-    """The per-link oracle for any of the three link scorers."""
+def scores_without_loop(scorer, u: str, v: str, solvers=None) -> np.ndarray:
+    """The per-link oracle for any of the three link scorers; ``solvers``,
+    when given, are a TIR or TwitterRank scorer's ``link_solvers``."""
     if isinstance(scorer, TirLinkScorer):
-        return tir_scores_without_loop(scorer, u, v)
+        return tir_scores_without_loop(scorer, u, v, solvers)
     if isinstance(scorer, TwitterRankLinkScorer):
-        return twitterrank_scores_without_loop(scorer, u, v)
+        return twitterrank_scores_without_loop(scorer, u, v, solvers)
     assert isinstance(scorer, TunkRankLinkScorer)
     return tunkrank_scores_without_loop(scorer, u, v)
 
@@ -619,12 +638,13 @@ def run_scenarios_loop(dataset: Dataset, logistic_model: LogisticModel, seed: in
         else:
             scorers = [(None, TunkRankLinkScorer(dataset, p=tunkrank_p))]
         for c, scorer in scorers:
+            solvers = None if model == "tunkrank" else link_solvers(scorer)
             q = {}
             for tag in tags:
                 q[tag] = []
                 for u, v in link_sets[tag].links:
                     cands = sample_candidates_loop(dataset, u, _sub_seed(seed, "candidates", u, v))
-                    rv = RankVector(ids, scores_without_loop(scorer, u, v))
+                    rv = RankVector(ids, scores_without_loop(scorer, u, v, solvers))
                     q[tag].append(q_score_dict(rv, v, cands))
             per_model.append((model, c, q))
     return [(tag, m, c, q[tag]) for tag in tags for m, c, q in per_model]

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -305,15 +307,23 @@ class TestRunScenarios:
 
     def test_blocks_scored_once_and_each_link_evaluated(self, small_synth, small_model,
                                                         small_ctx, monkeypatch):
-        # each scorer scores the distinct links in blocks of BLOCK_LINKS, and
-        # evaluate_link still runs once per (link, model, c)
+        # each scorer scores all distinct links in one call, each solve
+        # covers at most BLOCK_LINKS of them, and evaluate_link still runs
+        # once per (link, model, c)
         dataset, _ = small_synth
-        blocks, evaluated = [], []
+        calls, solved, evaluated = [], [], []
         for cls in (TirLinkScorer, TwitterRankLinkScorer, TunkRankLinkScorer):
             def counted(self, links, score=cls.scores_without_links):
-                blocks.append((self.__class__.__name__, len(links)))
+                calls.append((self.__class__.__name__, list(links)))
                 return score(self, links)
             monkeypatch.setattr(cls, "scores_without_links", counted)
+        solve = evaluation.ColumnUpdateSolver.solve_with_columns
+
+        def counted_solve(self, us, *args):
+            solved.append(len(us))
+            return solve(self, us, *args)
+
+        monkeypatch.setattr(evaluation.ColumnUpdateSolver, "solve_with_columns", counted_solve)
 
         def evaluate(*args, **kwargs):
             evaluated.append((args[1], args[3]))
@@ -325,9 +335,31 @@ class TestRunScenarios:
                       ctx=small_ctx)
         link_sets = build_link_sets(dataset, seed=2, ctx=small_ctx, n_links=5)
         links = list(dict.fromkeys(l for t in SCENARIO_TAGS for l in link_sets[t].links))
-        sizes = [min(4, len(links) - i) for i in range(0, len(links), 4)]
-        assert blocks == [(name, k) for name in ("TirLinkScorer", "TirLinkScorer",
-                                                 "TunkRankLinkScorer", "TwitterRankLinkScorer")
-                          for k in sizes]
+        assert len(links) > 4
+        assert calls == [(name, links) for name in ("TirLinkScorer", "TirLinkScorer",
+                                                    "TunkRankLinkScorer", "TwitterRankLinkScorer")]
+        assert solved and max(solved) <= 4
         assert evaluated == [(l, m) for m in ("tir", "tir", "tunkrank", "twitterrank")
                              for l in links]
+
+    def test_one_factorisation_at_a_time(self, small_synth, small_model, small_ctx,
+                                         monkeypatch):
+        # the hourly and topic solvers are alive one at a time; TunkRank's
+        # own factor (the S 1 right-hand side) may live beside one of them
+        dataset, _ = small_synth
+        live, peaks = weakref.WeakSet(), []
+        init = evaluation.ColumnUpdateSolver.__init__
+
+        def tracked(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            live.add(self)
+            peaks.append((sum(s.eta == 0.0 for s in live), sum(s.eta == 1.0 for s in live)))
+
+        monkeypatch.setattr(evaluation.ColumnUpdateSolver, "__init__", tracked)
+        run_scenarios(dataset, small_model, seed=2, c_grid=(0.5, 0.85), n_links=5,
+                      ctx=small_ctx)
+        # every hour for each c (the links' followers weigh all 24 between
+        # them), every topic, and one TunkRank factor
+        assert len(peaks) == 2 * 24 + small_ctx.topics.shape[1] + 1
+        assert max(hourly for hourly, _ in peaks) == 1
+        assert max(tunk for _, tunk in peaks) == 1

@@ -18,9 +18,8 @@ from influxrank.logistic import LogisticModel
 from influxrank.model import Tweet
 from influxrank.ranking import (
     RankVector,
-    _edge_weights_all_hours,
     aggregate,
-    build_matrix,
+    hourly_matrices,
     personal_weights,
     tir_rank,
     tunkrank,
@@ -52,12 +51,8 @@ def dense_pagerank(tm) -> np.ndarray:
 
 def dense_tir(reduced, u, c):
     ctx = FeatureContext(reduced)
-    weights = _edge_weights_all_hours(ctx, MODEL, c)
-    hourly = [
-        RankVector(tuple(ctx.user_ids), dense_pagerank(
-            build_matrix(reduced, MODEL, t, c, GAMMA, ctx=ctx, edge_weights=weights)))
-        for t in range(24)
-    ]
+    hourly = [RankVector(tuple(ctx.user_ids), dense_pagerank(tm), hour=tm.hour)
+              for tm in hourly_matrices(reduced, MODEL, range(24), c, GAMMA, ctx)]
     return aggregate(hourly, personal_weights(ctx, [ctx.index[u]])[0]).scores
 
 

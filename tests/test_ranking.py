@@ -17,6 +17,7 @@ from influxrank.ranking import (
     activity_weights,
     aggregate,
     build_matrix,
+    hourly_matrices,
     personal_weights,
     power_iterate,
     tir_rank,
@@ -394,10 +395,8 @@ def hours_dataset(n, edges, tweet_hours):
 
 def all_hours_tir(dataset, ctx, c, user):
     """Personal TIR the long way: 24 power iterations, then aggregate."""
-    weights = _edge_weights_all_hours(ctx, SKIP_MODEL, c)
-    hourly = [power_iterate(build_matrix(dataset, SKIP_MODEL, t, c, ctx=ctx, edge_weights=weights),
-                            ctx.user_ids)
-              for t in range(24)]
+    hourly = [power_iterate(tm, ctx.user_ids)
+              for tm in hourly_matrices(dataset, SKIP_MODEL, range(24), c, ctx=ctx)]
     return aggregate(hourly, personal_weights(ctx, [ctx.index[user]])[0]).scores
 
 

@@ -215,6 +215,16 @@ class TestKsc:
         with pytest.raises(ValueError, match="exceeds"):
             ksc_cluster({"a": np.ones(24)}, k=2)
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_max_iters_below_one_rejected(self, monkeypatch, max_iters):
+        def refuse(*args):
+            raise AssertionError("a shape distance was computed")
+
+        monkeypatch.setattr(temporal, "_shape_distances", refuse)
+        profiles, _ = _planted_profiles(3)
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            ksc_cluster(profiles, 3, max_iters=max_iters)
+
     def test_distance_scale_invariant(self):
         x = np.random.default_rng(0).random(24)
         assert ksc_distance(x, 5 * x) == pytest.approx(0.0, abs=1e-9)
@@ -252,6 +262,17 @@ class TestSelectK:
     def test_k_range_validated(self):
         with pytest.raises(ValueError):
             select_k({"a": np.ones(24)}, [1, 2], seed=0)
+
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_max_iters_below_one_rejected(self, monkeypatch, max_iters):
+        def refuse(*args):
+            raise AssertionError("a shape distance was computed")
+
+        monkeypatch.setattr(temporal, "_shape_distances", refuse)
+        monkeypatch.setattr(temporal, "_pairwise_shape_distance", refuse)
+        profiles, _ = _planted_profiles(3)
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            select_k(profiles, range(2, 4), max_iters=max_iters)
 
 
 @st.composite
