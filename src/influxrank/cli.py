@@ -68,7 +68,7 @@ class ArtifactSession:
     def finish(self) -> Path:
         manifest = {}
         for p in self.paths:
-            manifest[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
+            manifest[p.name] = model.sha256_file(p)
         mpath = self.out_dir / "manifest.json"
         mpath.write_text(json.dumps({"artifacts": manifest}, sort_keys=True, indent=2))
         return mpath
@@ -297,11 +297,11 @@ def features_cmd(in_dir, out, seed):
     the parsed copy of the instances that train reads in their place."""
 
     def body(session: ArtifactSession):
-        dataset = _load(in_dir)
-        instances = features.build_instances(dataset)
-        _, scaler = features.balance_and_normalize(
+        instances = features.build_instances(_load(in_dir))
+        # the dataset is freed here, and the balanced set before the write
+        scaler = features.balance_and_normalize(
             instances, seed=stage_seed(seed, "features")
-        )
+        )[1]
         write_instances(session, instances)
         scaler.save(session.path("scaler.json"))
 
@@ -339,16 +339,18 @@ def write_instances(session: ArtifactSession, instances: features.InstanceSet) -
     """Write instances.csv, with the bytes write_csv would give it, and
     instances.npz: the columns that parsing that CSV gives, and its sha256.
 
-    Each distinct value is formatted once, each feature row joined once,
-    and each id encoded once.
+    Each distinct value is formatted once and each feature row joined once;
+    user ids are encoded once, and tweet ids once per block of rows.
     """
     rows = np.ascontiguousarray(instances.rows, dtype=float)
     # values are told apart by their bits, as rows are
     bits, value_of = np.unique(rows.view(np.int64).ravel(), return_inverse=True)
     value_of = value_of.reshape(rows.shape)
-    text = np.array([FLOAT_FMT.format(v) for v in bits.view(float).tolist()], dtype=object)
-    fragments = [",".join(row) for row in text[value_of].tolist()]
-    tweets = _csv_fields(instances.tweet_ids.tolist())
+    text = [FLOAT_FMT.format(v) for v in bits.view(float).tolist()]
+    # the rows as parsing the CSV gives them back
+    parsed_rows = np.array([float(t) for t in text], dtype=float)[value_of]
+    fragments = [",".join(row) for row in np.array(text, dtype=object)[value_of].tolist()]
+    del bits, value_of, text
     users = _csv_fields(instances.user_ids.tolist())
     labels = instances.labels.astype(np.int64)
 
@@ -357,18 +359,21 @@ def write_instances(session: ArtifactSession, instances: features.InstanceSet) -
         csv.writer(fh).writerow(INSTANCE_HEADER)
         for lo in range(0, len(labels), _BLOCK_ROWS):
             block = slice(lo, lo + _BLOCK_ROWS)
-            t, u, v, h = instances.keys[block].T.tolist()
+            used, t = np.unique(instances.keys[block, 0], return_inverse=True)
+            tweets = _csv_fields(instances.tweet_ids[used].tolist())
+            u, v, h = instances.keys[block, 1:].T.tolist()
             fh.write("".join([
                 f"{tweets[a]},{users[b]},{users[c]},{d},{fragments[r]},{y}\r\n"
-                for a, b, c, d, r, y in zip(t, u, v, h, instances.row_of[block].tolist(),
+                for a, b, c, d, r, y in zip(t.tolist(), u, v, h,
+                                            instances.row_of[block].tolist(),
                                             labels[block].tolist())
             ]))
+    del fragments, users
     np.savez(
         session.path(csv_path.with_suffix(".npz").name),
         sha256_csv=np.array(model.sha256_file(csv_path)),
         keys=instances.keys,
-        # the rows as parsing the CSV gives them back, and each instance's row
-        feature_rows=np.array([float(t) for t in text.tolist()], dtype=float)[value_of],
+        feature_rows=parsed_rows,
         feature_row_of=instances.row_of,
         labels=labels,
         tweet_ids=instances.tweet_ids,

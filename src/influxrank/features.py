@@ -238,21 +238,30 @@ class InstanceSet:
         return float(self.labels.mean()) if len(self) else 0.0
 
 
+def friend_order(ctx: FeatureContext) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, bounds): edge rows ordered by friend, then follower; friend v's
+    are rows[bounds[v]:bounds[v + 1]]."""
+    rows = np.lexsort((ctx.edge_src, ctx.edge_dst))
+    degree = np.bincount(ctx.edge_dst, minlength=len(ctx.user_ids))
+    return rows, np.concatenate(([0], np.cumsum(degree)))
+
+
 def follower_pairs(
-    dataset: Dataset, ctx: FeatureContext, tweet_rows: np.ndarray
+    dataset: Dataset, tweet_rows: np.ndarray, order: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every (tweet, follower of its author) pair as (tweet row, edge row):
     tweets in the order of ``tweet_rows``, and each tweet's followers in
-    user-id order."""
-    # edge rows ordered by friend, then follower; friend v's in by_friend[lo[v]:lo[v + 1]]
-    by_friend = np.lexsort((ctx.edge_src, ctx.edge_dst))
-    degree = np.bincount(ctx.edge_dst, minlength=len(ctx.user_ids))
-    lo = np.concatenate(([0], np.cumsum(degree)))
+    user-id order. ``order`` is ``friend_order(ctx)``."""
+    by_friend, lo = order
     authors = dataset.author_index[tweet_rows]
-    per_tweet = degree[authors]
+    per_tweet = np.diff(lo)[authors]
     starts = np.repeat(lo[authors] - (np.cumsum(per_tweet) - per_tweet), per_tweet)
     pairs = np.repeat(np.asarray(tweet_rows, dtype=np.intp), per_tweet)
     return pairs, by_friend[starts + np.arange(len(starts))]
+
+
+# tweets walked per pass of build_instances: bounds the pair arrays held at once
+_INSTANCE_TWEETS = 1 << 13
 
 
 def build_instances(
@@ -263,41 +272,56 @@ def build_instances(
     Positive iff that follower retweeted/replied to that tweet. Hourly
     features are read off at the tweet's hour. Output is sorted by
     (tweet_id, follower).
+
+    The tweets are walked in id order, a block at a time, and each block's
+    keys, labels and (edge, hour) codes go into arrays sized up front.
     """
     if ctx is None:
         ctx = FeatureContext(dataset)
-    # tweet ids are unique, so tweet-id order then follower order is the
-    # (tweet_id, follower) order
-    tweets, edges = follower_pairs(dataset, ctx, dataset.id_order)
-    followers, friends = ctx.edge_src[edges], ctx.edge_dst[edges]
     n = len(ctx.user_ids)
+    order = friend_order(ctx)
+    # tweet ids are unique, so tweet-id order then follower order is the
+    # (tweet_id, follower) order; the instances of the tweet at position i of
+    # id_order are end[i] - per_tweet[i]:end[i]
+    id_order = dataset.id_order
+    per_tweet = np.diff(order[1])[dataset.author_index[id_order]]
+    end = np.cumsum(per_tweet)
+    # key codes index only the tweets and users that occur: the tweets whose
+    # author has a follower, and both ends of the edges whose friend tweets
+    used_tweets, tweet_code = _used_codes(len(id_order), np.flatnonzero(per_tweet))
+    live = ctx.tweet_counts[ctx.edge_dst] > 0
+    used_users, user_code = _used_codes(n, ctx.edge_src[live], ctx.edge_dst[live])
     responses = (dataset.tweets.kind != ORIGINAL) & (dataset.target_tweet >= 0)
     responded = np.unique(dataset.target_tweet[responses] * n + dataset.author_index[responses])
-    labels = _in_sorted(tweets * n + followers, responded).astype(int)
-    # key codes index only the tweets and users that occur; the pairs come in
-    # tweet-id order, so a tweet's code follows its position in id_order
-    position = np.empty(len(dataset.tweets), dtype=np.intp)
-    position[dataset.id_order] = np.arange(len(dataset.tweets))
-    tweet_position = position[tweets]
-    used_tweets, tweet_code = _used_codes(len(dataset.tweets), tweet_position)
-    used_users, user_code = _used_codes(n, followers, friends)
-    hours = dataset.hour_of(dataset.tweets.ts[tweets])
-    keys = np.empty((len(tweets), 4), dtype=np.int64)
-    keys[:, 0] = tweet_code[tweet_position]
-    keys[:, 1] = user_code[followers]
-    keys[:, 2] = user_code[friends]
-    keys[:, 3] = hours
+
+    size = int(end[-1]) if len(end) else 0
+    keys = np.empty((size, 4), dtype=np.int64)
+    labels = np.empty(size, dtype=int)
+    edge_hour = np.empty(size, dtype=np.int64)
+    for lo in range(0, len(id_order), _INSTANCE_TWEETS):
+        hi = min(lo + _INSTANCE_TWEETS, len(id_order))
+        at = slice(int(end[lo] - per_tweet[lo]), int(end[hi - 1]))
+        tweets, edges = follower_pairs(dataset, id_order[lo:hi], order)
+        followers, friends = ctx.edge_src[edges], ctx.edge_dst[edges]
+        hours = dataset.hour_of(dataset.tweets.ts[tweets])
+        labels[at] = _in_sorted(tweets * n + followers, responded)
+        keys[at, 0] = np.repeat(tweet_code[lo:hi], per_tweet[lo:hi])
+        keys[at, 1] = user_code[followers]
+        keys[at, 2] = user_code[friends]
+        keys[at, 3] = hours
+        edge_hour[at] = edges * 24 + hours
     # features once per distinct (edge, hour), then grouped by their bits
-    edge_hour = edges * 24 + hours
     codes, code = _used_codes(len(ctx.edges) * 24, edge_hour)
     x = ctx.edge_features(codes // 24, codes % 24)
     first, group = equal_row_groups(x)
+    rows = x[first]
+    del x
     return InstanceSet(
         keys=keys,
-        rows=x[first],
+        rows=rows,
         row_of=group[code[edge_hour]],
         labels=labels,
-        tweet_ids=dataset.tweets.tweet_id[dataset.id_order[used_tweets]],
+        tweet_ids=dataset.tweets.tweet_id[id_order[used_tweets]],
         user_ids=dataset.user_ids[used_users],
     )
 

@@ -16,6 +16,7 @@ from .features import (
     FeatureContext,
     MinMaxScaler,
     follower_pairs,
+    friend_order,
 )
 from .model import Dataset, FollowGraph, TweetTable, UserRecord
 
@@ -271,7 +272,7 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
     close_edges = {e for e, m in zip(ctx.edges, close_mask) if m}
 
     # features for every (original tweet, follower) pair, in tweet order
-    pair_tweets, rows_a = follower_pairs(base, ctx, np.arange(n_originals))
+    pair_tweets, rows_a = follower_pairs(base, np.arange(n_originals), friend_order(ctx))
     probs, mins, maxs = _planted_probabilities(
         ctx, rows_a, base.hour_of(base.tweets.ts[pair_tweets]), close_mask, config
     )

@@ -136,42 +136,78 @@ def _update_centroid(members: np.ndarray) -> np.ndarray:
     return c
 
 
-def _pairwise_shape_distance(x: np.ndarray, shifts: Sequence[int]) -> np.ndarray:
-    xn = np.linalg.norm(x, axis=1)
-    unit = x / xn[:, None]
-    best = np.full((x.shape[0], x.shape[0]), np.inf)
+# rows of the shape-distance matrix per silhouette pass: a multiple of 48,
+# so that blocks start on the row tiles of common BLAS GEMM kernels (4, 6, 8,
+# 12 and 16 rows) and give the bits of one product over all rows
+_SILHOUETTE_ROWS = 192
+
+
+def _row_blocks(n: int, size: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of consecutive blocks of ``size`` rows covering 0..n.
+
+    No block holds one row unless n is 1: BLAS takes a one-row product as a
+    matrix-vector product, whose sums round differently, so a last single
+    row joins the block before it and a size below 2 counts as 2.
+    """
+    starts = list(range(0, n, max(size, 2)))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _shape_distance_rows(unit: np.ndarray, lo: int, hi: int, shifts: Sequence[int]) -> np.ndarray:
+    """Rows lo:hi of the pairwise shape-distance matrix of the unit-norm rows
+    of ``unit``: min over the shifts q of sqrt(1 - cos^2(x_i, shift(x_j, q)))."""
+    best = np.full((hi - lo, len(unit)), np.inf)
     for q in shifts:
-        cos2 = (unit @ np.roll(unit, q, axis=1).T) ** 2
-        np.minimum(best, np.sqrt(np.maximum(0.0, 1.0 - cos2)), out=best)
+        d = unit[lo:hi] @ np.roll(unit, q, axis=1).T
+        np.square(d, out=d)
+        np.subtract(1.0, d, out=d)
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        np.minimum(best, d, out=best)
     return best
 
 
-def _silhouette(dist: np.ndarray, labels: np.ndarray, k: int) -> float:
-    """Average silhouette of the labelling ``labels`` in 0..k-1 over the
-    distance matrix ``dist``, one pass per cluster.
+def _silhouettes(distance_rows, labellings: dict[int, np.ndarray]) -> dict[int, float]:
+    """Average silhouette of each labelling ``labellings[k]`` in 0..k-1 over
+    an n×n distance matrix whose rows lo:hi ``distance_rows(lo, hi)``
+    returns, in one pass over blocks of rows.
 
     a is a point's mean distance to the rest of its cluster (0 for a
     singleton), b its least mean distance to another nonempty cluster; a
-    point scores 0 where there is no other cluster or max(a, b) = 0.
+    point scores 0 where there is no other cluster or max(a, b) = 0. Each
+    mean is taken over one gathered row of the block, so it sums the same
+    elements in the same order as the mean of that row of the whole matrix.
     """
-    a = np.zeros(len(labels))
-    b = np.full(len(labels), np.inf)
-    for j in range(k):
-        cols = np.flatnonzero(labels == j)
-        if not cols.size:
-            continue
-        # take, not dist[:, cols]: its rows are contiguous, so each mean sums
-        # in the same order as the mean of one gathered row
-        to_j = dist.take(cols, axis=1).mean(axis=1)
-        b = np.where(labels == j, b, np.minimum(b, to_j))
-        if cols.size > 1:
-            block = dist[np.ix_(cols, cols)]
-            off_diagonal = ~np.eye(cols.size, dtype=bool)
-            a[cols] = block[off_diagonal].reshape(cols.size, -1).mean(axis=1)
-    denom = np.maximum(a, b)
-    with np.errstate(invalid="ignore"):
-        scores = np.where(np.isfinite(b) & (denom > 0), (b - a) / denom, 0.0)
-    return float(scores.mean())
+    n = len(next(iter(labellings.values())))
+    members = {k: [np.flatnonzero(labels == j) for j in range(k)]
+               for k, labels in labellings.items()}
+    a = {k: np.zeros(n) for k in labellings}
+    b = {k: np.full(n, np.inf) for k in labellings}
+    for lo, hi in _row_blocks(n, _SILHOUETTE_ROWS):
+        dist = distance_rows(lo, hi)
+        for k, labels in labellings.items():
+            here = labels[lo:hi]
+            b_k = b[k][lo:hi]
+            for j, cols in enumerate(members[k]):
+                if not cols.size:
+                    continue
+                to_j = dist.take(cols, axis=1)
+                b_k[:] = np.where(here == j, b_k, np.minimum(b_k, to_j.mean(axis=1)))
+                own = np.flatnonzero(here == j)
+                if cols.size > 1 and own.size:
+                    # each own row without its diagonal element
+                    off_diagonal = np.ones((own.size, cols.size), dtype=bool)
+                    off_diagonal[np.arange(own.size), np.searchsorted(cols, lo + own)] = False
+                    a[k][lo + own] = to_j[own][off_diagonal].reshape(own.size, -1).mean(axis=1)
+    asc = {}
+    for k in labellings:
+        denom = np.maximum(a[k], b[k])
+        with np.errstate(invalid="ignore"):
+            scores = np.where(np.isfinite(b[k]) & (denom > 0), (b[k] - a[k]) / denom, 0.0)
+        asc[k] = float(scores.mean())
+    return asc
 
 
 def ksc_cluster(
@@ -259,8 +295,9 @@ def select_k(
     """Cluster for every k and return the clustering whose cluster count
     maximizes the average silhouette coefficient (ASC), with the ASC per k.
 
-    Every k is scored against one shape-distance matrix over the nonzero
-    profiles that the clusterings cover.
+    Every k is scored in one pass over blocks of rows of the shape-distance
+    matrix of the nonzero profiles that the clusterings cover; the whole
+    matrix is never held.
     """
     ks = sorted(set(k_range))
     if not ks or ks[0] < 2 or ks[-1] > 10:
@@ -271,11 +308,12 @@ def select_k(
     }
     ids = sorted(results[ks[0]].assignment)
     mat = np.asarray([profiles[u] for u in ids], dtype=float)
-    dist = _pairwise_shape_distance(mat, _shift_set(max_shift))
-    asc_per_k = {
-        k: _silhouette(dist, np.asarray([r.assignment[u] for u in ids]), k)
-        for k, r in results.items()
-    }
+    unit = mat / np.linalg.norm(mat, axis=1)[:, None]
+    shifts = _shift_set(max_shift)
+    asc_per_k = _silhouettes(
+        lambda lo, hi: _shape_distance_rows(unit, lo, hi, shifts),
+        {k: np.asarray([r.assignment[u] for u in ids]) for k, r in results.items()},
+    )
     best_k = max(ks, key=lambda k: (asc_per_k[k], -k))
     return results[best_k], asc_per_k
 

@@ -8,8 +8,11 @@ per-tweet loops over ``Tweet`` records (profiles, global activity, response
 metrics, instances) are the forms the column code in ``temporal`` and
 ``features`` replaced, ``serialize_loop`` is the one-``json.dumps``-per-record
 JSONL writer that the line templates of ``model.serialize`` replaced, and
-``silhouette_loop`` is the per-point silhouette that ``temporal._silhouette``
-replaced. ``write_instances_loop`` is the
+``silhouette_loop`` is the per-point silhouette over a whole distance matrix.
+``pairwise_shape_distance`` (the whole n×n shape-distance matrix) and
+``silhouette_by_cluster`` (one pass per cluster over that matrix) are the
+forms that the row-blocked ``temporal._shape_distance_rows`` and
+``temporal._silhouettes`` replaced. ``write_instances_loop`` is the
 value-at-a-time ``instances.csv`` writer that ``cli.write_instances``
 replaced, and ``stratified_folds_loop`` the id-tuple sort that the integer
 keys of ``logistic._stratified_folds`` replaced. ``ksc_distance`` is the K-SC
@@ -34,7 +37,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -500,6 +503,41 @@ def silhouette_loop(dist: np.ndarray, labels: np.ndarray, k: int) -> float:
         scores[i] = 0.0 if denom == 0 else (b - a) / denom
     return float(scores.mean())
 
+
+
+def pairwise_shape_distance(x: np.ndarray, shifts: Sequence[int]) -> np.ndarray:
+    """The n×n K-SC shape-distance matrix of the rows of x over the cyclic
+    shifts ``shifts``, as one product per shift."""
+    xn = np.linalg.norm(x, axis=1)
+    unit = x / xn[:, None]
+    best = np.full((x.shape[0], x.shape[0]), np.inf)
+    for q in shifts:
+        cos2 = (unit @ np.roll(unit, q, axis=1).T) ** 2
+        np.minimum(best, np.sqrt(np.maximum(0.0, 1.0 - cos2)), out=best)
+    return best
+
+
+def silhouette_by_cluster(dist: np.ndarray, labels: np.ndarray, k: int) -> float:
+    """Average silhouette of the labelling ``labels`` in 0..k-1 over the
+    whole distance matrix ``dist``, one pass per cluster."""
+    a = np.zeros(len(labels))
+    b = np.full(len(labels), np.inf)
+    for j in range(k):
+        cols = np.flatnonzero(labels == j)
+        if not cols.size:
+            continue
+        # take, not dist[:, cols]: its rows are contiguous, so each mean sums
+        # in the same order as the mean of one gathered row
+        to_j = dist.take(cols, axis=1).mean(axis=1)
+        b = np.where(labels == j, b, np.minimum(b, to_j))
+        if cols.size > 1:
+            block = dist[np.ix_(cols, cols)]
+            off_diagonal = ~np.eye(cols.size, dtype=bool)
+            a[cols] = block[off_diagonal].reshape(cols.size, -1).mean(axis=1)
+    denom = np.maximum(a, b)
+    with np.errstate(invalid="ignore"):
+        scores = np.where(np.isfinite(b) & (denom > 0), (b - a) / denom, 0.0)
+    return float(scores.mean())
 
 # ------------------------------------------------- link-removal evaluation
 

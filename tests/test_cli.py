@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import json
 import shutil
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +59,24 @@ def pipeline(tmp_path_factory):
                "--seed", 1, "--c-grid", "0.5,0.95", "--n-links", 3,
                "--scenarios", "L_ur", "--out", d["recommend"]))
     return d
+
+
+def test_manifest_hashes_without_reading_whole_files(tmp_path):
+    session = cli.ArtifactSession(tmp_path)
+    big = session.path("big.bin")
+    big.write_bytes(np.random.default_rng(0).bytes(24 << 20))
+    session.path("small.txt").write_text("x")
+    tracemalloc.start()
+    try:
+        session.finish()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())["artifacts"]
+    assert manifest == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in (big, tmp_path / "small.txt")}
+    # the 1 MiB chunks, not the 24 MiB file
+    assert peak < 4 << 20
 
 
 class TestPipelineArtifacts:

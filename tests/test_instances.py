@@ -5,7 +5,8 @@ oracles.py, also for ids that need quoting and for an empty instance set.
 The npz it leaves must hold exactly what parsing the CSV gives, grouped
 into the same distinct rows, and ``load_instances_csv`` must fall back to
 that parse when the npz is missing, damaged or older than the CSV. The
-integer keys must deal folds as the id tuples they stand for did.
+integer keys must deal folds as the id tuples they stand for did. Building
+and writing in blocks of any size must change no instance and no byte.
 """
 
 import tempfile
@@ -17,12 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from influxrank import cli, features
-from influxrank.features import N_FEATURES, build_instances, equal_row_groups
+from influxrank.features import N_FEATURES, FeatureContext, build_instances, equal_row_groups
 from influxrank.logistic import _stratified_folds
 from influxrank.model import Tweet
 
 from conftest import make_dataset, make_user
 from oracles import (
+    build_instances_loop,
     instance_id_keys,
     instance_set_of_ids,
     stratified_folds_loop,
@@ -170,6 +172,45 @@ def test_empty_instance_set(tmp_path):
     path = check_hand_off(instances, tmp_path)
     assert path.read_bytes() == (",".join(cli.INSTANCE_HEADER) + "\r\n").encode()
     assert len(cli.load_instances_csv(path)) == 0
+
+
+def _written(instances, out: Path) -> tuple[bytes, bytes]:
+    cli.write_instances(cli.ArtifactSession(out), instances)
+    return (out / "instances.csv").read_bytes(), (out / "instances.npz").read_bytes()
+
+
+# (tweets per build_instances block, rows per write_instances block): one,
+# two, and sizes that leave a short last block (the 60-user synthetic set
+# has 3,267 tweets and 4,388 instances)
+BLOCKS = [(1, 1), (2, 2), (4, 5), (97, 1000)]
+
+
+@pytest.mark.parametrize("tweets, rows", BLOCKS[:3])
+@settings(max_examples=30, deadline=None)
+@given(dataset=datasets())
+def test_blocks_of_datasets_change_nothing(tweets, rows, dataset):
+    whole = build_instances(dataset)
+    with tempfile.TemporaryDirectory() as tmp:
+        want = _written(whole, Path(tmp) / "whole")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(features, "_INSTANCE_TWEETS", tweets)
+            mp.setattr(cli, "_BLOCK_ROWS", rows)
+            blocked = build_instances(dataset)
+            assert _written(blocked, Path(tmp) / "blocked") == want
+    assert_same_instances(blocked, whole)
+    assert_same_instances(blocked, build_instances_loop(dataset, FeatureContext(dataset)))
+
+
+@pytest.mark.parametrize("tweets, rows", BLOCKS)
+def test_blocks_of_synthetic_set_change_nothing(tmp_path, monkeypatch, small_synth, tweets, rows):
+    dataset, _ = small_synth
+    whole = build_instances(dataset)
+    want = _written(whole, tmp_path / "whole")
+    monkeypatch.setattr(features, "_INSTANCE_TWEETS", tweets)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
+    blocked = build_instances(dataset)
+    assert_same_instances(blocked, whole)
+    assert _written(blocked, tmp_path / "blocked") == want
 
 
 def _rewrite_npz(npz: Path, name: str, edit) -> None:

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,9 +10,10 @@ from influxrank import temporal
 from influxrank.model import RETWEET, Tweet
 from influxrank.synth import DEFAULT_PROTOTYPES, GeneratorConfig, generate
 from influxrank.temporal import (
-    _pairwise_shape_distance,
+    _row_blocks,
+    _shape_distance_rows,
     _shift_set,
-    _silhouette,
+    _silhouettes,
     all_profiles,
     cdf_table,
     global_activity,
@@ -21,7 +23,14 @@ from influxrank.temporal import (
 )
 
 from conftest import make_dataset, make_user
-from oracles import ksc_distance, response_metrics_loop, response_records, silhouette_loop
+from oracles import (
+    ksc_distance,
+    pairwise_shape_distance,
+    response_metrics_loop,
+    response_records,
+    silhouette_by_cluster,
+    silhouette_loop,
+)
 
 
 def _originals(author, timestamps, prefix):
@@ -269,17 +278,33 @@ class TestSelectK:
             raise AssertionError("a shape distance was computed")
 
         monkeypatch.setattr(temporal, "_shape_distances", refuse)
-        monkeypatch.setattr(temporal, "_pairwise_shape_distance", refuse)
+        monkeypatch.setattr(temporal, "_shape_distance_rows", refuse)
         profiles, _ = _planted_profiles(3)
         with pytest.raises(ValueError, match="max_iters must be at least 1"):
             select_k(profiles, range(2, 4), max_iters=max_iters)
 
 
+# silhouette row blocks: one row, two rows, and a size that divides neither
+# the 40 nor the 300 points of the cases below
+BLOCK_ROWS = (1, 2, 7)
+
+
+def _blocked_rows(mat: np.ndarray, max_shift: int):
+    """distance_rows for ``_silhouettes``: blocks of rows of the shape
+    distances of the rows of mat, as ``select_k`` computes them."""
+    unit = mat / np.linalg.norm(mat, axis=1)[:, None]
+    shifts = _shift_set(max_shift)
+    return lambda lo, hi: _shape_distance_rows(unit, lo, hi, shifts)
+
+
 @st.composite
 def labelled_distances(draw):
-    """A shape-distance matrix over a few random profiles, or over equal
-    profiles (every distance 0), or an arbitrary nonnegative matrix, with a
-    labelling in 0..k-1 that may leave clusters empty or singleton."""
+    """A labelling in 0..k-1 that may leave clusters empty or singleton, and
+    a distance matrix with its rows for ``_silhouettes``: the shape
+    distances of a few random profiles or of equal profiles (every distance
+    0), whose rows are computed as ``select_k`` computes them and whose
+    matrix is the oracle's, or an arbitrary nonnegative matrix (its diagonal
+    too), whose rows are sliced from it."""
     n = draw(st.integers(1, 12))
     k = draw(st.integers(1, 6))
     labels = np.asarray(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
@@ -287,11 +312,11 @@ def labelled_distances(draw):
     source = draw(st.sampled_from(("profiles", "equal", "arbitrary")))
     if source == "arbitrary":
         dist = rng.random((n, n))
-        np.fill_diagonal(dist, 0.0)
-    else:
-        mat = rng.random((n, 24)) if source == "profiles" else np.tile(rng.random(24), (n, 1))
-        dist = _pairwise_shape_distance(mat, _shift_set(draw(st.integers(0, 23))))
-    return dist, labels, k
+        return lambda lo, hi: dist[lo:hi], dist, labels, k
+    mat = rng.random((n, 24)) if source == "profiles" else np.tile(rng.random(24), (n, 1))
+    max_shift = draw(st.integers(0, 23))
+    dist = pairwise_shape_distance(mat, _shift_set(max_shift))
+    return _blocked_rows(mat, max_shift), dist, labels, k
 
 
 class TestSilhouette:
@@ -300,34 +325,82 @@ class TestSilhouette:
     def test_matches_per_point_loop(self, case):
         # each mean sums the same gathered elements in the same order as the
         # loop's, so the two agree exactly, not only within rel 1e-12
-        dist, labels, k = case
-        assert _silhouette(dist, labels, k) == silhouette_loop(dist, labels, k)
+        distance_rows, dist, labels, k = case
+        want = {k: silhouette_loop(dist, labels, k)}
+        for rows in BLOCK_ROWS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(temporal, "_SILHOUETTE_ROWS", rows)
+                assert _silhouettes(distance_rows, {k: labels}) == want
+
+    @pytest.mark.parametrize("rows", BLOCK_ROWS + (temporal._SILHOUETTE_ROWS,))
+    def test_every_labelling_in_one_pass(self, monkeypatch, rows):
+        rng = np.random.default_rng(rows)
+        n = 300
+        dist = rng.random((n, n))
+        labellings = {k: rng.integers(0, k, n) for k in range(1, 7)}
+        # an empty cluster and two singletons
+        labellings[9] = np.where(rng.random(n) < 0.5, 0, 8)
+        labellings[9][[3, 150]] = [4, 5]
+        monkeypatch.setattr(temporal, "_SILHOUETTE_ROWS", rows)
+        asc = _silhouettes(lambda lo, hi: dist[lo:hi], labellings)
+        assert asc == {k: silhouette_by_cluster(dist, labels, k)
+                       for k, labels in labellings.items()}
+
+    @pytest.mark.parametrize("size", range(1, 6))
+    def test_row_blocks_cover_every_row(self, size):
+        for n in range(0, 30):
+            blocks = _row_blocks(n, size)
+            assert [i for lo, hi in blocks for i in range(lo, hi)] == list(range(n))
+            assert all(min(n, 2) <= hi - lo <= max(size, 2) + 1 for lo, hi in blocks)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(0, 23))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 23))
     def test_pairwise_distance_matches_oracle(self, seed, n, max_shift):
         mat = np.random.default_rng(seed).random((n, 24)) + 0.01
-        dist = _pairwise_shape_distance(mat, _shift_set(max_shift))
+        dist = pairwise_shape_distance(mat, _shift_set(max_shift))
+        distance_rows = _blocked_rows(mat, max_shift)
+        for rows in BLOCK_ROWS:
+            blocks = [distance_rows(lo, hi) for lo, hi in _row_blocks(n, rows)]
+            assert np.vstack(blocks).tobytes() == dist.tobytes()
         for i in range(n):
             for j in range(n):
                 assert dist[i, j] == pytest.approx(
                     ksc_distance(mat[i], mat[j], max_shift), rel=1e-6, abs=1e-7)
 
     @pytest.mark.parametrize("max_shift", [0, 3, 23])
-    def test_select_k_scores_each_clustering(self, max_shift):
+    def test_select_k_scores_each_clustering(self, monkeypatch, max_shift):
         profiles, _ = _planted_profiles(5, n=40)
         profiles["zero"] = np.zeros(24)
         with pytest.warns(UserWarning, match="all-zero"):
             best, asc = select_k(profiles, range(2, 7), seed=1, max_shift=max_shift)
         ids = sorted(u for u in profiles if u != "zero")
         mat = np.asarray([profiles[u] for u in ids])
-        dist = _pairwise_shape_distance(mat, _shift_set(max_shift))
+        dist = pairwise_shape_distance(mat, _shift_set(max_shift))
         for k in range(2, 7):
             with pytest.warns(UserWarning, match="all-zero"):
                 result = ksc_cluster(profiles, k, seed=1, max_shift=max_shift)
             labels = np.asarray([result.assignment[u] for u in ids])
             assert asc[k] == silhouette_loop(dist, labels, k)
         assert best.k == max(asc, key=lambda k: (asc[k], -k))
+        for rows in BLOCK_ROWS:
+            monkeypatch.setattr(temporal, "_SILHOUETTE_ROWS", rows)
+            with pytest.warns(UserWarning, match="all-zero"):
+                assert select_k(profiles, range(2, 7), seed=1, max_shift=max_shift)[1] == asc
+
+    def test_select_k_holds_no_distance_matrix(self):
+        # one n×n float64 matrix is 18 MB at n = 1,500; the row blocks take
+        # a few MB
+        n = 1500
+        rng = np.random.default_rng(0)
+        profiles = {f"u{i:04d}": rng.random(24) for i in range(n)}
+        tracemalloc.start()
+        try:
+            _, asc = select_k(profiles, range(2, 7), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(asc) == [2, 3, 4, 5, 6]
+        assert peak < n * n * 8
 
 
 class TestResponseMetrics:
