@@ -31,45 +31,53 @@ from .ranking import (
 SCENARIO_TAGS = ("L_fh", "L_fl", "L_th", "L_tl", "L_dh", "L_dl", "L_rr", "L_ur")
 
 
-def _merge_count(seq: list[int]) -> tuple[list[int], int]:
-    if len(seq) <= 1:
-        return seq, 0
-    mid = len(seq) // 2
-    left, inv_l = _merge_count(seq[:mid])
-    right, inv_r = _merge_count(seq[mid:])
-    merged = []
-    inv = inv_l + inv_r
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            inv += len(left) - i
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return merged, inv
+def _inversions(seq: np.ndarray) -> int:
+    """Pairs i < j with seq[i] > seq[j], for a permutation seq of range(n):
+    a bottom-up merge sort, one numpy pass per level of runs."""
+    n = len(seq)
+    pos = np.arange(n, dtype=np.int64)
+    keys = seq.astype(np.int64)
+    total, width = 0, 1
+    while width < n:
+        # runs of width are sorted; tagging each with its pair of runs keeps
+        # the left runs in one sorted array
+        pair = pos // (2 * width)
+        tagged = pair * n + keys
+        right = (pos // width) % 2 == 1
+        # left-run elements of its own pair below each right-run element
+        below = np.searchsorted(tagged[~right], tagged[right]) - pair[right] * width
+        total += int((width - below).sum())
+        keys = np.sort(tagged) - pair * n
+        width *= 2
+    return total
+
+
+def _scores(rank: RankVector | dict) -> tuple[np.ndarray, np.ndarray]:
+    """(user ids, scores) in id order."""
+    if isinstance(rank, RankVector):
+        ids, scores = np.array(rank.user_ids), np.asarray(rank.scores, dtype=float)
+    else:
+        ids, scores = np.array(list(rank)), np.array(list(rank.values()), dtype=float)
+    order = np.argsort(ids, kind="stable")
+    return ids[order], scores[order]
 
 
 def kendall_tau(rank_a: RankVector | dict, rank_b: RankVector | dict) -> float:
     """tau-a over the tie-broken total orders: (C - D) / (n(n-1)/2).
 
-    Computed by merge-sort inversion counting; score ties are broken by
-    user id before pair counting.
+    Score ties are broken by user id before pair counting; D is the number
+    of inversions between the two orders.
     """
-    a = rank_a.as_dict() if isinstance(rank_a, RankVector) else dict(rank_a)
-    b = rank_b.as_dict() if isinstance(rank_b, RankVector) else dict(rank_b)
-    if set(a) != set(b):
+    ids, a = _scores(rank_a)
+    ids_b, b = _scores(rank_b)
+    if not np.array_equal(ids, ids_b):
         raise ValueError("rankings cover different user sets")
-    n = len(a)
+    n = len(ids)
     if n < 2:
         raise ValueError("need at least two users")
-    order_a = sorted(a, key=lambda u: (-a[u], u))
-    pos_b = {u: i for i, u in enumerate(sorted(b, key=lambda u: (-b[u], u)))}
-    seq = [pos_b[u] for u in order_a]
-    _, inversions = _merge_count(seq)
+    place_b = np.empty(n, dtype=np.intp)
+    place_b[np.lexsort((ids, -b))] = np.arange(n)
+    inversions = _inversions(place_b[np.lexsort((ids, -a))])
     pairs = n * (n - 1) // 2
     return (pairs - 2 * inversions) / pairs
 

@@ -229,14 +229,6 @@ class InstanceSet:
         """(n, 12) features of each instance: a new array."""
         return self.rows[self.row_of]
 
-    @property
-    def positive_count(self) -> int:
-        return int(self.labels.sum())
-
-    @property
-    def positive_rate(self) -> float:
-        return float(self.labels.mean()) if len(self) else 0.0
-
 
 def friend_order(ctx: FeatureContext) -> tuple[np.ndarray, np.ndarray]:
     """(rows, bounds): edge rows ordered by friend, then follower; friend v's

@@ -5,13 +5,13 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
-import math
+import re
 import zipfile
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Optional
@@ -85,10 +85,6 @@ class Tweet:
     responds_to_user: Optional[str] = None
     responds_to_tweet: Optional[str] = None
 
-    @property
-    def is_response(self) -> bool:
-        return self.kind in ("retweet", "reply")
-
     def validate(self) -> None:
         _check_tweet(self.tweet_id, self.kind, self.responds_to_user)
 
@@ -99,6 +95,13 @@ def _str_column(values: list[str], what: str) -> np.ndarray:
     if col.size and int(np.char.str_len(col).sum()) != sum(map(len, values)):
         raise ValidationError(f"{what} must not end in a NUL character")
     return col
+
+
+def _check_unique(tweet_ids: list[str]) -> None:
+    if len(set(tweet_ids)) < len(tweet_ids):
+        seen: set[str] = set()
+        duplicate = next(t for t in tweet_ids if t in seen or seen.add(t))
+        raise ValidationError(f"duplicate tweet_id {duplicate!r}")
 
 
 def _look_up(position: dict[str, int], names: np.ndarray) -> np.ndarray:
@@ -140,10 +143,7 @@ class TweetTable(Sequence):
                   to_user: list, to_tweet: list) -> "TweetTable":
         """Columns from one list per field; None marks an absent target.
         Tweet ids must be unique."""
-        if len(set(tweet_id)) < len(tweet_id):
-            seen: set[str] = set()
-            duplicate = next(t for t in tweet_id if t in seen or seen.add(t))
-            raise ValidationError(f"duplicate tweet_id {duplicate!r}")
+        _check_unique(tweet_id)
         try:
             stamps = np.array(ts, dtype=np.int64)
         except OverflowError:
@@ -194,8 +194,8 @@ class TweetTable(Sequence):
 @dataclass(frozen=True)
 class _IndexedTweets:
     """A TweetTable with the index into the sorted user ids of each row's
-    author and to_user (-1 where that is not a user) already found, as the
-    load filter hands it to Dataset; every author must be a user."""
+    author and to_user already found, -1 where that is not a user. Dataset
+    takes one from the load filter, which keeps only rows by users."""
 
     table: TweetTable
     author: np.ndarray
@@ -388,8 +388,11 @@ class Dataset:
         return (day + _EPOCH_WEEKDAY_OFFSET) % 7
 
 
-def _parse_jsonl(lines: Iterable[str], source: str) -> Iterable[tuple[int, dict]]:
-    for line_no, line in enumerate(lines, start=1):
+def _parse_jsonl(
+    lines: Iterable[str], source: str, start: int = 1
+) -> Iterable[tuple[int, dict]]:
+    """(line number, object) per non-blank line; start numbers the first."""
+    for line_no, line in enumerate(lines, start=start):
         line = line.strip()
         if not line:
             continue
@@ -402,10 +405,19 @@ def _parse_jsonl(lines: Iterable[str], source: str) -> Iterable[tuple[int, dict]
         yield line_no, obj
 
 
-def _require(obj: dict, key: str, source: str, line_no: int):
+_JSON_TYPE = {int: "integer", bool: "boolean"}
+
+
+def _require(obj: dict, key: str, source: str, line_no: int, kind: Optional[type] = None):
+    """obj[key]; with kind (int or bool) given, a JSON value of that type,
+    where true and false are not integers."""
     if key not in obj:
         raise ParseError(source, line_no, f"missing key {key!r}")
-    return obj[key]
+    value = obj[key]
+    if kind is not None and type(value) is not kind:
+        raise ParseError(source, line_no, f"{key!r} must be a JSON {_JSON_TYPE[kind]},"
+                                          f" not {value!r:.40}")
+    return value
 
 
 def _parse_users(lines: Iterable[str]) -> dict[str, UserRecord]:
@@ -414,9 +426,9 @@ def _parse_users(lines: Iterable[str]) -> dict[str, UserRecord]:
     for line_no, obj in _parse_jsonl(lines, "users"):
         rec = UserRecord(
             user_id=str(_require(obj, "id", "users", line_no)),
-            listed_count=int(_require(obj, "listed", "users", line_no)),
-            favourites_received=int(_require(obj, "favourites", "users", line_no)),
-            verified=bool(_require(obj, "verified", "users", line_no)),
+            listed_count=_require(obj, "listed", "users", line_no, int),
+            favourites_received=_require(obj, "favourites", "users", line_no, int),
+            verified=_require(obj, "verified", "users", line_no, bool),
             topic_distribution=tuple(
                 float(t) for t in _require(obj, "topics", "users", line_no)
             ),
@@ -437,42 +449,137 @@ def _parse_users(lines: Iterable[str]) -> dict[str, UserRecord]:
     return users
 
 
-def _parse_tweets(lines: Iterable[str]) -> TweetTable:
+def _parse_tweet_lines(lines: Iterable[str], start: int = 1) -> tuple[list, ...]:
+    """The from_rows columns of tweet lines, each parsed by json.loads; start
+    numbers the first line."""
     ids, authors, kinds, stamps, to_users, to_tweets = [], [], [], [], [], []
-    for line_no, obj in _parse_jsonl(lines, "tweets"):
+    for line_no, obj in _parse_jsonl(lines, "tweets", start):
         try:
-            tweet_id, author, kind, ts = obj["id"], obj["author"], obj["kind"], obj["ts"]
+            tweet_id, author, kind = obj["id"], obj["author"], obj["kind"]
         except KeyError:
-            for key in ("id", "author", "kind", "ts"):
+            for key in ("id", "author", "kind"):
                 _require(obj, key, "tweets", line_no)
+        ts = _require(obj, "ts", "tweets", line_no, int)
         tweet_id, kind = str(tweet_id), str(kind)
         ids.append(tweet_id)
         authors.append(str(author))
         kinds.append(kind)
-        stamps.append(int(ts))
+        stamps.append(ts)
         to_user, to_tweet = obj.get("to_user"), obj.get("to_tweet")
         to_user = None if to_user is None else str(to_user)
         _check_tweet(tweet_id, kind, to_user)
         to_users.append(to_user)
         to_tweets.append(None if to_tweet is None else str(to_tweet))
-    return TweetTable.from_rows(ids, authors, kinds, stamps, to_users, to_tweets)
+    return ids, authors, kinds, stamps, to_users, to_tweets
+
+
+# tweets.jsonl is parsed this many lines at a time
+_PARSE_ROWS = 1 << 12
+# a JSON string without escapes, so its text is its value; no newline either
+_PLAIN = r'"([^"\\\x00-\x1f]*)"'
+# a tweet line as serialize writes it, when every string is plain; the
+# optional members are captured whole, so "" stays distinct from absent
+_TWEET_RE = re.compile(
+    rf'^\{{"author": {_PLAIN}, "id": {_PLAIN}, "kind": "(original|retweet|reply)"'
+    rf'(, "to_tweet": {_PLAIN})?(, "to_user": {_PLAIN})?, "ts": (-?(?:0|[1-9][0-9]*))\}}$',
+    re.M,
+)
+
+
+def _match_tweets(lines: list[str]) -> Optional[TweetTable]:
+    """The tweets of lines, when every non-blank one matches _TWEET_RE and
+    _parse_tweet_lines would raise on none; None otherwise.
+
+    A match cannot span lines and a line holds at most one, so as many
+    matches as non-blank lines means every one matched. That holds while
+    each line is one line of the joined text, so a newline may only end one.
+    """
+    # a block that starts with a line of another form (or a blank one) is
+    # parsed line by line without the scan; past this there is a match
+    if not _TWEET_RE.match(lines[0]):
+        return None
+    text = "".join(lines)
+    if text.count("\n") != sum(map(str.endswith, lines, repeat("\n"))):
+        return None
+    matches = _TWEET_RE.findall(text)
+    if len(matches) != len(lines) and len(matches) != sum(map(bool, map(str.strip, lines))):
+        return None
+    author, tweet_id, kind, has_to_tweet, to_tweet, has_to_user, to_user, ts = zip(*matches)
+    n = len(matches)
+    try:
+        stamps = np.array(ts, dtype=np.int64)
+    except OverflowError:
+        return None
+    table = TweetTable(
+        tweet_id=np.array(tweet_id, dtype=str),
+        author=np.array(author, dtype=str),
+        kind=np.fromiter(map(_KIND_CODE.__getitem__, kind), np.int8, n),
+        ts=stamps,
+        to_user=np.array(to_user, dtype=str),
+        has_to_user=np.fromiter(map(bool, has_to_user), bool, n),
+        to_tweet=np.array(to_tweet, dtype=str),
+        has_to_tweet=np.fromiter(map(bool, has_to_tweet), bool, n),
+    )
+    # a response without a target user: _check_tweet's error
+    if np.any((table.kind != ORIGINAL) & ~table.has_to_user):
+        return None
+    return table
+
+
+def _row_lists(table: TweetTable) -> tuple[list, ...]:
+    """The columns of table as the lists that from_rows takes."""
+    def optional(values: np.ndarray, present: np.ndarray) -> list:
+        return [v if p else None for v, p in zip(values.tolist(), present.tolist())]
+
+    return (table.tweet_id.tolist(), table.author.tolist(),
+            [TWEET_KINDS[k] for k in table.kind.tolist()], table.ts.tolist(),
+            optional(table.to_user, table.has_to_user),
+            optional(table.to_tweet, table.has_to_tweet))
+
+
+def _parse_tweets(lines: Iterable[str]) -> TweetTable:
+    """The tweets of tweets.jsonl lines, in blocks of _PARSE_ROWS lines.
+
+    A block that _match_tweets takes becomes numpy columns before the next
+    is read; any other is parsed line by line, and then every row goes
+    through from_rows, so each error is the one the line-by-line parse of
+    the whole file raises.
+    """
+    lines, parts, start = iter(lines), [], 1
+    while block := list(islice(lines, _PARSE_ROWS)):
+        part = _match_tweets(block)
+        parts.append(_parse_tweet_lines(block, start) if part is None else part)
+        start += len(block)
+    if parts and all(isinstance(part, TweetTable) for part in parts):
+        table = TweetTable(**{
+            f.name: np.concatenate([getattr(part, f.name) for part in parts])
+            for f in fields(TweetTable)
+        })
+        _check_unique(table.tweet_id.tolist())
+        return table
+    columns: list[list] = [[] for _ in range(6)]
+    for part in parts:
+        for column, values in zip(columns, _row_lists(part) if isinstance(part, TweetTable)
+                                  else part):
+            column += values
+    return TweetTable.from_rows(*columns)
 
 
 def _select(
     users: dict[str, UserRecord],
     edges: list[tuple[str, str]],
-    tweets: TweetTable,
+    tweets: _IndexedTweets,
     window: Optional[tuple[int, int]],
     tz_offset: int,
     min_tweets: int,
 ) -> Dataset:
     """The Dataset of parsed users, edges and tweets, whether they came from
     the JSONL files or the cache; see ingest for the rules."""
+    tweets, author, target_user = tweets.table, tweets.author, tweets.target_user
     if window is None:
         window = (int(tweets.ts.min()), int(tweets.ts.max())) if len(tweets) else (0, 0)
     start, end = window
     user_list = sorted(users)
-    author, target_user = _user_indices(user_list, tweets)
     keep = (author >= 0) & (tweets.ts >= start) & (tweets.ts <= end)
     if min_tweets > 0:
         active = np.bincount(author[keep], minlength=len(user_list)) >= min_tweets
@@ -526,7 +633,8 @@ def ingest(
         for line_no, obj in _parse_jsonl(edges_stream, "edges")
     ]
     tweets = _parse_tweets(tweets_stream)
-    return _select(users, edges, tweets, window, tz_offset, min_tweets)
+    indexed = _IndexedTweets(tweets, *_user_indices(sorted(users), tweets))
+    return _select(users, edges, indexed, window, tz_offset, min_tweets)
 
 
 # tweet and edge lines are written this many rows at a time
@@ -617,8 +725,10 @@ def sha256_file(path: Path) -> str:
 def write_cache(dataset: Dataset, out_dir: str | Path) -> Path:
     """Write CACHE_NAME into out_dir, where serialize(dataset, out_dir) has
     just written the JSONL files: the users, edges and tweet columns that
-    parsing those files gives, and the sha256 of each file. load_dataset
-    reads it in place of the JSONL files while every digest still matches."""
+    parsing those files gives, each tweet's author and to_user index into
+    the sorted user ids (int32, -1 where to_user is not a user), and the
+    sha256 of each file. load_dataset reads it in place of the JSONL files
+    while every digest still matches."""
     out = Path(out_dir)
     records = [dataset.users[u] for u in sorted(dataset.users)]
     edges = list(dataset.graph.edges())
@@ -634,16 +744,28 @@ def write_cache(dataset: Dataset, out_dir: str | Path) -> Path:
         edge_follower=_str_column([a for a, _ in edges], "edge followers"),
         edge_friend=_str_column([b for _, b in edges], "edge friends"),
         **{f"tweet_{f.name}": getattr(dataset.tweets, f.name) for f in fields(TweetTable)},
+        tweet_author_index=dataset.author_index.astype(np.int32),
+        tweet_target_user=dataset.target_user.astype(np.int32),
     )
     return path
 
 
+def _index_column(values: np.ndarray, n_rows: int, low: int, n_users: int) -> np.ndarray:
+    """values as intp, once checked to be n_rows integers in [low, n_users)."""
+    if values.dtype.kind not in "iu" or values.shape != (n_rows,) or (
+        n_rows and not low <= values.min() <= values.max() < n_users
+    ):
+        raise ValueError("a cached index column does not fit the tweets and users")
+    return values.astype(np.intp)
+
+
 def _read_cache(
     in_dir: Path,
-) -> Optional[tuple[dict[str, UserRecord], list[tuple[str, str]], TweetTable]]:
-    """The parsed users, edges and tweets held in in_dir's cache; None when
-    there is no cache, it cannot be read, or a JSONL file has changed since
-    it was written."""
+) -> Optional[tuple[dict[str, UserRecord], list[tuple[str, str]], _IndexedTweets]]:
+    """The parsed users, edges and indexed tweets held in in_dir's cache;
+    None when there is no cache, it cannot be read (a cache without the
+    index columns, or with one out of range, included), or a JSONL file has
+    changed since it was written."""
     try:
         with np.load(in_dir / CACHE_NAME, allow_pickle=False) as npz:
             for name in _JSONL_NAMES:
@@ -662,9 +784,14 @@ def _read_cache(
         }
         edges = list(zip(arrays["edge_follower"].tolist(), arrays["edge_friend"].tolist()))
         tweets = TweetTable(**{f.name: arrays[f"tweet_{f.name}"] for f in fields(TweetTable)})
+        indexed = _IndexedTweets(
+            tweets,
+            _index_column(arrays["tweet_author_index"], len(tweets), 0, len(users)),
+            _index_column(arrays["tweet_target_user"], len(tweets), -1, len(users)),
+        )
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
-    return users, edges, tweets
+    return users, edges, indexed
 
 
 def load_dataset(
@@ -714,28 +841,3 @@ def degree_stats(dataset: Dataset) -> DistributionReport:
         tweet_hist=dict(Counter(tweet_counts.tolist())),
         follower_friend_corr=corr,
     )
-
-
-def loglog_slope(values: Iterable[int], n_bins: int = 12) -> float:
-    """Least-squares slope of log density vs log value on logarithmic bins.
-
-    For samples from a power law p(k) ~ k^-a the slope estimates -a.
-    """
-    vals = np.asarray([v for v in values if v >= 1], dtype=float)
-    if vals.size < 10:
-        raise ValidationError("too few positive samples for a slope fit")
-    lo, hi = vals.min(), vals.max()
-    if hi <= lo:
-        raise ValidationError("degenerate sample range")
-    edges = np.logspace(math.log10(lo), math.log10(hi), n_bins + 1)
-    edges[0] *= 0.999
-    edges[-1] *= 1.001
-    counts, edges = np.histogram(vals, bins=edges)
-    widths = np.diff(edges)
-    centers = np.sqrt(edges[:-1] * edges[1:])
-    mask = counts > 0
-    if mask.sum() < 3:
-        raise ValidationError("too few populated bins for a slope fit")
-    density = counts[mask] / widths[mask]
-    slope, _ = np.polyfit(np.log(centers[mask]), np.log(density), 1)
-    return float(slope)

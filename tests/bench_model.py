@@ -1,8 +1,15 @@
 """Benchmarks of ``load_dataset`` and ``serialize`` on the seed-3 1,000-user
 synthetic dataset (67,351 tweets), as ``influxrank synth --users 1000 --seed
-3`` writes it: loading once parsing the JSONL files, once reading the
-``dataset.npz`` cache that ``influxrank ingest`` leaves next to them, and
-writing the three JSONL files of the loaded dataset.
+3`` writes it:
+
+- loading it by parsing the JSONL files, where every block of
+  ``tweets.jsonl`` lines matches the one regex of the line form that
+  ``serialize`` writes;
+- the same parse when no block matches (each tweet line has one extra
+  space), so every line goes through ``json.loads``: the fallback's cost;
+- loading the ``dataset.npz`` cache that ``influxrank ingest`` leaves next
+  to the files, author and target user indices included;
+- writing the three JSONL files of the loaded dataset.
 
 The file name keeps it out of the default test run. Run it with
 
@@ -12,6 +19,8 @@ The file name keeps it out of the default test run. Run it with
 ``--benchmark-json FILE`` to keep the figures). Set-up runs ``synth`` and
 ``ingest`` once, in about 5 s.
 """
+
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -31,9 +40,26 @@ def dirs(tmp_path_factory):
     return root / "raw", root / "data"
 
 
+@pytest.fixture(scope="module")
+def spaced(dirs, tmp_path_factory):
+    """The raw files, with one extra space in every tweet line."""
+    raw, _ = dirs
+    out = tmp_path_factory.mktemp("bench_model_spaced")
+    for name in ("users", "edges"):
+        shutil.copy(raw / f"{name}.jsonl", out)
+    with (raw / "tweets.jsonl").open() as src, (out / "tweets.jsonl").open("w") as dst:
+        dst.writelines(line.replace(": ", ":  ", 1) for line in src)
+    return out
+
+
 def test_load_dataset_jsonl_parse(benchmark, dirs):
     raw, _ = dirs
     dataset = benchmark(load_dataset, raw)
+    assert len(dataset.tweets) == 67_351
+
+
+def test_load_dataset_jsonl_parse_line_by_line(benchmark, spaced):
+    dataset = benchmark(load_dataset, spaced)
     assert len(dataset.tweets) == 67_351
 
 

@@ -17,7 +17,9 @@ value-at-a-time ``instances.csv`` writer that ``cli.write_instances``
 replaced, and ``stratified_folds_loop`` the id-tuple sort that the integer
 keys of ``logistic._stratified_folds`` replaced. ``ksc_distance`` is the K-SC
 shape distance of one pair, from its definition. ``dense`` and
-``planted_instances`` serve only tests. The follow-graph loops (friend
+``planted_instances`` serve only tests, and so do ``is_response``,
+``positive_count``, ``positive_rate`` and ``loglog_slope`` (the degree-law
+fit of criterion 11). The follow-graph loops (friend
 tweet totals, close friends, reciprocity, degree counts, edge rows) walk
 ``graph.friends``/``followers``/``has_edge``/``edges()`` user by user: the
 forms that the array code over ``FollowGraph.src``/``dst`` replaced. The
@@ -35,6 +37,7 @@ from __future__ import annotations
 import bisect
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -59,7 +62,7 @@ from influxrank.features import (
     equal_row_groups,
 )
 from influxrank.logistic import LogisticModel, _stratified_folds, train
-from influxrank.model import SECONDS_PER_DAY, TWEET_KINDS, Dataset
+from influxrank.model import SECONDS_PER_DAY, TWEET_KINDS, Dataset, Tweet, ValidationError
 from influxrank.ranking import (
     RankVector,
     TransitionMatrix,
@@ -72,6 +75,43 @@ from influxrank.ranking import (
 )
 from influxrank.synth import DEFAULT_W_STAR
 from influxrank.temporal import HourlyProfile, ResponseColumns
+
+
+def is_response(tweet: Tweet) -> bool:
+    return tweet.kind in ("retweet", "reply")
+
+
+def positive_count(instances: InstanceSet) -> int:
+    return int(instances.labels.sum())
+
+
+def positive_rate(instances: InstanceSet) -> float:
+    return float(instances.labels.mean()) if len(instances) else 0.0
+
+
+def loglog_slope(values, n_bins: int = 12) -> float:
+    """Least-squares slope of log density vs log value on logarithmic bins.
+
+    For samples from a power law p(k) ~ k^-a the slope estimates -a.
+    """
+    vals = np.asarray([v for v in values if v >= 1], dtype=float)
+    if vals.size < 10:
+        raise ValidationError("too few positive samples for a slope fit")
+    lo, hi = vals.min(), vals.max()
+    if hi <= lo:
+        raise ValidationError("degenerate sample range")
+    edges = np.logspace(math.log10(lo), math.log10(hi), n_bins + 1)
+    edges[0] *= 0.999
+    edges[-1] *= 1.001
+    counts, edges = np.histogram(vals, bins=edges)
+    widths = np.diff(edges)
+    centers = np.sqrt(edges[:-1] * edges[1:])
+    mask = counts > 0
+    if mask.sum() < 3:
+        raise ValidationError("too few populated bins for a slope fit")
+    density = counts[mask] / widths[mask]
+    slope, _ = np.polyfit(np.log(centers[mask]), np.log(density), 1)
+    return float(slope)
 
 
 def jensen_shannon_divergence(p, q, base: float = 2.0) -> float:
@@ -112,7 +152,7 @@ def close_friends_loop(dataset: Dataset) -> dict[str, set[str]]:
     """u -> the friends u retweeted or replied to."""
     close: dict[str, set[str]] = {u: set() for u in dataset.users}
     for tw in dataset.tweets:
-        if tw.is_response and tw.responds_to_user in dataset.users:
+        if is_response(tw) and tw.responds_to_user in dataset.users:
             if dataset.graph.has_edge(tw.author, tw.responds_to_user):
                 close[tw.author].add(tw.responds_to_user)
     return close
@@ -330,7 +370,7 @@ def response_metrics_loop(dataset: Dataset) -> tuple[list[ResponseMetric], int]:
     }
     metrics, excluded = [], 0
     for tw in dataset.tweets:
-        if not tw.is_response:
+        if not is_response(tw):
             continue
         orig = by_id.get(tw.responds_to_tweet) if tw.responds_to_tweet else None
         if orig is None or orig.timestamp > tw.timestamp:
@@ -378,7 +418,7 @@ def build_instances_loop(dataset: Dataset, ctx: FeatureContext) -> InstanceSet:
     responded = {
         (tw.responds_to_tweet, tw.author)
         for tw in dataset.tweets
-        if tw.is_response and tw.responds_to_tweet
+        if is_response(tw) and tw.responds_to_tweet
     }
     edge_rows = edge_rows_loop(dataset)
     rows, hours, keys, labels = [], [], [], []

@@ -26,7 +26,7 @@ from influxrank.logistic import (
     log_loss_gradient,
     train,
 )
-from influxrank.model import Dataset, FollowGraph, Tweet, UserRecord, loglog_slope
+from influxrank.model import Dataset, FollowGraph, Tweet, UserRecord
 from influxrank.ranking import (
     aggregate,
     _assemble,
@@ -45,7 +45,7 @@ from influxrank.synth import (
 )
 from influxrank.temporal import ksc_cluster, response_metrics, select_k
 
-from oracles import dense, planted_instances, response_records
+from oracles import dense, loglog_slope, planted_instances, response_records
 
 
 @pytest.fixture

@@ -287,8 +287,9 @@ def test_each_load_constructs_once_and_maps_authors_once(tmp_path, small_synth, 
     monkeypatch.setattr(model, "_user_indices", counted_indices)
     cached = _cache_is_used(monkeypatch, tmp_path)
     parsed = _parse(tmp_path, min_tweets=1)
-    # one constructor call and one author lookup per load
-    assert (len(calls), len(mapped)) == (2, 2)
+    # one constructor call per load; only the parse looks authors up, the
+    # cached load reads their indices from the cache
+    assert (len(calls), len(mapped)) == (2, 1)
     assert_same_dataset(load_dataset(tmp_path, min_tweets=1), parsed)
     assert_same_dataset(cached, _parse(tmp_path))
 
@@ -305,18 +306,54 @@ def test_edited_jsonl_falls_back_to_parse(tmp_path, small_synth):
     assert_same_dataset(loaded, _parse(tmp_path))
 
 
-@pytest.mark.parametrize("damage", ["truncate", "garbage", "delete"])
-def test_unreadable_cache_falls_back_to_parse(tmp_path, small_synth, damage):
+def _old_layout(arrays: dict) -> None:
+    """The cache as written before it held the index columns."""
+    del arrays["tweet_author_index"], arrays["tweet_target_user"]
+
+
+def _author_out_of_range(arrays: dict) -> None:
+    arrays["tweet_author_index"][0] = -1
+
+
+def _target_out_of_range(arrays: dict) -> None:
+    arrays["tweet_target_user"][-1] = len(arrays["user_id"])
+
+
+def _truncate(cache: Path) -> None:
+    cache.write_bytes(cache.read_bytes()[: cache.stat().st_size // 2])
+
+
+def _garbage(cache: Path) -> None:
+    cache.write_bytes(b"not a zip file")
+
+
+def _delete(cache: Path) -> None:
+    cache.unlink()
+
+
+def _edit_arrays(edit):
+    def damage(cache: Path) -> None:
+        with np.load(cache) as npz:
+            arrays = {key: npz[key] for key in npz.files}
+        edit(arrays)
+        np.savez(cache, **arrays)
+    return damage
+
+
+@pytest.mark.parametrize("damage", [
+    _truncate, _garbage, _delete, _edit_arrays(_old_layout),
+    _edit_arrays(_author_out_of_range), _edit_arrays(_target_out_of_range),
+], ids=["truncate", "garbage", "delete", "old_layout", "author_out_of_range",
+        "target_out_of_range"])
+def test_unreadable_cache_falls_back_to_parse(tmp_path, small_synth, damage, monkeypatch):
     dataset, _ = small_synth
     serialize(dataset, tmp_path)
-    cache = write_cache(dataset, tmp_path)
-    if damage == "truncate":
-        cache.write_bytes(cache.read_bytes()[: cache.stat().st_size // 2])
-    elif damage == "garbage":
-        cache.write_bytes(b"not a zip file")
-    else:
-        cache.unlink()
-    assert_same_dataset(load_dataset(tmp_path), _parse(tmp_path))
+    damage(write_cache(dataset, tmp_path))
+    parsed, parse = [], model._parse_tweets
+    monkeypatch.setattr(model, "_parse_tweets", lambda lines: parsed.append(1) or parse(lines))
+    loaded = load_dataset(tmp_path)
+    assert parsed == [1]
+    assert_same_dataset(loaded, _parse(tmp_path))
 
 
 def test_cache_bytes_are_deterministic(tmp_path, small_synth):

@@ -26,33 +26,34 @@ from oracles import kendall_tau_bruteforce, q_score_dict, sample_candidates_loop
 class TestKendallTau:
     def test_identical_orders(self):
         a = {"u1": 3.0, "u2": 2.0, "u3": 1.0}
-        assert kendall_tau(a, a) == pytest.approx(1.0)
+        assert kendall_tau(a, a) == 1.0
 
     def test_reversed_orders(self):
         a = {"u1": 3.0, "u2": 2.0, "u3": 1.0}
         b = {"u1": 1.0, "u2": 2.0, "u3": 3.0}
-        assert kendall_tau(a, b) == pytest.approx(-1.0)
+        assert kendall_tau(a, b) == -1.0
 
     def test_hand_value_one_swap(self):
         # orders: (u1,u2,u3) vs (u2,u1,u3): 2 concordant, 1 discordant of 3
         a = {"u1": 3.0, "u2": 2.0, "u3": 1.0}
         b = {"u2": 3.0, "u1": 2.0, "u3": 1.0}
-        assert kendall_tau(a, b) == pytest.approx(1 / 3)
+        assert kendall_tau(a, b) == 1 / 3
 
     def test_matches_bruteforce_oracle_random(self):
         rng = np.random.default_rng(0)
         for trial in range(25):
-            n = int(rng.integers(2, 40))
+            n = int(rng.integers(2, 40 if trial < 20 else 300))
             users = [f"u{i:02d}" for i in range(n)]
             # quantized scores so ties occur regularly
             a = {u: float(rng.integers(0, 5)) for u in users}
             b = {u: float(rng.integers(0, 5)) for u in users}
-            assert kendall_tau(a, b) == pytest.approx(kendall_tau_bruteforce(a, b))
+            # a ratio of the same two integers, so equal to the last bit
+            assert kendall_tau(a, b) == kendall_tau_bruteforce(a, b)
 
     def test_accepts_rank_vectors(self):
         rv_a = RankVector(("x", "y"), np.array([0.7, 0.3]))
         rv_b = RankVector(("x", "y"), np.array([0.1, 0.9]))
-        assert kendall_tau(rv_a, rv_b) == pytest.approx(-1.0)
+        assert kendall_tau(rv_a, rv_b) == -1.0
 
     def test_mismatched_user_sets(self):
         with pytest.raises(ValueError, match="different user sets"):
@@ -66,7 +67,7 @@ class TestKendallTau:
         # ties resolve to the same id order on both sides
         a = {"a": 1.0, "b": 1.0, "c": 1.0}
         b = {"a": 5.0, "b": 5.0, "c": 5.0}
-        assert kendall_tau(a, b) == pytest.approx(1.0)
+        assert kendall_tau(a, b) == 1.0
 
 
 class TestLinkSets:

@@ -12,11 +12,11 @@ from influxrank.model import (
     degree_stats,
     ingest,
     load_dataset,
-    loglog_slope,
     serialize,
 )
 
 from conftest import make_dataset, make_user
+from oracles import loglog_slope
 
 
 def _jsonl(objs):
@@ -82,6 +82,31 @@ def test_ingest_values_beyond_int64_rejected():
     late = _jsonl([{"id": "tz", "author": "a", "kind": "original", "ts": 2**63}])
     with pytest.raises(ValidationError, match="timestamp exceeds int64"):
         ingest(USERS, EDGES, TWEETS + late)
+
+
+WRONG_TYPES = [
+    ("tweets", "ts", True, "integer"),
+    ("tweets", "ts", 1.9, "integer"),
+    ("tweets", "ts", 1.0, "integer"),
+    ("tweets", "ts", "123", "integer"),
+    ("tweets", "ts", None, "integer"),
+    ("tweets", "ts", "abc", "integer"),
+    ("users", "listed", 2.7, "integer"),
+    ("users", "listed", False, "integer"),
+    ("users", "favourites", "3", "integer"),
+    ("users", "verified", "false", "boolean"),
+    ("users", "verified", 1, "boolean"),
+    ("users", "verified", None, "boolean"),
+]
+
+
+@pytest.mark.parametrize("source, key, value, want", WRONG_TYPES,
+                         ids=[f"{s}-{k}-{v!r}" for s, k, v, _ in WRONG_TYPES])
+def test_ingest_rejects_a_value_of_the_wrong_json_type(source, key, value, want):
+    lines = {"users": list(USERS), "tweets": list(TWEETS)}
+    lines[source][1] = json.dumps({**json.loads(lines[source][1]), key: value})
+    with pytest.raises(ParseError, match=f"{source}, line 2: '{key}' must be a JSON {want}"):
+        ingest(lines["users"], EDGES, lines["tweets"], window=(0, 10000))
 
 
 def test_ingest_empty_users_rejected():

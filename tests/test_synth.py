@@ -11,7 +11,7 @@ from influxrank.synth import (
     truth_report,
 )
 
-from oracles import planted_instances
+from oracles import is_response, planted_instances
 
 
 class TestConfigValidation:
@@ -82,7 +82,7 @@ class TestGenerate:
         by_id = {tw.tweet_id: tw for tw in dataset.tweets}
         n_resp = 0
         for tw in dataset.tweets:
-            if not tw.is_response:
+            if not is_response(tw):
                 continue
             n_resp += 1
             orig = by_id[tw.responds_to_tweet]
@@ -98,7 +98,7 @@ class TestGenerate:
         assert truth.close_edges <= edge_set
         responded = {}
         for tw in dataset.tweets:
-            if tw.is_response:
+            if is_response(tw):
                 key = (tw.author, tw.responds_to_user)
                 responded[key] = responded.get(key, 0) + 1
         close_rate = np.mean([1 if e in responded else 0 for e in truth.close_edges])
@@ -108,7 +108,7 @@ class TestGenerate:
 
     def test_expected_positives_matches_realized(self, small_synth):
         dataset, truth = small_synth
-        realized = sum(1 for tw in dataset.tweets if tw.is_response)
+        realized = sum(1 for tw in dataset.tweets if is_response(tw))
         expected = truth.expected_positives
         assert abs(realized - expected) < 5 * np.sqrt(expected)
         assert np.all(truth.instance_probs > 0)
