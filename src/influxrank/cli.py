@@ -39,12 +39,15 @@ def stage_seed(seed: int, stage: str) -> int:
 
 class ArtifactSession:
     """Tracks files written by one subcommand; removes them all on failure
-    and writes manifest.json with sha256 content hashes on success."""
+    and writes manifest.json with sha256 content hashes on success. A hash
+    already computed for a finished file can be left in ``digests``, by
+    path, for the manifest to reuse."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.paths: list[Path] = []
+        self.digests: dict[Path, str] = {}
 
     def path(self, name: str) -> Path:
         p = self.out_dir / name
@@ -68,7 +71,7 @@ class ArtifactSession:
     def finish(self) -> Path:
         manifest = {}
         for p in self.paths:
-            manifest[p.name] = model.sha256_file(p)
+            manifest[p.name] = self.digests.get(p) or model.sha256_file(p)
         mpath = self.out_dir / "manifest.json"
         mpath.write_text(json.dumps({"artifacts": manifest}, sort_keys=True, indent=2))
         return mpath
@@ -144,7 +147,9 @@ def ingest_cmd(in_dir, out, min_tweets):
         dataset = _load(in_dir, min_tweets=min_tweets)
         for p in model.serialize(dataset, session.out_dir).values():
             session.paths.append(p)
-        session.paths.append(model.write_cache(dataset, session.out_dir))
+        cache, digests = model.write_cache(dataset, session.out_dir)
+        session.paths.append(cache)
+        session.digests.update(digests)
         summary = {
             "n_users": dataset.n_users,
             "n_edges": dataset.graph.n_edges,

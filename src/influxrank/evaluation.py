@@ -175,10 +175,27 @@ def build_link_sets(
     return out
 
 
-# Links scored together, in one multi-column solve per matrix. At 2,000
-# users larger blocks are no faster, and their (n x links) work arrays
-# raised the process's peak RSS.
+# Links scored together, in one multi-column solve per matrix. With the
+# shared elimination order, blocks of 32 took recommend-2k's run_scenarios
+# call from about 0.50 to 0.43 s at 2,000 users, but at 20,000 users (8
+# links per scenario) they were no faster and their (n x links) work arrays
+# raised its peak RSS from 400 to 406 MB.
 BLOCK_LINKS = 16
+
+
+def elimination_order(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Reverse Cuthill-McKee order of the n users over the follow edges
+    src -> dst taken as undirected (Cuthill and McKee, "Reducing the
+    Bandwidth of Sparse Symmetric Matrices", 1969): order[i] is the user
+    whose row and column come i-th. Every link-scoring matrix has its
+    off-diagonal entries on these edges, so one order serves them all."""
+    # imported here, as splu is: csgraph alone adds about 10 MB of resident
+    # libraries, 1 MB once scipy.sparse.linalg is loaded
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    rows, cols = np.concatenate((src, dst)), np.concatenate((dst, src))
+    pattern = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    return reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
 
 
 class ColumnUpdateSolver:
@@ -190,7 +207,17 @@ class ColumnUpdateSolver:
     x normalised to sum 1 is PageRank with dangling mass spread uniformly,
     like the teleport vector (Del Corso, Gulli and Romani, "Fast PageRank
     Computation via a Sparse Linear System", 2005). With S 1 and s = p, x is
-    TunkRank. I - s S is factored once with a sparse LU.
+    TunkRank.
+
+    I - s S is factored once with a sparse LU, in the given ``order`` of the
+    users (``elimination_order`` of the follow graph, shared by every matrix
+    on that graph): the factor is of P (I - s S) P^T, with P the permutation
+    that puts user order[i] i-th, and SuperLU is told to keep that column
+    order rather than compute its own. For s <= 1 the matrix is column
+    diagonally dominant (diagonal 1, off-diagonal column sums s or 0), and
+    each step of Gaussian elimination keeps it so, so partial pivoting would
+    pick the diagonal in every column anyway; a pivot threshold of 0 takes
+    it without comparing. ``solve`` permutes on the way in and out.
 
     Removing edge (u, v) replaces column u only: S' = S + d e_u^T with
     d = S'_u - S_u, and S' 1 = S 1 + d. By Sherman-Morrison the new solution
@@ -203,7 +230,13 @@ class ColumnUpdateSolver:
     dense supernodes, SuperLU's multi-column kernels may round differently.
     """
 
-    def __init__(self, matrix: sparse.csc_matrix, s: float, rhs_from_matrix: bool = False):
+    def __init__(
+        self,
+        matrix: sparse.csc_matrix,
+        s: float,
+        order: np.ndarray,
+        rhs_from_matrix: bool = False,
+    ):
         # imported here: scipy.sparse.linalg adds about 10 MB of resident
         # libraries, which only link scoring needs
         from scipy.sparse.linalg import splu
@@ -212,9 +245,36 @@ class ColumnUpdateSolver:
         self.matrix = matrix.tocsc()
         self.s = s
         self.eta = 1.0 if rhs_from_matrix else 0.0
-        self.lu = splu((sparse.identity(n, format="csc") - s * self.matrix).tocsc())
+        self.order = order
+        self.position = np.empty(n, dtype=np.intp)
+        self.position[order] = np.arange(n)
+        self.lu = splu(self._permuted_system(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
         rhs = self.matrix @ np.ones(n) if rhs_from_matrix else np.ones(n)
-        self.x = self.lu.solve(rhs)
+        self.x = self.solve(rhs)
+
+    def _permuted_system(self) -> sparse.csc_matrix:
+        """P (I - s S) P^T from S's CSC arrays: column j is a 1 on the
+        diagonal (S has none: the follow graph has no self-loops), then
+        column order[j] of -s S with its rows renumbered by ``position``."""
+        indptr, n = self.matrix.indptr, len(self.order)
+        starts, stops = indptr[self.order], indptr[self.order + 1]
+        counts = stops - starts
+        new_indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(counts + 1, out=new_indptr[1:])
+        rows = np.empty(new_indptr[-1], dtype=np.intp)
+        values = np.empty(new_indptr[-1])
+        rows[new_indptr[:-1]], values[new_indptr[:-1]] = np.arange(n), 1.0
+        old = _concat_ranges(starts, stops)
+        off_diagonal = np.arange(len(old)) + np.repeat(np.arange(1, n + 1), counts)
+        rows[off_diagonal] = self.position[self.matrix.indices[old]]
+        values[off_diagonal] = -self.s * self.matrix.data[old]
+        a = sparse.csc_matrix((values, rows, new_indptr), shape=(n, n))
+        a.sort_indices()
+        return a
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """(I - s S)^{-1} b for b of shape (n,) or (n, k), in user order."""
+        return self.lu.solve(b[self.order])[self.position]
 
     def solve_with_columns(
         self, us: np.ndarray, rows: np.ndarray, columns: np.ndarray, link: np.ndarray
@@ -223,16 +283,23 @@ class ColumnUpdateSolver:
         us[k] of S holds the values ``columns[link == k]`` on rows
         ``rows[link == k]`` (each a column that sums to 1, or all zero) and
         nothing else."""
-        n, cols = len(self.x), np.arange(len(us))
+        n, cols, position = len(self.x), np.arange(len(us)), self.position
+        # d is built in the factor's row order, so the solve needs no
+        # permutation on the way in
         d = np.zeros((n, len(us)), order="F")
-        d[rows, link] = columns
+        d[position[rows], link] = columns
         starts, stops = self.matrix.indptr[us], self.matrix.indptr[us + 1]
         old = _concat_ranges(starts, stops)
-        d[self.matrix.indices[old], np.repeat(cols, stops - starts)] -= self.matrix.data[old]
-        # z becomes x, then w, in place: IEEE + and * commute exactly, so
-        # z f + x and x s + eta have the bits of self.x + z f and eta + s x
+        old_rows = position[self.matrix.indices[old]]
+        d[old_rows, np.repeat(cols, stops - starts)] -= self.matrix.data[old]
         w = self.lu.solve(d)
         del d
+        # back to user order; the gathered block is C-ordered, the layout
+        # the sparse product below reads, so only two (n x L) blocks are
+        # held at a time
+        w = w[position]
+        # z becomes x, then w, in place: IEEE + and * commute exactly, so
+        # z f + x and x s + eta have the bits of self.x + z f and eta + s x
         w *= (self.eta + self.s * self.x[us]) / (1.0 - self.s * w[us, cols])
         w += self.x[:, None]
         # One fixed-point step, x <- b' + S'(eta + s x). It moves x by rounding
@@ -244,9 +311,6 @@ class ColumnUpdateSolver:
         w += self.eta
         w_u = w[us, cols]
         w[us, cols] = 0.0
-        # the sparse product reads a C-ordered block; copy it once here, so
-        # that only two (n x L) blocks are held at a time
-        w = np.ascontiguousarray(w)
         y = self.matrix @ w
         del w
         y[rows, link] += columns * w_u[link]
@@ -312,7 +376,7 @@ def _link_blocks(link: np.ndarray, n_links: int):
 
 def _weighted_solutions(
     matrices: Iterable[TransitionMatrix],
-    n: int,
+    order: np.ndarray,
     weights: np.ndarray,
     us: np.ndarray,
     rows: np.ndarray,
@@ -325,19 +389,19 @@ def _weighted_solutions(
     ``columns[t]`` holds the replaced columns' values for matrix t.
 
     ``matrices`` gives the matrix of every t that some link weighs
-    (weights[k, t] > 0), in ascending t. Each is factored when it is
-    reached, every block of BLOCK_LINKS links is solved against that factor
-    in one multi-column solve, and the factor is freed before the next
-    matrix is taken: one factorisation is alive at a time. A block solves
+    (weights[k, t] > 0), in ascending t. Each is factored in ``order`` when
+    it is reached, every block of BLOCK_LINKS links is solved against that
+    factor in one multi-column solve, and the factor is freed before the
+    next matrix is taken: one factorisation is alive at a time. A block solves
     only its links of positive weight, and skips a matrix none of them
     weighs. A skipped term would add the zero 0 * y to a sum that starts
     at +0.0, so skipping it changes no bit, and each link's terms are added
     in ascending t."""
     n_links = len(us)
-    scores = np.zeros((n_links, n))
+    scores = np.zeros((n_links, len(order)))
     for tm in matrices:
         t = tm.hour
-        solver = ColumnUpdateSolver(tm.matrix, tm.gamma)
+        solver = ColumnUpdateSolver(tm.matrix, tm.gamma, order)
         for a, b, ra, rb in _link_blocks(link, n_links):
             on = weights[a:b, t] > 0
             if not on.any():
@@ -393,7 +457,9 @@ class TirLinkScorer(_LinkBlocks):
     those columns for all its links, then builds and factors the hourly
     matrices one at a time, only the hours that some link's follower
     weighs, and updates each hour's ranking by one ColumnUpdateSolver solve
-    per block of links. The scorer holds no factorisation between calls.
+    per block of links. The scorer holds no factorisation between calls,
+    only the follow graph's ``elimination_order``, which every hour's
+    factor uses.
     """
 
     def __init__(
@@ -412,6 +478,7 @@ class TirLinkScorer(_LinkBlocks):
         self.gamma = gamma
         self.ctx = ctx if ctx is not None else FeatureContext(dataset)
         self.user_ids = tuple(self.ctx.user_ids)
+        self.order = elimination_order(self.ctx.edge_src, self.ctx.edge_dst, len(self.user_ids))
         self.expect(())
 
     def scores_without_links(self, links: Sequence[tuple[str, str]]) -> np.ndarray:
@@ -430,8 +497,8 @@ class TirLinkScorer(_LinkBlocks):
         hour_w = normalise_weights(personal_weights(ctx, ius))
         hours = np.flatnonzero((hour_w > 0).any(axis=0))
         matrices = hourly_matrices(self.dataset, self.model, hours, self.c, self.gamma, ctx)
-        return _weighted_solutions(matrices, len(self.user_ids), hour_w, ius, ctx.edge_dst[rows],
-                                   columns, link)
+        return _weighted_solutions(matrices, self.order, hour_w, ius, ctx.edge_dst[rows], columns,
+                                   link)
 
     def personal_scores_without(self, u: str, v: str) -> RankVector:
         return RankVector(
@@ -445,8 +512,9 @@ class TirLinkScorer(_LinkBlocks):
 
 class TwitterRankLinkScorer(_LinkBlocks):
     """TwitterRank counterpart of TirLinkScorer. It keeps the sparse topic
-    matrices and, like TirLinkScorer, factors them one at a time per
-    ``scores_without_links`` call."""
+    matrices and the follow graph's ``elimination_order`` and, like
+    TirLinkScorer, factors them one at a time per ``scores_without_links``
+    call."""
 
     def __init__(
         self,
@@ -460,6 +528,7 @@ class TwitterRankLinkScorer(_LinkBlocks):
         self.user_ids = tuple(self.ctx.user_ids)
         self.expect(())
         self.matrices = twitterrank_matrices(dataset, gamma, self.ctx)
+        self.order = elimination_order(self.ctx.edge_src, self.ctx.edge_dst, len(self.user_ids))
 
     def scores_without_links(self, links: Sequence[tuple[str, str]]) -> np.ndarray:
         """(len(links), n) personal TwitterRank scores of each link's follower
@@ -475,7 +544,7 @@ class TwitterRankLinkScorer(_LinkBlocks):
         shares = ctx.topics[ius]
         topics = np.flatnonzero((shares > 0).any(axis=0))
         matrices = (self.matrices[t] for t in topics)
-        scores = _weighted_solutions(matrices, len(self.user_ids), shares, ius, dsts, columns, link)
+        scores = _weighted_solutions(matrices, self.order, shares, ius, dsts, columns, link)
         total = shares.sum(axis=1)
         on = total > 0
         scores[on] /= total[on, None]
@@ -494,9 +563,9 @@ class TwitterRankLinkScorer(_LinkBlocks):
 class TunkRankLinkScorer(_LinkBlocks):
     """TunkRank after removing follow links, by one ColumnUpdateSolver
     solve per block of BLOCK_LINKS links against one factorisation, which
-    the scorer keeps: column u of the follower -> friend matrix holds
-    1/deg(u) on each friend, and without (u, v) it holds 1/(deg(u) - 1) on
-    the rest."""
+    the scorer keeps, in the follow graph's ``elimination_order``: column u
+    of the follower -> friend matrix holds 1/deg(u) on each friend, and
+    without (u, v) it holds 1/(deg(u) - 1) on the rest."""
 
     def __init__(self, dataset: Dataset, p: float = 0.05):
         self.p = p
@@ -504,7 +573,8 @@ class TunkRankLinkScorer(_LinkBlocks):
         self.src, self.dst = dataset.graph.src, dataset.graph.dst
         self.index = {u: i for i, u in enumerate(self.user_ids)}
         self.expect(())
-        self.solver = ColumnUpdateSolver(a, p, rhs_from_matrix=True)
+        self.order = elimination_order(self.src, self.dst, len(self.user_ids))
+        self.solver = ColumnUpdateSolver(a, p, self.order, rhs_from_matrix=True)
 
     def scores_without_links(self, links: Sequence[tuple[str, str]]) -> np.ndarray:
         """(len(links), n) global TunkRank scores, each once its link is

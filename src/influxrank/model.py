@@ -722,20 +722,22 @@ def sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_cache(dataset: Dataset, out_dir: str | Path) -> Path:
+def write_cache(dataset: Dataset, out_dir: str | Path) -> tuple[Path, dict[Path, str]]:
     """Write CACHE_NAME into out_dir, where serialize(dataset, out_dir) has
     just written the JSONL files: the users, edges and tweet columns that
     parsing those files gives, each tweet's author and to_user index into
     the sorted user ids (int32, -1 where to_user is not a user), and the
     sha256 of each file. load_dataset reads it in place of the JSONL files
-    while every digest still matches."""
+    while every digest still matches. Returns the cache's path and the
+    digests by JSONL path, for a manifest to reuse."""
     out = Path(out_dir)
     records = [dataset.users[u] for u in sorted(dataset.users)]
     edges = list(dataset.graph.edges())
     path = out / CACHE_NAME
+    digests = {out / f"{name}.jsonl": sha256_file(out / f"{name}.jsonl") for name in _JSONL_NAMES}
     np.savez(
         path,
-        **{f"sha256_{name}": np.array(sha256_file(out / f"{name}.jsonl")) for name in _JSONL_NAMES},
+        **{f"sha256_{p.stem}": np.array(d) for p, d in digests.items()},
         user_id=_str_column([r.user_id for r in records], "user ids"),
         user_listed=np.array([r.listed_count for r in records], dtype=np.int64),
         user_favourites=np.array([r.favourites_received for r in records], dtype=np.int64),
@@ -747,7 +749,7 @@ def write_cache(dataset: Dataset, out_dir: str | Path) -> Path:
         tweet_author_index=dataset.author_index.astype(np.int32),
         tweet_target_user=dataset.target_user.astype(np.int32),
     )
-    return path
+    return path, digests
 
 
 def _index_column(values: np.ndarray, n_rows: int, low: int, n_users: int) -> np.ndarray:

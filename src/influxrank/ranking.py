@@ -393,8 +393,9 @@ def check_tunkrank_fixed_point(follower: np.ndarray, friend: np.ndarray, n: int)
     influence, so the follower -> friend matrix has eigenvalue 1 and the
     iteration grows without bound. For p < 1 a fixed point always exists.
     """
-    # imported here, like splu in evaluation: csgraph adds about 11 MB of
-    # resident libraries, and only p = 1 needs it
+    # imported here, like splu in evaluation: csgraph alone adds about 10 MB
+    # of resident libraries (1 MB once scipy.sparse.linalg is loaded), and
+    # only p = 1 needs it
     from scipy.sparse.csgraph import connected_components
 
     graph = sparse.csr_matrix(

@@ -1,20 +1,30 @@
-"""Scale check at 20,000 users: ``build_instances`` and ``select_k`` (k =
-2..6) on the seed-3 synthetic set, as ``influxrank synth --users 20000 --seed
-3`` and ``influxrank ingest`` write it, in one process.
+"""Scale check at 20,000 users on the seed-3 synthetic set, as ``influxrank
+synth --users 20000 --seed 3`` and ``influxrank ingest`` write it.
 
-It asserts the memory gates of the row-blocked stages: a process peak
+``build_instances`` and ``select_k`` (k = 2..6) run in one process. The test
+asserts the memory gates of the row-blocked stages: a process peak
 (``ru_maxrss``) under 1.5 GB, which a whole n×n distance matrix would exceed
 more than twice over (3.2 GB), and a traced ``build_instances`` peak under
-400 MB. The figures are printed.
+400 MB.
+
+``run_scenarios`` (a fixed response model, c = 0.5 and 0.85, 4 links per
+scenario, 53 factorisations) runs in a process of its own, so that its peak
+is its own. In four runs on a 2-core machine it took 2.9-3.8 s with a
+process peak of 393-400 MB (342 MB after loading the dataset and building
+its ``FeatureContext``); factoring each matrix in scipy's default COLAMD
+order took 25.9-26.1 s and peaked at 460 MB. It asserts a wall time under 10 s and a peak under
+430 MB. The figures are printed.
 
 The file name keeps it out of the default test run. Run it with
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest -s tests/bench_scale.py
 
 Set-up runs ``synth`` and ``ingest`` in processes of their own, so that their
-peaks do not count. The whole run took about a minute on a 2-core machine.
+peaks do not count. The whole run took about a minute and a half on a 2-core
+machine.
 """
 
+import json
 import resource
 import subprocess
 import sys
@@ -31,6 +41,31 @@ from influxrank.temporal import all_profiles, select_k
 USERS = 20_000
 PROCESS_PEAK_MB = 1_500
 BUILD_INSTANCES_PEAK_MB = 400
+RUN_SCENARIOS_WALL_S = 10
+RUN_SCENARIOS_PEAK_MB = 430
+
+# run_scenarios in a fresh interpreter: prints wall time and peaks as JSON
+RUN_SCENARIOS = """
+import json, resource, sys, time, warnings
+import numpy as np
+from influxrank.evaluation import run_scenarios
+from influxrank.features import FeatureContext, MinMaxScaler
+from influxrank.logistic import LogisticModel
+from influxrank.model import load_dataset
+
+model = LogisticModel(w0=0.3, w=np.linspace(-0.6, 0.4, 12), scaler=MinMaxScaler(
+    mins=np.zeros(12), maxs=np.array([2, 4, 1, 1, 1, 1, 1, 3, 0.5, 0.5, 0.2, 1.0])))
+dataset = load_dataset(sys.argv[1])
+ctx = FeatureContext(dataset)
+setup_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3
+started = time.perf_counter()
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")  # a scenario may have an empty pool
+    results = run_scenarios(dataset, model, seed=3, c_grid=(0.5, 0.85), n_links=4, ctx=ctx)
+wall_s = time.perf_counter() - started
+print(json.dumps({"wall_s": wall_s, "setup_mb": setup_mb, "links": sum(r.n_links for r in results),
+                  "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3}))
+"""
 
 
 def _cli(*args):
@@ -75,3 +110,14 @@ def test_blocked_stages_at_20k(data):
     assert sorted(asc) == [2, 3, 4, 5, 6]
     assert traced_mb < BUILD_INSTANCES_PEAK_MB
     assert peak_mb < PROCESS_PEAK_MB
+
+
+def test_run_scenarios_at_20k(data):
+    out = subprocess.run([sys.executable, "-c", RUN_SCENARIOS, str(data)], check=True,
+                         capture_output=True, text=True).stdout
+    got = json.loads(out.splitlines()[-1])
+    print(f"\nrun_scenarios: {got['links']} link evaluations, {got['wall_s']:.1f} s, "
+          f"peak {got['peak_mb']:.0f} MB ({got['setup_mb']:.0f} MB after set-up)")
+    assert got["links"] > 0
+    assert got["wall_s"] < RUN_SCENARIOS_WALL_S
+    assert got["peak_mb"] < RUN_SCENARIOS_PEAK_MB

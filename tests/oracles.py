@@ -26,10 +26,12 @@ forms that the array code over ``FollowGraph.src``/``dst`` replaced. The
 link-removal oracles score one removed link at a time against all of a
 model's factorisations, which ``link_solvers`` builds and holds together
 (``solve_with_column_loop`` is the single-column solve that
-``ColumnUpdateSolver.solve_with_columns`` replaced), draw candidates with a
-sort of the ids (``sample_candidates_loop``) and count Q from the score
-dictionary (``q_score_dict``); ``run_scenarios_loop`` is the protocol built
-from them, link by link and scenario by scenario.
+``ColumnUpdateSolver.solve_with_columns`` replaced; ``ColamdSolver`` is
+scipy's default factor in user order, which the follow graph's shared
+elimination order replaced), draw candidates with a sort of the ids
+(``sample_candidates_loop``) and count Q from the score dictionary
+(``q_score_dict``); ``run_scenarios_loop`` is the protocol built from them,
+link by link and scenario by scenario.
 """
 
 from __future__ import annotations
@@ -590,7 +592,7 @@ def solve_with_column_loop(solver, u: int, rows: np.ndarray, weights: np.ndarray
     d[rows] = column
     start, stop = solver.matrix.indptr[u], solver.matrix.indptr[u + 1]
     d[solver.matrix.indices[start:stop]] -= solver.matrix.data[start:stop]
-    z = solver.lu.solve(d)
+    z = solver.solve(d)
     x = solver.x + z * ((solver.eta + solver.s * solver.x[u]) / (1.0 - solver.s * z[u]))
     w = solver.eta + solver.s * x
     w_u, w[u] = w[u], 0.0
@@ -608,16 +610,40 @@ def _friend_shares_loop(ctx: FeatureContext, iu: int, iv: int):
     return rows, dsts, shares
 
 
-def link_solvers(scorer) -> list[ColumnUpdateSolver]:
+class ColamdSolver:
+    """The factorisation that ``ColumnUpdateSolver`` replaced: scipy's
+    default ``splu`` of I - s S in user order, which computes a COLAMD
+    column order and searches each column for its pivot. It has the
+    attributes that ``solve_with_column_loop`` reads."""
+
+    def __init__(self, matrix: sparse.csc_matrix, s: float, rhs_from_matrix: bool = False):
+        from scipy.sparse.linalg import splu
+
+        n = matrix.shape[0]
+        self.matrix = matrix.tocsc()
+        self.s = s
+        self.eta = 1.0 if rhs_from_matrix else 0.0
+        self.lu = splu((sparse.identity(n, format="csc") - s * self.matrix).tocsc())
+        self.x = self.solve(self.matrix @ np.ones(n) if rhs_from_matrix else np.ones(n))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.lu.solve(b)
+
+
+def link_solvers(scorer, colamd: bool = False) -> list:
     """The solvers of a ``TirLinkScorer``'s 24 hourly matrices (from
     ``build_matrix``) or of a ``TwitterRankLinkScorer``'s topic matrices
-    (from ``twitterrank_matrices``), all factored here and held together."""
+    (from ``twitterrank_matrices``), all factored here and held together:
+    ``ColumnUpdateSolver``s in the scorer's order, or with ``colamd`` the
+    ``ColamdSolver``s."""
     if isinstance(scorer, TirLinkScorer):
         matrices = [build_matrix(scorer.dataset, scorer.model, t, scorer.c, scorer.gamma,
                                  ctx=scorer.ctx) for t in range(24)]
     else:
         matrices = twitterrank_matrices(scorer.dataset, scorer.gamma, scorer.ctx)
-    return [ColumnUpdateSolver(tm.matrix, scorer.gamma) for tm in matrices]
+    if colamd:
+        return [ColamdSolver(tm.matrix, scorer.gamma) for tm in matrices]
+    return [ColumnUpdateSolver(tm.matrix, scorer.gamma, scorer.order) for tm in matrices]
 
 
 def tir_scores_without_loop(scorer, u: str, v: str, solvers=None) -> np.ndarray:
@@ -655,16 +681,18 @@ def twitterrank_scores_without_loop(scorer, u: str, v: str, solvers=None) -> np.
     return scores
 
 
-def tunkrank_scores_without_loop(scorer, u: str, v: str) -> np.ndarray:
+def tunkrank_scores_without_loop(scorer, u: str, v: str, solver=None) -> np.ndarray:
     """TunkRank once (u, v) is removed, from a ``TunkRankLinkScorer``'s
-    factorisation; p = 1 checks the reduced graph for a closed class."""
+    factorisation or the given ``solver`` of its matrix; p = 1 checks the
+    reduced graph for a closed class."""
     iu, iv = scorer.index[u], scorer.index[v]
     if scorer.p == 1.0:
         keep = (scorer.src != iu) | (scorer.dst != iv)
         check_tunkrank_fixed_point(scorer.src[keep], scorer.dst[keep], len(scorer.user_ids))
     rows = np.flatnonzero(scorer.src == iu)
     rows = rows[scorer.dst[rows] != iv]
-    return solve_with_column_loop(scorer.solver, iu, scorer.dst[rows], np.ones(len(rows)))
+    return solve_with_column_loop(solver or scorer.solver, iu, scorer.dst[rows],
+                                  np.ones(len(rows)))
 
 
 def scores_without_loop(scorer, u: str, v: str, solvers=None) -> np.ndarray:

@@ -79,6 +79,25 @@ def test_manifest_hashes_without_reading_whole_files(tmp_path):
     assert peak < 4 << 20
 
 
+def test_ingest_hashes_each_file_once(pipeline, tmp_path, monkeypatch):
+    # write_cache digests the JSONL files and the manifest reuses them
+    hashed, sha256_file = [], cli.model.sha256_file
+
+    def spy(path):
+        hashed.append(path.name)
+        return sha256_file(path)
+
+    monkeypatch.setattr(cli.model, "sha256_file", spy)
+    ok(run_cli("ingest", "--in", pipeline["raw"], "--out", tmp_path))
+    assert sorted(hashed) == sorted(
+        ["users.jsonl", "edges.jsonl", "tweets.jsonl", "dataset.npz", "summary.json"])
+    manifest = json.loads((tmp_path / "manifest.json").read_text())["artifacts"]
+    assert manifest == {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                        for name in hashed}
+    assert (tmp_path / "manifest.json").read_bytes() == (
+        pipeline["data"] / "manifest.json").read_bytes()
+
+
 class TestPipelineArtifacts:
     def test_every_stage_writes_a_manifest(self, pipeline):
         for name, path in pipeline.items():

@@ -348,7 +348,7 @@ def _edit_arrays(edit):
 def test_unreadable_cache_falls_back_to_parse(tmp_path, small_synth, damage, monkeypatch):
     dataset, _ = small_synth
     serialize(dataset, tmp_path)
-    damage(write_cache(dataset, tmp_path))
+    damage(write_cache(dataset, tmp_path)[0])
     parsed, parse = [], model._parse_tweets
     monkeypatch.setattr(model, "_parse_tweets", lambda lines: parsed.append(1) or parse(lines))
     loaded = load_dataset(tmp_path)

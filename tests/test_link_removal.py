@@ -1,6 +1,9 @@
 """Single-edge-removal scorers against a full rebuild and a dense direct solve
 of the reduced system, and their blocks of links against the per-link
-oracles bit for bit, on random small graphs."""
+oracles bit for bit, on random small graphs. On a 500-user synthetic graph,
+the factors in the follow graph's shared elimination order keep their pivots
+on the diagonal, their multi-column solves equal single-column ones bit for
+bit, and the scores agree with scipy's default COLAMD factor to 1e-12."""
 
 import numpy as np
 import pytest
@@ -26,9 +29,18 @@ from influxrank.ranking import (
     twitterrank,
     twitterrank_matrices,
 )
+from influxrank.synth import GeneratorConfig, generate
 
 from conftest import _remove_edge_dataset, make_dataset, make_user
-from oracles import run_scenarios_loop, scores_without_loop
+from oracles import (
+    ColamdSolver,
+    link_solvers,
+    run_scenarios_loop,
+    scores_without_loop,
+    tir_scores_without_loop,
+    tunkrank_scores_without_loop,
+    twitterrank_scores_without_loop,
+)
 
 GAMMA = 0.85
 # fixed, non-trivial response model; the scaler clips some raw features
@@ -335,3 +347,92 @@ def test_run_scenarios_q_equal_per_link_oracle(dataset, seed, n_links, p):
                         tunkrank_p=p, n_links=n_links, ctx=ctx)
     want = run_scenarios_loop(dataset, MODEL, seed, models, c_grid, GAMMA, p, n_links, ctx)
     assert [(r.tag, r.model, r.c, r.q_values) for r in got] == want
+
+
+# ------------------------------------------- the follow graph's shared order
+
+@pytest.fixture(scope="module")
+def synth_500():
+    dataset, _ = generate(GeneratorConfig(n_users=500, seed=3))
+    ctx = FeatureContext(dataset)
+    ids = ctx.user_ids
+    # three blocks of links from distinct followers, the first edge of each
+    first = {}
+    for row, u in enumerate(ctx.edge_src.tolist()):
+        first.setdefault(u, row)
+    rows = list(first.values())[:3 * evaluation.BLOCK_LINKS]
+    links = [(ids[ctx.edge_src[r]], ids[ctx.edge_dst[r]]) for r in rows]
+    return dataset, ctx, links
+
+
+def scorers_of(dataset, ctx, c=0.85, p=0.3):
+    return [TirLinkScorer(dataset, MODEL, c, gamma=GAMMA, ctx=ctx),
+            TwitterRankLinkScorer(dataset, gamma=GAMMA, ctx=ctx),
+            TunkRankLinkScorer(dataset, p=p)]
+
+
+def test_order_is_a_permutation_computed_once_per_scorer(small_synth, small_ctx, monkeypatch):
+    dataset, _ = small_synth
+    orders, order_of = [], evaluation.elimination_order
+    monkeypatch.setattr(evaluation, "elimination_order",
+                        lambda *args: orders.append(order_of(*args)) or orders[-1])
+    built, init = [], evaluation.ColumnUpdateSolver.__init__
+
+    def tracked(self, matrix, s, order, *args, **kwargs):
+        built.append(order)
+        init(self, matrix, s, order, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation.ColumnUpdateSolver, "__init__", tracked)
+    run_scenarios(dataset, MODEL, seed=2, c_grid=(0.5, 0.85), n_links=5, ctx=small_ctx)
+    # two TIR scorers, TunkRank, TwitterRank: one order each, and every
+    # factor of a scorer in that scorer's order
+    assert len(orders) == 4
+    n = len(small_ctx.user_ids)
+    for order in orders:
+        assert np.array_equal(np.sort(order), np.arange(n))
+    assert len(built) == 2 * 24 + small_ctx.topics.shape[1] + 1
+    assert all(any(o is order for order in orders) for o in built)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.3])
+def test_every_factor_pivots_on_the_diagonal(synth_500, monkeypatch, p):
+    # I - s S is column diagonally dominant for s <= 1, so the LU of the
+    # permuted system keeps its row order equal to its column order
+    dataset, ctx, links = synth_500
+    pivots, init = [], evaluation.ColumnUpdateSolver.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        pivots.append((self.eta, np.array_equal(self.lu.perm_r, self.lu.perm_c)))
+
+    monkeypatch.setattr(evaluation.ColumnUpdateSolver, "__init__", tracked)
+    for c in (0.5, 1.0):
+        for scorer in scorers_of(dataset, ctx, c, p):
+            scorer.scores_without_links(links)
+    assert sum(eta == 0.0 for eta, _ in pivots) > 24
+    assert sum(eta == 1.0 for eta, _ in pivots) == 2
+    assert all(diagonal for _, diagonal in pivots)
+
+
+def test_multi_column_solves_equal_single_column_solves(synth_500):
+    dataset, ctx, links = synth_500
+    for scorer in scorers_of(dataset, ctx):
+        block = scorer.scores_without_links(links)
+        solvers = None if isinstance(scorer, TunkRankLinkScorer) else link_solvers(scorer)
+        for row, (u, v) in zip(block, links):
+            assert np.array_equal(row, scores_without_loop(scorer, u, v, solvers))
+
+
+def test_scores_agree_with_the_colamd_factor(synth_500):
+    dataset, ctx, links = synth_500
+    tir, tw, tunk = scorers_of(dataset, ctx)
+    colamd = ColamdSolver(tunk.solver.matrix, tunk.p, rhs_from_matrix=True)
+    tir_solvers, tw_solvers = link_solvers(tir, colamd=True), link_solvers(tw, colamd=True)
+    for scorer, slow in [
+        (tir, lambda u, v: tir_scores_without_loop(tir, u, v, tir_solvers)),
+        (tw, lambda u, v: twitterrank_scores_without_loop(tw, u, v, tw_solvers)),
+        (tunk, lambda u, v: tunkrank_scores_without_loop(tunk, u, v, colamd)),
+    ]:
+        block = scorer.scores_without_links(links)
+        for row, (u, v) in zip(block, links):
+            np.testing.assert_allclose(row, slow(u, v), rtol=1e-12, atol=0)
