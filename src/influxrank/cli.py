@@ -235,20 +235,17 @@ def cluster_cmd(in_dir, out, k, k_min, k_max, max_shift, seed):
 
     def body(session: ArtifactSession):
         dataset = _load(in_dir)
-        profiles = {
-            uid: prof.a_t
-            for uid, prof in temporal.all_profiles(dataset).items()
-            if prof.has_tweets
-        }
+        table = temporal.all_profiles(dataset)
+        ids, profiles = table.user_ids[table.has_tweets], table.a_t[table.has_tweets]
         sub = stage_seed(seed, "cluster")
         asc_rows = []
         if k is None:
             result, asc_per_k = temporal.select_k(
-                profiles, range(k_min, k_max + 1), seed=sub, max_shift=max_shift
+                ids, profiles, range(k_min, k_max + 1), seed=sub, max_shift=max_shift
             )
             asc_rows = sorted(asc_per_k.items())
         else:
-            result = temporal.ksc_cluster(profiles, k, max_shift=max_shift, seed=sub)
+            result = temporal.ksc_cluster(ids, profiles, k, max_shift=max_shift, seed=sub)
         session.write_csv(
             "clusters.csv",
             ["cluster", "proportion"] + [f"h{h}" for h in range(24)],
@@ -260,7 +257,7 @@ def cluster_cmd(in_dir, out, k, k_min, k_max, max_shift, seed):
         session.write_csv(
             "assignments.csv",
             ["user_id", "cluster"],
-            sorted(result.assignment.items()),
+            zip(result.ids.tolist(), result.labels.tolist()),
         )
         if asc_rows:
             session.write_csv("asc_curve.csv", ["k", "asc"], asc_rows)

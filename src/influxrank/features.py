@@ -83,10 +83,8 @@ class FeatureContext:
         self.rr = rr
 
         profiles = all_profiles(dataset)
-        self.n_t = np.stack([profiles[u].n_t for u in self.user_ids])  # (n, 24)
-        self.a_t = np.stack([profiles[u].a_t for u in self.user_ids])
-        # tweets per hour of day over all users
-        self.hour_counts = np.sum([profiles[u].raw_counts for u in self.user_ids], axis=0)
+        self.n_t, self.a_t = profiles.n_t, profiles.a_t  # (n, 24)
+        self.hour_counts = profiles.raw_counts.sum(axis=0)  # tweets per hour, all users
 
         self.topics = np.stack(
             [dataset.users[u].topic_distribution for u in self.user_ids]

@@ -11,21 +11,24 @@ import numpy as np
 from .model import ORIGINAL, SECONDS_PER_DAY, Dataset
 
 
-@dataclass
-class HourlyProfile:
-    user_id: str
+@dataclass(frozen=True, eq=False)
+class ProfileTable:
+    """Hourly profiles of every user: row (or entry) i is ``user_ids[i]``'s."""
+
+    user_ids: np.ndarray  # sorted
     raw_counts: np.ndarray  # tweets per hour bin, integer counts
     n_t: np.ndarray  # raw_counts / available_days
-    a_t: np.ndarray  # n_t normalized to sum 1 (zero vector if no tweets)
-    available_days: float
-    has_tweets: bool
+    a_t: np.ndarray  # n_t normalized to sum 1 per row (zero row if no tweets)
+    available_days: np.ndarray
+    has_tweets: np.ndarray
 
 
 @dataclass
 class ClusterResult:
     k: int
+    ids: np.ndarray  # the clustered ids, increasing
+    labels: np.ndarray  # each id's cluster, in 0..k-1
     centroids: np.ndarray  # (k, 24), unit Euclidean norm each
-    assignment: dict[str, int]
     proportions: np.ndarray
     objective: float
     objective_history: list[float]
@@ -44,40 +47,27 @@ class ResponseColumns:
         return len(self.row)
 
 
-def _profile(user_id: str, counts: np.ndarray, first: int, last: int) -> HourlyProfile:
-    """The profile of a user with hourly tweet counts ``counts`` whose
-    tweets span the timestamps first..last."""
-    if not counts.any():
-        return HourlyProfile(user_id, counts, counts.copy(), counts.copy(), 1.0, False)
-    days = max((last - first) / SECONDS_PER_DAY, 1.0)
-    n_t = counts / days
-    a_t = n_t / n_t.sum()
-    return HourlyProfile(user_id, counts, n_t, a_t, days, True)
-
-
-def all_profiles(dataset: Dataset) -> dict[str, HourlyProfile]:
-    """Per-hour tweet rate and normalized activity of every user.
+def all_profiles(dataset: Dataset) -> ProfileTable:
+    """Per-hour tweet rate and normalized activity of every user, by user id.
 
     The available-day span is the interval between the user's first and last
     tweet, floored at one day to avoid rate blow-up for single-burst users.
     """
     n = len(dataset.user_ids)
-    hours = dataset.hour_of(dataset.tweets.ts)
-    counts = np.bincount(dataset.author_index * 24 + hours, minlength=n * 24)
+    authors, ts = dataset.author_index, dataset.tweets.ts
+    counts = np.bincount(authors * 24 + dataset.hour_of(ts), minlength=n * 24)
     counts = counts.reshape(n, 24).astype(float)
-    rows, bounds = dataset.author_groups
-    ts = dataset.tweets.ts[rows]
-    has = bounds[1:] > bounds[:-1]
+    has_tweets = counts.any(axis=1)
     first = np.zeros(n, dtype=np.int64)
-    last = np.zeros(n, dtype=np.int64)
-    first[has] = ts[bounds[:-1][has]]
-    last[has] = ts[bounds[1:][has] - 1]
-    return {
-        uid: _profile(uid, counts[i], a, b)
-        for i, (uid, a, b) in enumerate(
-            zip(dataset.user_ids.tolist(), first.tolist(), last.tolist())
-        )
-    }
+    first[authors] = ts  # one of the user's own times (which one is immaterial), or 0
+    last = first.copy()
+    np.minimum.at(first, authors, ts)
+    np.maximum.at(last, authors, ts)
+    days = np.maximum((last - first) / SECONDS_PER_DAY, 1.0)
+    n_t = counts / days[:, None]
+    a_t = np.divide(n_t, n_t.sum(axis=1, keepdims=True), out=np.zeros_like(n_t),
+                    where=has_tweets[:, None])
+    return ProfileTable(dataset.user_ids, counts, n_t, a_t, days, has_tweets)
 
 
 def global_activity(dataset: Dataset, granularity: str = "hour_of_day") -> np.ndarray:
@@ -210,8 +200,25 @@ def _silhouettes(distance_rows, labellings: dict[int, np.ndarray]) -> dict[int, 
     return asc
 
 
+def _profile_rows(ids, profiles) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero rows of ``profiles`` and their ``ids``, as arrays, once checked
+    to be one (24,) row per id of one or more strictly increasing ids."""
+    ids, profiles = np.asarray(ids), np.asarray(profiles, dtype=float)
+    if profiles.ndim != 2 or profiles.shape[1] != 24 or len(ids) != len(profiles):
+        raise ValueError(f"need one (24,) row per id, not {len(ids)} ids for {profiles.shape}")
+    if not len(ids):
+        raise ValueError("no profile has tweets")
+    if not (ids[1:] > ids[:-1]).all():
+        raise ValueError("profile ids must be strictly increasing")
+    nonzero = np.linalg.norm(profiles, axis=1) > 0
+    if not nonzero.all():
+        warnings.warn(f"excluding {int((~nonzero).sum())} all-zero profiles")
+    return ids[nonzero], profiles[nonzero]
+
+
 def ksc_cluster(
-    profiles: dict[str, np.ndarray],
+    ids: Sequence[str] | np.ndarray,
+    profiles: np.ndarray,
     k: int,
     max_shift: int = 0,
     seed: int = 0,
@@ -220,7 +227,8 @@ def ksc_cluster(
     """Shape-based k-means with a scale-invariant (optionally cyclic-shift-
     invariant) distance; centroids solve a minimum-eigenvector problem.
 
-    All-zero profiles are excluded with a warning. Initialization is seeded
+    ``profiles`` holds one (24,) row per id of ``ids``, which must increase;
+    all-zero rows are excluded with a warning. Initialization is seeded
     farthest-point sampling, so results are deterministic given the seed.
     """
     if k < 1:
@@ -228,13 +236,7 @@ def ksc_cluster(
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     shifts = _shift_set(max_shift)
-    ids = sorted(profiles)
-    mat = np.asarray([profiles[u] for u in ids], dtype=float)
-    nonzero = np.linalg.norm(mat, axis=1) > 0
-    if not nonzero.all():
-        warnings.warn(f"excluding {int((~nonzero).sum())} all-zero profiles")
-        ids = [u for u, keep in zip(ids, nonzero) if keep]
-        mat = mat[nonzero]
+    ids, mat = _profile_rows(ids, profiles)
     if k > len(ids):
         raise ValueError(f"k={k} exceeds {len(ids)} nonzero profiles")
 
@@ -277,8 +279,9 @@ def ksc_cluster(
     proportions = np.bincount(labels, minlength=k) / len(ids)
     return ClusterResult(
         k=k,
+        ids=ids,
+        labels=labels,
         centroids=centroids,
-        assignment=dict(zip(ids, (int(l) for l in labels))),
         proportions=proportions,
         objective=history[-1],
         objective_history=history,
@@ -286,7 +289,8 @@ def ksc_cluster(
 
 
 def select_k(
-    profiles: dict[str, np.ndarray],
+    ids: Sequence[str] | np.ndarray,
+    profiles: np.ndarray,
     k_range: Sequence[int],
     seed: int = 0,
     max_shift: int = 0,
@@ -294,6 +298,7 @@ def select_k(
 ) -> tuple[ClusterResult, dict[int, float]]:
     """Cluster for every k and return the clustering whose cluster count
     maximizes the average silhouette coefficient (ASC), with the ASC per k.
+    ``ids`` and ``profiles`` are as ``ksc_cluster`` takes them.
 
     Every k is scored in one pass over blocks of rows of the shape-distance
     matrix of the nonzero profiles that the clusterings cover; the whole
@@ -302,17 +307,16 @@ def select_k(
     ks = sorted(set(k_range))
     if not ks or ks[0] < 2 or ks[-1] > 10:
         raise ValueError("k_range must lie within [2, 10]")
+    ids, mat = _profile_rows(ids, profiles)
     results = {
-        k: ksc_cluster(profiles, k, max_shift=max_shift, seed=seed, max_iters=max_iters)
+        k: ksc_cluster(ids, mat, k, max_shift=max_shift, seed=seed, max_iters=max_iters)
         for k in ks
     }
-    ids = sorted(results[ks[0]].assignment)
-    mat = np.asarray([profiles[u] for u in ids], dtype=float)
     unit = mat / np.linalg.norm(mat, axis=1)[:, None]
     shifts = _shift_set(max_shift)
     asc_per_k = _silhouettes(
         lambda lo, hi: _shape_distance_rows(unit, lo, hi, shifts),
-        {k: np.asarray([r.assignment[u] for u in ids]) for k, r in results.items()},
+        {k: r.labels for k, r in results.items()},
     )
     best_k = max(ks, key=lambda k: (asc_per_k[k], -k))
     return results[best_k], asc_per_k

@@ -7,9 +7,17 @@ asserts the memory gates of the row-blocked stages: a process peak
 more than twice over (3.2 GB), and a traced ``build_instances`` peak under
 400 MB.
 
+One ``FeatureContext`` build, as each stage makes one after its load, is
+timed untraced, and its peak is traced in a second build on a fresh load. On
+a 2-core machine it took 0.15-0.25 s with a traced peak of 37.1 MB (0.63-0.71 s
+and 62.1 MB with one profile record per user, stacked back into matrices). It
+asserts a wall time under 0.5 s and a traced peak under 45 MB.
+
 ``run_scenarios`` (a fixed response model, c = 0.5 and 0.85, 4 links per
-scenario, 53 factorisations) runs in a process of its own, so that its peak
-is its own. In four runs on a 2-core machine it took 2.9-3.8 s with a
+scenario, 53 factorisations) runs in a process of its own and reads that
+process's own high-water mark (``VmHWM``), so that its peak is its own: a
+child's ``ru_maxrss`` starts from the peak of the process that forked it. In
+four runs on a 2-core machine it took 2.9-3.8 s with a
 process peak of 393-400 MB (342 MB after loading the dataset and building
 its ``FeatureContext``); factoring each matrix in scipy's default COLAMD
 order took 25.9-26.1 s and peaked at 460 MB. It asserts a wall time under 10 s and a peak under
@@ -42,29 +50,39 @@ USERS = 20_000
 PROCESS_PEAK_MB = 1_500
 BUILD_INSTANCES_PEAK_MB = 400
 RUN_SCENARIOS_WALL_S = 10
+CONTEXT_WALL_S = 0.5
+CONTEXT_PEAK_MB = 45
 RUN_SCENARIOS_PEAK_MB = 430
 
 # run_scenarios in a fresh interpreter: prints wall time and peaks as JSON
 RUN_SCENARIOS = """
-import json, resource, sys, time, warnings
+import json, sys, time, warnings
 import numpy as np
 from influxrank.evaluation import run_scenarios
 from influxrank.features import FeatureContext, MinMaxScaler
 from influxrank.logistic import LogisticModel
 from influxrank.model import load_dataset
 
+
+def peak_mb():
+    # this process's own high-water mark (kB); ru_maxrss would start from
+    # the peak of the process that forked it
+    with open("/proc/self/status") as status:
+        return next(int(l.split()[1]) for l in status if l.startswith("VmHWM:")) / 1e3
+
+
 model = LogisticModel(w0=0.3, w=np.linspace(-0.6, 0.4, 12), scaler=MinMaxScaler(
     mins=np.zeros(12), maxs=np.array([2, 4, 1, 1, 1, 1, 1, 3, 0.5, 0.5, 0.2, 1.0])))
 dataset = load_dataset(sys.argv[1])
 ctx = FeatureContext(dataset)
-setup_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3
+setup_mb = peak_mb()
 started = time.perf_counter()
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")  # a scenario may have an empty pool
     results = run_scenarios(dataset, model, seed=3, c_grid=(0.5, 0.85), n_links=4, ctx=ctx)
 wall_s = time.perf_counter() - started
 print(json.dumps({"wall_s": wall_s, "setup_mb": setup_mb, "links": sum(r.n_links for r in results),
-                  "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3}))
+                  "peak_mb": peak_mb()}))
 """
 
 
@@ -95,9 +113,10 @@ def test_blocked_stages_at_20k(data):
     n_instances = len(instances)
     del instances
 
-    profiles = {u: p.a_t for u, p in all_profiles(dataset).items() if p.has_tweets}
+    table = all_profiles(dataset)
+    ids, profiles = table.user_ids[table.has_tweets], table.a_t[table.has_tweets]
     started = time.perf_counter()
-    best, asc = select_k(profiles, range(2, 7), seed=stage_seed(3, "cluster"))
+    best, asc = select_k(ids, profiles, range(2, 7), seed=stage_seed(3, "cluster"))
     select_s = time.perf_counter() - started
     # kilobytes on Linux
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3
@@ -110,6 +129,26 @@ def test_blocked_stages_at_20k(data):
     assert sorted(asc) == [2, 3, 4, 5, 6]
     assert traced_mb < BUILD_INSTANCES_PEAK_MB
     assert peak_mb < PROCESS_PEAK_MB
+
+
+def test_feature_context_at_20k(data):
+    dataset = load_dataset(data)
+    started = time.perf_counter()
+    FeatureContext(dataset)
+    context_s = time.perf_counter() - started
+    # a fresh load, whose graph has not cached its edge indices yet
+    dataset = load_dataset(data)
+    tracemalloc.start()
+    try:
+        ctx = FeatureContext(dataset)
+        traced_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    print(f"\nFeatureContext: {len(ctx.user_ids)} users, {context_s:.2f} s, "
+          f"traced peak {traced_mb:.1f} MB")
+    assert ctx.n_t.shape == ctx.a_t.shape == (len(ctx.user_ids), 24)
+    assert context_s < CONTEXT_WALL_S
+    assert traced_mb < CONTEXT_PEAK_MB
 
 
 def test_run_scenarios_at_20k(data):

@@ -31,13 +31,15 @@ def dataset(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def profiles(dataset):
-    return {u: p.a_t for u, p in all_profiles(dataset).items() if p.has_tweets}
+    """The ids and rows the cluster stage passes: users with tweets."""
+    table = all_profiles(dataset)
+    return table.user_ids[table.has_tweets], table.a_t[table.has_tweets]
 
 
 def test_select_k(benchmark, profiles):
-    best, asc = benchmark(select_k, profiles, range(2, 7), seed=stage_seed(3, "cluster"))
+    best, asc = benchmark(select_k, *profiles, range(2, 7), seed=stage_seed(3, "cluster"))
     assert sorted(asc) == [2, 3, 4, 5, 6]
-    assert len(best.assignment) == len(profiles)
+    assert len(best.ids) == len(profiles[0])
 
 
 def test_response_metrics(benchmark, dataset):

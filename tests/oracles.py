@@ -6,9 +6,12 @@ iteration are the straightforward forms the vectorised ranking code replaced:
 one feature fill per hour and scipy's own COO -> CSC -> product path. The
 per-tweet loops over ``Tweet`` records (profiles, global activity, response
 metrics, instances) are the forms the column code in ``temporal`` and
-``features`` replaced, ``serialize_loop`` is the one-``json.dumps``-per-record
-JSONL writer that the line templates of ``model.serialize`` replaced, and
-``silhouette_loop`` is the per-point silhouette over a whole distance matrix.
+``features`` replaced. ``hourly_profile_loop`` returns the oracle's own
+per-user record, ``HourlyProfile``, where ``temporal.all_profiles`` gives one
+``ProfileTable`` row per user. ``serialize_loop`` is the
+one-``json.dumps``-per-record JSONL writer that the line templates of
+``model.serialize`` replaced, and ``silhouette_loop`` is the per-point
+silhouette over a whole distance matrix.
 ``pairwise_shape_distance`` (the whole n×n shape-distance matrix) and
 ``silhouette_by_cluster`` (one pass per cluster over that matrix) are the
 forms that the row-blocked ``temporal._shape_distance_rows`` and
@@ -76,7 +79,7 @@ from influxrank.ranking import (
     twitterrank_matrices,
 )
 from influxrank.synth import DEFAULT_W_STAR
-from influxrank.temporal import HourlyProfile, ResponseColumns
+from influxrank.temporal import ResponseColumns
 
 
 def is_response(tweet: Tweet) -> bool:
@@ -318,6 +321,19 @@ def planted_instances(
     y = (rng.random(n) < p).astype(float)
     bayes = float(np.maximum(p, 1.0 - p).mean())
     return x, y, p, bayes
+
+
+@dataclass
+class HourlyProfile:
+    """One user's profile, the record ``hourly_profile_loop`` returns: what
+    row ``user_id`` of ``temporal.ProfileTable`` holds."""
+
+    user_id: str
+    raw_counts: np.ndarray  # tweets per hour bin, integer counts
+    n_t: np.ndarray  # raw_counts / available_days
+    a_t: np.ndarray  # n_t normalized to sum 1 (zero vector if no tweets)
+    available_days: float
+    has_tweets: bool
 
 
 def hourly_profile_loop(dataset: Dataset, user_id: str) -> HourlyProfile:

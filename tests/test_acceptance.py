@@ -271,23 +271,26 @@ def test_criterion_07_ksc_planted_clusters(report):
     for seed in range(10):
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, 3, size=300)
-        profiles = {
-            f"u{i:03d}": np.maximum(
+        # ids u000..u299 increase with the row index
+        ids = np.asarray([f"u{i:03d}" for i in range(300)])
+        profiles = np.stack([
+            np.maximum(
                 protos[labels[i]]
                 + rng.normal(0, 0.05 * np.linalg.norm(protos[labels[i]]), 24),
                 0.0,
             )
             for i in range(300)
-        }
-        result = ksc_cluster(profiles, 3, seed=seed)
+        ])
+        result = ksc_cluster(ids, profiles, 3, seed=seed)
         purity = 0
         for j in range(3):
-            members = [labels[int(u[1:])] for u, c in result.assignment.items()
+            members = [labels[int(u[1:])]
+                       for u, c in zip(result.ids.tolist(), result.labels.tolist())
                        if c == j]
             if members:
                 purity += np.bincount(members).max()
         assert purity / 300 >= 0.9
-        best, _ = select_k(profiles, range(2, 6), seed=seed)
+        best, _ = select_k(ids, profiles, range(2, 6), seed=seed)
         hits += best.k == 3
     assert hits >= 8
     assert time.time() - started < 30

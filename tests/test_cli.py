@@ -309,6 +309,17 @@ class TestErrorHandling:
         leftovers = [p for p in out.iterdir()] if out.exists() else []
         assert leftovers == []
 
+    def test_cluster_without_tweets_fails_cleanly(self, tmp_path):
+        users = [make_user(u) for u in "ab"]
+        serialize(make_dataset(users, [("a", "b")], []), tmp_path / "raw")
+        assert (tmp_path / "raw" / "tweets.jsonl").read_text() == ""
+        ok(run_cli("ingest", "--in", tmp_path / "raw", "--out", tmp_path / "data"))
+        out = tmp_path / "out"
+        res = run_cli("cluster", "--in", tmp_path / "data", "--out", out)
+        assert res.exit_code == 1
+        assert "error: no profile has tweets" in res.output
+        assert not (out / "manifest.json").exists()
+
     def test_tunkrank_p1_with_closed_class_fails_fast(self, tmp_path):
         users = [make_user(u) for u in "ab"]
         serialize(make_dataset(users, [("a", "b"), ("b", "a")], []), tmp_path / "in")

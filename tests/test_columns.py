@@ -131,15 +131,15 @@ def assert_as_constructed(dataset: model.Dataset) -> None:
 
 
 def assert_matches_oracles(dataset: model.Dataset) -> None:
-    profiles = all_profiles(dataset)
-    assert list(profiles) == sorted(dataset.users)
-    for uid, prof in profiles.items():
+    table = all_profiles(dataset)
+    assert table.user_ids.tolist() == sorted(dataset.users)
+    for i, uid in enumerate(table.user_ids.tolist()):
         want = hourly_profile_loop(dataset, uid)
-        assert np.array_equal(prof.raw_counts, want.raw_counts)
-        assert np.array_equal(prof.n_t, want.n_t)
-        assert np.array_equal(prof.a_t, want.a_t)
-        assert (prof.available_days, prof.has_tweets) == (want.available_days,
-                                                          want.has_tweets)
+        assert np.array_equal(table.raw_counts[i], want.raw_counts)
+        assert np.array_equal(table.n_t[i], want.n_t)
+        assert np.array_equal(table.a_t[i], want.a_t)
+        assert (table.available_days[i], table.has_tweets[i]) == (want.available_days,
+                                                                  want.has_tweets)
     for granularity in GRANULARITIES:
         if len(dataset.tweets):
             assert np.array_equal(global_activity(dataset, granularity),

@@ -15,6 +15,7 @@ from influxrank.features import (
     build_instances,
     js_divergence_rows,
 )
+from influxrank.temporal import global_activity
 
 from oracles import (
     extract,
@@ -157,6 +158,13 @@ class TestExtract:
             row = small_ctx.edge_features(np.array([i]), hour)[0]
             assert np.array_equal(row[:7], static[i, :7])
             assert np.allclose(row, direct, atol=1e-12)
+
+    def test_hour_counts_are_the_global_hourly_activity(self, small_synth, small_ctx):
+        # the same 24 counts, summed over the profile table's rows and
+        # binned straight from the tweet times
+        dataset, _ = small_synth
+        want = global_activity(dataset, "hour_of_day")
+        assert small_ctx.hour_counts.tobytes() == want.tobytes()
 
     def test_static_features_read_no_uninitialised_memory(self, small_synth):
         dataset, _ = small_synth

@@ -24,6 +24,7 @@ from influxrank.temporal import (
 
 from conftest import make_dataset, make_user
 from oracles import (
+    HourlyProfile,
     ksc_distance,
     pairwise_shape_distance,
     response_metrics_loop,
@@ -40,13 +41,20 @@ def _originals(author, timestamps, prefix):
     ]
 
 
+def _profile(table, user_id):
+    """``user_id``'s row of a ``ProfileTable``, as the oracle's record."""
+    i = table.user_ids.tolist().index(user_id)
+    return HourlyProfile(user_id, table.raw_counts[i], table.n_t[i], table.a_t[i],
+                         table.available_days[i], table.has_tweets[i])
+
+
 class TestHourlyProfile:
     def test_uniform_one_per_hour_over_one_day(self):
         users = [make_user("a")]
         ts = [h * 3600 for h in range(24)]
         ts[-1] = 86400 - 3600  # keep span exactly under a day
         ds = make_dataset(users, [], _originals("a", [h * 3600 for h in range(24)], "t"))
-        prof = all_profiles(ds)["a"]
+        prof = _profile(all_profiles(ds), "a")
         assert np.allclose(prof.n_t, 1.0)
         assert np.allclose(prof.a_t, 1 / 24)
 
@@ -58,7 +66,7 @@ class TestHourlyProfile:
         stamps = [base + (i % 2) * 2 * 86400 // 2 * 0 for i in range(10)]
         stamps = [base, base + 2 * 86400] + [base + 86400] * 8
         ds = make_dataset(users, [], _originals("a", stamps, "t"), window=(0, 4 * 86400))
-        prof = all_profiles(ds)["a"]
+        prof = _profile(all_profiles(ds), "a")
         assert prof.available_days == pytest.approx(2.0)
         assert prof.n_t[17] == pytest.approx(5.0)
         assert prof.a_t[17] == pytest.approx(1.0)
@@ -77,7 +85,7 @@ class TestHourlyProfile:
             2 * 3600 + int(3.5 * 86400),  # hour 14 on day 3.5
         ]
         ds = make_dataset(users, [], _originals("a", stamps, "t"), window=(0, 5 * 86400))
-        prof = all_profiles(ds)["a"]
+        prof = _profile(all_profiles(ds), "a")
         assert prof.available_days == pytest.approx(3.5)
         assert prof.n_t[2] == pytest.approx(3 / 3.5)
         assert prof.n_t[9] == pytest.approx(3 / 3.5)
@@ -88,14 +96,15 @@ class TestHourlyProfile:
     def test_zero_tweets_flagged(self):
         ds = make_dataset([make_user("a"), make_user("b")], [],
                           _originals("b", [100], "t"))
-        prof = all_profiles(ds)["a"]
+        prof = _profile(all_profiles(ds), "a")
         assert not prof.has_tweets
         assert prof.n_t.sum() == 0
         assert prof.a_t.sum() == 0
 
     def test_unknown_user(self, tiny_dataset):
-        with pytest.raises(KeyError):
-            all_profiles(tiny_dataset)["nobody"]
+        table = all_profiles(tiny_dataset)
+        assert table.user_ids.tolist() == sorted(tiny_dataset.users)
+        assert "nobody" not in table.user_ids.tolist()
 
 
 class TestGlobalActivity:
@@ -141,6 +150,18 @@ def _planted_profiles(seed, n=300, sigma=0.05):
     return profiles, truth
 
 
+def _table(profiles):
+    """A dict of profiles as the increasing ids and the matching (n, 24)
+    rows that ``ksc_cluster`` and ``select_k`` take."""
+    ids = sorted(profiles)
+    return np.asarray(ids), np.asarray([profiles[u] for u in ids], dtype=float)
+
+
+def _assignment(result):
+    """A clustering's {id: cluster}."""
+    return dict(zip(result.ids.tolist(), result.labels.tolist()))
+
+
 def _purity(assignment, truth, k):
     from collections import Counter
 
@@ -157,7 +178,7 @@ class TestKsc:
         v = np.zeros(24)
         v[5] = 2.0
         v[6] = 1.0
-        result = ksc_cluster({"a": v, "b": v.copy()}, k=1)
+        result = ksc_cluster(*_table({"a": v, "b": v.copy()}), k=1)
         unit = v / np.linalg.norm(v)
         assert np.allclose(np.abs(result.centroids[0]), unit, atol=1e-9)
 
@@ -165,27 +186,27 @@ class TestKsc:
         profiles, _ = _planted_profiles(0, n=60)
         scaled = {u: 3.0 * v for u, v in profiles.items()}
         for k in (2, 3):
-            a = ksc_cluster(profiles, k, seed=1).assignment
-            b = ksc_cluster(scaled, k, seed=1).assignment
+            a = _assignment(ksc_cluster(*_table(profiles), k, seed=1))
+            b = _assignment(ksc_cluster(*_table(scaled), k, seed=1))
             assert a == b
 
     def test_uniform_cyclic_shift_invariance_full_shift_range(self):
         profiles, _ = _planted_profiles(4, n=60)
         shifted = {u: np.roll(v, 7) for u, v in profiles.items()}
-        a = ksc_cluster(profiles, 3, max_shift=23, seed=2).assignment
-        b = ksc_cluster(shifted, 3, max_shift=23, seed=2).assignment
+        a = _assignment(ksc_cluster(*_table(profiles), 3, max_shift=23, seed=2))
+        b = _assignment(ksc_cluster(*_table(shifted), 3, max_shift=23, seed=2))
         assert a == b
 
     def test_planted_prototypes_recovered(self):
         profiles, truth = _planted_profiles(7)
-        result = ksc_cluster(profiles, 3, seed=7)
-        assert _purity(result.assignment, truth, 3) >= 0.9
+        result = ksc_cluster(*_table(profiles), 3, seed=7)
+        assert _purity(_assignment(result), truth, 3) >= 0.9
         assert np.allclose(np.linalg.norm(result.centroids, axis=1), 1.0)
         assert result.proportions.sum() == pytest.approx(1.0)
 
     def test_objective_non_increasing(self):
         profiles, _ = _planted_profiles(11)
-        result = ksc_cluster(profiles, 3, seed=5)
+        result = ksc_cluster(*_table(profiles), 3, seed=5)
         hist = result.objective_history
         assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
 
@@ -193,8 +214,8 @@ class TestKsc:
         profiles, _ = _planted_profiles(2, n=20)
         profiles["zzz"] = np.zeros(24)
         with pytest.warns(UserWarning, match="all-zero"):
-            result = ksc_cluster(profiles, 2, seed=0)
-        assert "zzz" not in result.assignment
+            result = ksc_cluster(*_table(profiles), 2, seed=0)
+        assert "zzz" not in _assignment(result)
 
     @pytest.mark.parametrize("max_shift", [3, 23])
     def test_shifted_copies_align_to_one_centroid(self, max_shift):
@@ -202,7 +223,7 @@ class TestKsc:
         shape and the final objective is 0 up to rounding."""
         v = np.random.default_rng(0).random(24)
         profiles = {f"u{s}": np.roll(v, s) for s in range(max_shift + 1)}
-        result = ksc_cluster(profiles, 1, max_shift=max_shift, seed=0)
+        result = ksc_cluster(*_table(profiles), 1, max_shift=max_shift, seed=0)
         assert result.objective < 1e-12
         unit = v / np.linalg.norm(v)
         assert any(np.allclose(result.centroids[0], np.roll(unit, s), atol=1e-9)
@@ -217,12 +238,12 @@ class TestKsc:
         profiles = {f"g{g}u{i}": shape + rng.random(24) * 0.01
                     for g, shape in enumerate(shapes) for i in range(10)}
         for seed in range(6):
-            result = ksc_cluster(profiles, 3, seed=seed, max_iters=1)
+            result = ksc_cluster(*_table(profiles), 3, seed=seed, max_iters=1)
             assert result.objective_history[0] < 0.05
 
     def test_k_too_large(self):
         with pytest.raises(ValueError, match="exceeds"):
-            ksc_cluster({"a": np.ones(24)}, k=2)
+            ksc_cluster(*_table({"a": np.ones(24)}), k=2)
 
     @pytest.mark.parametrize("max_iters", [0, -1])
     def test_max_iters_below_one_rejected(self, monkeypatch, max_iters):
@@ -232,7 +253,7 @@ class TestKsc:
         monkeypatch.setattr(temporal, "_shape_distances", refuse)
         profiles, _ = _planted_profiles(3)
         with pytest.raises(ValueError, match="max_iters must be at least 1"):
-            ksc_cluster(profiles, 3, max_iters=max_iters)
+            ksc_cluster(*_table(profiles), 3, max_iters=max_iters)
 
     def test_distance_scale_invariant(self):
         x = np.random.default_rng(0).random(24)
@@ -249,28 +270,28 @@ class TestSelectK:
             profiles[f"u{i}"] = np.maximum(
                 p + rng.normal(0, 0.05 * np.linalg.norm(p), 24), 0
             )
-        best, _ = select_k(profiles, range(2, 6), seed=0)
+        best, _ = select_k(*_table(profiles), range(2, 6), seed=0)
         assert best.k == 2
 
     def test_three_planted_prototypes(self):
         profiles, _ = _planted_profiles(9)
-        best, asc = select_k(profiles, range(2, 6), seed=9)
+        best, asc = select_k(*_table(profiles), range(2, 6), seed=9)
         assert best.k == 3
         # the returned clustering is the one ksc_cluster gives for that k
-        again = ksc_cluster(profiles, 3, seed=9)
-        assert best.assignment == again.assignment
+        again = ksc_cluster(*_table(profiles), 3, seed=9)
+        assert _assignment(best) == _assignment(again)
         assert np.array_equal(best.centroids, again.centroids)
 
     def test_identical_users_degenerate(self):
         v = np.zeros(24)
         v[8] = 1.0
         profiles = {f"u{i}": v.copy() for i in range(10)}
-        best, asc = select_k(profiles, range(2, 4), seed=0)
+        best, asc = select_k(*_table(profiles), range(2, 4), seed=0)
         assert best.k == 2  # ties broken toward smaller k
 
     def test_k_range_validated(self):
         with pytest.raises(ValueError):
-            select_k({"a": np.ones(24)}, [1, 2], seed=0)
+            select_k(*_table({"a": np.ones(24)}), [1, 2], seed=0)
 
     @pytest.mark.parametrize("max_iters", [0, -1])
     def test_max_iters_below_one_rejected(self, monkeypatch, max_iters):
@@ -281,7 +302,48 @@ class TestSelectK:
         monkeypatch.setattr(temporal, "_shape_distance_rows", refuse)
         profiles, _ = _planted_profiles(3)
         with pytest.raises(ValueError, match="max_iters must be at least 1"):
-            select_k(profiles, range(2, 4), max_iters=max_iters)
+            select_k(*_table(profiles), range(2, 4), max_iters=max_iters)
+
+
+# both K-SC entry points, on (ids, rows) and two clusters
+CLUSTERINGS = {
+    "ksc_cluster": lambda ids, rows: ksc_cluster(ids, rows, 2),
+    "select_k": lambda ids, rows: select_k(ids, rows, range(2, 4)),
+}
+
+
+@pytest.mark.parametrize("cluster", CLUSTERINGS.values(), ids=CLUSTERINGS.keys())
+class TestProfileRowChecks:
+    """Both reject ids and rows that do not match before any clustering."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a shape distance was computed")
+
+        monkeypatch.setattr(temporal, "_shape_distances", refuse)
+        monkeypatch.setattr(temporal, "_shape_distance_rows", refuse)
+
+    def test_no_profiles(self, cluster):
+        with pytest.raises(ValueError, match="no profile has tweets"):
+            cluster(np.array([], dtype=str), np.empty((0, 24)))
+
+    def test_ids_and_rows_differ_in_length(self, cluster):
+        ids, rows = _table(_planted_profiles(0, n=10)[0])
+        with pytest.raises(ValueError, match=r"not 9 ids for \(10, 24\)"):
+            cluster(ids[:-1], rows)
+
+    def test_rows_not_24_wide(self, cluster):
+        ids, rows = _table(_planted_profiles(0, n=10)[0])
+        with pytest.raises(ValueError, match=r"one \(24,\) row per id"):
+            cluster(ids, rows[:, :23])
+
+    @pytest.mark.parametrize("order", ["decreasing", "repeated"])
+    def test_ids_not_strictly_increasing(self, cluster, order):
+        ids, rows = _table(_planted_profiles(0, n=10)[0])
+        ids = ids[::-1] if order == "decreasing" else np.insert(ids[1:], 0, ids[1])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            cluster(ids, rows)
 
 
 # silhouette row blocks: one row, two rows, and a size that divides neither
@@ -372,30 +434,31 @@ class TestSilhouette:
         profiles, _ = _planted_profiles(5, n=40)
         profiles["zero"] = np.zeros(24)
         with pytest.warns(UserWarning, match="all-zero"):
-            best, asc = select_k(profiles, range(2, 7), seed=1, max_shift=max_shift)
+            best, asc = select_k(*_table(profiles), range(2, 7), seed=1, max_shift=max_shift)
         ids = sorted(u for u in profiles if u != "zero")
         mat = np.asarray([profiles[u] for u in ids])
         dist = pairwise_shape_distance(mat, _shift_set(max_shift))
         for k in range(2, 7):
             with pytest.warns(UserWarning, match="all-zero"):
-                result = ksc_cluster(profiles, k, seed=1, max_shift=max_shift)
-            labels = np.asarray([result.assignment[u] for u in ids])
+                result = ksc_cluster(*_table(profiles), k, seed=1, max_shift=max_shift)
+            labels = np.asarray([_assignment(result)[u] for u in ids])
             assert asc[k] == silhouette_loop(dist, labels, k)
         assert best.k == max(asc, key=lambda k: (asc[k], -k))
         for rows in BLOCK_ROWS:
             monkeypatch.setattr(temporal, "_SILHOUETTE_ROWS", rows)
             with pytest.warns(UserWarning, match="all-zero"):
-                assert select_k(profiles, range(2, 7), seed=1, max_shift=max_shift)[1] == asc
+                assert select_k(*_table(profiles), range(2, 7), seed=1,
+                                max_shift=max_shift)[1] == asc
 
     def test_select_k_holds_no_distance_matrix(self):
         # one n×n float64 matrix is 18 MB at n = 1,500; the row blocks take
         # a few MB
         n = 1500
         rng = np.random.default_rng(0)
-        profiles = {f"u{i:04d}": rng.random(24) for i in range(n)}
+        ids, profiles = _table({f"u{i:04d}": rng.random(24) for i in range(n)})
         tracemalloc.start()
         try:
-            _, asc = select_k(profiles, range(2, 7), seed=0)
+            _, asc = select_k(ids, profiles, range(2, 7), seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
