@@ -371,9 +371,11 @@ def write_instances(session: ArtifactSession, instances: features.InstanceSet) -
                                             labels[block].tolist())
             ]))
     del fragments, users
+    # the manifest reuses this digest
+    session.digests[csv_path] = digest = model.sha256_file(csv_path)
     np.savez(
         session.path(csv_path.with_suffix(".npz").name),
-        sha256_csv=np.array(model.sha256_file(csv_path)),
+        sha256_csv=np.array(digest),
         keys=instances.keys,
         feature_rows=parsed_rows,
         feature_row_of=instances.row_of,

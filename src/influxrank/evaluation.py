@@ -12,7 +12,7 @@ from scipy import sparse
 
 from .features import FeatureContext, js_divergence_rows
 from .logistic import LogisticModel
-from .model import Dataset
+from .model import Dataset, FollowGraph
 from .ranking import (
     DEFAULT_GAMMA,
     RankVector,
@@ -87,6 +87,10 @@ def _sub_seed(seed: int, *parts) -> int:
     return int.from_bytes(h[:8], "big") % 2**32
 
 
+# the share of edges in each high or low pool of build_link_sets
+POOL_FRACTION = 0.1
+
+
 @dataclass
 class LinkSet:
     tag: str
@@ -96,7 +100,7 @@ class LinkSet:
     flagged: bool = False  # fewer eligible links than requested
 
 
-def user_signature_distributions(dataset: Dataset, ctx: FeatureContext) -> np.ndarray:
+def user_signature_distributions(ctx: FeatureContext) -> np.ndarray:
     """Per-user attribute vectors normalized into probability distributions.
 
     Components: listed count, favourites per tweet, verified flag, retweet
@@ -118,9 +122,9 @@ def user_signature_distributions(dataset: Dataset, ctx: FeatureContext) -> np.nd
     return scaled / scaled.sum(axis=1, keepdims=True)
 
 
-def edge_js_distances(dataset: Dataset, ctx: FeatureContext) -> np.ndarray:
+def edge_js_distances(ctx: FeatureContext) -> np.ndarray:
     """Jensen-Shannon distance, sqrt(JSD), between each edge's user signatures."""
-    sig = user_signature_distributions(dataset, ctx)
+    sig = user_signature_distributions(ctx)
     return np.sqrt(np.maximum(js_divergence_rows(sig[ctx.edge_src], sig[ctx.edge_dst]), 0.0))
 
 
@@ -129,20 +133,20 @@ def build_link_sets(
     seed: int = 0,
     ctx: Optional[FeatureContext] = None,
     n_links: int = 30,
-    pool_fraction: float = 0.1,
 ) -> dict[str, LinkSet]:
-    """Eight evaluation link sets: friend follower/tweet count high/low 10%,
-    pairwise Jensen-Shannon distance high/low 10%, reciprocal, unreciprocal."""
+    """Eight evaluation link sets: friend follower/tweet count high/low 10%
+    (POOL_FRACTION), pairwise Jensen-Shannon distance high/low 10%,
+    reciprocal, unreciprocal."""
     if ctx is None:
         ctx = FeatureContext(dataset)
-    edges, src, dst, n = ctx.edges, ctx.edge_src, ctx.edge_dst, len(ctx.user_ids)
+    ids, src, dst, n = ctx.user_ids, ctx.edge_src, ctx.edge_dst, len(ctx.user_ids)
     follower_deg = np.bincount(dst, minlength=n)[dst].astype(float)
     tweet_count = ctx.tweet_counts[dst]
-    js_dist = edge_js_distances(dataset, ctx)
+    js_dist = edge_js_distances(ctx)
     reciprocal = np.isin(src * n + dst, dst * n + src)
 
     def top_pool(values: np.ndarray, high: bool) -> list[int]:
-        k = max(1, int(len(edges) * pool_fraction))
+        k = max(1, int(len(src) * POOL_FRACTION))
         order = np.argsort(-values if high else values, kind="stable")
         return list(order[:k])
 
@@ -167,7 +171,7 @@ def build_link_sets(
         chosen = rng.choice(len(pool), size=take, replace=False)
         out[tag] = LinkSet(
             tag,
-            [edges[pool[i]] for i in sorted(chosen)],
+            [(ids[src[pool[i]]], ids[dst[pool[i]]]) for i in sorted(chosen)],
             criterion,
             seed,
             flagged=take < n_links,
@@ -325,16 +329,14 @@ def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
 
 
 def _friend_rows(
-    src: np.ndarray, dst: np.ndarray, ius: np.ndarray, ivs: np.ndarray
+    graph: FollowGraph, ius: np.ndarray, ivs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Edge rows of follower ius[k] that remain once it unfollows ivs[k], in
-    ascending order, for each k in turn, and the k of each row. ``src`` must
-    be sorted, as ``FollowGraph.src`` is (see its docstring)."""
-    starts = np.searchsorted(src, ius, "left")
-    stops = np.searchsorted(src, ius, "right")
+    ascending order, for each k in turn, and the k of each row."""
+    starts, stops = graph.bounds[ius], graph.bounds[ius + 1]
     rows = _concat_ranges(starts, stops)
     link = np.repeat(np.arange(len(ius)), stops - starts)
-    keep = dst[rows] != ivs[link]
+    keep = graph.dst[rows] != ivs[link]
     return rows[keep], link[keep]
 
 
@@ -343,7 +345,7 @@ def _friend_shares_without(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_friend_rows of the context's edges, and each remaining friend's share
     of the tweets of u's friends once u unfollows v (feature pt_uv)."""
-    rows, link = _friend_rows(ctx.edge_src, ctx.edge_dst, ius, ivs)
+    rows, link = _friend_rows(ctx.dataset.graph, ius, ivs)
     total = (ctx.friend_tweet_total[ius] - ctx.tweet_counts[ivs])[link]
     shares = np.zeros(len(rows))
     pos = total > 0
@@ -570,23 +572,23 @@ class TunkRankLinkScorer(_LinkBlocks):
     def __init__(self, dataset: Dataset, p: float = 0.05):
         self.p = p
         self.user_ids, a = tunkrank_matrix(dataset, p)
-        self.src, self.dst = dataset.graph.src, dataset.graph.dst
-        self.index = {u: i for i, u in enumerate(self.user_ids)}
+        self.graph = dataset.graph
         self.expect(())
-        self.order = elimination_order(self.src, self.dst, len(self.user_ids))
+        self.order = elimination_order(self.graph.src, self.graph.dst, len(self.user_ids))
         self.solver = ColumnUpdateSolver(a, p, self.order, rhs_from_matrix=True)
 
     def scores_without_links(self, links: Sequence[tuple[str, str]]) -> np.ndarray:
         """(len(links), n) global TunkRank scores, each once its link is
         removed. With p = 1, a removal that leaves a closed follow class
         raises ValueError."""
-        ius, ivs = _link_indices(self.index, links)
+        graph = self.graph
+        ius, ivs = _link_indices(graph.index, links)
         if self.p == 1.0:
             for iu, iv in zip(ius, ivs):
-                keep = (self.src != iu) | (self.dst != iv)
-                check_tunkrank_fixed_point(self.src[keep], self.dst[keep], len(self.user_ids))
-        rows, link = _friend_rows(self.src, self.dst, ius, ivs)
-        dsts = self.dst[rows]
+                keep = (graph.src != iu) | (graph.dst != iv)
+                check_tunkrank_fixed_point(graph.src[keep], graph.dst[keep], len(self.user_ids))
+        rows, link = _friend_rows(graph, ius, ivs)
+        dsts = graph.dst[rows]
         columns = 1.0 / np.bincount(link, minlength=len(links))[link]
         scores = np.empty((len(links), len(self.user_ids)))
         for a, b, ra, rb in _link_blocks(link, len(links)):
@@ -669,7 +671,7 @@ def evaluate_link(
         raise ValueError(f"unknown model {model!r}")
     if candidates is None:
         candidates = _candidate_rows(dataset, u, _sub_seed(seed, "candidates", u, v))
-    return q_score(score(u, v).scores, np.searchsorted(dataset.user_ids, v), candidates)
+    return q_score(score(u, v).scores, dataset.graph.index[v], candidates)
 
 
 @dataclass

@@ -52,14 +52,16 @@ class FeatureContext:
     """Precomputed per-user and per-edge quantities for fast feature lookup.
 
     Built once per dataset; all arrays are indexed by the sorted-user order.
-    The edge arrays ``edge_src`` and ``edge_dst`` are the graph's own
-    ``FollowGraph.src`` and ``dst``, one row per edge of ``edges``.
+    ``user_ids`` and ``index`` are the graph's own ``FollowGraph.vertices``
+    and ``index``, and the edge arrays ``edge_src`` and ``edge_dst`` its
+    ``src`` and ``dst``, one row per edge in ``graph.edges()`` order.
     """
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
-        self.user_ids = sorted(dataset.users)
-        self.index = {u: i for i, u in enumerate(self.user_ids)}
+        graph = dataset.graph
+        self.user_ids, self.index = graph.vertices, graph.index
+        self.edge_src, self.edge_dst = graph.src, graph.dst
         n = len(self.user_ids)
 
         authors, kinds = dataset.author_index, dataset.tweets.kind
@@ -67,13 +69,10 @@ class FeatureContext:
         retweet_counts = np.bincount(authors[kinds == RETWEET], minlength=n).astype(float)
         self.tweet_counts = tweet_counts
 
-        listed = np.array([dataset.users[u].listed_count for u in self.user_ids], float)
-        favs = np.array(
-            [dataset.users[u].favourites_received for u in self.user_ids], float
-        )
-        verified = np.array(
-            [1.0 if dataset.users[u].verified else 0.0 for u in self.user_ids]
-        )
+        records = [dataset.users[u] for u in self.user_ids]
+        listed = np.array([r.listed_count for r in records], float)
+        favs = np.array([r.favourites_received for r in records], float)
+        verified = np.array([1.0 if r.verified else 0.0 for r in records])
         with np.errstate(invalid="ignore"):
             fv = np.where(tweet_counts > 0, favs / np.maximum(tweet_counts, 1), 0.0)
             rr = np.where(tweet_counts > 0, retweet_counts / np.maximum(tweet_counts, 1), 0.0)
@@ -86,14 +85,7 @@ class FeatureContext:
         self.n_t, self.a_t = profiles.n_t, profiles.a_t  # (n, 24)
         self.hour_counts = profiles.raw_counts.sum(axis=0)  # tweets per hour, all users
 
-        self.topics = np.stack(
-            [dataset.users[u].topic_distribution for u in self.user_ids]
-        )
-
-        # edges in graph.edges() order, by follower and then by friend
-        graph = dataset.graph
-        self.edges = list(graph.edges())
-        self.edge_src, self.edge_dst = graph.src, graph.dst
+        self.topics = np.stack([r.topic_distribution for r in records])
 
         # friend-tweet totals per follower: sum of |T_f| over f in F_u
         self.friend_tweet_total = np.bincount(
@@ -112,7 +104,7 @@ class FeatureContext:
         if self._edge_static is not None:
             return self._edge_static
         src, dst = self.edge_src, self.edge_dst
-        x = np.zeros((len(self.edges), N_FEATURES))
+        x = np.zeros((len(src), N_FEATURES))
         x[:, 0] = self.listed[dst]
         x[:, 1] = self.fv[dst]
         x[:, 2] = self.vr[dst]
@@ -301,7 +293,7 @@ def build_instances(
         keys[at, 3] = hours
         edge_hour[at] = edges * 24 + hours
     # features once per distinct (edge, hour), then grouped by their bits
-    codes, code = _used_codes(len(ctx.edges) * 24, edge_hour)
+    codes, code = _used_codes(len(ctx.edge_src) * 24, edge_hour)
     x = ctx.edge_features(codes // 24, codes % 24)
     first, group = equal_row_groups(x)
     rows = x[first]

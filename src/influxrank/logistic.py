@@ -131,7 +131,6 @@ def train(
     learning_rate: float = 0.1,
     epochs: int = 500,
     seed: int = 0,
-    l2: float = 0.0,
     scaler: Optional[MinMaxScaler] = None,
     counts: Optional[np.ndarray] = None,
 ) -> LogisticModel:
@@ -141,7 +140,8 @@ def train(
     for counts[r] instances instead, y[r] of them positive: the same loss
     over fewer rows. Without, every count is 1, and the grouped gradient
     equals log_loss_gradient bit for bit. Weights start at zero, so the
-    seed only flows into metadata. L2 is off by default.
+    seed only flows into metadata. There is no L2 penalty; the metadata
+    records it as 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -157,8 +157,6 @@ def train(
     w = np.zeros(x.shape[1])
     for epoch in range(epochs):
         g0, g = grouped_log_loss_gradient(w0, w, x, y, counts)
-        if l2 > 0:
-            g = g + l2 * w
         w0 -= learning_rate * g0
         w -= learning_rate * g
         # log_loss clips p, so the loss can only turn non-finite through the
@@ -177,7 +175,7 @@ def train(
             "seed": seed,
             "learning_rate": learning_rate,
             "epochs": epochs,
-            "l2": l2,
+            "l2": 0.0,
             "final_loss": final_loss,
         },
     )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import re
@@ -11,7 +10,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Optional
@@ -104,19 +103,18 @@ def _check_unique(tweet_ids: list[str]) -> None:
         raise ValidationError(f"duplicate tweet_id {duplicate!r}")
 
 
-def _look_up(position: dict[str, int], names: np.ndarray) -> np.ndarray:
+def _look_up(position: dict[str, int], names: list[str]) -> np.ndarray:
     """position[name] for each of names, or -1 where it has none."""
-    return np.fromiter(map(position.get, names.tolist(), repeat(-1)), np.intp, len(names))
+    return np.fromiter(map(position.get, names, repeat(-1)), np.intp, len(names))
 
 
-def _user_indices(user_list: list[str], tweets: "TweetTable") -> tuple[np.ndarray, np.ndarray]:
-    """Per tweet row, the index into user_list of its author and of its
-    to_user, each -1 where that is not a user."""
-    position = dict(zip(user_list, range(len(user_list))))
+def _user_indices(position: dict[str, int], tweets: "TweetTable") -> tuple[np.ndarray, np.ndarray]:
+    """Per tweet row, the position of its author and of its to_user, each
+    -1 where that is not a user."""
     target = np.full(len(tweets), -1, dtype=np.intp)
     named = np.flatnonzero(tweets.has_to_user)
-    target[named] = _look_up(position, tweets.to_user[named])
-    return _look_up(position, tweets.author), target
+    target[named] = _look_up(position, tweets.to_user[named].tolist())
+    return _look_up(position, tweets.author.tolist()), target
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,77 +203,66 @@ class _IndexedTweets:
 class FollowGraph:
     """Directed follow edges: (u, v) means u follows v (v is u's friend).
 
-    ``src`` and ``dst`` are the index form of ``edges()``: each edge's
-    follower and friend as an index into the sorted ``vertices``, in
-    ``edges()`` order, so by follower and then by friend. ``src`` is
-    therefore sorted, and follower i's friends are one run of ``dst``, in
-    id order (``evaluation._friend_rows`` relies on both). They are built
-    on first use and are read-only.
+    The graph is held in index form only, all of it built at construction:
+
+    - ``vertices``: the user ids, sorted, as a list;
+    - ``index``: each id's position in ``vertices``;
+    - ``src`` and ``dst``: each edge's follower and friend as an index into
+      ``vertices``, sorted by follower and then by friend, read-only;
+    - ``bounds``: follower i's edges are rows ``bounds[i]:bounds[i + 1]``,
+      so its friends are that run of ``dst``, in id order.
+
+    ``edges()``, ``friends``, ``followers`` and ``has_edge`` read these
+    arrays. The first bad edge in input order is rejected, as a self-loop
+    before a duplicate before an edge to an unknown user.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
-        self._friends: dict[str, list[str]] = {v: [] for v in vertices}
-        self._followers: dict[str, list[str]] = {v: [] for v in self._friends}
-        seen: set[tuple[str, str]] = set()
-        for follower, friend in edges:
-            if follower == friend:
-                raise ValidationError(f"self-loop edge ({follower}, {friend})")
-            if (follower, friend) in seen:
-                raise ValidationError(f"duplicate edge ({follower}, {friend})")
-            if follower not in self._friends or friend not in self._friends:
-                raise ValidationError(
-                    f"edge ({follower}, {friend}) references unknown user"
-                )
-            seen.add((follower, friend))
-            self._friends[follower].append(friend)
-            self._followers[friend].append(follower)
-        for adj in self._friends.values():
-            adj.sort()
-        for adj in self._followers.values():
-            adj.sort()
-        self._n_edges = len(seen)
-
-    @property
-    def vertices(self) -> list[str]:
-        return sorted(self._friends)
+        self.vertices = sorted(set(vertices))
+        self.index = dict(zip(self.vertices, range(len(self.vertices))))
+        pairs = list(edges)
+        follower = _look_up(self.index, [a for a, _ in pairs])
+        friend = _look_up(self.index, [b for _, b in pairs])
+        n, rows = len(self.vertices), np.arange(len(pairs))
+        unknown = (follower < 0) | (friend < 0)
+        # an edge to an unknown user gets a code of its own, so it repeats none
+        code = np.where(unknown, -1 - rows, follower * n + friend)
+        order = np.argsort(code, kind="stable")
+        repeated = np.zeros(len(pairs), dtype=bool)
+        repeated[order[1:]] = code[order[1:]] == code[order[:-1]]
+        bad = np.flatnonzero(unknown | repeated | (follower == friend))
+        if bad.size:
+            u, v = pairs[bad[0]]
+            if u == v:
+                raise ValidationError(f"self-loop edge ({u}, {v})")
+            if repeated[bad[0]]:
+                raise ValidationError(f"duplicate edge ({u}, {v})")
+            raise ValidationError(f"edge ({u}, {v}) references unknown user")
+        self.src, self.dst = follower[order], friend[order]
+        self.src.flags.writeable = self.dst.flags.writeable = False
+        self.bounds = np.searchsorted(self.src, np.arange(n + 1))
 
     @property
     def n_edges(self) -> int:
-        return self._n_edges
+        return len(self.src)
+
+    def _ids(self, rows: np.ndarray) -> list[str]:
+        return list(map(self.vertices.__getitem__, rows.tolist()))
 
     def friends(self, user_id: str) -> list[str]:
-        return self._friends[user_id]
+        i = self.index[user_id]
+        return self._ids(self.dst[self.bounds[i]:self.bounds[i + 1]])
 
     def followers(self, user_id: str) -> list[str]:
-        return self._followers[user_id]
+        """In id order; one pass over all edges."""
+        return self._ids(self.src[self.dst == self.index[user_id]])
 
     def has_edge(self, follower: str, friend: str) -> bool:
-        friends = self._friends.get(follower, [])
-        i = bisect.bisect_left(friends, friend)
-        return i < len(friends) and friends[i] == friend
+        i, j = self.index.get(follower), self.index.get(friend)
+        return i is not None and j is not None and j in self.dst[self.bounds[i]:self.bounds[i + 1]]
 
     def edges(self) -> Iterable[tuple[str, str]]:
-        for follower in sorted(self._friends):
-            for friend in self._friends[follower]:
-                yield follower, friend
-
-    @cached_property
-    def src(self) -> np.ndarray:
-        """Each edge's follower, as an index into ``vertices``; sorted."""
-        degree = np.array([len(self._friends[v]) for v in self.vertices], dtype=np.intp)
-        src = np.repeat(np.arange(len(degree)), degree)
-        src.flags.writeable = False
-        return src
-
-    @cached_property
-    def dst(self) -> np.ndarray:
-        """Each edge's friend, as an index into ``vertices``."""
-        order = self.vertices
-        position = dict(zip(order, range(len(order))))
-        friends = chain.from_iterable(map(self._friends.__getitem__, order))
-        dst = np.fromiter(map(position.__getitem__, friends), np.intp, self._n_edges)
-        dst.flags.writeable = False
-        return dst
+        return zip(self._ids(self.src), self._ids(self.dst))
 
 
 class Dataset:
@@ -308,16 +295,15 @@ class Dataset:
         tz_offset: int = 0,
         dropped_tweets: int = 0,
     ):
-        user_list = sorted(users)
-        if graph.vertices != user_list:
-            odd = sorted(set(graph.vertices).symmetric_difference(user_list))
+        if graph.index.keys() != users.keys():
+            odd = sorted(graph.index.keys() ^ users.keys())
             raise ValidationError(f"graph vertices are not the users; in only one: {odd[:3]}")
         if isinstance(tweets, _IndexedTweets):
             tweets, author, target_user = tweets.table, tweets.author, tweets.target_user
         else:
             if not isinstance(tweets, TweetTable):
                 tweets = TweetTable.from_tweets(tweets)
-            author, target_user = _user_indices(user_list, tweets)
+            author, target_user = _user_indices(graph.index, tweets)
             unknown = np.flatnonzero(author < 0)
             if unknown.size:
                 i = unknown[0]
@@ -335,7 +321,7 @@ class Dataset:
         self.observation_window = observation_window
         self.tz_offset = tz_offset
         self.dropped_tweets = dropped_tweets
-        self.user_ids = _str_column(user_list, "user ids")
+        self.user_ids = _str_column(graph.vertices, "user ids")
         self.author_index = author
         self.target_user = target_user
 
@@ -371,7 +357,7 @@ class Dataset:
         rows, bounds = self.author_groups
         return {
             uid: self.tweets.take(rows[bounds[i]:bounds[i + 1]])
-            for i, uid in enumerate(self.user_ids.tolist())
+            for i, uid in enumerate(self.graph.vertices)
         }
 
     @property
@@ -579,19 +565,18 @@ def _select(
     if window is None:
         window = (int(tweets.ts.min()), int(tweets.ts.max())) if len(tweets) else (0, 0)
     start, end = window
-    user_list = sorted(users)
     keep = (author >= 0) & (tweets.ts >= start) & (tweets.ts <= end)
     if min_tweets > 0:
-        active = np.bincount(author[keep], minlength=len(user_list)) >= min_tweets
+        active = np.bincount(author[keep], minlength=len(users)) >= min_tweets
         if not active.any():
             raise ValidationError(f"no user has >= {min_tweets} tweets")
-        kept = {u for u, a in zip(user_list, active.tolist()) if a}
+        kept = {u for u, a in zip(sorted(users), active.tolist()) if a}
         users = {u: rec for u, rec in users.items() if u in kept}
         edges = [(a, b) for a, b in edges if a in kept and b in kept]
         keep[keep] = active[author[keep]]
         # each old index's index among the kept users; the extra last entry
         # keeps -1 at -1
-        renumber = np.full(len(user_list) + 1, -1, dtype=np.intp)
+        renumber = np.full(len(active) + 1, -1, dtype=np.intp)
         renumber[np.flatnonzero(active)] = np.arange(int(active.sum()))
         author, target_user = renumber[author], renumber[target_user]
     dropped = len(tweets) - int(keep.sum())
@@ -633,7 +618,9 @@ def ingest(
         for line_no, obj in _parse_jsonl(edges_stream, "edges")
     ]
     tweets = _parse_tweets(tweets_stream)
-    indexed = _IndexedTweets(tweets, *_user_indices(sorted(users), tweets))
+    # the graph, which owns the id index, is built once the users are final
+    position = {u: i for i, u in enumerate(sorted(users))}
+    indexed = _IndexedTweets(tweets, *_user_indices(position, tweets))
     return _select(users, edges, indexed, window, tz_offset, min_tweets)
 
 
@@ -675,7 +662,7 @@ def serialize(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / f"{name}.jsonl" for name in _JSONL_NAMES}
     with paths["users"].open("w") as fh:
-        for uid in sorted(dataset.users):
+        for uid in dataset.graph.vertices:
             rec = dataset.users[uid]
             fh.write(
                 json.dumps(
@@ -731,8 +718,8 @@ def write_cache(dataset: Dataset, out_dir: str | Path) -> tuple[Path, dict[Path,
     while every digest still matches. Returns the cache's path and the
     digests by JSONL path, for a manifest to reuse."""
     out = Path(out_dir)
-    records = [dataset.users[u] for u in sorted(dataset.users)]
-    edges = list(dataset.graph.edges())
+    graph = dataset.graph
+    records = [dataset.users[u] for u in graph.vertices]
     path = out / CACHE_NAME
     digests = {out / f"{name}.jsonl": sha256_file(out / f"{name}.jsonl") for name in _JSONL_NAMES}
     np.savez(
@@ -743,8 +730,9 @@ def write_cache(dataset: Dataset, out_dir: str | Path) -> tuple[Path, dict[Path,
         user_favourites=np.array([r.favourites_received for r in records], dtype=np.int64),
         user_verified=np.array([r.verified for r in records], dtype=bool),
         user_topics=np.array([r.topic_distribution for r in records], dtype=float),
-        edge_follower=_str_column([a for a, _ in edges], "edge followers"),
-        edge_friend=_str_column([b for _, b in edges], "edge friends"),
+        # each column as wide as its own longest id, as a parse of the edges gives
+        edge_follower=_str_column(graph._ids(graph.src), "edge followers"),
+        edge_friend=_str_column(graph._ids(graph.dst), "edge friends"),
         **{f"tweet_{f.name}": getattr(dataset.tweets, f.name) for f in fields(TweetTable)},
         tweet_author_index=dataset.author_index.astype(np.int32),
         tweet_target_user=dataset.target_user.astype(np.int32),

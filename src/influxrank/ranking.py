@@ -114,7 +114,7 @@ def _edge_weights_all_hours(
     other hours are computed with it."""
     check_tir_model(model, c)
     if rows is None:
-        rows = np.arange(len(ctx.edges))
+        rows = np.arange(len(ctx.edge_src))
     x = ctx.edge_static_features()[rows]
     x[:, RE_INDEX] = 1.0
     if shares is not None:
@@ -303,6 +303,20 @@ def personal_weights(ctx: FeatureContext, users: Sequence[int]) -> np.ndarray:
     return w
 
 
+def _query_row(dataset: Dataset, mode: str, user: Optional[str]) -> Optional[int]:
+    """None in global mode; in personal mode, the query user's index into
+    the sorted user ids. Raises ValueError for an unknown mode or user."""
+    if mode == "global":
+        return None
+    if mode != "personal":
+        raise ValueError(f"unknown aggregation mode {mode!r}")
+    if user is None:
+        raise ValueError("personal mode requires a user id")
+    if user not in dataset.graph.index:
+        raise ValueError(f"unknown user {user!r}")
+    return dataset.graph.index[user]
+
+
 def tir_rank(
     dataset: Dataset,
     model: LogisticModel,
@@ -325,16 +339,10 @@ def tir_rank(
     an hour of weight 0 can no longer raise ConvergenceError, as it is never
     iterated."""
     check_params(gamma, tol, max_iters)
+    row = _query_row(dataset, mode, user)
     if ctx is None:
         ctx = FeatureContext(dataset)
-    if mode == "global":
-        w = activity_weights(ctx)
-    elif mode == "personal":
-        if user is None:
-            raise ValueError("personal mode requires a user id")
-        w = personal_weights(ctx, [ctx.index[user]])[0]
-    else:
-        raise ValueError(f"unknown aggregation mode {mode!r}")
+    w = activity_weights(ctx) if row is None else personal_weights(ctx, [row])[0]
     hourly: list[Optional[RankVector]] = [None] * 24
     for tm in hourly_matrices(dataset, model, np.flatnonzero(w > 0), c, gamma, ctx):
         hourly[tm.hour] = power_iterate(tm, ctx.user_ids, tol=tol, max_iters=max_iters)
@@ -374,9 +382,9 @@ def tunkrank_matrix(dataset: Dataset, p: float) -> tuple[tuple[str, ...], sparse
     p = 1 when it has no fixed point."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    user_ids = tuple(dataset.user_ids.tolist())
+    graph = dataset.graph
+    user_ids, src, dst = tuple(graph.vertices), graph.src, graph.dst
     n = len(user_ids)
-    src, dst = dataset.graph.src, dataset.graph.dst
     if p == 1.0:
         check_tunkrank_fixed_point(src, dst, n)
     deg = np.bincount(src, minlength=n)
@@ -456,17 +464,14 @@ def twitterrank(
     As in ``tir_rank``, only the topics of positive share are iterated.
     """
     check_params(gamma, tol, max_iters)
+    row = _query_row(dataset, mode, user)
     if ctx is None:
         ctx = FeatureContext(dataset)
-    if mode == "global":
+    if row is None:
         mass = ctx.tweet_counts if ctx.tweet_counts.sum() > 0 else np.ones(len(ctx.user_ids))
         shares = mass @ ctx.topics
-    elif mode == "personal":
-        if user is None:
-            raise ValueError("personal mode requires a user id")
-        shares = ctx.topics[ctx.index[user]]
     else:
-        raise ValueError(f"unknown aggregation mode {mode!r}")
+        shares = ctx.topics[row]
     if shares.sum() <= 0:
         shares = np.ones(len(shares))
     shares = shares / shares.sum()

@@ -254,32 +254,34 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
     to_users: list[Optional[str]] = [None] * n_originals
     to_tweets: list[Optional[str]] = [None] * n_originals
 
+    graph = FollowGraph(user_ids, edges)
     base = Dataset(
         users=users,
-        graph=FollowGraph(user_ids, edges),
+        graph=graph,
         tweets=TweetTable.from_rows(ids, authors, kinds, stamps, to_users, to_tweets),
         observation_window=window,
     )
     ctx = FeatureContext(base)
 
     if config.close_low_follower_bias > 0:
-        in_deg_v = np.bincount(ctx.edge_dst, minlength=n)[ctx.edge_dst].astype(float)
+        in_deg_v = np.bincount(graph.dst, minlength=n)[graph.dst].astype(float)
         w = in_deg_v ** (-config.close_low_follower_bias)
         p_close = np.minimum(1.0, config.close_fraction * w / w.mean())
     else:
-        p_close = np.full(len(ctx.edges), config.close_fraction)
-    close_mask = rng.random(len(ctx.edges)) < p_close
-    close_edges = {e for e, m in zip(ctx.edges, close_mask) if m}
+        p_close = np.full(graph.n_edges, config.close_fraction)
+    close_mask = rng.random(graph.n_edges) < p_close
+    # ids as arrays of shared str objects: a key costs one tuple, not new strings
+    user_objs = np.array(graph.vertices, dtype=object)
+    close_edges = set(zip(user_objs[graph.src[close_mask]].tolist(),
+                          user_objs[graph.dst[close_mask]].tolist()))
 
     # features for every (original tweet, follower) pair, in tweet order
     pair_tweets, rows_a = follower_pairs(base, np.arange(n_originals), friend_order(ctx))
     probs, mins, maxs = _planted_probabilities(
         ctx, rows_a, base.hour_of(base.tweets.ts[pair_tweets]), close_mask, config
     )
-    # ids as arrays of shared str objects: a key costs one tuple, not new strings
     base_ids = np.array(base.tweets.tweet_id.tolist(), dtype=object)
-    user_objs = np.array(ctx.user_ids, dtype=object)
-    followers = user_objs[ctx.edge_src[rows_a]]
+    followers = user_objs[graph.src[rows_a]]
     keys = list(zip(base_ids[pair_tweets].tolist(), followers.tolist()))
 
     draws = rng.random(len(probs))
@@ -302,7 +304,7 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
 
     dataset = Dataset(
         users=users,
-        graph=FollowGraph(user_ids, edges),
+        graph=graph,
         tweets=TweetTable.from_rows(ids, authors, kinds, stamps, to_users, to_tweets),
         observation_window=window,
     )

@@ -134,4 +134,4 @@ def test_feature_context(benchmark, dataset_2k):
         return (Dataset(ds.users, graph, ds.tweets, ds.observation_window),), {}
 
     ctx = benchmark.pedantic(FeatureContext, setup=fresh, rounds=20)
-    assert len(ctx.edges) == N_EDGES_2K
+    assert ctx.dataset.graph.n_edges == N_EDGES_2K

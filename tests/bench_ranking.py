@@ -38,7 +38,7 @@ def trained():
 def test_edge_weights_all_hours(benchmark, trained):
     _, ctx, model = trained
     weights = benchmark(_edge_weights_all_hours, ctx, model, C)
-    assert weights.shape == (len(ctx.edges), 24)
+    assert weights.shape == (ctx.dataset.graph.n_edges, 24)
 
 
 def test_assemble_24_hours(benchmark, trained):

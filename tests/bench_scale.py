@@ -13,6 +13,13 @@ a 2-core machine it took 0.15-0.25 s with a traced peak of 37.1 MB (0.63-0.71 s
 and 62.1 MB with one profile record per user, stacked back into matrices). It
 asserts a wall time under 0.5 s and a traced peak under 45 MB.
 
+``ingest`` of the raw 20k files runs again in a process of its own, which
+reads its own high-water mark (``VmHWM``), and its manifest must equal the
+set-up ingest's. One cached ``load_dataset`` of what it wrote is then timed
+in the test process. In two runs on a 2-core machine the ingest took
+5.3-5.4 s with a peak of 643 MB, and the cached load 0.33-0.34 s. It
+asserts an ingest under 12 s and 750 MB and a cached load under 1 s.
+
 ``run_scenarios`` (a fixed response model, c = 0.5 and 0.85, 4 links per
 scenario, 53 factorisations) runs in a process of its own and reads that
 process's own high-water mark (``VmHWM``), so that its peak is its own: a
@@ -53,22 +60,36 @@ RUN_SCENARIOS_WALL_S = 10
 CONTEXT_WALL_S = 0.5
 CONTEXT_PEAK_MB = 45
 RUN_SCENARIOS_PEAK_MB = 430
+INGEST_WALL_S = 12
+INGEST_PEAK_MB = 750
+CACHED_LOAD_WALL_S = 1.0
+
+PEAK_MB = """
+def peak_mb():
+    # this process's own high-water mark (kB); ru_maxrss would start from
+    # the peak of the process that forked it
+    with open("/proc/self/status") as status:
+        return next(int(l.split()[1]) for l in status if l.startswith("VmHWM:")) / 1e3
+"""
+
+# the ingest stage in a fresh interpreter: prints wall time and peak as JSON
+INGEST = PEAK_MB + """
+import json, sys, time
+from influxrank.cli import main
+
+started = time.perf_counter()
+main(sys.argv[1:], standalone_mode=False)
+print(json.dumps({"wall_s": time.perf_counter() - started, "peak_mb": peak_mb()}))
+"""
 
 # run_scenarios in a fresh interpreter: prints wall time and peaks as JSON
-RUN_SCENARIOS = """
+RUN_SCENARIOS = PEAK_MB + """
 import json, sys, time, warnings
 import numpy as np
 from influxrank.evaluation import run_scenarios
 from influxrank.features import FeatureContext, MinMaxScaler
 from influxrank.logistic import LogisticModel
 from influxrank.model import load_dataset
-
-
-def peak_mb():
-    # this process's own high-water mark (kB); ru_maxrss would start from
-    # the peak of the process that forked it
-    with open("/proc/self/status") as status:
-        return next(int(l.split()[1]) for l in status if l.startswith("VmHWM:")) / 1e3
 
 
 model = LogisticModel(w0=0.3, w=np.linspace(-0.6, 0.4, 12), scaler=MinMaxScaler(
@@ -136,7 +157,7 @@ def test_feature_context_at_20k(data):
     started = time.perf_counter()
     FeatureContext(dataset)
     context_s = time.perf_counter() - started
-    # a fresh load, whose graph has not cached its edge indices yet
+    # a fresh load, so that the traced build is a first one too
     dataset = load_dataset(data)
     tracemalloc.start()
     try:
@@ -149,6 +170,21 @@ def test_feature_context_at_20k(data):
     assert ctx.n_t.shape == ctx.a_t.shape == (len(ctx.user_ids), 24)
     assert context_s < CONTEXT_WALL_S
     assert traced_mb < CONTEXT_PEAK_MB
+
+
+def test_ingest_and_cached_load_at_20k(data, tmp_path):
+    out = subprocess.run([sys.executable, "-c", INGEST, "ingest", "--in", data.parent / "raw",
+                          "--out", tmp_path], check=True, capture_output=True, text=True).stdout
+    got = json.loads(out.splitlines()[-1])
+    started = time.perf_counter()
+    dataset = load_dataset(tmp_path)
+    load_s = time.perf_counter() - started
+    print(f"\ningest: {got['wall_s']:.1f} s, peak {got['peak_mb']:.0f} MB; cached load: "
+          f"{len(dataset.tweets)} tweets, {load_s:.2f} s")
+    assert (tmp_path / "manifest.json").read_bytes() == (data / "manifest.json").read_bytes()
+    assert got["wall_s"] < INGEST_WALL_S
+    assert got["peak_mb"] < INGEST_PEAK_MB
+    assert load_s < CACHED_LOAD_WALL_S
 
 
 def test_run_scenarios_at_20k(data):

@@ -22,7 +22,9 @@ keys of ``logistic._stratified_folds`` replaced. ``ksc_distance`` is the K-SC
 shape distance of one pair, from its definition. ``dense`` and
 ``planted_instances`` serve only tests, and so do ``is_response``,
 ``positive_count``, ``positive_rate`` and ``loglog_slope`` (the degree-law
-fit of criterion 11). The follow-graph loops (friend
+fit of criterion 11). ``FollowGraphLoop`` is the dict-of-lists follow
+graph, validated edge by edge, that the index arrays of ``model.FollowGraph``
+replaced. The follow-graph loops (friend
 tweet totals, close friends, reciprocity, degree counts, edge rows) walk
 ``graph.friends``/``followers``/``has_edge``/``edges()`` user by user: the
 forms that the array code over ``FollowGraph.src``/``dst`` replaced. The
@@ -153,6 +155,50 @@ def pt(ctx: FeatureContext, u: str, v: str) -> float:
     return float(tv / total) if total > 0 else 0.0
 
 
+class FollowGraphLoop:
+    """The follow graph as dicts of sorted adjacency lists, checked edge by
+    edge with a set of the edges seen: the form that the index arrays of
+    ``model.FollowGraph`` replaced."""
+
+    def __init__(self, vertices, edges):
+        self._friends: dict[str, list[str]] = {v: [] for v in vertices}
+        self._followers: dict[str, list[str]] = {v: [] for v in self._friends}
+        seen: set[tuple[str, str]] = set()
+        for follower, friend in edges:
+            if follower == friend:
+                raise ValidationError(f"self-loop edge ({follower}, {friend})")
+            if (follower, friend) in seen:
+                raise ValidationError(f"duplicate edge ({follower}, {friend})")
+            if follower not in self._friends or friend not in self._friends:
+                raise ValidationError(f"edge ({follower}, {friend}) references unknown user")
+            seen.add((follower, friend))
+            self._friends[follower].append(friend)
+            self._followers[friend].append(follower)
+        for adj in (*self._friends.values(), *self._followers.values()):
+            adj.sort()
+        self.n_edges = len(seen)
+
+    @property
+    def vertices(self) -> list[str]:
+        return sorted(self._friends)
+
+    def friends(self, user_id: str) -> list[str]:
+        return self._friends[user_id]
+
+    def followers(self, user_id: str) -> list[str]:
+        return self._followers[user_id]
+
+    def has_edge(self, follower: str, friend: str) -> bool:
+        friends = self._friends.get(follower, [])
+        i = bisect.bisect_left(friends, friend)
+        return i < len(friends) and friends[i] == friend
+
+    def edges(self):
+        for follower in sorted(self._friends):
+            for friend in self._friends[follower]:
+                yield follower, friend
+
+
 def close_friends_loop(dataset: Dataset) -> dict[str, set[str]]:
     """u -> the friends u retweeted or replied to."""
     close: dict[str, set[str]] = {u: set() for u in dataset.users}
@@ -256,9 +302,9 @@ def kendall_tau_bruteforce(rank_a, rank_b) -> float:
 def edge_weights_by_hour(ctx: FeatureContext, model: LogisticModel, c: float) -> np.ndarray:
     """(n_edges, 24) raw TIR transition weights, one feature fill, scaling
     and prediction of all 12 columns per hour."""
-    rows = np.arange(len(ctx.edges))
+    rows = np.arange(ctx.dataset.graph.n_edges)
     mult = np.where(ctx.edge_close, c, 1.0 - c)
-    out = np.empty((len(ctx.edges), 24))
+    out = np.empty((len(rows), 24))
     for t in range(24):
         x = ctx.edge_features(rows, t)
         x[:, RE_INDEX] = 1.0
@@ -701,13 +747,14 @@ def tunkrank_scores_without_loop(scorer, u: str, v: str, solver=None) -> np.ndar
     """TunkRank once (u, v) is removed, from a ``TunkRankLinkScorer``'s
     factorisation or the given ``solver`` of its matrix; p = 1 checks the
     reduced graph for a closed class."""
-    iu, iv = scorer.index[u], scorer.index[v]
+    src, dst = scorer.graph.src, scorer.graph.dst
+    iu, iv = scorer.graph.index[u], scorer.graph.index[v]
     if scorer.p == 1.0:
-        keep = (scorer.src != iu) | (scorer.dst != iv)
-        check_tunkrank_fixed_point(scorer.src[keep], scorer.dst[keep], len(scorer.user_ids))
-    rows = np.flatnonzero(scorer.src == iu)
-    rows = rows[scorer.dst[rows] != iv]
-    return solve_with_column_loop(solver or scorer.solver, iu, scorer.dst[rows],
+        keep = (src != iu) | (dst != iv)
+        check_tunkrank_fixed_point(src[keep], dst[keep], len(scorer.user_ids))
+    rows = np.flatnonzero(src == iu)
+    rows = rows[dst[rows] != iv]
+    return solve_with_column_loop(solver or scorer.solver, iu, dst[rows],
                                   np.ones(len(rows)))
 
 

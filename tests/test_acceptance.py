@@ -306,7 +306,7 @@ def test_criterion_08_penalty_factor(report, small_synth, small_model, small_ctx
     # (a) c = 0.5 ordering equals the model with no close/normal distinction
     hourly = []
     for t in range(24):
-        x = ctx.edge_features(np.arange(len(ctx.edges)), t)
+        x = ctx.edge_features(np.arange(dataset.graph.n_edges), t)
         x[:, 5] = 1.0
         x = model.scaler.transform(x)
         w = ctx.n_t[ctx.edge_dst, t] * model.predict(x)

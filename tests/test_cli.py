@@ -98,6 +98,26 @@ def test_ingest_hashes_each_file_once(pipeline, tmp_path, monkeypatch):
         pipeline["data"] / "manifest.json").read_bytes()
 
 
+def test_features_hashes_each_file_once(pipeline, tmp_path, monkeypatch):
+    # the cached load digests each JSONL file; write_instances digests
+    # instances.csv for the npz and the manifest reuses that digest
+    hashed, sha256_file = [], cli.model.sha256_file
+
+    def spy(path):
+        hashed.append(path.name)
+        return sha256_file(path)
+
+    monkeypatch.setattr(cli.model, "sha256_file", spy)
+    ok(run_cli("features", "--in", pipeline["data"], "--out", tmp_path))
+    artifacts = ["instances.csv", "instances.npz", "scaler.json"]
+    assert sorted(hashed) == sorted(["users.jsonl", "edges.jsonl", "tweets.jsonl", *artifacts])
+    manifest = json.loads((tmp_path / "manifest.json").read_text())["artifacts"]
+    assert manifest == {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                        for name in artifacts}
+    assert (tmp_path / "manifest.json").read_bytes() == (
+        pipeline["features"] / "manifest.json").read_bytes()
+
+
 class TestPipelineArtifacts:
     def test_every_stage_writes_a_manifest(self, pipeline):
         for name, path in pipeline.items():
@@ -428,3 +448,11 @@ class TestSingleHourRank:
                    "--aggregate", f"personal:{uid}", "--out", out))
         rows = read_csv(out / "ranks.csv")
         assert sum(float(r[1]) for r in rows[1:]) == pytest.approx(1.0)
+
+    def test_personal_aggregate_of_unknown_user(self, pipeline, tmp_path):
+        out = tmp_path / "nobody"
+        res = run_cli("rank", "--in", pipeline["data"], "--model", "twitterrank",
+                      "--aggregate", "personal:nobody", "--out", out)
+        assert res.exit_code == 1
+        assert "error: unknown user 'nobody'" in res.output
+        assert not (out / "manifest.json").exists()

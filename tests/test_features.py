@@ -150,9 +150,10 @@ class TestExtract:
         dataset, _ = small_synth
         static = small_ctx.edge_static_features()
         rng = np.random.default_rng(0)
-        picks = rng.choice(len(small_ctx.edges), size=20, replace=False)
+        edges = list(dataset.graph.edges())
+        picks = rng.choice(len(edges), size=20, replace=False)
         for i in picks:
-            u, v = small_ctx.edges[i]
+            u, v = edges[i]
             hour = int(rng.integers(0, 24))
             direct = extract(dataset, u, v, hour, ctx=small_ctx).as_array()
             row = small_ctx.edge_features(np.array([i]), hour)[0]
@@ -172,7 +173,7 @@ class TestExtract:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             static = ctx.edge_static_features()
-        for i, (u, v) in enumerate(ctx.edges):
+        for i, (u, v) in enumerate(dataset.graph.edges()):
             assert static[i, 11] == pytest.approx(ts_uv(ctx, u, v), abs=1e-12)
 
 

@@ -1,10 +1,14 @@
 """The follow graph's index form against the per-user loops in oracles.py.
 
-Random small graphs, with isolated users, users nobody follows, vertices
-given out of id order and reciprocal pairs, check that ``FollowGraph.src``
-and ``dst`` are ``edges()`` as indices, and that each array form built on
-them equals its loop: degree counts, friend tweet totals, close-friend flags
-and reciprocity (through the ``L_rr`` and ``L_ur`` link sets).
+Random vertex and edge lists, with self-loops, duplicates, unknown ids and
+vertices out of order or repeated, check that ``FollowGraph`` rejects what
+the dict-of-lists ``FollowGraphLoop`` rejects, with the same message, and
+otherwise gives the same views. Random small graphs, with isolated users,
+users nobody follows, vertices given out of id order and reciprocal pairs,
+check that ``FollowGraph.src`` and ``dst`` are ``edges()`` as indices, and
+that each array form built on them equals its loop: degree counts, friend
+tweet totals, close-friend flags and reciprocity (through the ``L_rr`` and
+``L_ur`` link sets).
 """
 
 import warnings
@@ -16,10 +20,11 @@ from hypothesis import strategies as st
 
 from influxrank.evaluation import build_link_sets
 from influxrank.features import FeatureContext
-from influxrank.model import Dataset, FollowGraph, Tweet, degree_stats
+from influxrank.model import Dataset, FollowGraph, Tweet, ValidationError, degree_stats
 
 from conftest import make_user
 from oracles import (
+    FollowGraphLoop,
     degree_counts_loop,
     edge_close_loop,
     friend_tweet_total_loop,
@@ -27,6 +32,50 @@ from oracles import (
 )
 
 USER_POOL = ("a", "b", "c", "d", "e", "f")
+
+
+def _built(cls, vertices, edges):
+    """(graph, None), or (None, message) when cls rejects the input."""
+    try:
+        return cls(vertices, edges), None
+    except ValidationError as exc:
+        return None, str(exc)
+
+
+@st.composite
+def vertex_and_edge_lists(draw):
+    """Vertices with repeats, in any order, and distinct edges between them,
+    with up to three more edges put in anywhere: a repeat of an edge, or
+    any pair of the vertices and an unknown id, self-loops included."""
+    vertices = draw(st.lists(st.sampled_from(USER_POOL), max_size=8))
+    ids = sorted(set(vertices))
+    pairs = [(u, v) for u in ids for v in ids if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=10, unique=True)) if pairs else []
+    ends = st.sampled_from(ids + ["ghost"])
+    extra = st.tuples(ends, ends) | st.sampled_from(edges) if edges else st.tuples(ends, ends)
+    for edge in draw(st.lists(extra, max_size=3)):
+        edges.insert(draw(st.integers(0, len(edges))), edge)
+    return vertices, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_and_edge_lists())
+def test_graph_matches_dict_of_lists_oracle(lists):
+    vertices, edges = lists
+    graph, error = _built(FollowGraph, vertices, edges)
+    oracle, want = _built(FollowGraphLoop, vertices, edges)
+    assert error == want
+    if graph is None:
+        return
+    assert graph.vertices == oracle.vertices
+    assert list(graph.edges()) == list(oracle.edges())
+    assert graph.n_edges == oracle.n_edges
+    for u in graph.vertices:
+        assert graph.friends(u) == oracle.friends(u)
+        assert graph.followers(u) == oracle.followers(u)
+    for u in USER_POOL + ("ghost",):
+        for v in USER_POOL + ("ghost",):
+            assert graph.has_edge(u, v) == oracle.has_edge(u, v)
 
 
 @st.composite
@@ -73,7 +122,7 @@ def test_index_form_matches_loops(dataset):
     assert report.follower_hist == Counter(followers.tolist())
 
     ctx = FeatureContext(dataset)
-    assert ctx.edges == edges
+    assert ctx.user_ids is graph.vertices and ctx.index is graph.index
     assert ctx.edge_src is graph.src and ctx.edge_dst is graph.dst
     assert np.array_equal(ctx.friend_tweet_total,
                           [friend_tweet_total_loop(ctx, u) for u in ids])

@@ -48,7 +48,7 @@ def eig_stationary(dense):
 def edge_weight(dataset, model, u, v, t, c):
     """Raw TIR transition weight of edge (u, v) at hour t."""
     ctx = FeatureContext(dataset)
-    return _edge_weights_all_hours(ctx, model, c)[ctx.edges.index((u, v)), t]
+    return _edge_weights_all_hours(ctx, model, c)[list(dataset.graph.edges()).index((u, v)), t]
 
 
 class TestHourlyWeights:
@@ -509,3 +509,13 @@ class TestParametersFailFast:
             with pytest.raises(ValueError, match=match):
                 tir_rank(tiny_dataset, flat_model(), **kwargs)
         spy.assert_not_called()
+
+    @pytest.mark.parametrize("rank", [
+        lambda ds: tir_rank(ds, flat_model(), mode="personal", user="nobody"),
+        lambda ds: twitterrank(ds, mode="personal", user="nobody"),
+    ], ids=["tir", "twitterrank"])
+    def test_personal_mode_unknown_user(self, tiny_dataset, rank):
+        with mock.patch("influxrank.ranking.FeatureContext") as context:
+            with pytest.raises(ValueError, match="^unknown user 'nobody'$"):
+                rank(tiny_dataset)
+        context.assert_not_called()

@@ -65,7 +65,7 @@ kernel_settings = settings(max_examples=60, deadline=None,
 
 def logit_magnitude(ctx, model):
     """(n_edges, 24) sum of |w0| and every |w_j x_j| of the logit."""
-    rows = np.arange(len(ctx.edges))
+    rows = np.arange(ctx.dataset.graph.n_edges)
     out = np.empty((len(rows), 24))
     for t in range(24):
         x = ctx.edge_features(rows, t)
@@ -86,7 +86,7 @@ def test_weights_match_per_hour_oracle(dataset, model, c):
     ctx = FeatureContext(dataset)
     fast = _edge_weights_all_hours(ctx, model, c)
     slow = edge_weights_by_hour(ctx, model, c)
-    assert fast.shape == slow.shape == (len(ctx.edges), 24)
+    assert fast.shape == slow.shape == (dataset.graph.n_edges, 24)
     eps = np.finfo(float).eps
     bound = (26 * logit_magnitude(ctx, model) + 8) * eps
     assert np.all(np.abs(fast - slow) <= bound * np.abs(slow))
@@ -147,7 +147,7 @@ def test_link_scorer_rows_match_oracle_on_reduced_graph(dataset, model, c):
     # scorer passes in, against the per-hour oracle on the rebuilt graph
     ctx = FeatureContext(dataset)
     eps = np.finfo(float).eps
-    for u, v in ctx.edges:
+    for u, v in dataset.graph.edges():
         rows, _, shares = _friend_shares_without(
             ctx, np.array([ctx.index[u]]), np.array([ctx.index[v]]))
         fast = _edge_weights_all_hours(ctx, model, c, rows=rows, shares=shares)
@@ -162,7 +162,7 @@ def test_link_scorer_rows_match_oracle_on_reduced_graph(dataset, model, c):
 @given(dataset=graphs())
 def test_hourly_grid_columns_are_the_single_hour_fill(dataset):
     ctx = FeatureContext(dataset)
-    rows = np.arange(len(ctx.edges))
+    rows = np.arange(ctx.dataset.graph.n_edges)
     grid = ctx.fill_hourly(rows, slice(None), np.empty((4, len(rows), 24)))
     for t in range(24):
         x = ctx.edge_features(rows, t)
