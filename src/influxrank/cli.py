@@ -387,9 +387,10 @@ def write_instances(session: ArtifactSession, instances: features.InstanceSet) -
 
 def _instance_set(keys, x, row_of, labels, tweet_ids, user_ids) -> features.InstanceSet:
     """The InstanceSet of parsed or cached columns, where instance i has the
-    features x[row_of[i]]: checked for shape and for row indices in range,
-    and with x grouped by bits. The same instances so give the same rows,
-    in the same order, whether they were parsed or cached."""
+    features x[row_of[i]]: checked for shape and for key and row indices in
+    range, with int32 keys (an older npz holds int64 ones), and with x
+    grouped by bits. The same instances so give the same rows, in the same
+    order, whether they were parsed or cached."""
     n = len(labels)
     if (keys.shape != (n, 4) or x.ndim != 2 or x.shape[1] != len(features.FEATURE_NAMES)
             or row_of.shape != (n,)):
@@ -398,9 +399,15 @@ def _instance_set(keys, x, row_of, labels, tweet_ids, user_ids) -> features.Inst
     if not np.issubdtype(row_of.dtype, np.integer) or (
             n and not 0 <= row_of.min() <= row_of.max() < len(x)):
         raise ValueError(f"feature row indices are not integers in [0, {len(x)})")
+    # the tweet, follower, friend and hour columns index these tables
+    sizes = (len(tweet_ids), len(user_ids), len(user_ids), 24)
+    if not np.issubdtype(keys.dtype, np.integer) or (
+            n and ((keys.min(axis=0) < 0) | (keys.max(axis=0) >= sizes)).any()):
+        raise ValueError("instance keys do not index the id tables and hours")
     first, group = features.equal_row_groups(x)
-    return features.InstanceSet(keys=keys, rows=x[first], row_of=group[row_of], labels=labels,
-                                tweet_ids=tweet_ids, user_ids=user_ids)
+    return features.InstanceSet(keys=keys.astype(np.int32, copy=False), rows=x[first],
+                                row_of=group[row_of], labels=labels, tweet_ids=tweet_ids,
+                                user_ids=user_ids)
 
 
 def _parse_instances_csv(path: Path) -> features.InstanceSet:
@@ -435,7 +442,7 @@ def _parse_instances_csv(path: Path) -> features.InstanceSet:
     n = len(labels)
     return _instance_set(
         np.column_stack([tweet_code, user_code[:n], user_code[n:],
-                         np.frombuffer(hours, dtype=np.int64)]).astype(np.int64),
+                         np.frombuffer(hours, dtype=np.int64)]),
         np.frombuffer(values, dtype=float).reshape(n, n_feat),
         np.arange(n),
         np.frombuffer(labels, dtype=np.int64).astype(int),

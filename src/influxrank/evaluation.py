@@ -608,10 +608,15 @@ class TunkRankLinkScorer(_LinkBlocks):
 
 def _candidate_rows(dataset: Dataset, u: str, seed: int, size: int = 10) -> np.ndarray:
     """Indices into the sorted ``dataset.user_ids`` of ``size`` users drawn
-    with ``seed`` from those u does not follow, u excluded; ascending."""
-    ids = dataset.user_ids
-    allowed = np.ones(len(ids), dtype=bool)
-    allowed[np.searchsorted(ids, [u, *dataset.graph.friends(u)])] = False
+    with ``seed`` from those u does not follow, u excluded; ascending.
+    Raises ValueError for an unknown u."""
+    graph = dataset.graph
+    if u not in graph.index:
+        raise ValueError(f"unknown user {u!r}")
+    row = graph.index[u]
+    allowed = np.ones(len(graph.vertices), dtype=bool)
+    allowed[row] = False
+    allowed[graph.dst[graph.bounds[row]:graph.bounds[row + 1]]] = False
     pool = np.flatnonzero(allowed)
     if len(pool) < size:
         raise ValueError(f"fewer than {size} non-followed users for {u!r}")

@@ -64,7 +64,8 @@ class FeatureContext:
         self.edge_src, self.edge_dst = graph.src, graph.dst
         n = len(self.user_ids)
 
-        authors, kinds = dataset.author_index, dataset.tweets.kind
+        tweets = dataset.tweets
+        authors, kinds = tweets.author, tweets.kind
         tweet_counts = np.bincount(authors, minlength=n).astype(float)
         retweet_counts = np.bincount(authors[kinds == RETWEET], minlength=n).astype(float)
         self.tweet_counts = tweet_counts
@@ -92,10 +93,10 @@ class FeatureContext:
             self.edge_src, weights=tweet_counts[self.edge_dst], minlength=n
         )
         # close friends: the edges whose follower retweeted or replied to the friend
-        replied = (kinds != ORIGINAL) & (dataset.target_user >= 0)
+        replied = (kinds != ORIGINAL) & (tweets.to_user >= 0)
         self.edge_close = np.isin(
             self.edge_src * n + self.edge_dst,
-            authors[replied] * n + dataset.target_user[replied],
+            authors[replied].astype(np.intp) * n + tweets.to_user[replied],
         )
         self._edge_static: Optional[np.ndarray] = None
 
@@ -184,7 +185,7 @@ def equal_row_groups(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # rows are neighbours and the groups come in (hash, bits) order
         order = np.lexsort(np.vstack([bits.T[::-1], h]))
         starts = _group_starts(bits, order)
-    group = np.empty(len(bits), dtype=np.intp)
+    group = np.empty(len(bits), dtype=np.int32)
     group[order] = np.cumsum(starts) - 1
     return order[starts], group
 
@@ -204,9 +205,9 @@ class InstanceSet:
     of ``equal_row_groups``.
     """
 
-    keys: np.ndarray  # (n, 4) int64: (tweet, follower, friend, hour)
+    keys: np.ndarray  # (n, 4) int32: (tweet, follower, friend, hour)
     rows: np.ndarray  # (R, 12), raw or normalized
-    row_of: np.ndarray  # (n,) int: index into rows
+    row_of: np.ndarray  # (n,) int32: index into rows
     labels: np.ndarray  # (n,) in {0, 1}
     tweet_ids: np.ndarray  # str, sorted
     user_ids: np.ndarray  # str, sorted
@@ -235,7 +236,7 @@ def follower_pairs(
     tweets in the order of ``tweet_rows``, and each tweet's followers in
     user-id order. ``order`` is ``friend_order(ctx)``."""
     by_friend, lo = order
-    authors = dataset.author_index[tweet_rows]
+    authors = dataset.tweets.author[tweet_rows]
     per_tweet = np.diff(lo)[authors]
     starts = np.repeat(lo[authors] - (np.cumsum(per_tweet) - per_tweet), per_tweet)
     pairs = np.repeat(np.asarray(tweet_rows, dtype=np.intp), per_tweet)
@@ -266,18 +267,20 @@ def build_instances(
     # (tweet_id, follower) order; the instances of the tweet at position i of
     # id_order are end[i] - per_tweet[i]:end[i]
     id_order = dataset.id_order
-    per_tweet = np.diff(order[1])[dataset.author_index[id_order]]
+    author = dataset.tweets.author
+    per_tweet = np.diff(order[1])[author[id_order]]
     end = np.cumsum(per_tweet)
     # key codes index only the tweets and users that occur: the tweets whose
     # author has a follower, and both ends of the edges whose friend tweets
     used_tweets, tweet_code = _used_codes(len(id_order), np.flatnonzero(per_tweet))
     live = ctx.tweet_counts[ctx.edge_dst] > 0
     used_users, user_code = _used_codes(n, ctx.edge_src[live], ctx.edge_dst[live])
-    responses = (dataset.tweets.kind != ORIGINAL) & (dataset.target_tweet >= 0)
-    responded = np.unique(dataset.target_tweet[responses] * n + dataset.author_index[responses])
+    parent = dataset.tweets.to_tweet
+    responses = (dataset.tweets.kind != ORIGINAL) & (parent >= 0)
+    responded = np.unique(parent[responses].astype(np.intp) * n + author[responses])
 
     size = int(end[-1]) if len(end) else 0
-    keys = np.empty((size, 4), dtype=np.int64)
+    keys = np.empty((size, 4), dtype=np.int32)
     labels = np.empty(size, dtype=int)
     edge_hour = np.empty(size, dtype=np.int64)
     for lo in range(0, len(id_order), _INSTANCE_TWEETS):
@@ -390,6 +393,6 @@ def balance_and_normalize(
     scaler = MinMaxScaler(mins=x.min(axis=0), maxs=x.max(axis=0))
     return (
         replace(instances, keys=instances.keys[keep], rows=scaler.transform(x),
-                row_of=code[kept_rows], labels=instances.labels[keep]),
+                row_of=code[kept_rows].astype(np.int32), labels=instances.labels[keep]),
         scaler,
     )

@@ -10,7 +10,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Optional
@@ -90,17 +90,15 @@ class Tweet:
 
 def _str_column(values: list[str], what: str) -> np.ndarray:
     col = np.array(values, dtype=str)
-    # fixed-width numpy strings drop trailing NULs, which would change an id
-    if col.size and int(np.char.str_len(col).sum()) != sum(map(len, values)):
+    if _strips_nul(values, col):
         raise ValidationError(f"{what} must not end in a NUL character")
     return col
 
 
-def _check_unique(tweet_ids: list[str]) -> None:
-    if len(set(tweet_ids)) < len(tweet_ids):
-        seen: set[str] = set()
-        duplicate = next(t for t in tweet_ids if t in seen or seen.add(t))
-        raise ValidationError(f"duplicate tweet_id {duplicate!r}")
+def _strips_nul(values: Sequence[str], col: np.ndarray) -> bool:
+    """Whether the numpy string column col of values lost a trailing NUL:
+    fixed-width numpy strings drop them, which would change an id."""
+    return bool(col.size) and int(np.char.str_len(col).sum()) != sum(map(len, values))
 
 
 def _look_up(position: dict[str, int], names: list[str]) -> np.ndarray:
@@ -108,13 +106,39 @@ def _look_up(position: dict[str, int], names: list[str]) -> np.ndarray:
     return np.fromiter(map(position.get, names, repeat(-1)), np.intp, len(names))
 
 
-def _user_indices(position: dict[str, int], tweets: "TweetTable") -> tuple[np.ndarray, np.ndarray]:
-    """Per tweet row, the position of its author and of its to_user, each
-    -1 where that is not a user."""
-    target = np.full(len(tweets), -1, dtype=np.intp)
-    named = np.flatnonzero(tweets.has_to_user)
-    target[named] = _look_up(position, tweets.to_user[named].tolist())
-    return _look_up(position, tweets.author.tolist()), target
+def _resolve(codes: np.ndarray, present, own: np.ndarray, extra: np.ndarray) -> np.ndarray:
+    """Per row, as an object array: own[c] where codes holds a row c >= 0,
+    extra[-1 - c] where it holds a code c < 0, and None where present is
+    False."""
+    out = np.full(len(codes), None, dtype=object)
+    rows = present & (codes >= 0)
+    out[rows] = own[codes[rows]].tolist()
+    named = present & (codes < 0)
+    out[named] = extra[-1 - codes[named]].tolist()
+    return out
+
+
+def _reindex(codes: np.ndarray, present: np.ndarray, new_row: np.ndarray, names: np.ndarray,
+             extra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, table): codes, a row r >= 0 or -1 - k for extra[k] where
+    present is True, with each row r moved to new_row[r]; a row whose
+    new_row is -1 becomes its name, names[r]. table holds the sorted
+    distinct names that codes then name, as -1 - (index into table).
+    codes is changed in place."""
+    named = np.flatnonzero(present & (codes < 0))
+    own = np.flatnonzero(present & (codes >= 0))
+    moved = new_row[codes[own]]
+    gone = own[moved < 0]
+    refs = np.concatenate([extra[-1 - codes[named]], names[codes[gone]]])
+    codes[own] = moved
+    table, code = np.unique(refs, return_inverse=True)
+    codes[np.concatenate([named, gone])] = -1 - code
+    return codes, table
+
+
+# the per-row columns of a TweetTable
+_ROW_COLUMNS = ("tweet_id", "author", "kind", "ts", "to_user", "has_to_user", "to_tweet",
+                "has_to_tweet")
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,82 +146,209 @@ class TweetTable(Sequence):
     """Tweets as columns, one row per tweet: a read-only sequence of Tweet
     records that the package reads column by column.
 
-    ``to_user`` and ``to_tweet`` hold "" where ``has_to_user`` and
-    ``has_to_tweet`` are False, so an empty-string target stays distinct
-    from an absent one.
+    Every reference is an int32 index, resolved when the table is built:
+
+    - ``author`` and ``to_user``: a row of ``users`` (the sorted user ids),
+      or -1 - k for ``other_users[k]``, a name that is not a user;
+    - ``to_tweet``: a row of this table, or -1 - k for
+      ``unknown_tweets[k]``, an id that names no row. "" names no row.
+
+    Where ``has_to_user`` or ``has_to_tweet`` is False the column holds -1,
+    so "" stays distinct from absent, and a value >= 0 is always a row.
+    ``other_users`` and ``unknown_tweets`` hold exactly the names the
+    columns use, sorted, so equal tweets give equal tables. ``tweet_id`` is
+    the only per-row string column; records build their strings on demand.
     """
 
     tweet_id: np.ndarray  # str
-    author: np.ndarray  # str
+    author: np.ndarray  # int32
     kind: np.ndarray  # int8 code, an index into TWEET_KINDS
     ts: np.ndarray  # int64
-    to_user: np.ndarray  # str
+    to_user: np.ndarray  # int32
     has_to_user: np.ndarray  # bool
-    to_tweet: np.ndarray  # str
+    to_tweet: np.ndarray  # int32
     has_to_tweet: np.ndarray  # bool
+    users: np.ndarray  # str, sorted
+    other_users: np.ndarray  # str, sorted
+    unknown_tweets: np.ndarray  # str, sorted
 
     @classmethod
     def from_rows(cls, tweet_id: list, author: list, kind: list, ts: list,
-                  to_user: list, to_tweet: list) -> "TweetTable":
-        """Columns from one list per field; None marks an absent target.
-        Tweet ids must be unique."""
-        _check_unique(tweet_id)
-        try:
-            stamps = np.array(ts, dtype=np.int64)
-        except OverflowError:
-            raise ValidationError("tweet timestamp exceeds int64") from None
-        return cls(
-            tweet_id=_str_column(tweet_id, "tweet ids"),
-            author=_str_column(author, "authors"),
-            kind=np.array([_KIND_CODE[k] for k in kind], dtype=np.int8),
-            ts=stamps,
-            to_user=_str_column(["" if u is None else u for u in to_user], "to_user"),
-            has_to_user=np.array([u is not None for u in to_user], dtype=bool),
-            to_tweet=_str_column(["" if t is None else t for t in to_tweet], "to_tweet"),
-            has_to_tweet=np.array([t is not None for t in to_tweet], dtype=bool),
-        )
+                  to_user: list, to_tweet: list, users: Sequence[str] = ()) -> "TweetTable":
+        """Columns from one list per field, indexed against the sorted user
+        ids users; None marks an absent target. Tweet ids must be unique."""
+        builder = _TableBuilder(users)
+        builder.add_rows(tweet_id, author, kind, ts, to_user, to_tweet)
+        return builder.build()
 
     @classmethod
-    def from_tweets(cls, tweets: Iterable[Tweet]) -> "TweetTable":
+    def from_tweets(cls, tweets: Iterable[Tweet], users: Sequence[str] = ()) -> "TweetTable":
         rows = []
         for tw in tweets:
             tw.validate()
             rows.append((tw.tweet_id, tw.author, tw.kind, tw.timestamp,
                          tw.responds_to_user, tw.responds_to_tweet))
-        return cls.from_rows(*([list(col) for col in zip(*rows)] or [[]] * 6))
+        return cls.from_rows(*([list(col) for col in zip(*rows)] or [[]] * 6), users=users)
 
-    def take(self, rows: np.ndarray) -> "TweetTable":
-        return TweetTable(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+    def take(self, rows: np.ndarray, keep_users: Optional[np.ndarray] = None) -> "TweetTable":
+        """The given rows, in that order; with keep_users, a mask over
+        ``users``, indexed against the kept users. A to_tweet whose row is
+        not taken, and an author or to_user who is not kept, become names
+        in the side tables."""
+        rows = np.asarray(rows, dtype=np.intp)
+        new_row = np.full(len(self), -1, dtype=np.int32)
+        new_row[rows] = np.arange(len(rows))
+        keep = np.ones(len(self.users), dtype=bool) if keep_users is None else keep_users
+        new_user = np.where(keep, np.cumsum(keep) - 1, -1)
+        col = {name: getattr(self, name)[rows] for name in _ROW_COLUMNS}
+        n = len(rows)
+        names, other_users = _reindex(
+            np.concatenate([col["author"], col["to_user"]]),
+            np.concatenate([np.ones(n, dtype=bool), col["has_to_user"]]),
+            new_user, self.users, self.other_users,
+        )
+        col["author"], col["to_user"] = names[:n], names[n:]
+        col["to_tweet"], unknown_tweets = _reindex(
+            col["to_tweet"], col["has_to_tweet"], new_row, self.tweet_id, self.unknown_tweets
+        )
+        return TweetTable(**col, users=self.users[keep], other_users=other_users,
+                          unknown_tweets=unknown_tweets)
+
+    def records(self, rows=slice(None)) -> list[Tweet]:
+        """The Tweet records of rows (a slice or an index array)."""
+        users, others = self.users, self.other_users
+        return list(map(
+            Tweet,
+            self.tweet_id[rows].tolist(),
+            _resolve(self.author[rows], True, users, others).tolist(),
+            [TWEET_KINDS[k] for k in self.kind[rows].tolist()],
+            self.ts[rows].tolist(),
+            _resolve(self.to_user[rows], self.has_to_user[rows], users, others).tolist(),
+            _resolve(self.to_tweet[rows], self.has_to_tweet[rows], self.tweet_id,
+                     self.unknown_tweets).tolist(),
+        ))
 
     def __len__(self) -> int:
         return len(self.ts)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return Tweet(
-            str(self.tweet_id[i]), str(self.author[i]), TWEET_KINDS[self.kind[i]],
-            int(self.ts[i]),
-            str(self.to_user[i]) if self.has_to_user[i] else None,
-            str(self.to_tweet[i]) if self.has_to_tweet[i] else None,
-        )
+            return self.records(i)
+        i = range(len(self))[i]
+        return self.records(slice(i, i + 1))[0]
 
     def __iter__(self):
-        rows = zip(*(getattr(self, f.name).tolist() for f in fields(self)))
-        for tid, author, kind, ts, to_user, has_user, to_tweet, has_tweet in rows:
-            yield Tweet(tid, author, TWEET_KINDS[kind], ts,
-                        to_user if has_user else None, to_tweet if has_tweet else None)
+        return iter(self.records())
 
 
-@dataclass(frozen=True)
-class _IndexedTweets:
-    """A TweetTable with the index into the sorted user ids of each row's
-    author and to_user already found, -1 where that is not a user. Dataset
-    takes one from the load filter, which keeps only rows by users."""
+class _TableBuilder:
+    """A TweetTable built from blocks of tweet columns. Each block's names
+    are indexed as it is added, so only its tweet ids and the ids of its
+    target tweets are kept as strings until build().
 
-    table: TweetTable
-    author: np.ndarray
-    target_user: np.ndarray
+    The errors that build() raises (a duplicate id, a timestamp beyond
+    int64, an id that ends in a NUL) wait for it, so any error of a later
+    block's line-by-line parse comes first, as in a parse of the whole file.
+    """
+
+    def __init__(self, users: Sequence[str]):
+        users = list(users)
+        self.users = np.array(users, dtype=str)
+        self.position = dict(zip(users, range(len(users))))
+        # names that are not users, each with its number in order of first use
+        self.others: dict[str, int] = {}
+        self.blocks: list[tuple] = []
+        self.parents: list[np.ndarray] = []  # each block's target tweet ids
+        self.errors: set[str] = set()
+        # an empty first block gives every column its dtype
+        self.add((), (), (), (), (), (), (), ())
+
+    def _codes(self, names: Sequence[str], what: str) -> np.ndarray:
+        """Each name's row in users, or -1 - k where it is the k-th name met
+        that is not a user."""
+        codes = _look_up(self.position, names).astype(np.int32)
+        for i in np.flatnonzero(codes < 0).tolist():
+            if names[i].endswith("\x00"):
+                self.errors.add(what)
+            codes[i] = -1 - self.others.setdefault(names[i], len(self.others))
+        return codes
+
+    def add(self, tweet_id: Sequence[str], author: Sequence[str], kind: Sequence[str], ts,
+            to_user: Sequence[str], has_to_user, to_tweet: Sequence[str], has_to_tweet,
+            plain: bool = False) -> None:
+        """One block of columns, targets "" where absent; plain when no
+        string can hold a NUL."""
+        n = len(tweet_id)
+        ids = np.array(tweet_id, dtype=str)
+        if not plain and _strips_nul(tweet_id, ids):
+            self.errors.add("tweet ids")
+        try:
+            stamps = np.array(ts, dtype=np.int64)
+        except OverflowError:
+            self.errors.add("ts")
+            stamps = np.zeros(n, dtype=np.int64)
+        has_user = np.fromiter(map(bool, has_to_user), bool, n)
+        has_tweet = np.fromiter(map(bool, has_to_tweet), bool, n)
+        targets = np.full(n, -1, dtype=np.int32)
+        targets[has_user] = self._codes(list(compress(to_user, has_user)), "to_user")
+        parents = list(compress(to_tweet, has_tweet))
+        parent_ids = np.array(parents, dtype=str)
+        if not plain and _strips_nul(parents, parent_ids):
+            self.errors.add("to_tweet")
+        self.blocks.append((ids, self._codes(author, "authors"),
+                            np.fromiter(map(_KIND_CODE.__getitem__, kind), np.int8, n),
+                            stamps, targets, has_user, has_tweet))
+        self.parents.append(parent_ids)
+
+    def add_rows(self, tweet_id: list, author: list, kind: list, ts: list, to_user: list,
+                 to_tweet: list) -> None:
+        """One block as from_rows takes it, None marking an absent target."""
+        self.add(tweet_id, author, kind, ts,
+                 ["" if u is None else u for u in to_user], [u is not None for u in to_user],
+                 ["" if t is None else t for t in to_tweet], [t is not None for t in to_tweet])
+
+    def build(self) -> TweetTable:
+        ids, author, kind, ts, to_user, has_to_user, has_to_tweet = map(
+            np.concatenate, zip(*self.blocks))
+        parents = np.concatenate(self.parents)
+        self.blocks.clear()
+        self.parents.clear()
+        if "tweet ids" in self.errors:
+            raise ValidationError("tweet ids must not end in a NUL character")
+        order = np.argsort(ids, kind="stable")
+        by_id = ids[order]
+        repeats = order[1:][by_id[1:] == by_id[:-1]]
+        if repeats.size:
+            raise ValidationError(f"duplicate tweet_id {str(ids[repeats.min()])!r}")
+        if "ts" in self.errors:
+            raise ValidationError("tweet timestamp exceeds int64")
+        for what in ("authors", "to_user", "to_tweet"):
+            if what in self.errors:
+                raise ValidationError(f"{what} must not end in a NUL character")
+        # each target id's row, found in the ids' sorted order
+        at = np.searchsorted(by_id, parents)
+        found = np.zeros(len(parents), dtype=bool)
+        inside = np.flatnonzero(at < len(by_id))
+        found[inside] = by_id[at[inside]] == parents[inside]
+        found &= parents != ""
+        to_tweet = np.full(len(ids), -1, dtype=np.int32)
+        rows = np.flatnonzero(has_to_tweet)
+        to_tweet[rows[found]] = order[at[found]]
+        unknown_tweets, code = np.unique(parents[~found], return_inverse=True)
+        to_tweet[rows[~found]] = -1 - code
+        # the names that are not users, renumbered in sorted order
+        n = len(ids)
+        names, other_users = _reindex(
+            np.concatenate([author, to_user]),
+            np.concatenate([np.ones(n, dtype=bool), has_to_user]),
+            np.arange(len(self.users), dtype=np.int32), self.users,
+            np.array(list(self.others), dtype=str),
+        )
+        return TweetTable(
+            tweet_id=ids, author=names[:n], kind=kind, ts=ts, to_user=names[n:],
+            has_to_user=has_to_user, to_tweet=to_tweet, has_to_tweet=has_to_tweet,
+            users=self.users, other_users=other_users, unknown_tweets=unknown_tweets,
+        )
 
 
 class FollowGraph:
@@ -270,16 +421,9 @@ class Dataset:
     number of concurrent readers is safe.
 
     ``tweets`` may be given as Tweet records or as a TweetTable, in any
-    order. It is held as a TweetTable sorted by (timestamp, tweet_id), with
-    these columns alongside, one entry per tweet row:
-
-    - ``author_index``: the author's index into ``user_ids``, the sorted
-      user ids
-    - ``target_tweet``: the row of the tweet that ``to_tweet`` names, or -1
-      when it is absent, empty or not in the dataset (built on first use)
-    - ``target_user``: the index of ``to_user`` into ``user_ids``, or -1
-      when it is absent or not a user
-
+    order. It is held as a TweetTable sorted by (timestamp, tweet_id) and
+    indexed against ``user_ids``, the sorted user ids, so its ``author``,
+    ``to_user`` and ``to_tweet`` columns hold the rows the package reads.
     ``id_order`` lists the rows in tweet-id order (built on first use).
     Tweet ids are unique (``TweetTable.from_rows`` checks), and every author
     must be a user. The graph's vertices must be exactly the users, so its
@@ -298,32 +442,25 @@ class Dataset:
         if graph.index.keys() != users.keys():
             odd = sorted(graph.index.keys() ^ users.keys())
             raise ValidationError(f"graph vertices are not the users; in only one: {odd[:3]}")
-        if isinstance(tweets, _IndexedTweets):
-            tweets, author, target_user = tweets.table, tweets.author, tweets.target_user
-        else:
-            if not isinstance(tweets, TweetTable):
-                tweets = TweetTable.from_tweets(tweets)
-            author, target_user = _user_indices(graph.index, tweets)
-            unknown = np.flatnonzero(author < 0)
-            if unknown.size:
-                i = unknown[0]
-                raise ValidationError(
-                    f"tweet {tweets.tweet_id[i]}: unknown author {str(tweets.author[i])!r}"
-                )
+        user_ids = _str_column(graph.vertices, "user ids")
+        if not (isinstance(tweets, TweetTable) and np.array_equal(tweets.users, user_ids)):
+            tweets = TweetTable.from_tweets(tweets, graph.vertices)
+        unknown = np.flatnonzero(tweets.author < 0)
+        if unknown.size:
+            i = unknown[0]
+            raise ValidationError(f"tweet {tweets.tweet_id[i]}: unknown author"
+                                  f" {str(tweets.other_users[-1 - tweets.author[i]])!r}")
         ts, ids = tweets.ts, tweets.tweet_id
         # serialize writes tweets in this order, so a loaded table is sorted
         if not np.all((ts[1:] > ts[:-1]) | ((ts[1:] == ts[:-1]) & (ids[1:] > ids[:-1]))):
-            order = np.lexsort((ids, ts))
-            tweets, author, target_user = tweets.take(order), author[order], target_user[order]
+            tweets = tweets.take(np.lexsort((ids, ts)))
         self.users = users
         self.graph = graph
         self.tweets = tweets
         self.observation_window = observation_window
         self.tz_offset = tz_offset
         self.dropped_tweets = dropped_tweets
-        self.user_ids = _str_column(graph.vertices, "user ids")
-        self.author_index = author
-        self.target_user = target_user
+        self.user_ids = tweets.users
 
     @cached_property
     def id_order(self) -> np.ndarray:
@@ -331,32 +468,21 @@ class Dataset:
         return np.argsort(self.tweets.tweet_id, kind="stable")
 
     @cached_property
-    def target_tweet(self) -> np.ndarray:
-        """Per tweet row, the row of the tweet that ``to_tweet`` names, or -1."""
-        tweets, order = self.tweets, self.id_order
-        by_id = tweets.tweet_id[order]
-        target = np.full(len(tweets), -1, dtype=np.intp)
-        named = np.flatnonzero(tweets.has_to_tweet & (tweets.to_tweet != ""))
-        if named.size and by_id.size:
-            at = np.minimum(np.searchsorted(by_id, tweets.to_tweet[named]), len(by_id) - 1)
-            found = by_id[at] == tweets.to_tweet[named]
-            target[named[found]] = order[at[found]]
-        return target
-
-    @cached_property
     def author_groups(self) -> tuple[np.ndarray, np.ndarray]:
         """(rows, bounds): the tweet rows grouped by author in user-id order,
         each group in time order; user i's rows are rows[bounds[i]:bounds[i + 1]]."""
+        author = self.tweets.author
         n = len(self.user_ids)
         bounds = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(self.author_index, minlength=n), out=bounds[1:])
-        return np.argsort(self.author_index, kind="stable"), bounds
+        np.cumsum(np.bincount(author, minlength=n), out=bounds[1:])
+        return np.argsort(author, kind="stable"), bounds
 
     @cached_property
-    def tweets_by_author(self) -> dict[str, TweetTable]:
+    def tweets_by_author(self) -> dict[str, list[Tweet]]:
         rows, bounds = self.author_groups
+        records = self.tweets.records(rows)
         return {
-            uid: self.tweets.take(rows[bounds[i]:bounds[i + 1]])
+            uid: records[bounds[i]:bounds[i + 1]]
             for i, uid in enumerate(self.graph.vertices)
         }
 
@@ -472,9 +598,10 @@ _TWEET_RE = re.compile(
 )
 
 
-def _match_tweets(lines: list[str]) -> Optional[TweetTable]:
-    """The tweets of lines, when every non-blank one matches _TWEET_RE and
-    _parse_tweet_lines would raise on none; None otherwise.
+def _match_tweets(lines: list[str]) -> Optional[tuple]:
+    """The _TableBuilder.add columns of lines, when every non-blank one
+    matches _TWEET_RE and _parse_tweet_lines would raise on none; None
+    otherwise.
 
     A match cannot span lines and a line holds at most one, so as many
     matches as non-blank lines means every one matched. That holds while
@@ -491,81 +618,49 @@ def _match_tweets(lines: list[str]) -> Optional[TweetTable]:
     if len(matches) != len(lines) and len(matches) != sum(map(bool, map(str.strip, lines))):
         return None
     author, tweet_id, kind, has_to_tweet, to_tweet, has_to_user, to_user, ts = zip(*matches)
-    n = len(matches)
-    try:
-        stamps = np.array(ts, dtype=np.int64)
-    except OverflowError:
-        return None
-    table = TweetTable(
-        tweet_id=np.array(tweet_id, dtype=str),
-        author=np.array(author, dtype=str),
-        kind=np.fromiter(map(_KIND_CODE.__getitem__, kind), np.int8, n),
-        ts=stamps,
-        to_user=np.array(to_user, dtype=str),
-        has_to_user=np.fromiter(map(bool, has_to_user), bool, n),
-        to_tweet=np.array(to_tweet, dtype=str),
-        has_to_tweet=np.fromiter(map(bool, has_to_tweet), bool, n),
-    )
     # a response without a target user: _check_tweet's error
-    if np.any((table.kind != ORIGINAL) & ~table.has_to_user):
+    if any(k != "original" and not u for k, u in zip(kind, has_to_user)):
         return None
-    return table
+    return tweet_id, author, kind, ts, to_user, has_to_user, to_tweet, has_to_tweet
 
 
-def _row_lists(table: TweetTable) -> tuple[list, ...]:
-    """The columns of table as the lists that from_rows takes."""
-    def optional(values: np.ndarray, present: np.ndarray) -> list:
-        return [v if p else None for v, p in zip(values.tolist(), present.tolist())]
+def _parse_tweets(lines: Iterable[str], users: Sequence[str] = ()) -> TweetTable:
+    """The tweets of tweets.jsonl lines, indexed against the sorted user ids
+    users, in blocks of _PARSE_ROWS lines.
 
-    return (table.tweet_id.tolist(), table.author.tolist(),
-            [TWEET_KINDS[k] for k in table.kind.tolist()], table.ts.tolist(),
-            optional(table.to_user, table.has_to_user),
-            optional(table.to_tweet, table.has_to_tweet))
-
-
-def _parse_tweets(lines: Iterable[str]) -> TweetTable:
-    """The tweets of tweets.jsonl lines, in blocks of _PARSE_ROWS lines.
-
-    A block that _match_tweets takes becomes numpy columns before the next
-    is read; any other is parsed line by line, and then every row goes
-    through from_rows, so each error is the one the line-by-line parse of
-    the whole file raises.
+    A block that _match_tweets takes goes to the table builder as its
+    columns; any other is parsed line by line first. Either way its names
+    become indices before the next block is read, and each error is the
+    one the line-by-line parse of the whole file raises.
     """
-    lines, parts, start = iter(lines), [], 1
+    builder, lines, start = _TableBuilder(users), iter(lines), 1
     while block := list(islice(lines, _PARSE_ROWS)):
-        part = _match_tweets(block)
-        parts.append(_parse_tweet_lines(block, start) if part is None else part)
+        columns = _match_tweets(block)
+        if columns is None:
+            builder.add_rows(*_parse_tweet_lines(block, start))
+        else:
+            builder.add(*columns, plain=True)
         start += len(block)
-    if parts and all(isinstance(part, TweetTable) for part in parts):
-        table = TweetTable(**{
-            f.name: np.concatenate([getattr(part, f.name) for part in parts])
-            for f in fields(TweetTable)
-        })
-        _check_unique(table.tweet_id.tolist())
-        return table
-    columns: list[list] = [[] for _ in range(6)]
-    for part in parts:
-        for column, values in zip(columns, _row_lists(part) if isinstance(part, TweetTable)
-                                  else part):
-            column += values
-    return TweetTable.from_rows(*columns)
+    return builder.build()
 
 
 def _select(
     users: dict[str, UserRecord],
     edges: list[tuple[str, str]],
-    tweets: _IndexedTweets,
+    tweets: TweetTable,
     window: Optional[tuple[int, int]],
     tz_offset: int,
     min_tweets: int,
 ) -> Dataset:
-    """The Dataset of parsed users, edges and tweets, whether they came from
-    the JSONL files or the cache; see ingest for the rules."""
-    tweets, author, target_user = tweets.table, tweets.author, tweets.target_user
+    """The Dataset of parsed users, edges and tweets (indexed against the
+    sorted users), whether they came from the JSONL files or the cache; see
+    ingest for the rules."""
+    author = tweets.author
     if window is None:
         window = (int(tweets.ts.min()), int(tweets.ts.max())) if len(tweets) else (0, 0)
     start, end = window
     keep = (author >= 0) & (tweets.ts >= start) & (tweets.ts <= end)
+    active = None
     if min_tweets > 0:
         active = np.bincount(author[keep], minlength=len(users)) >= min_tweets
         if not active.any():
@@ -574,19 +669,13 @@ def _select(
         users = {u: rec for u, rec in users.items() if u in kept}
         edges = [(a, b) for a, b in edges if a in kept and b in kept]
         keep[keep] = active[author[keep]]
-        # each old index's index among the kept users; the extra last entry
-        # keeps -1 at -1
-        renumber = np.full(len(active) + 1, -1, dtype=np.intp)
-        renumber[np.flatnonzero(active)] = np.arange(int(active.sum()))
-        author, target_user = renumber[author], renumber[target_user]
     dropped = len(tweets) - int(keep.sum())
-    if dropped:
-        rows = np.flatnonzero(keep)
-        tweets, author, target_user = tweets.take(rows), author[rows], target_user[rows]
+    if dropped or active is not None:
+        tweets = tweets.take(np.flatnonzero(keep), active)
     return Dataset(
         users=users,
         graph=FollowGraph(users.keys(), edges),
-        tweets=_IndexedTweets(tweets, author, target_user),
+        tweets=tweets,
         observation_window=window,
         tz_offset=tz_offset,
         dropped_tweets=dropped,
@@ -617,11 +706,8 @@ def ingest(
         )
         for line_no, obj in _parse_jsonl(edges_stream, "edges")
     ]
-    tweets = _parse_tweets(tweets_stream)
-    # the graph, which owns the id index, is built once the users are final
-    position = {u: i for i, u in enumerate(sorted(users))}
-    indexed = _IndexedTweets(tweets, *_user_indices(position, tweets))
-    return _select(users, edges, indexed, window, tz_offset, min_tweets)
+    tweets = _parse_tweets(tweets_stream, sorted(users))
+    return _select(users, edges, tweets, window, tz_offset, min_tweets)
 
 
 # tweet and edge lines are written this many rows at a time
@@ -638,9 +724,10 @@ def _json_strings(values: np.ndarray) -> np.ndarray:
 
 
 def _optional_members(key: str, values: np.ndarray, present: np.ndarray) -> list[str]:
-    """Per row, ', "key": value' where present is True and "" elsewhere."""
+    """Per row, ', "key": value' where present is True and "" elsewhere;
+    values holds JSON string literals where present."""
     out = np.full(len(values), "", dtype=object)
-    out[present] = f', "{key}": ' + _json_strings(values[present])
+    out[present] = f', "{key}": ' + values[present]
     return out.tolist()
 
 
@@ -656,7 +743,8 @@ def serialize(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
 
     Every line holds the bytes ``json.dumps`` writes for its record, with
     sorted keys for users and tweets. Tweet and edge lines are formatted
-    from the columns through fixed templates, each user id escaped once.
+    from the columns through fixed templates, each user id escaped once;
+    each reference is written as the id its index stands for.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -677,8 +765,9 @@ def serialize(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
                 )
                 + "\n"
             )
-    user = _json_strings(dataset.user_ids)
     graph, tweets = dataset.graph, dataset.tweets
+    user = _json_strings(tweets.users)
+    other_user = _json_strings(tweets.other_users)
     kind = _json_strings(np.array(TWEET_KINDS))
 
     def edge_lines(rows: slice) -> str:
@@ -686,12 +775,17 @@ def serialize(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
         return "".join([_EDGE_LINE % pair for pair in pairs])
 
     def tweet_lines(rows: slice) -> str:
+        has_user, has_tweet = tweets.has_to_user[rows], tweets.has_to_tweet[rows]
+        to_user = _resolve(tweets.to_user[rows], has_user, user, other_user)
+        to_tweet = _resolve(tweets.to_tweet[rows], has_tweet, tweets.tweet_id,
+                            tweets.unknown_tweets)
+        to_tweet[has_tweet] = _json_strings(to_tweet[has_tweet])
         records = zip(
-            user[dataset.author_index[rows]].tolist(),
+            user[tweets.author[rows]].tolist(),
             map(encode_basestring_ascii, tweets.tweet_id[rows].tolist()),
             kind[tweets.kind[rows]].tolist(),
-            _optional_members("to_tweet", tweets.to_tweet[rows], tweets.has_to_tweet[rows]),
-            _optional_members("to_user", tweets.to_user[rows], tweets.has_to_user[rows]),
+            _optional_members("to_tweet", to_tweet, has_tweet),
+            _optional_members("to_user", to_user, has_user),
             tweets.ts[rows].tolist(),
         )
         return "".join([_TWEET_LINE % record for record in records])
@@ -712,13 +806,13 @@ def sha256_file(path: Path) -> str:
 def write_cache(dataset: Dataset, out_dir: str | Path) -> tuple[Path, dict[Path, str]]:
     """Write CACHE_NAME into out_dir, where serialize(dataset, out_dir) has
     just written the JSONL files: the users, edges and tweet columns that
-    parsing those files gives, each tweet's author and to_user index into
-    the sorted user ids (int32, -1 where to_user is not a user), and the
-    sha256 of each file. load_dataset reads it in place of the JSONL files
-    while every digest still matches. Returns the cache's path and the
-    digests by JSONL path, for a manifest to reuse."""
+    parsing those files gives (the tweets as TweetTable holds them: index
+    columns and the two side tables of names), and the sha256 of each
+    file. load_dataset reads it in place of the JSONL files while every
+    digest still matches. Returns the cache's path and the digests by JSONL
+    path, for a manifest to reuse."""
     out = Path(out_dir)
-    graph = dataset.graph
+    graph, tweets = dataset.graph, dataset.tweets
     records = [dataset.users[u] for u in graph.vertices]
     path = out / CACHE_NAME
     digests = {out / f"{name}.jsonl": sha256_file(out / f"{name}.jsonl") for name in _JSONL_NAMES}
@@ -733,29 +827,32 @@ def write_cache(dataset: Dataset, out_dir: str | Path) -> tuple[Path, dict[Path,
         # each column as wide as its own longest id, as a parse of the edges gives
         edge_follower=_str_column(graph._ids(graph.src), "edge followers"),
         edge_friend=_str_column(graph._ids(graph.dst), "edge friends"),
-        **{f"tweet_{f.name}": getattr(dataset.tweets, f.name) for f in fields(TweetTable)},
-        tweet_author_index=dataset.author_index.astype(np.int32),
-        tweet_target_user=dataset.target_user.astype(np.int32),
+        # the user ids are user_id
+        **{f"tweet_{f.name}": getattr(tweets, f.name) for f in fields(TweetTable)
+           if f.name != "users"},
     )
     return path, digests
 
 
-def _index_column(values: np.ndarray, n_rows: int, low: int, n_users: int) -> np.ndarray:
-    """values as intp, once checked to be n_rows integers in [low, n_users)."""
-    if values.dtype.kind not in "iu" or values.shape != (n_rows,) or (
-        n_rows and not low <= values.min() <= values.max() < n_users
-    ):
-        raise ValueError("a cached index column does not fit the tweets and users")
-    return values.astype(np.intp)
+def _index_column(values: np.ndarray, present: np.ndarray, low: int, high: int) -> np.ndarray:
+    """values, once checked to be int32 with present's shape, in [low, high)
+    where present is True and -1 elsewhere."""
+    if values.dtype != np.int32 or present.dtype != bool or values.shape != present.shape:
+        raise ValueError("a cached index column does not fit the tweets")
+    named = values[present]
+    if (named.size and not low <= named.min() <= named.max() < high) or (
+            values[~present] != -1).any():
+        raise ValueError("a cached index column is out of range")
+    return values
 
 
 def _read_cache(
     in_dir: Path,
-) -> Optional[tuple[dict[str, UserRecord], list[tuple[str, str]], _IndexedTweets]]:
-    """The parsed users, edges and indexed tweets held in in_dir's cache;
-    None when there is no cache, it cannot be read (a cache without the
-    index columns, or with one out of range, included), or a JSONL file has
-    changed since it was written."""
+) -> Optional[tuple[dict[str, UserRecord], list[tuple[str, str]], TweetTable]]:
+    """The parsed users, edges and tweets held in in_dir's cache; None when
+    there is no cache, it cannot be read (a cache of another layout, or with
+    an index out of range, included), or a JSONL file has changed since it
+    was written."""
     try:
         with np.load(in_dir / CACHE_NAME, allow_pickle=False) as npz:
             for name in _JSONL_NAMES:
@@ -773,15 +870,19 @@ def _read_cache(
             )
         }
         edges = list(zip(arrays["edge_follower"].tolist(), arrays["edge_friend"].tolist()))
-        tweets = TweetTable(**{f.name: arrays[f"tweet_{f.name}"] for f in fields(TweetTable)})
-        indexed = _IndexedTweets(
-            tweets,
-            _index_column(arrays["tweet_author_index"], len(tweets), 0, len(users)),
-            _index_column(arrays["tweet_target_user"], len(tweets), -1, len(users)),
-        )
+        column = {f.name: arrays[f"tweet_{f.name}"] for f in fields(TweetTable)
+                  if f.name != "users"}
+        others, unknown = column["other_users"], column["unknown_tweets"]
+        n, n_users = len(column["tweet_id"]), len(users)
+        column["author"] = _index_column(column["author"], np.ones(n, dtype=bool), 0, n_users)
+        column["to_user"] = _index_column(column["to_user"], column["has_to_user"],
+                                          -len(others), n_users)
+        column["to_tweet"] = _index_column(column["to_tweet"], column["has_to_tweet"],
+                                           -len(unknown), n)
+        tweets = TweetTable(**column, users=arrays["user_id"])
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
-    return users, edges, indexed
+    return users, edges, tweets
 
 
 def load_dataset(
@@ -821,7 +922,7 @@ def degree_stats(dataset: Dataset) -> DistributionReport:
         raise ValidationError("empty dataset")
     followers = np.bincount(dataset.graph.dst, minlength=n)
     friends = np.bincount(dataset.graph.src, minlength=n)
-    tweet_counts = np.bincount(dataset.author_index, minlength=n)
+    tweet_counts = np.bincount(dataset.tweets.author, minlength=n)
     corr: Optional[float] = None
     if n >= 2 and followers.std() > 0 and friends.std() > 0:
         corr = float(np.corrcoef(followers, friends)[0, 1])

@@ -258,7 +258,8 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
     base = Dataset(
         users=users,
         graph=graph,
-        tweets=TweetTable.from_rows(ids, authors, kinds, stamps, to_users, to_tweets),
+        tweets=TweetTable.from_rows(ids, authors, kinds, stamps, to_users, to_tweets,
+                                    graph.vertices),
         observation_window=window,
     )
     ctx = FeatureContext(base)
@@ -291,7 +292,7 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
     for follower, orig_id, orig_author, orig_ts in zip(
         followers[responders].tolist(),
         base_ids[originals].tolist(),
-        user_objs[base.author_index[originals]].tolist(),
+        user_objs[base.tweets.author[originals]].tolist(),
         base.tweets.ts[originals].tolist(),
     ):
         delay = rng.exponential(config.response_delay_mean)
@@ -305,7 +306,8 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
     dataset = Dataset(
         users=users,
         graph=graph,
-        tweets=TweetTable.from_rows(ids, authors, kinds, stamps, to_users, to_tweets),
+        tweets=TweetTable.from_rows(ids, authors, kinds, stamps, to_users, to_tweets,
+                                    graph.vertices),
         observation_window=window,
     )
     truth = GroundTruth(

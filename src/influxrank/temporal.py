@@ -54,7 +54,7 @@ def all_profiles(dataset: Dataset) -> ProfileTable:
     tweet, floored at one day to avoid rate blow-up for single-burst users.
     """
     n = len(dataset.user_ids)
-    authors, ts = dataset.author_index, dataset.tweets.ts
+    authors, ts = dataset.tweets.author, dataset.tweets.ts
     counts = np.bincount(authors * 24 + dataset.hour_of(ts), minlength=n * 24)
     counts = counts.reshape(n, 24).astype(float)
     has_tweets = counts.any(axis=1)
@@ -363,7 +363,7 @@ def response_metrics(dataset: Dataset) -> tuple[ResponseColumns, int]:
     """
     tweets = dataset.tweets
     responses = np.flatnonzero(tweets.kind != ORIGINAL)
-    originals = dataset.target_tweet[responses]
+    originals = tweets.to_tweet[responses]
     resolved = originals >= 0
     resolved[resolved] = tweets.ts[originals[resolved]] <= tweets.ts[responses[resolved]]
     responses, originals = responses[resolved], originals[resolved]
@@ -378,7 +378,7 @@ def response_metrics(dataset: Dataset) -> tuple[ResponseColumns, int]:
     # t_i; for a response in the same second as its original (t_i = t_j)
     # that difference is minus the tweets of that second, and nothing lies
     # strictly between, so it is clipped to 0
-    responder = dataset.author_index[responses] * n_ranks
+    responder = tweets.author[responses].astype(np.int64) * n_ranks
     trace = (np.searchsorted(received, responder + rank[responses], "left")
              - np.searchsorted(received, responder + rank[originals], "right"))
     np.maximum(trace, 0, out=trace)

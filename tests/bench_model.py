@@ -8,7 +8,7 @@ synthetic dataset (67,351 tweets), as ``influxrank synth --users 1000 --seed
 - the same parse when no block matches (each tweet line has one extra
   space), so every line goes through ``json.loads``: the fallback's cost;
 - loading the ``dataset.npz`` cache that ``influxrank ingest`` leaves next
-  to the files, author and target user indices included;
+  to the files, whose tweets hold every reference as an int32 index;
 - writing the three JSONL files of the loaded dataset.
 
 The file name keeps it out of the default test run. Run it with

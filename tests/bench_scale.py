@@ -16,9 +16,13 @@ asserts a wall time under 0.5 s and a traced peak under 45 MB.
 ``ingest`` of the raw 20k files runs again in a process of its own, which
 reads its own high-water mark (``VmHWM``), and its manifest must equal the
 set-up ingest's. One cached ``load_dataset`` of what it wrote is then timed
-in the test process. In two runs on a 2-core machine the ingest took
-5.3-5.4 s with a peak of 643 MB, and the cached load 0.33-0.34 s. It
-asserts an ingest under 12 s and 750 MB and a cached load under 1 s.
+in the test process, and the bytes of its tweet table's arrays (the
+columns and the id tables) are counted. In three runs on a 2-core machine
+the ingest took 6.1-7.5 s with a peak of 366-374 MB (643 MB while the
+table held every reference as a string), the cached load 0.30-0.40 s, and
+the tweet arrays took 86.1 MB (190.1 MB with string references), 52.7 MB of
+it the tweet ids. It asserts an ingest under 12 s and 450 MB, a cached load under
+0.8 s and tweet arrays under 95 MB.
 
 ``run_scenarios`` (a fixed response model, c = 0.5 and 0.85, 4 links per
 scenario, 53 factorisations) runs in a process of its own and reads that
@@ -45,6 +49,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 
@@ -61,8 +66,9 @@ CONTEXT_WALL_S = 0.5
 CONTEXT_PEAK_MB = 45
 RUN_SCENARIOS_PEAK_MB = 430
 INGEST_WALL_S = 12
-INGEST_PEAK_MB = 750
-CACHED_LOAD_WALL_S = 1.0
+INGEST_PEAK_MB = 450
+CACHED_LOAD_WALL_S = 0.8
+TWEET_ARRAYS_MB = 95
 
 PEAK_MB = """
 def peak_mb():
@@ -179,12 +185,15 @@ def test_ingest_and_cached_load_at_20k(data, tmp_path):
     started = time.perf_counter()
     dataset = load_dataset(tmp_path)
     load_s = time.perf_counter() - started
+    tweets = dataset.tweets
+    tweets_mb = sum(getattr(tweets, f.name).nbytes for f in fields(tweets)) / 1e6
     print(f"\ningest: {got['wall_s']:.1f} s, peak {got['peak_mb']:.0f} MB; cached load: "
-          f"{len(dataset.tweets)} tweets, {load_s:.2f} s")
+          f"{len(tweets)} tweets, {load_s:.2f} s, tweet arrays {tweets_mb:.1f} MB")
     assert (tmp_path / "manifest.json").read_bytes() == (data / "manifest.json").read_bytes()
     assert got["wall_s"] < INGEST_WALL_S
     assert got["peak_mb"] < INGEST_PEAK_MB
     assert load_s < CACHED_LOAD_WALL_S
+    assert tweets_mb < TWEET_ARRAYS_MB
 
 
 def test_run_scenarios_at_20k(data):

@@ -113,11 +113,11 @@ def assert_same_dataset(a: model.Dataset, b: model.Dataset) -> None:
     assert a.dropped_tweets == b.dropped_tweets
     assert a.tz_offset == b.tz_offset
     for name in ("tweet_id", "author", "kind", "ts", "to_user", "has_to_user",
-                 "to_tweet", "has_to_tweet"):
+                 "to_tweet", "has_to_tweet", "users", "other_users", "unknown_tweets"):
         x, y = getattr(a.tweets, name), getattr(b.tweets, name)
         assert x.dtype.kind == y.dtype.kind, name
         assert np.array_equal(x, y), name
-    for name in ("user_ids", "author_index", "target_tweet", "target_user", "id_order"):
+    for name in ("user_ids", "id_order"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
@@ -194,6 +194,13 @@ def test_cached_load_equals_parse_and_columns_match_oracles(raw, window, min_twe
         # serialize -> load_dataset -> serialize is byte-identical, cached or not
         serialize(cached, Path(tmp) / "once")
         write_cache(cached, Path(tmp) / "once")
+        # every kept tweet is written as it was read: a target that is not a
+        # user, an unknown or empty parent, and a parent that the window or
+        # min_tweets dropped keep their ids
+        read = {rec["id"]: rec for rec in raw[2]}
+        for line in (Path(tmp) / "once" / "tweets.jsonl").read_text().splitlines():
+            rec = json.loads(line)
+            assert rec == read[rec["id"]]
         for again in (load_dataset(Path(tmp) / "once", window=window),
                       _parse(Path(tmp) / "once", window=window)):
             serialize(again, Path(tmp) / "twice")
@@ -204,6 +211,85 @@ def test_cached_load_equals_parse_and_columns_match_oracles(raw, window, min_twe
         for name in ("users.jsonl", "edges.jsonl", "tweets.jsonl"):
             for line in (Path(tmp) / "once" / name).read_text().splitlines():
                 assert line == json.dumps(json.loads(line), sort_keys=True)
+
+
+def _user_record(uid: str) -> dict:
+    return {"id": uid, "listed": 1, "favourites": 2, "verified": False, "topics": [0.25, 0.75]}
+
+
+# b's one tweet is p2; p1 is before the window (50, 1000)
+TARGETS = [
+    {"id": "p1", "author": "a", "kind": "original", "ts": 10},
+    {"id": "p2", "author": "b", "kind": "original", "ts": 20},
+    {"id": "r1", "author": "a", "kind": "reply", "ts": 100, "to_user": "b", "to_tweet": "p2"},
+    {"id": "r2", "author": "a", "kind": "retweet", "ts": 200, "to_user": "ghost",
+     "to_tweet": "gone"},
+    {"id": "r3", "author": "a", "kind": "reply", "ts": 300, "to_user": "", "to_tweet": ""},
+    {"id": "r4", "author": "a", "kind": "retweet", "ts": 400, "to_user": "a", "to_tweet": "p1"},
+    {"id": "r5", "author": "a", "kind": "reply", "ts": 500, "to_user": "a"},
+]
+
+
+@pytest.mark.parametrize("window, min_tweets", [(None, 0), ((50, 1000), 0), (None, 2),
+                                                ((50, 1000), 2)])
+def test_targets_that_name_no_row_round_trip(tmp_path, monkeypatch, window, min_tweets):
+    raw = _write(tmp_path / "raw", [_user_record("a"), _user_record("b")], [], TARGETS)
+    dataset = load_dataset(raw, window=window, min_tweets=min_tweets)
+    tweets = dataset.tweets
+    row = {tid: i for i, tid in enumerate(tweets.tweet_id.tolist())}
+    unknown, others = tweets.unknown_tweets.tolist(), tweets.other_users.tolist()
+    # "ghost" and "" are no users, and "gone" and "" no tweets, either way
+    assert tweets.to_user[row["r2"]] == -1 - others.index("ghost")
+    assert tweets.to_user[row["r3"]] == -1 - others.index("")
+    assert tweets.to_tweet[row["r2"]] == -1 - unknown.index("gone")
+    assert tweets.to_tweet[row["r3"]] == -1 - unknown.index("")
+    assert (tweets.to_tweet[row["r5"]], tweets.has_to_tweet[row["r5"]]) == (-1, False)
+    # a parent that the window or min_tweets drops becomes an unknown id,
+    # and a user that min_tweets drops a name that is not a user
+    if window is None:
+        assert tweets.to_tweet[row["r4"]] == row["p1"]
+    else:
+        assert tweets.to_tweet[row["r4"]] == -1 - unknown.index("p1")
+    if min_tweets or window:
+        assert tweets.to_tweet[row["r1"]] == -1 - unknown.index("p2")
+    else:
+        assert tweets.to_tweet[row["r1"]] == row["p2"]
+    if min_tweets:
+        assert tweets.to_user[row["r1"]] == -1 - others.index("b")
+        assert dataset.user_ids.tolist() == ["a"]
+    else:
+        assert tweets.to_user[row["r1"]] == 1
+    # every kept tweet is written as it was read, and serialize -> parse ->
+    # serialize and serialize -> cache -> serialize keep every byte
+    once = tmp_path / "once"
+    serialize(dataset, once)
+    write_cache(dataset, once)
+    written = [json.loads(line) for line in (once / "tweets.jsonl").read_text().splitlines()]
+    assert written == [rec for rec in TARGETS if rec["id"] in row]
+    for name, again in (("parsed", _parse(once)), ("cached", _cache_is_used(monkeypatch, once))):
+        assert_same_dataset(again, _parse(once))
+        serialize(again, tmp_path / name)
+        for jsonl in ("users.jsonl", "edges.jsonl", "tweets.jsonl"):
+            assert (tmp_path / name / jsonl).read_bytes() == (once / jsonl).read_bytes()
+
+
+def test_tweet_ids_are_the_only_per_tweet_strings(tmp_path, small_synth):
+    dataset, _ = small_synth
+    serialize(dataset, tmp_path)
+    write_cache(dataset, tmp_path)
+    n = len(dataset.tweets)
+    for loaded in (_parse(tmp_path), load_dataset(tmp_path)):
+        loaded.id_order, loaded.author_groups  # built on first use
+        columns = {f"tweets.{name}": value for name, value in vars(loaded.tweets).items()}
+        columns |= {name: value for name, value in vars(loaded).items()}
+        strings = [name for name, value in columns.items()
+                   if isinstance(value, np.ndarray) and value.dtype.kind == "U"
+                   and len(value) == n]
+        assert strings == ["tweets.tweet_id"]
+    with np.load(tmp_path / CACHE_NAME) as npz:
+        strings = [key for key in npz.files if npz[key].dtype.kind == "U"
+                   and npz[key].shape == (n,)]
+    assert strings == ["tweet_tweet_id"]
 
 
 @settings(max_examples=30, deadline=None)
@@ -256,7 +342,7 @@ def test_serialize_writes_the_json_dumps_bytes(dataset, rows):
 
 def _cache_is_used(monkeypatch, data: Path) -> model.Dataset:
     with monkeypatch.context() as m:
-        m.setattr(model, "_parse_tweets", lambda lines: pytest.fail("parsed JSONL"))
+        m.setattr(model, "_parse_tweets", lambda *args: pytest.fail("parsed JSONL"))
         return load_dataset(data)
 
 
@@ -277,19 +363,21 @@ def test_each_load_constructs_once_and_maps_authors_once(tmp_path, small_synth, 
         calls.append(1)
         init(self, *args, **kwargs)
 
-    indices, mapped = model._user_indices, []
+    codes, mapped = model._TableBuilder._codes, []
 
-    def counted_indices(*args):
-        mapped.append(1)
-        return indices(*args)
+    def counted_codes(self, names, what):
+        mapped.append(what)
+        return codes(self, names, what)
 
     monkeypatch.setattr(model.Dataset, "__init__", counted)
-    monkeypatch.setattr(model, "_user_indices", counted_indices)
+    monkeypatch.setattr(model._TableBuilder, "_codes", counted_codes)
     cached = _cache_is_used(monkeypatch, tmp_path)
+    assert (len(calls), mapped) == (1, [])
     parsed = _parse(tmp_path, min_tweets=1)
-    # one constructor call per load; only the parse looks authors up, the
-    # cached load reads their indices from the cache
-    assert (len(calls), len(mapped)) == (2, 1)
+    # one constructor call per load; only the parse looks names up, once per
+    # block and column, and the cached load reads their indices from the cache
+    blocks = -(-len(dataset.tweets) // model._PARSE_ROWS) + 1
+    assert (len(calls), sorted(mapped)) == (2, sorted(["authors", "to_user"] * blocks))
     assert_same_dataset(load_dataset(tmp_path, min_tweets=1), parsed)
     assert_same_dataset(cached, _parse(tmp_path))
 
@@ -306,17 +394,26 @@ def test_edited_jsonl_falls_back_to_parse(tmp_path, small_synth):
     assert_same_dataset(loaded, _parse(tmp_path))
 
 
-def _old_layout(arrays: dict) -> None:
-    """The cache as written before it held the index columns."""
-    del arrays["tweet_author_index"], arrays["tweet_target_user"]
+def _string_layout(arrays: dict) -> None:
+    """The cache as written when it held each tweet's author as a string."""
+    arrays["tweet_author"] = arrays["user_id"][arrays["tweet_author"]]
+    del arrays["tweet_other_users"], arrays["tweet_unknown_tweets"]
 
 
 def _author_out_of_range(arrays: dict) -> None:
-    arrays["tweet_author_index"][0] = -1
+    arrays["tweet_author"][0] = -1
 
 
 def _target_out_of_range(arrays: dict) -> None:
-    arrays["tweet_target_user"][-1] = len(arrays["user_id"])
+    arrays["tweet_to_user"][-1] = len(arrays["user_id"])
+
+
+def _parent_out_of_range(arrays: dict) -> None:
+    arrays["tweet_to_tweet"][0] = len(arrays["tweet_ts"])
+
+
+def _int64_index(arrays: dict) -> None:
+    arrays["tweet_to_tweet"] = arrays["tweet_to_tweet"].astype(np.int64)
 
 
 def _truncate(cache: Path) -> None:
@@ -341,16 +438,17 @@ def _edit_arrays(edit):
 
 
 @pytest.mark.parametrize("damage", [
-    _truncate, _garbage, _delete, _edit_arrays(_old_layout),
+    _truncate, _garbage, _delete, _edit_arrays(_string_layout),
     _edit_arrays(_author_out_of_range), _edit_arrays(_target_out_of_range),
+    _edit_arrays(_parent_out_of_range), _edit_arrays(_int64_index),
 ], ids=["truncate", "garbage", "delete", "old_layout", "author_out_of_range",
-        "target_out_of_range"])
+        "target_out_of_range", "parent_out_of_range", "int64_index"])
 def test_unreadable_cache_falls_back_to_parse(tmp_path, small_synth, damage, monkeypatch):
     dataset, _ = small_synth
     serialize(dataset, tmp_path)
     damage(write_cache(dataset, tmp_path)[0])
     parsed, parse = [], model._parse_tweets
-    monkeypatch.setattr(model, "_parse_tweets", lambda lines: parsed.append(1) or parse(lines))
+    monkeypatch.setattr(model, "_parse_tweets", lambda *args: parsed.append(1) or parse(*args))
     loaded = load_dataset(tmp_path)
     assert parsed == [1]
     assert_same_dataset(loaded, _parse(tmp_path))
@@ -413,8 +511,11 @@ class TestTweetTable:
         assert list(ds.tweets_by_author["x"]) == [want[0], want[2]]
         assert list(ds.tweets_by_author["y"]) == [want[1]]
         # the empty-string target names no tweet but is kept verbatim
-        assert ds.target_tweet.tolist() == [-1, 2, -1]
-        assert ds.target_user.tolist() == [-1, 0, -1]
+        # rows where >= 0; c's "" targets are codes into the side tables
+        assert ds.tweets.to_tweet.tolist() == [-1, 2, -1]
+        assert ds.tweets.unknown_tweets.tolist() == [""]
+        assert ds.tweets.to_user.tolist() == [-1, 0, -1]
+        assert ds.tweets.other_users.tolist() == [""]
 
     def test_caller_list_is_not_reordered(self):
         tweets = list(self.TWEETS)

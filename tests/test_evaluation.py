@@ -136,6 +136,11 @@ class TestCandidatesAndQ:
         with pytest.raises(ValueError, match="fewer than 10"):
             sample_candidates(tiny_dataset, "A", seed=0)
 
+    def test_candidates_of_unknown_user(self, small_synth):
+        dataset, _ = small_synth
+        with pytest.raises(ValueError, match="unknown user 'nobody'"):
+            sample_candidates(dataset, "nobody", seed=0)
+
     def test_q_score_hand_value(self):
         rv = RankVector(
             ("c1", "c2", "c3", "v"), np.array([0.5, 0.3, 0.4, 0.4])

@@ -253,6 +253,39 @@ def test_load_falls_back_to_parse(tmp_path, small_synth, damage):
         assert loaded.labels[0] != build_instances(dataset).labels[0]
 
 
+def test_int32_columns_and_int64_npz_loads(tmp_path, small_synth):
+    """Keys and row indices are int32; an npz written with int64 ones, as
+    before they were narrowed, still loads, to the same int32 set."""
+    dataset, _ = small_synth
+    instances = build_instances(dataset)
+    assert (instances.keys.dtype, instances.row_of.dtype) == (np.int32, np.int32)
+    path = check_hand_off(instances, tmp_path)
+    npz = path.with_suffix(".npz")
+    want = cli._read_instances_npz(path)
+    assert (want.keys.dtype, want.row_of.dtype) == (np.int32, np.int32)
+    for name in ("keys", "feature_row_of"):
+        _rewrite_npz(npz, name, lambda column: column.astype(np.int64))
+    loaded = cli._read_instances_npz(path)
+    assert loaded is not None
+    assert (loaded.keys.dtype, loaded.row_of.dtype) == (np.int32, np.int32)
+    assert_same_instances(loaded, want)
+
+
+@pytest.mark.parametrize("column", [0, 1, 3])
+def test_npz_keys_out_of_range_fall_back_to_parse(tmp_path, small_synth, column):
+    dataset, _ = small_synth
+    path = check_hand_off(build_instances(dataset), tmp_path)
+
+    def damage(keys):
+        keys = keys.astype(np.int64)
+        keys[0, column] = 2**31 + 24
+        return keys
+
+    _rewrite_npz(path.with_suffix(".npz"), "keys", damage)
+    assert cli._read_instances_npz(path) is None
+    assert_same_instances(cli.load_instances_csv(path), cli._parse_instances_csv(path))
+
+
 def test_integer_key_folds_equal_id_tuple_folds(small_synth):
     dataset, _ = small_synth
     instances = build_instances(dataset)
