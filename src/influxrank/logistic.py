@@ -42,24 +42,13 @@ def log_loss(
     return float(-np.sum(y * np.log(p) + (counts - y) * np.log(1.0 - p)) / counts.sum())
 
 
-def log_loss_gradient(
-    w0: float, w: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Analytic gradient of the mean log loss wrt (w0, w).
-
-    With p = sigmoid(-(w0 + w.x)), dL/dz = y - p for z = w0 + w.x.
-    """
-    x = np.atleast_2d(x)
-    p = response_probability(w0, w, x)
-    err = np.asarray(y, float) - p
-    return float(err.mean()), (err @ x) / len(x)
-
-
 def grouped_log_loss_gradient(
     w0: float, w: np.ndarray, x: np.ndarray, positives: np.ndarray, counts: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """log_loss_gradient of the instances that row r of x stands for:
-    counts[r] of them, positives[r] labelled 1.
+    """Analytic gradient of the mean log loss wrt (w0, w) over the
+    instances that row r of x stands for: counts[r] of them, positives[r]
+    labelled 1. With p = sigmoid(-(w0 + w.x)), dL/dz = y - p for
+    z = w0 + w.x.
 
     With n_r = counts[r], n1_r = positives[r] and N instances in all, this
     is the grouped binomial gradient sum_r x_r (n1_r - n_r p_r) / N.
@@ -139,9 +128,9 @@ def train(
     y holds one 0/1 label per row of x. With ``counts``, row r of x stands
     for counts[r] instances instead, y[r] of them positive: the same loss
     over fewer rows. Without, every count is 1, and the grouped gradient
-    equals log_loss_gradient bit for bit. Weights start at zero, so the
-    seed only flows into metadata. There is no L2 penalty; the metadata
-    records it as 0.
+    equals the per-row gradient (``log_loss_gradient`` in tests/oracles.py)
+    bit for bit. Weights start at zero, so the seed only flows into
+    metadata. There is no L2 penalty; the metadata records it as 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

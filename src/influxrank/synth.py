@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .features import (
     follower_pairs,
     friend_order,
 )
-from .model import Dataset, FollowGraph, TweetTable, UserRecord
+from .model import ORIGINAL, REPLY, RETWEET, Dataset, FollowGraph, TweetTable, UserRecord
 
 SECONDS_PER_DAY = 86400
 
@@ -45,16 +44,21 @@ DEFAULT_W_STAR = np.array(
 )
 DEFAULT_W0_STAR = 2.8
 
+# Generator settings that no caller varies. Degrees are capped at a tenth of
+# the users.
+FRIEND_EXPONENT = 2.5  # out-degree power law
+MIN_FRIEND_DEGREE = 1
+TWEET_EXPONENT = 2.2
+TOPIC_CONCENTRATION = 0.5
+RESPONSE_DELAY_MEAN = 1200.0  # seconds
+MAX_RETRIES = 20
+
 
 @dataclass
 class GeneratorConfig:
     n_users: int = 2000
     follower_exponent: float = 2.5  # in-degree (follower count) power law
-    friend_exponent: float = 2.5  # out-degree power law
     min_follower_degree: int = 1
-    min_friend_degree: int = 1
-    max_degree: Optional[int] = None  # default n_users // 10
-    tweet_exponent: float = 2.2
     min_tweets: int = 20
     max_tweets: int = 400
     prototypes: tuple = DEFAULT_PROTOTYPES
@@ -65,16 +69,13 @@ class GeneratorConfig:
     # >0 skews close edges toward low-follower friends (weight 1/in_deg^bias)
     close_low_follower_bias: float = 0.0
     n_topics: int = 4
-    topic_concentration: float = 0.5
     observation_days: int = 28
-    response_delay_mean: float = 1200.0  # seconds
     seed: int = 0
-    max_retries: int = 20
 
     def validate(self) -> None:
         if self.n_users < 0:
             raise ValueError("n_users must be >= 0")
-        if self.follower_exponent <= 1 or self.friend_exponent <= 1:
+        if self.follower_exponent <= 1:
             raise ValueError("degree exponents must be > 1")
         if abs(sum(self.prototype_weights) - 1.0) > 1e-9:
             raise ValueError("prototype weights must sum to 1")
@@ -90,10 +91,7 @@ class GroundTruth:
     w_star: np.ndarray
     w0_star: float
     close_edges: set[tuple[str, str]]
-    instance_keys: list[tuple[str, str]]  # (tweet_id, follower)
-    instance_probs: np.ndarray
-    feature_mins: np.ndarray
-    feature_maxs: np.ndarray
+    instance_probs: np.ndarray  # per (original tweet, follower) pair, in tweet order
 
     @property
     def expected_positives(self) -> float:
@@ -113,15 +111,14 @@ def _sample_graph(rng, config: GeneratorConfig) -> list[tuple[int, int]]:
     self-loops/duplicates; leftover bad stubs are dropped after the retry cap
     if they are rare, otherwise the sequence is declared infeasible."""
     n = config.n_users
-    cap = config.max_degree or max(1, n // 10)
+    cap = max(1, n // 10)
     lo_in = max(1, config.min_follower_degree)
-    lo_out = max(1, config.min_friend_degree)
-    in_deg = _power_law_ints(rng, config.follower_exponent, n, lo_in, max(cap, lo_in))
-    out_deg = _power_law_ints(rng, config.friend_exponent, n, lo_out, max(cap, lo_out))
+    hi = max(cap, lo_in)
+    in_deg = _power_law_ints(rng, config.follower_exponent, n, lo_in, hi)
+    out_deg = _power_law_ints(rng, FRIEND_EXPONENT, n, MIN_FRIEND_DEGREE, cap)
     # balance stub totals by growing the smaller side (floors stay intact)
     diff = int(in_deg.sum() - out_deg.sum())
     grow = out_deg if diff > 0 else in_deg
-    hi = max(cap, lo_in, lo_out)
     while diff != 0:
         i = int(rng.integers(n))
         if grow[i] < hi:
@@ -133,7 +130,7 @@ def _sample_graph(rng, config: GeneratorConfig) -> list[tuple[int, int]]:
     rng.shuffle(in_stubs)
     edges: set[tuple[int, int]] = set()
     pending = list(zip(out_stubs, in_stubs))
-    for _ in range(config.max_retries):
+    for _ in range(MAX_RETRIES):
         bad = []
         for u, v in pending:
             if u == v or (int(u), int(v)) in edges:
@@ -159,19 +156,38 @@ def _planted_probabilities(
     hours: np.ndarray,
     close_mask: np.ndarray,
     config: GeneratorConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Response probability of each (edge row, hour) pair under the planted
-    weights, on features min-max scaled over all pairs, plus those bounds.
+    weights, on features min-max scaled over all pairs.
     The feature matrices are freed on return, before the caller builds the
     final dataset."""
     x = ctx.edge_features(rows, hours)
     x[:, RE_INDEX] = close_mask[rows]
     if not len(x):
-        return np.zeros(0), np.zeros(N_FEATURES), np.zeros(N_FEATURES)
+        return np.zeros(0)
     mins, maxs = x.min(axis=0), x.max(axis=0)
     xn = MinMaxScaler(mins, maxs).transform(x)
     z = np.clip(config.w0_star + xn @ config.w_star, -500, 500)
-    return 1.0 / (1.0 + np.exp(z)), mins, maxs
+    return 1.0 / (1.0 + np.exp(z))
+
+
+def _tweet_ids(start: int, stop: int) -> np.ndarray:
+    """The ids t{k:08d} for k in range(start, stop), as a string column."""
+    digits = np.arange(start, stop).astype(f"U{len(str(stop))}")
+    return np.char.add("t", np.char.zfill(digits, 8))
+
+
+def _table(users, tweet_id, author, kind, ts, to_user, to_tweet) -> TweetTable:
+    """A TweetTable whose every reference is a row: author and to_user of
+    users, to_tweet of this table, and -1 where a target is absent. So its
+    side tables are empty."""
+    no_names = np.array([], dtype=str)
+    return TweetTable(
+        tweet_id=tweet_id, author=author.astype(np.int32), kind=kind.astype(np.int8),
+        ts=ts, to_user=to_user.astype(np.int32), has_to_user=to_user >= 0,
+        to_tweet=to_tweet.astype(np.int32), has_to_tweet=to_tweet >= 0,
+        users=users, other_users=no_names, unknown_tweets=no_names,
+    )
 
 
 def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
@@ -197,32 +213,25 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
             w_star=config.w_star.copy(),
             w0_star=config.w0_star,
             close_edges=set(),
-            instance_keys=[],
             instance_probs=np.zeros(0),
-            feature_mins=np.zeros(N_FEATURES),
-            feature_maxs=np.zeros(N_FEATURES),
         )
         return empty, truth
 
     width = max(4, len(str(n - 1)))
+    # zero-padded, so user i is row i of the sorted ids
     user_ids = [f"u{i:0{width}d}" for i in range(n)]
 
-    edges_idx = _sample_graph(rng, config)
-    edges = [(user_ids[a], user_ids[b]) for a, b in edges_idx]
+    edges = [(user_ids[a], user_ids[b]) for a, b in _sample_graph(rng, config)]
 
     labels = rng.choice(
         len(config.prototypes), size=n, p=np.asarray(config.prototype_weights)
     )
-    tweets_per_user = _power_law_ints(
-        rng, config.tweet_exponent, n, config.min_tweets, config.max_tweets
-    )
+    tweets_per_user = _power_law_ints(rng, TWEET_EXPONENT, n, config.min_tweets, config.max_tweets)
 
     listed = np.maximum(0, (rng.pareto(1.5, size=n) * 5).astype(int))
     favourites = np.maximum(0, (rng.pareto(1.2, size=n) * 20).astype(int))
     verified = rng.random(n) < 0.05
-    topics = rng.dirichlet(
-        np.full(config.n_topics, config.topic_concentration), size=n
-    )
+    topics = rng.dirichlet(np.full(config.n_topics, TOPIC_CONCENTRATION), size=n)
 
     users = {
         uid: UserRecord(
@@ -235,33 +244,25 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
         for i, uid in enumerate(user_ids)
     }
 
-    # originals, drawn per user: one column list per TweetTable field
-    ids: list[str] = []
-    authors: list[str] = []
-    stamps: list[int] = []
-    for i, uid in enumerate(user_ids):
+    # originals, drawn per user; tweet k is t{k:08d}
+    stamps = []
+    for i in range(n):
         proto = np.asarray(config.prototypes[labels[i]], dtype=float)
         proto = proto / proto.sum()
         m = int(tweets_per_user[i])
         days = rng.integers(0, config.observation_days, size=m)
         hours = rng.choice(24, size=m, p=proto)
         secs = rng.integers(0, 3600, size=m)
-        stamps.extend((days * SECONDS_PER_DAY + hours * 3600 + secs).tolist())
-        ids.extend(f"t{k:08d}" for k in range(len(ids), len(ids) + m))
-        authors.extend([uid] * m)
-    n_originals = len(ids)
-    kinds = ["original"] * n_originals
-    to_users: list[Optional[str]] = [None] * n_originals
-    to_tweets: list[Optional[str]] = [None] * n_originals
+        stamps.append(days * SECONDS_PER_DAY + hours * 3600 + secs)
+    n_originals = int(tweets_per_user.sum())
+    absent = np.full(n_originals, -1)
 
     graph = FollowGraph(user_ids, edges)
-    base = Dataset(
-        users=users,
-        graph=graph,
-        tweets=TweetTable.from_rows(ids, authors, kinds, stamps, to_users, to_tweets,
-                                    graph.vertices),
-        observation_window=window,
-    )
+    user_col = np.array(graph.vertices, dtype=str)
+    base = Dataset(users, graph, _table(
+        user_col, _tweet_ids(0, n_originals), np.repeat(np.arange(n), tweets_per_user),
+        np.full(n_originals, ORIGINAL), np.concatenate(stamps), absent, absent,
+    ), window)
     ctx = FeatureContext(base)
 
     if config.close_low_follower_bias > 0:
@@ -278,47 +279,39 @@ def generate(config: GeneratorConfig) -> tuple[Dataset, GroundTruth]:
 
     # features for every (original tweet, follower) pair, in tweet order
     pair_tweets, rows_a = follower_pairs(base, np.arange(n_originals), friend_order(ctx))
-    probs, mins, maxs = _planted_probabilities(
-        ctx, rows_a, base.hour_of(base.tweets.ts[pair_tweets]), close_mask, config
+    originals = base.tweets
+    probs = _planted_probabilities(
+        ctx, rows_a, base.hour_of(originals.ts[pair_tweets]), close_mask, config
     )
-    base_ids = np.array(base.tweets.tweet_id.tolist(), dtype=object)
-    followers = user_objs[graph.src[rows_a]]
-    keys = list(zip(base_ids[pair_tweets].tolist(), followers.tolist()))
 
-    draws = rng.random(len(probs))
-    responders = np.flatnonzero(draws < probs)
-    window_end = window[1]
-    originals = pair_tweets[responders]
-    for follower, orig_id, orig_author, orig_ts in zip(
-        followers[responders].tolist(),
-        base_ids[originals].tolist(),
-        user_objs[base.tweets.author[originals]].tolist(),
-        base.tweets.ts[originals].tolist(),
-    ):
-        delay = rng.exponential(config.response_delay_mean)
-        ids.append(f"t{len(ids):08d}")
-        authors.append(follower)
-        kinds.append("retweet" if rng.random() < 0.5 else "reply")
-        stamps.append(min(int(orig_ts + 1 + delay), window_end))
-        to_users.append(orig_author)
-        to_tweets.append(orig_id)
-
+    responders = np.flatnonzero(rng.random(len(probs)) < probs)
+    # two draws per response, in this order: its delay, then its kind
+    delay, coin = np.fromiter(
+        (x for _ in responders for x in (rng.exponential(RESPONSE_DELAY_MEAN), rng.random())),
+        float, 2 * len(responders),
+    ).reshape(-1, 2).T
+    # each column: the original rows, then the responses, each naming its original's row
+    parent = pair_tweets[responders]
+    responses = (
+        _tweet_ids(n_originals, n_originals + len(parent)),
+        graph.src[rows_a[responders]],
+        np.where(coin < 0.5, RETWEET, REPLY),
+        # every time is below 2^53, so the float sum and truncation are exact
+        np.minimum((originals.ts[parent] + 1 + delay).astype(np.int64), window[1]),
+        originals.author[parent],
+        parent,
+    )
+    columns = (originals.tweet_id, originals.author, originals.kind, originals.ts,
+               originals.to_user, originals.to_tweet)
     dataset = Dataset(
-        users=users,
-        graph=graph,
-        tweets=TweetTable.from_rows(ids, authors, kinds, stamps, to_users, to_tweets,
-                                    graph.vertices),
-        observation_window=window,
+        users, graph, _table(user_col, *map(np.concatenate, zip(columns, responses))), window
     )
     truth = GroundTruth(
         prototype_labels={uid: int(labels[i]) for i, uid in enumerate(user_ids)},
         w_star=config.w_star.copy(),
         w0_star=config.w0_star,
         close_edges=close_edges,
-        instance_keys=keys,
         instance_probs=probs,
-        feature_mins=mins,
-        feature_maxs=maxs,
     )
     return dataset, truth
 
@@ -339,5 +332,5 @@ def truth_report(truth: GroundTruth, path: str | Path) -> Path:
         writer.writerow(
             ["summary", "expected_positives", f"{truth.expected_positives:.12g}"]
         )
-        writer.writerow(["summary", "n_instances", len(truth.instance_keys)])
+        writer.writerow(["summary", "n_instances", len(truth.instance_probs)])
     return path

@@ -34,15 +34,23 @@ its ``FeatureContext``); factoring each matrix in scipy's default COLAMD
 order took 25.9-26.1 s and peaked at 460 MB. It asserts a wall time under 10 s and a peak under
 430 MB. The figures are printed.
 
+``synth`` runs in a process of its own, which reads its own high-water mark
+(``VmHWM``), and its four files must equal the digests recorded here, which
+synth wrote when it built its tweet table from id strings. In six runs on a
+2-core machine it took 6.1-9.4 s with a peak of 905-906 MB (9.2-13.7 s and
+1,038 MB from id strings, with one string tuple kept per (original,
+follower) pair). It asserts a synth under 12 s and 960 MB.
+
 The file name keeps it out of the default test run. Run it with
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest -s tests/bench_scale.py
 
 Set-up runs ``synth`` and ``ingest`` in processes of their own, so that their
-peaks do not count. The whole run took about a minute and a half on a 2-core
-machine.
+peaks do not count toward the other tests'. The whole run took about 70 s on
+a 2-core machine.
 """
 
+import hashlib
 import json
 import resource
 import subprocess
@@ -69,6 +77,16 @@ INGEST_WALL_S = 12
 INGEST_PEAK_MB = 450
 CACHED_LOAD_WALL_S = 0.8
 TWEET_ARRAYS_MB = 95
+SYNTH_WALL_S = 12
+SYNTH_PEAK_MB = 960
+# sha256 of the synth files, as synth wrote them when it built its tweet
+# table from id strings
+SYNTH_SHA256 = {
+    "users.jsonl": "20352de17d8490d96af49fbce475c8083103747b5c8c1f38e00a24af9430ee3e",
+    "edges.jsonl": "ac0b32e15753d60477165ef5c8fb4fbab601a3cda12918526f6cbe949dd361ac",
+    "tweets.jsonl": "84515012cf037301d530e91d17da3c1b60348f310c72fc8f6ca7cd3a4207ce02",
+    "truth.csv": "82577e3811cc6a2b413d6ffdfd4c36f328e1c296b66006d3429cc7a9cc09562f",
+}
 
 PEAK_MB = """
 def peak_mb():
@@ -78,8 +96,8 @@ def peak_mb():
         return next(int(l.split()[1]) for l in status if l.startswith("VmHWM:")) / 1e3
 """
 
-# the ingest stage in a fresh interpreter: prints wall time and peak as JSON
-INGEST = PEAK_MB + """
+# a CLI stage in a fresh interpreter: prints wall time and peak as JSON
+STAGE = PEAK_MB + """
 import json, sys, time
 from influxrank.cli import main
 
@@ -113,17 +131,35 @@ print(json.dumps({"wall_s": wall_s, "setup_mb": setup_mb, "links": sum(r.n_links
 """
 
 
-def _cli(*args):
-    code = "import sys; from influxrank.cli import main; main(sys.argv[1:])"
-    subprocess.run([sys.executable, "-c", code, *map(str, args)], check=True)
+def _stage(*args) -> dict:
+    """Runs a CLI stage in a fresh interpreter: its wall time and peak."""
+    out = subprocess.run([sys.executable, "-c", STAGE, *map(str, args)], check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 @pytest.fixture(scope="module")
-def data(tmp_path_factory):
+def raw(tmp_path_factory):
+    """The synth files, and the synth stage's wall time and peak."""
     root = tmp_path_factory.mktemp("bench_scale")
-    _cli("synth", "--users", USERS, "--seed", 3, "--out", root / "raw")
-    _cli("ingest", "--in", root / "raw", "--out", root / "data")
-    return root / "data"
+    return root / "raw", _stage("synth", "--users", USERS, "--seed", 3, "--out", root / "raw")
+
+
+@pytest.fixture(scope="module")
+def data(raw):
+    path = raw[0].parent / "data"
+    _stage("ingest", "--in", raw[0], "--out", path)
+    return path
+
+
+def test_synth_at_20k(raw):
+    path, got = raw
+    digests = {name: hashlib.sha256((path / name).read_bytes()).hexdigest()
+               for name in SYNTH_SHA256}
+    print(f"\nsynth: {got['wall_s']:.1f} s, peak {got['peak_mb']:.0f} MB")
+    assert digests == SYNTH_SHA256
+    assert got["wall_s"] < SYNTH_WALL_S
+    assert got["peak_mb"] < SYNTH_PEAK_MB
 
 
 def test_blocked_stages_at_20k(data):
@@ -179,9 +215,7 @@ def test_feature_context_at_20k(data):
 
 
 def test_ingest_and_cached_load_at_20k(data, tmp_path):
-    out = subprocess.run([sys.executable, "-c", INGEST, "ingest", "--in", data.parent / "raw",
-                          "--out", tmp_path], check=True, capture_output=True, text=True).stdout
-    got = json.loads(out.splitlines()[-1])
+    got = _stage("ingest", "--in", data.parent / "raw", "--out", tmp_path)
     started = time.perf_counter()
     dataset = load_dataset(tmp_path)
     load_s = time.perf_counter() - started

@@ -24,10 +24,12 @@ shape distance of one pair, from its definition. ``dense`` and
 ``positive_count``, ``positive_rate`` and ``loglog_slope`` (the degree-law
 fit of criterion 11). ``FollowGraphLoop`` is the dict-of-lists follow
 graph, validated edge by edge, that the index arrays of ``model.FollowGraph``
-replaced. The follow-graph loops (friend
-tweet totals, close friends, reciprocity, degree counts, edge rows) walk
-``graph.friends``/``followers``/``has_edge``/``edges()`` user by user: the
-forms that the array code over ``FollowGraph.src``/``dst`` replaced. The
+replaced. ``log_loss_gradient`` is the per-row gradient that
+``logistic.grouped_log_loss_gradient`` replaced in training. The
+follow-graph loops (friend tweet totals, close friends, reciprocity, degree
+counts, edge rows) walk ``graph.friends``/``followers``/``has_edge``/
+``edges()`` user by user: the forms that the array code over
+``FollowGraph.src``/``dst`` replaced. The
 link-removal oracles score one removed link at a time against all of a
 model's factorisations, which ``link_solvers`` builds and holds together
 (``solve_with_column_loop`` is the single-column solve that
@@ -68,7 +70,12 @@ from influxrank.features import (
     InstanceSet,
     equal_row_groups,
 )
-from influxrank.logistic import LogisticModel, _stratified_folds, train
+from influxrank.logistic import (
+    LogisticModel,
+    _stratified_folds,
+    response_probability,
+    train,
+)
 from influxrank.model import SECONDS_PER_DAY, TWEET_KINDS, Dataset, Tweet, ValidationError
 from influxrank.ranking import (
     RankVector,
@@ -556,6 +563,18 @@ def stratified_folds_loop(y: np.ndarray, folds: int, seed: int, keys: list) -> n
         members = members[rng.permutation(len(members))]
         assignment[members] = np.arange(len(members)) % folds
     return assignment
+
+
+def log_loss_gradient(
+    w0: float, w: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Analytic gradient of the mean log loss wrt (w0, w), one row of x per
+    instance. With p = sigmoid(-(w0 + w.x)), dL/dz = y - p for z = w0 + w.x.
+    """
+    x = np.atleast_2d(x)
+    p = response_probability(w0, w, x)
+    err = np.asarray(y, float) - p
+    return float(err.mean()), (err @ x) / len(x)
 
 
 def cross_validate_per_row(x: np.ndarray, y: np.ndarray, folds: int = 5, seed: int = 0,

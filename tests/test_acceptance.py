@@ -23,7 +23,6 @@ from influxrank.logistic import (
     LogisticModel,
     cross_validate,
     log_loss,
-    log_loss_gradient,
     train,
 )
 from influxrank.model import Dataset, FollowGraph, Tweet, UserRecord
@@ -45,7 +44,13 @@ from influxrank.synth import (
 )
 from influxrank.temporal import ksc_cluster, response_metrics, select_k
 
-from oracles import dense, loglog_slope, planted_instances, response_records
+from oracles import (
+    dense,
+    log_loss_gradient,
+    loglog_slope,
+    planted_instances,
+    response_records,
+)
 
 
 @pytest.fixture

@@ -213,6 +213,15 @@ def test_cached_load_equals_parse_and_columns_match_oracles(raw, window, min_twe
                 assert line == json.dumps(json.loads(line), sort_keys=True)
 
 
+def test_synth_table_is_as_constructed_and_as_parsed(small_synth, tmp_path):
+    """synth builds its tweet table from index columns: it equals the table
+    built from its records, and the parse of its own files."""
+    dataset, _ = small_synth
+    assert_as_constructed(dataset)
+    serialize(dataset, tmp_path)
+    assert_same_dataset(dataset, _parse(tmp_path, window=dataset.observation_window))
+
+
 def _user_record(uid: str) -> dict:
     return {"id": uid, "listed": 1, "favourites": 2, "verified": False, "topics": [0.25, 0.75]}
 

@@ -14,13 +14,12 @@ from influxrank.logistic import (
     grouped_counts,
     grouped_log_loss_gradient,
     log_loss,
-    log_loss_gradient,
     rank_features,
     response_probability,
     train,
 )
 
-from oracles import cross_validate_per_row, planted_instances
+from oracles import cross_validate_per_row, log_loss_gradient, planted_instances
 
 
 def repeated_rows(n_rows=15, n=400, seed=0):

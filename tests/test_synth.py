@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -12,6 +13,16 @@ from influxrank.synth import (
 )
 
 from oracles import is_response, planted_instances
+
+
+# sha256 of the files of small_synth's config, as truth_report and serialize
+# write them
+SMALL_SYNTH_SHA256 = {
+    "users.jsonl": "0ab3014f5198c26372b54cb14c74020fccd1581ae7454c2a99656ddc7dd4ac7c",
+    "edges.jsonl": "286d11f70874e63b8d2637142d3a1e9cdac45c7bb6b28cc8356039d2c853f969",
+    "tweets.jsonl": "6d83b5a75b994af5e950b769ea88f872fe53462dafcbc08372b1f768aea07cae",
+    "truth.csv": "a8662e90c0bdfef082ad8d732feadc060ef4e899914273f70ec0f8e4e533c774",
+}
 
 
 class TestConfigValidation:
@@ -37,7 +48,7 @@ class TestGenerate:
         dataset, truth = generate(GeneratorConfig(n_users=0))
         assert dataset.n_users == 0
         assert len(dataset.tweets) == 0
-        assert truth.instance_keys == []
+        assert len(truth.instance_probs) == 0
         assert truth.expected_positives == 0.0
 
     def test_deterministic_given_seed(self, tmp_path):
@@ -157,6 +168,16 @@ class TestPlantedInstances:
     def test_label_rate_tracks_probabilities(self):
         _, y, p, _ = planted_instances(20000, seed=4)
         assert y.mean() == pytest.approx(p.mean(), abs=0.02)
+
+
+def test_small_synth_bytes_are_pinned(tmp_path, small_synth):
+    """A change to how synth builds its output must not move a byte of it."""
+    dataset, truth = small_synth
+    serialize(dataset, tmp_path)
+    truth_report(truth, tmp_path / "truth.csv")
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in SMALL_SYNTH_SHA256}
+    assert got == SMALL_SYNTH_SHA256
 
 
 def test_truth_report_contents(tmp_path, small_synth):
