@@ -341,20 +341,29 @@ def write_instances(session: ArtifactSession, instances: features.InstanceSet) -
     """Write instances.csv, with the bytes write_csv would give it, and
     instances.npz: the columns that parsing that CSV gives, and its sha256.
 
-    Each distinct value is formatted once and each feature row joined once;
-    user ids are encoded once, and tweet ids once per block of rows.
+    Each distinct value of a column is formatted once, one column at a time,
+    and each feature row joined once, a block of rows at a time; user ids
+    are encoded once, and tweet ids once per block of rows.
     """
     rows = np.ascontiguousarray(instances.rows, dtype=float)
-    # values are told apart by their bits, as rows are
-    bits, value_of = np.unique(rows.view(np.int64).ravel(), return_inverse=True)
-    value_of = value_of.reshape(rows.shape)
-    text = [FLOAT_FMT.format(v) for v in bits.view(float).tolist()]
+    # each value's index among its column's distinct values, told apart by
+    # their bits as rows are, and those values as text
+    value_of = np.empty(rows.shape, dtype=np.int32)
+    texts = []
     # the rows as parsing the CSV gives them back
-    parsed_rows = np.array([float(t) for t in text], dtype=float)[value_of]
-    fragments = [",".join(row) for row in np.array(text, dtype=object)[value_of].tolist()]
-    del bits, value_of, text
+    parsed_rows = np.empty_like(rows)
+    for j, column in enumerate(rows.T):
+        bits, value_of[:, j] = np.unique(column.view(np.int64), return_inverse=True)
+        text = [FLOAT_FMT.format(v) for v in bits.view(float).tolist()]
+        parsed_rows[:, j] = np.array([float(t) for t in text], dtype=float)[value_of[:, j]]
+        texts.append(np.array(text, dtype=object))
+    fragments = []
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        block = value_of[lo : lo + _BLOCK_ROWS].T
+        fragments += map(",".join, zip(*[t[v].tolist() for t, v in zip(texts, block)]))
+    del value_of, texts
     users = _csv_fields(instances.user_ids.tolist())
-    labels = instances.labels.astype(np.int64)
+    labels = instances.labels
 
     csv_path = session.path("instances.csv")
     with csv_path.open("w", newline="") as fh:
@@ -379,7 +388,7 @@ def write_instances(session: ArtifactSession, instances: features.InstanceSet) -
         keys=instances.keys,
         feature_rows=parsed_rows,
         feature_row_of=instances.row_of,
-        labels=labels,
+        labels=labels.astype(np.int64),
         tweet_ids=instances.tweet_ids,
         user_ids=instances.user_ids,
     )
@@ -388,9 +397,10 @@ def write_instances(session: ArtifactSession, instances: features.InstanceSet) -
 def _instance_set(keys, x, row_of, labels, tweet_ids, user_ids) -> features.InstanceSet:
     """The InstanceSet of parsed or cached columns, where instance i has the
     features x[row_of[i]]: checked for shape and for key and row indices in
-    range, with int32 keys (an older npz holds int64 ones), and with x
-    grouped by bits. The same instances so give the same rows, in the same
-    order, whether they were parsed or cached."""
+    range and for labels that are 0 or 1, with int32 keys (an older npz
+    holds int64 ones) and int8 labels, and with the rows of x grouped by
+    their bits. The same instances so give the same rows, in the same order,
+    whether they were parsed or cached."""
     n = len(labels)
     if (keys.shape != (n, 4) or x.ndim != 2 or x.shape[1] != len(features.FEATURE_NAMES)
             or row_of.shape != (n,)):
@@ -404,17 +414,19 @@ def _instance_set(keys, x, row_of, labels, tweet_ids, user_ids) -> features.Inst
     if not np.issubdtype(keys.dtype, np.integer) or (
             n and ((keys.min(axis=0) < 0) | (keys.max(axis=0) >= sizes)).any()):
         raise ValueError("instance keys do not index the id tables and hours")
-    first, group = features.equal_row_groups(x)
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError("instance labels are not 0 or 1")
+    first, group = features.equal_row_groups(len(x), x.__getitem__)
     return features.InstanceSet(keys=keys.astype(np.int32, copy=False), rows=x[first],
-                                row_of=group[row_of], labels=labels, tweet_ids=tweet_ids,
-                                user_ids=user_ids)
+                                row_of=group[row_of], labels=labels.astype(np.int8, copy=False),
+                                tweet_ids=tweet_ids, user_ids=user_ids)
 
 
 def _parse_instances_csv(path: Path) -> features.InstanceSet:
     """The instances of an instance CSV, checked line by line."""
     source, width, n_feat = path.name, len(INSTANCE_HEADER), len(features.FEATURE_NAMES)
     tweet, follower, friend = [], [], []
-    hours, labels = array("q"), array("q")
+    hours, labels = array("q"), array("b")
     # packed doubles, not one float object per value
     values = array("d")
     with path.open(newline="") as fh:
@@ -445,7 +457,7 @@ def _parse_instances_csv(path: Path) -> features.InstanceSet:
                          np.frombuffer(hours, dtype=np.int64)]),
         np.frombuffer(values, dtype=float).reshape(n, n_feat),
         np.arange(n),
-        np.frombuffer(labels, dtype=np.int64).astype(int),
+        np.frombuffer(labels, dtype=np.int8),
         tweet_ids,
         user_ids,
     )

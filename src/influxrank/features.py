@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -145,48 +145,59 @@ class FeatureContext:
 
 # odd 64-bit multiplier (2^64 / golden ratio) of the row hash
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-# rows compared per pass: bounds the row copies held at once
+# rows hashed or compared per pass: bounds the feature rows held at once
 _BLOCK_ROWS = 1 << 12
 
 
-def _group_starts(bits: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Whether each row of ``bits[order]`` differs from the row before it
-    (the first always does)."""
+def _row_bits(rows_of: Callable[[np.ndarray], np.ndarray], index: np.ndarray) -> np.ndarray:
+    """The bits of rows ``rows_of(index)``, one uint64 per value."""
+    return np.ascontiguousarray(rows_of(index), dtype=float).view(np.uint64)
+
+
+def _group_starts(rows_of: Callable[[np.ndarray], np.ndarray], order: np.ndarray) -> np.ndarray:
+    """Whether each row of ``rows_of(order)`` differs in its bits from the
+    row before it (the first always does), a block of rows at a time."""
     starts = np.ones(len(order), dtype=bool)
     for lo in range(1, len(order), _BLOCK_ROWS):
-        rows = order[lo : lo + _BLOCK_ROWS]
-        before = order[lo - 1 : lo - 1 + len(rows)]
-        starts[lo : lo + len(rows)] = (bits[rows] != bits[before]).any(axis=1)
+        bits = _row_bits(rows_of, order[lo - 1 : lo + _BLOCK_ROWS])
+        starts[lo : lo + len(bits) - 1] = (bits[1:] != bits[:-1]).any(axis=1)
     return starts
 
 
-def equal_row_groups(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, group): a row of each group and the group of each row of the
-    float matrix x, where a group holds the rows with equal bits; -0.0 and
-    each NaN keep their own.
+def equal_row_groups(
+    n: int, rows_of: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(first, group): a row of each group and the (int32) group of each
+    row, of the n float rows that ``rows_of(index)`` gives for an index
+    array, where a group holds the rows with equal bits; -0.0 and each NaN
+    keep their own. ``first`` holds each group's lowest row.
 
     Groups are numbered in the order of a hash of their bits and then of
     the bits themselves, so the numbering depends only on which rows occur:
-    any matrix that holds the same distinct rows gives the same rows
-    ``x[first]`` in the same order. Rows are sorted by the hash alone unless
-    two unequal rows share one. Unlike np.unique over the rows, this makes
-    no sorted copy of the matrix.
+    any n rows that hold the same distinct rows give the same rows
+    ``rows_of(first)`` in the same order. The rows are asked for
+    ``_BLOCK_ROWS`` at a time, once to hash them and once, in hash order, to
+    compare neighbours, so no (n, 12) matrix is built unless two unequal
+    rows share a hash: then all n rows are sorted by their bits as well.
     """
-    bits = np.ascontiguousarray(x, dtype=float).view(np.uint64)
-    h = np.zeros(len(bits), dtype=np.uint64)
-    for column in bits.T:
-        h ^= column
-        h *= _HASH_MULTIPLIER
-        h ^= h >> np.uint64(29)
+    h = np.zeros(n, dtype=np.uint64)
+    for lo in range(0, n, _BLOCK_ROWS):
+        part = h[lo : lo + _BLOCK_ROWS]
+        for column in _row_bits(rows_of, np.arange(lo, lo + len(part))).T:
+            part ^= column
+            part *= _HASH_MULTIPLIER
+            part ^= part >> np.uint64(29)
     order = np.argsort(h, kind="stable")
-    starts = _group_starts(bits, order)
+    starts = _group_starts(rows_of, order)
     if (starts[1:] & (h[order[1:]] == h[order[:-1]])).any():
         # unequal rows share a hash: sort by the bits as well, so that equal
         # rows are neighbours and the groups come in (hash, bits) order
-        order = np.lexsort(np.vstack([bits.T[::-1], h]))
-        starts = _group_starts(bits, order)
-    group = np.empty(len(bits), dtype=np.int32)
-    group[order] = np.cumsum(starts) - 1
+        x = np.ascontiguousarray(rows_of(np.arange(n)), dtype=float)
+        order = np.lexsort(np.vstack([x.view(np.uint64).T[::-1], h]))
+        starts = _group_starts(x.__getitem__, order)
+    group = np.empty(n, dtype=np.int32)
+    group[order] = np.cumsum(starts, dtype=np.int32)
+    group -= 1
     return order[starts], group
 
 
@@ -208,7 +219,7 @@ class InstanceSet:
     keys: np.ndarray  # (n, 4) int32: (tweet, follower, friend, hour)
     rows: np.ndarray  # (R, 12), raw or normalized
     row_of: np.ndarray  # (n,) int32: index into rows
-    labels: np.ndarray  # (n,) in {0, 1}
+    labels: np.ndarray  # (n,) int8 in {0, 1}
     tweet_ids: np.ndarray  # str, sorted
     user_ids: np.ndarray  # str, sorted
 
@@ -257,7 +268,9 @@ def build_instances(
     (tweet_id, follower).
 
     The tweets are walked in id order, a block at a time, and each block's
-    keys, labels and (edge, hour) codes go into arrays sized up front.
+    keys, labels and (edge, hour) codes go into arrays sized up front. The
+    feature rows of the distinct codes are never all held at once: they are
+    grouped a block at a time, and only each group's first is kept.
     """
     if ctx is None:
         ctx = FeatureContext(dataset)
@@ -281,8 +294,8 @@ def build_instances(
 
     size = int(end[-1]) if len(end) else 0
     keys = np.empty((size, 4), dtype=np.int32)
-    labels = np.empty(size, dtype=int)
-    edge_hour = np.empty(size, dtype=np.int64)
+    labels = np.empty(size, dtype=np.int8)
+    edge_hour = np.empty(size, dtype=np.int32)
     for lo in range(0, len(id_order), _INSTANCE_TWEETS):
         hi = min(lo + _INSTANCE_TWEETS, len(id_order))
         at = slice(int(end[lo] - per_tweet[lo]), int(end[hi - 1]))
@@ -295,16 +308,25 @@ def build_instances(
         keys[at, 2] = user_code[friends]
         keys[at, 3] = hours
         edge_hour[at] = edges * 24 + hours
-    # features once per distinct (edge, hour), then grouped by their bits
+    del per_tweet, end, tweet_code, user_code, responded
+    # features of each distinct (edge, hour), computed a block at a time to
+    # group them by their bits, and kept only for each group's first
     codes, code = _used_codes(len(ctx.edge_src) * 24, edge_hour)
-    x = ctx.edge_features(codes // 24, codes % 24)
-    first, group = equal_row_groups(x)
-    rows = x[first]
-    del x
+
+    def rows_of(index: np.ndarray) -> np.ndarray:
+        return ctx.edge_features(*np.divmod(codes[index], 24))
+
+    first, group = equal_row_groups(len(codes), rows_of)
+    # each instance's row, written over its (edge, hour)
+    row_of = edge_hour
+    for lo in range(0, size, _BLOCK_ROWS):
+        part = row_of[lo : lo + _BLOCK_ROWS]
+        part[:] = group[code[part]]
+    del code, group
     return InstanceSet(
         keys=keys,
-        rows=rows,
-        row_of=group[code[edge_hour]],
+        rows=rows_of(first),
+        row_of=row_of,
         labels=labels,
         tweet_ids=dataset.tweets.tweet_id[id_order[used_tweets]],
         user_ids=dataset.user_ids[used_users],
@@ -323,12 +345,14 @@ def _in_sorted(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 def _used_codes(size: int, *values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(used, code): the distinct ints in ``values``, each in [0, size),
-    in order, and for each int in [0, size) its index among them. As
+    in order, and for each int in [0, size) its (int32) index among them. As
     np.unique with return_inverse, by a mask instead of a sort."""
     mask = np.zeros(size, dtype=bool)
     for v in values:
         mask[v] = True
-    return np.flatnonzero(mask), np.cumsum(mask) - 1
+    code = np.cumsum(mask, dtype=np.int32)
+    code -= 1
+    return np.flatnonzero(mask), code
 
 
 @dataclass
@@ -393,6 +417,6 @@ def balance_and_normalize(
     scaler = MinMaxScaler(mins=x.min(axis=0), maxs=x.max(axis=0))
     return (
         replace(instances, keys=instances.keys[keep], rows=scaler.transform(x),
-                row_of=code[kept_rows].astype(np.int32), labels=instances.labels[keep]),
+                row_of=code[kept_rows], labels=instances.labels[keep]),
         scaler,
     )

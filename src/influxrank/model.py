@@ -211,8 +211,20 @@ class TweetTable(Sequence):
         col["to_tweet"], unknown_tweets = _reindex(
             col["to_tweet"], col["has_to_tweet"], new_row, self.tweet_id, self.unknown_tweets
         )
-        return TweetTable(**col, users=self.users[keep], other_users=other_users,
-                          unknown_tweets=unknown_tweets)
+        table = TweetTable(**col, users=self.users[keep], other_users=other_users,
+                           unknown_tweets=unknown_tweets)
+        if "id_order" in self.__dict__:
+            # the taken rows, in the id order of this table
+            moved = new_row[self.id_order]
+            table.__dict__["id_order"] = moved[moved >= 0]
+        return table
+
+    @cached_property
+    def id_order(self) -> np.ndarray:
+        """The rows in tweet-id order. A table that a builder made, or that
+        take made from a table that had it, holds it from the start; any
+        other sorts its ids on first use."""
+        return np.argsort(self.tweet_id, kind="stable")
 
     def records(self, rows=slice(None)) -> list[Tweet]:
         """The Tweet records of rows (a slice or an index array)."""
@@ -344,11 +356,14 @@ class _TableBuilder:
             np.arange(len(self.users), dtype=np.int32), self.users,
             np.array(list(self.others), dtype=str),
         )
-        return TweetTable(
+        table = TweetTable(
             tweet_id=ids, author=names[:n], kind=kind, ts=ts, to_user=names[n:],
             has_to_user=has_to_user, to_tweet=to_tweet, has_to_tweet=has_to_tweet,
             users=self.users, other_users=other_users, unknown_tweets=unknown_tweets,
         )
+        # the ids were sorted above: id_order need not sort them again
+        table.__dict__["id_order"] = order
+        return table
 
 
 class FollowGraph:
@@ -424,7 +439,8 @@ class Dataset:
     order. It is held as a TweetTable sorted by (timestamp, tweet_id) and
     indexed against ``user_ids``, the sorted user ids, so its ``author``,
     ``to_user`` and ``to_tweet`` columns hold the rows the package reads.
-    ``id_order`` lists the rows in tweet-id order (built on first use).
+    ``id_order`` lists the rows in tweet-id order: the order in which the
+    table's builder sorted the ids, or one sort on first use.
     Tweet ids are unique (``TweetTable.from_rows`` checks), and every author
     must be a user. The graph's vertices must be exactly the users, so its
     ``src``/``dst`` index ``user_ids`` too.
@@ -462,10 +478,10 @@ class Dataset:
         self.dropped_tweets = dropped_tweets
         self.user_ids = tweets.users
 
-    @cached_property
+    @property
     def id_order(self) -> np.ndarray:
-        """The tweet rows in tweet-id order."""
-        return np.argsort(self.tweets.tweet_id, kind="stable")
+        """The tweet rows in tweet-id order: ``tweets.id_order``."""
+        return self.tweets.id_order
 
     @cached_property
     def author_groups(self) -> tuple[np.ndarray, np.ndarray]:

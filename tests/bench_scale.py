@@ -5,7 +5,8 @@ synth --users 20000 --seed 3`` and ``influxrank ingest`` write it.
 asserts the memory gates of the row-blocked stages: a process peak
 (``ru_maxrss``) under 1.5 GB, which a whole n×n distance matrix would exceed
 more than twice over (3.2 GB), and a traced ``build_instances`` peak under
-400 MB.
+215 MB. On a 2-core machine that peak was 194-198 MB, against 285-289 MB
+while ``build_instances`` grouped one whole (codes × 12) feature matrix.
 
 One ``FeatureContext`` build, as each stage makes one after its load, is
 timed untraced, and its peak is traced in a second build on a fresh load. On
@@ -33,6 +34,15 @@ process peak of 393-400 MB (342 MB after loading the dataset and building
 its ``FeatureContext``); factoring each matrix in scipy's default COLAMD
 order took 25.9-26.1 s and peaked at 460 MB. It asserts a wall time under 10 s and a peak under
 430 MB. The figures are printed.
+
+The ``features`` stage runs on the 20k set (``--seed 3``) in a process of
+its own, which reads its own high-water mark (``VmHWM``), and its
+``instances.csv``, ``instances.npz`` and ``scaler.json`` must equal the
+digests recorded here, which the stage wrote while it grouped one whole
+(codes × 12) feature matrix and formatted through an (R × 12) object array.
+In three runs on a 2-core machine it took 8.7-9.1 s with a peak of
+385-386 MB (9.8-11.4 s and 466-471 MB with the whole matrix). It asserts a
+stage under 14 s and 420 MB.
 
 ``synth`` runs in a process of its own, which reads its own high-water mark
 (``VmHWM``), and its four files must equal the digests recorded here, which
@@ -63,12 +73,12 @@ import pytest
 
 from influxrank.cli import stage_seed
 from influxrank.features import FeatureContext, build_instances
-from influxrank.model import load_dataset
+from influxrank.model import load_dataset, sha256_file
 from influxrank.temporal import all_profiles, select_k
 
 USERS = 20_000
 PROCESS_PEAK_MB = 1_500
-BUILD_INSTANCES_PEAK_MB = 400
+BUILD_INSTANCES_PEAK_MB = 215
 RUN_SCENARIOS_WALL_S = 10
 CONTEXT_WALL_S = 0.5
 CONTEXT_PEAK_MB = 45
@@ -79,6 +89,15 @@ CACHED_LOAD_WALL_S = 0.8
 TWEET_ARRAYS_MB = 95
 SYNTH_WALL_S = 12
 SYNTH_PEAK_MB = 960
+FEATURES_WALL_S = 14
+FEATURES_PEAK_MB = 420
+# sha256 of the features files, as the stage wrote them when it grouped the
+# whole feature matrix
+FEATURES_SHA256 = {
+    "instances.csv": "25d2846a573e5feab8e6979add264c1ec53317173a1343b89e8d1d9384b093f9",
+    "instances.npz": "0fa69b8aa9be4066a3dbeb17a0adf940ef66bff49c8bde174487192e980f3f6d",
+    "scaler.json": "e62cc3a21f38fa68304596eaf8eaccb50ee41782b7e325fbfdce8cba42c5dea2",
+}
 # sha256 of the synth files, as synth wrote them when it built its tweet
 # table from id strings
 SYNTH_SHA256 = {
@@ -228,6 +247,15 @@ def test_ingest_and_cached_load_at_20k(data, tmp_path):
     assert got["peak_mb"] < INGEST_PEAK_MB
     assert load_s < CACHED_LOAD_WALL_S
     assert tweets_mb < TWEET_ARRAYS_MB
+
+
+def test_features_at_20k(data, tmp_path):
+    got = _stage("features", "--in", data, "--out", tmp_path, "--seed", 3)
+    digests = {name: sha256_file(tmp_path / name) for name in FEATURES_SHA256}
+    print(f"\nfeatures: {got['wall_s']:.1f} s, peak {got['peak_mb']:.0f} MB")
+    assert digests == FEATURES_SHA256
+    assert got["wall_s"] < FEATURES_WALL_S
+    assert got["peak_mb"] < FEATURES_PEAK_MB
 
 
 def test_run_scenarios_at_20k(data):

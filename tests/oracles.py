@@ -17,8 +17,9 @@ silhouette over a whole distance matrix.
 forms that the row-blocked ``temporal._shape_distance_rows`` and
 ``temporal._silhouettes`` replaced. ``write_instances_loop`` is the
 value-at-a-time ``instances.csv`` writer that ``cli.write_instances``
-replaced, and ``stratified_folds_loop`` the id-tuple sort that the integer
-keys of ``logistic._stratified_folds`` replaced. ``ksc_distance`` is the K-SC
+replaced, ``equal_row_groups_whole`` the grouping of a whole feature
+matrix that the row-blocked ``features.equal_row_groups`` replaced, and
+``stratified_folds_loop`` the id-tuple sort that the integer keys of ``logistic._stratified_folds`` replaced. ``ksc_distance`` is the K-SC
 shape distance of one pair, from its definition. ``dense`` and
 ``planted_instances`` serve only tests, and so do ``is_response``,
 ``positive_count``, ``positive_rate`` and ``loglog_slope`` (the degree-law
@@ -63,13 +64,8 @@ from influxrank.evaluation import (
     _sub_seed,
     build_link_sets,
 )
-from influxrank.features import (
-    FEATURE_NAMES,
-    RE_INDEX,
-    FeatureContext,
-    InstanceSet,
-    equal_row_groups,
-)
+from influxrank import features as feature_module
+from influxrank.features import FEATURE_NAMES, RE_INDEX, FeatureContext, InstanceSet
 from influxrank.logistic import (
     LogisticModel,
     _stratified_folds,
@@ -510,12 +506,32 @@ def build_instances_loop(dataset: Dataset, ctx: FeatureContext) -> InstanceSet:
     )
 
 
+def equal_row_groups_whole(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``features.equal_row_groups`` over the rows of the matrix x, hashed
+    and compared as one whole (n, 12) matrix of bits."""
+    bits = np.ascontiguousarray(x, dtype=float).view(np.uint64)
+    h = np.zeros(len(bits), dtype=np.uint64)
+    for column in bits.T:
+        h ^= column
+        h *= feature_module._HASH_MULTIPLIER
+        h ^= h >> np.uint64(29)
+    order = np.argsort(h, kind="stable")
+    starts = np.ones(len(bits), dtype=bool)
+    starts[1:] = (bits[order[1:]] != bits[order[:-1]]).any(axis=1)
+    if (starts[1:] & (h[order[1:]] == h[order[:-1]])).any():
+        order = np.lexsort(np.vstack([bits.T[::-1], h]))
+        starts[1:] = (bits[order[1:]] != bits[order[:-1]]).any(axis=1)
+    group = np.empty(len(bits), dtype=np.int32)
+    group[order] = np.cumsum(starts) - 1
+    return order[starts], group
+
+
 def instance_set_of_ids(id_keys: list[tuple], features: np.ndarray,
                         labels: np.ndarray) -> InstanceSet:
     """The InstanceSet of (tweet_id, follower, friend, hour) tuples, with its
     id tables built by sorting the distinct ids and its feature rows grouped
-    by their bits."""
-    first, row_of = equal_row_groups(features)
+    by their bits (``equal_row_groups_whole``)."""
+    first, row_of = equal_row_groups_whole(features)
     tweet_ids = sorted({k[0] for k in id_keys})
     user_ids = sorted({k[1] for k in id_keys} | {k[2] for k in id_keys})
     tweet_at = {t: i for i, t in enumerate(tweet_ids)}

@@ -391,6 +391,39 @@ def test_each_load_constructs_once_and_maps_authors_once(tmp_path, small_synth, 
     assert_same_dataset(cached, _parse(tmp_path))
 
 
+def test_tweet_ids_are_sorted_once_per_load(tmp_path, small_synth, monkeypatch):
+    """A parse keeps the order in which its builder sorted the tweet ids
+    through the window and --min-tweets filter and the (ts, id) sort, so
+    id_order sorts nothing; a cached load sorts them once, for id_order."""
+    dataset, _ = small_synth
+    serialize(dataset, tmp_path / "data")
+    write_cache(dataset, tmp_path / "data")
+    shuffled = tmp_path / "shuffled"
+    shuffled.mkdir()
+    for name in ("users.jsonl", "edges.jsonl"):
+        (shuffled / name).write_bytes((tmp_path / "data" / name).read_bytes())
+    lines = (tmp_path / "data" / "tweets.jsonl").read_text().splitlines(keepends=True)
+    (shuffled / "tweets.jsonl").write_text("".join(lines[::-1]))
+    start, end = dataset.observation_window
+    window = (start + (end - start) // 4, end - (end - start) // 4)
+    argsort, sorts = np.argsort, []
+
+    def counted(a, *args, **kwargs):
+        if np.asarray(a).dtype.kind == "U":
+            sorts.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    for load in (lambda: _parse(tmp_path / "data"),
+                 lambda: _parse(tmp_path / "data", window=window, min_tweets=5),
+                 lambda: _parse(shuffled),
+                 lambda: load_dataset(tmp_path / "data")):
+        sorts.clear()
+        loaded = load()
+        assert np.array_equal(loaded.id_order, argsort(loaded.tweets.tweet_id, kind="stable"))
+        assert len(sorts) == 1
+
+
 def test_edited_jsonl_falls_back_to_parse(tmp_path, small_synth):
     dataset, _ = small_synth
     serialize(dataset, tmp_path)

@@ -10,6 +10,7 @@ and writing in blocks of any size must change no instance and no byte.
 """
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from influxrank.model import Tweet
 from conftest import make_dataset, make_user
 from oracles import (
     build_instances_loop,
+    equal_row_groups_whole,
     instance_id_keys,
     instance_set_of_ids,
     stratified_folds_loop,
@@ -131,6 +133,10 @@ def test_repeated_and_special_rows_match_oracle(instances):
         check_hand_off(instances, Path(tmp))
 
 
+def _groups(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return equal_row_groups(len(x), x.__getitem__)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(0, 30))
 def test_grouped_rows_give_back_every_instance_row(data, n):
@@ -141,14 +147,41 @@ def test_grouped_rows_give_back_every_instance_row(data, n):
     for multiplier in (features._HASH_MULTIPLIER, np.uint64(0)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(features, "_HASH_MULTIPLIER", multiplier)
-            first, group = equal_row_groups(x)
+            first, group = _groups(x)
             rows = x[first]
             # bit for bit, -0.0 and NaN included, and each distinct row once
             assert rows[group].tobytes() == x.tobytes()
             assert len({r.tobytes() for r in rows}) == len(rows)
             # the same distinct rows in another order and number group alike
-            assert rows.tobytes() == again[equal_row_groups(again)[0]].tobytes()
-            assert rows.tobytes() == rows[equal_row_groups(rows)[0]].tobytes()
+            assert rows.tobytes() == again[_groups(again)[0]].tobytes()
+            assert rows.tobytes() == rows[_groups(rows)[0]].tobytes()
+
+
+# a zero multiplier hashes every row alike, so that unequal rows collide
+@pytest.mark.parametrize("multiplier", [features._HASH_MULTIPLIER, np.uint64(0)])
+@pytest.mark.parametrize("block", [1, 3, features._BLOCK_ROWS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(0, 40))
+def test_blocked_grouping_equals_whole_matrix_grouping(multiplier, block, data, n):
+    x = data.draw(feature_matrices(n))
+    asked = []
+
+    def rows_of(index):
+        asked.append(len(index))
+        return x[index]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(features, "_HASH_MULTIPLIER", multiplier)
+        mp.setattr(features, "_BLOCK_ROWS", block)
+        first, group = equal_row_groups(n, rows_of)
+        want_first, want_group = equal_row_groups_whole(x)
+    assert np.array_equal(first, want_first)
+    assert np.array_equal(group, want_group)
+    assert group.dtype == want_group.dtype == np.int32
+    # a block and the row before it, unless unequal rows share a hash and
+    # every row is sorted by its bits
+    if multiplier or len({r.tobytes() for r in x}) < 2:
+        assert max(asked, default=0) <= block + 1
 
 
 @pytest.mark.parametrize("multiplier", [features._HASH_MULTIPLIER, np.uint64(0)])
@@ -179,9 +212,10 @@ def _written(instances, out: Path) -> tuple[bytes, bytes]:
     return (out / "instances.csv").read_bytes(), (out / "instances.npz").read_bytes()
 
 
-# (tweets per build_instances block, rows per write_instances block): one,
-# two, and sizes that leave a short last block (the 60-user synthetic set
-# has 3,267 tweets and 4,388 instances)
+# (tweets per build_instances block, rows per equal_row_groups and
+# write_instances block): one, two, and sizes that leave a short last block
+# (the 60-user synthetic set has 3,267 tweets, 4,388 instances and 668
+# distinct rows)
 BLOCKS = [(1, 1), (2, 2), (4, 5), (97, 1000)]
 
 
@@ -194,9 +228,12 @@ def test_blocks_of_datasets_change_nothing(tweets, rows, dataset):
         want = _written(whole, Path(tmp) / "whole")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(features, "_INSTANCE_TWEETS", tweets)
+            mp.setattr(features, "_BLOCK_ROWS", rows)
             mp.setattr(cli, "_BLOCK_ROWS", rows)
             blocked = build_instances(dataset)
             assert _written(blocked, Path(tmp) / "blocked") == want
+            write_instances_loop(Path(tmp) / "oracle.csv", blocked)
+            assert (Path(tmp) / "oracle.csv").read_bytes() == want[0]
     assert_same_instances(blocked, whole)
     assert_same_instances(blocked, build_instances_loop(dataset, FeatureContext(dataset)))
 
@@ -207,10 +244,48 @@ def test_blocks_of_synthetic_set_change_nothing(tmp_path, monkeypatch, small_syn
     whole = build_instances(dataset)
     want = _written(whole, tmp_path / "whole")
     monkeypatch.setattr(features, "_INSTANCE_TWEETS", tweets)
+    monkeypatch.setattr(features, "_BLOCK_ROWS", rows)
     monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
     blocked = build_instances(dataset)
     assert_same_instances(blocked, whole)
+    assert_same_instances(blocked, build_instances_loop(dataset, FeatureContext(dataset)))
     assert _written(blocked, tmp_path / "blocked") == want
+    write_instances_loop(tmp_path / "oracle.csv", blocked)
+    assert (tmp_path / "oracle.csv").read_bytes() == want[0]
+
+
+def test_built_parsed_and_cached_sets_share_one_label_dtype(tmp_path, small_synth):
+    dataset, _ = small_synth
+    built = build_instances(dataset)
+    path = check_hand_off(built, tmp_path)
+    sets = (built, cli._parse_instances_csv(path), cli._read_instances_npz(path))
+    assert [s.labels.dtype for s in sets] == [np.dtype(np.int8)] * 3
+
+
+# traced peaks (bytes) over the 60-user synthetic set, measured with numpy
+# 2.4 on Python 3.11: 521,938 for build_instances and 2,292,237 with
+# write_instances after it, where grouping the whole (codes x 12) matrix
+# and formatting through an (R x 12) object array took 707,420 and
+# 2,355,096; the write's peak is its last block of CSV text
+BUILD_PEAK_BYTES = 600_000
+BUILD_AND_WRITE_PEAK_BYTES = 2_320_000
+
+
+def test_build_and_write_hold_no_whole_matrix_copies(tmp_path, small_synth):
+    dataset, _ = small_synth
+    ctx = FeatureContext(dataset)
+    # a first call fills the caches that each stage fills once
+    cli.write_instances(cli.ArtifactSession(tmp_path / "warm"), build_instances(dataset, ctx))
+    tracemalloc.start()
+    try:
+        instances = build_instances(dataset, ctx)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        cli.write_instances(cli.ArtifactSession(tmp_path / "traced"), instances)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert build_peak < BUILD_PEAK_BYTES
+    assert peak < BUILD_AND_WRITE_PEAK_BYTES
 
 
 def _rewrite_npz(npz: Path, name: str, edit) -> None:
@@ -223,7 +298,8 @@ def _rewrite_npz(npz: Path, name: str, edit) -> None:
 
 
 @pytest.mark.parametrize("damage", ["edit_csv", "truncate", "garbage", "missing",
-                                    "negative_row", "float_row_of", "short_rows"])
+                                    "negative_row", "float_row_of", "short_rows",
+                                    "wide_label"])
 def test_load_falls_back_to_parse(tmp_path, small_synth, damage):
     dataset, _ = small_synth
     path = check_hand_off(build_instances(dataset), tmp_path)
@@ -244,6 +320,9 @@ def test_load_falls_back_to_parse(tmp_path, small_synth, damage):
         _rewrite_npz(npz, "feature_row_of", lambda r: r.astype(float))
     elif damage == "short_rows":
         _rewrite_npz(npz, "feature_rows", lambda r: r[:, :-1])
+    elif damage == "wide_label":
+        # int8 labels would wrap 257 round to 1 without an error
+        _rewrite_npz(npz, "labels", lambda y: np.where(y == 1, 257, y))
     else:
         npz.unlink()
     assert cli._read_instances_npz(path) is None
