@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
@@ -55,6 +56,13 @@ class FeatureContext:
     ``user_ids`` and ``index`` are the graph's own ``FollowGraph.vertices``
     and ``index``, and the edge arrays ``edge_src`` and ``edge_dst`` its
     ``src`` and ``dst``, one row per edge in ``graph.edges()`` order.
+
+    The context is read-only once built: callers must not write to its
+    arrays. It memoises what is derived from them: the static edge
+    features (``edge_static_features``) and, in ``walks``, the converged
+    hourly and topic walk vectors of ``ranking.tir_rank`` and
+    ``ranking.twitterrank`` (see ``ranking._stored_walks``), which all
+    share ``walk_ids``, the user ids as one tuple.
     """
 
     def __init__(self, dataset: Dataset):
@@ -99,6 +107,8 @@ class FeatureContext:
             authors[replied].astype(np.intp) * n + tweets.to_user[replied],
         )
         self._edge_static: Optional[np.ndarray] = None
+        self.walk_ids = tuple(self.user_ids)
+        self.walks: OrderedDict = OrderedDict()
 
     def edge_static_features(self) -> np.ndarray:
         """(n_edges, 12) matrix with the four hourly columns left at zero."""

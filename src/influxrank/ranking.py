@@ -272,7 +272,7 @@ def aggregate(
     user_ids = present[0][1].user_ids
     scores = np.zeros(len(user_ids))
     for wt, rv in present:
-        if rv.user_ids != user_ids:
+        if rv.user_ids is not user_ids and rv.user_ids != user_ids:
             raise ValueError("hourly rank vectors cover different user sets")
         scores += wt * rv.scores
     return RankVector(
@@ -301,6 +301,39 @@ def personal_weights(ctx: FeatureContext, users: Sequence[int]) -> np.ndarray:
     w = ctx.a_t[np.asarray(users, dtype=np.intp)]
     w[w.sum(axis=1) <= 0] = 1.0 / 24
     return w
+
+
+# walk keys that a FeatureContext keeps: more than the four (TIR at three
+# values of c, and TwitterRank) that ``compare`` or ``rank-2k`` ranks with
+_WALK_KEYS = 8
+
+
+def _stored_walks(ctx: FeatureContext, key: tuple) -> dict[int, RankVector]:
+    """The converged walk vectors that ``ctx`` keeps under ``key``, by hour
+    (TIR) or topic (TwitterRank): a dict that the caller adds the walks it
+    computes to.
+
+    ``ctx.walks`` holds the vectors of the ``_WALK_KEYS`` keys used last and
+    drops the least recently used key beyond them. A key holds at most 24
+    hourly vectors, or one per topic, of n floats each, so with at most 24
+    topics the store holds at most _WALK_KEYS * 24 * n * 8 bytes: 3 MB at
+    2,000 users, 31 MB at 20,000."""
+    store = ctx.walks
+    if key in store:
+        store.move_to_end(key)
+    else:
+        store[key] = {}
+        if len(store) > _WALK_KEYS:
+            store.popitem(last=False)
+    return store[key]
+
+
+def _model_key(model: LogisticModel) -> tuple[bytes, ...]:
+    """The bits of everything of ``model`` that TIR's edge weights read."""
+    arrays = [model.w0, model.w]
+    if model.scaler is not None:
+        arrays += [model.scaler.mins, model.scaler.maxs]
+    return tuple(np.asarray(a, dtype=float).tobytes() for a in arrays)
 
 
 def _query_row(dataset: Dataset, mode: str, user: Optional[str]) -> Optional[int]:
@@ -333,19 +366,30 @@ def tir_rank(
 
     The hour weights come first: the share of all tweets in each hour
     (global mode) or the user's own hourly activity (personal mode, uniform
-    for a user without tweets). Only the hours of positive weight get edge
-    weights, a matrix and an iteration; the others enter ``aggregate`` as
-    None. The scores equal the aggregation of all 24 hours bit for bit, but
-    an hour of weight 0 can no longer raise ConvergenceError, as it is never
-    iterated."""
+    for a user without tweets). Only the hours of positive weight are
+    aggregated; the others enter ``aggregate`` as None. The scores equal
+    the aggregation of all 24 hours bit for bit, but an hour of weight 0
+    can no longer raise ConvergenceError, as it is never iterated.
+
+    The hourly walks do not depend on the query, so ``ctx`` keeps them
+    (``_stored_walks``) under the model's contents, c, gamma, tol and
+    max_iters: only the hours of positive weight that no earlier call on
+    ``ctx`` iterated get edge weights, a matrix and an iteration. Each
+    hour's walk has the same bits whichever hours are computed with it, so
+    a stored walk gives the scores a cold call gives. An hour that raises
+    ConvergenceError is not stored."""
     check_params(gamma, tol, max_iters)
+    check_tir_model(model, c)
     row = _query_row(dataset, mode, user)
     if ctx is None:
         ctx = FeatureContext(dataset)
     w = activity_weights(ctx) if row is None else personal_weights(ctx, [row])[0]
-    hourly: list[Optional[RankVector]] = [None] * 24
-    for tm in hourly_matrices(dataset, model, np.flatnonzero(w > 0), c, gamma, ctx):
-        hourly[tm.hour] = power_iterate(tm, ctx.user_ids, tol=tol, max_iters=max_iters)
+    walks = _stored_walks(ctx, ("tir", _model_key(model), c, gamma, tol, max_iters))
+    missing = [int(t) for t in np.flatnonzero(w > 0) if t not in walks]
+    if missing:
+        for tm in hourly_matrices(dataset, model, missing, c, gamma, ctx):
+            walks[tm.hour] = power_iterate(tm, ctx.walk_ids, tol=tol, max_iters=max_iters)
+    hourly = [walks[t] if w[t] > 0 else None for t in range(24)]
     return aggregate(hourly, w, model="tir", params={"c": c, "gamma": gamma, "mode": mode})
 
 
@@ -428,8 +472,10 @@ def twitterrank_matrices(
     dataset: Dataset,
     gamma: float = DEFAULT_GAMMA,
     ctx: Optional[FeatureContext] = None,
+    topics: Optional[Sequence[int]] = None,
 ) -> list[TransitionMatrix]:
-    """One column-normalized, damped transition structure per topic.
+    """One column-normalized, damped transition structure per topic of
+    ``topics`` (all topics by default), in that order.
 
     Raw edge weight at topic t: friend's tweet share among the follower's
     friends times 1 - |topic_t(u) - topic_t(v)|.
@@ -438,11 +484,10 @@ def twitterrank_matrices(
     if ctx is None:
         ctx = FeatureContext(dataset)
     n = len(ctx.user_ids)
-    k = ctx.topics.shape[1]
     src, dst = ctx.edge_src, ctx.edge_dst
     ratio = ctx.edge_static_features()[:, PT_INDEX]
     out = []
-    for t in range(k):
+    for t in range(ctx.topics.shape[1]) if topics is None else topics:
         sim = 1.0 - np.abs(ctx.topics[src, t] - ctx.topics[dst, t])
         out.append(_assemble(src, dst, ratio * sim, n, t, gamma))
     return out
@@ -461,7 +506,10 @@ def twitterrank(
 
     Global mode weighs topics by the tweet-weighted mean of user topic
     distributions; personal mode uses the query user's own distribution.
-    As in ``tir_rank``, only the topics of positive share are iterated.
+    As in ``tir_rank``, only the topics of positive share are aggregated,
+    and ``ctx`` keeps the topic walks under gamma, tol and max_iters: only
+    the topics that no earlier call on ``ctx`` iterated get a matrix and an
+    iteration.
     """
     check_params(gamma, tol, max_iters)
     row = _query_row(dataset, mode, user)
@@ -475,14 +523,17 @@ def twitterrank(
     if shares.sum() <= 0:
         shares = np.ones(len(shares))
     shares = shares / shares.sum()
-    matrices = twitterrank_matrices(dataset, gamma, ctx)
+    topics = np.flatnonzero(shares > 0)
+    walks = _stored_walks(ctx, ("twitterrank", gamma, tol, max_iters))
+    missing = [int(t) for t in topics if t not in walks]
+    for tm in twitterrank_matrices(dataset, gamma, ctx, missing):
+        walks[tm.hour] = power_iterate(tm, ctx.walk_ids, tol=tol, max_iters=max_iters,
+                                       model="twitterrank")
     scores = np.zeros(len(ctx.user_ids))
-    for t in np.flatnonzero(shares > 0):
-        rv = power_iterate(matrices[t], ctx.user_ids, tol=tol, max_iters=max_iters,
-                           model="twitterrank")
-        scores += shares[t] * rv.scores
+    for t in topics:
+        scores += shares[t] * walks[t].scores
     return RankVector(
-        user_ids=tuple(ctx.user_ids),
+        user_ids=ctx.walk_ids,
         scores=scores,
         hour=None,
         model="twitterrank",

@@ -1,3 +1,4 @@
+import copy
 import time
 from unittest import mock
 
@@ -10,6 +11,7 @@ from influxrank.evaluation import TirLinkScorer
 from influxrank.features import FeatureContext, N_FEATURES
 from influxrank.logistic import LogisticModel
 from influxrank.model import Tweet
+from influxrank import ranking
 from influxrank.ranking import (
     ConvergenceError,
     RankVector,
@@ -449,6 +451,20 @@ class TestZeroWeightHours:
         with pytest.raises(ConvergenceError):
             tir_rank(ds, SKIP_MODEL, mode="global", max_iters=1)
 
+    def test_hour_that_does_not_converge_is_not_stored(self):
+        ds = self.dataset()
+        ctx = FeatureContext(ds)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError):
+                tir_rank(ds, SKIP_MODEL, mode="global", max_iters=1, ctx=ctx)
+        # hour 5 converged before hour 9 raised, and stays stored
+        (walks,) = ctx.walks.values()
+        assert list(walks) == [5]
+        with mock.patch("influxrank.ranking.power_iterate", wraps=power_iterate) as spy:
+            rv = tir_rank(ds, SKIP_MODEL, mode="personal", user="u0", max_iters=1, ctx=ctx)
+        spy.assert_not_called()
+        assert np.allclose(rv.scores, 1 / 3)
+
     def test_aggregate_accepts_none_only_at_zero_weight(self):
         ids = ("a", "b")
         hourly = [RankVector(ids, np.array([0.25, 0.75]), hour=t) for t in range(24)]
@@ -519,3 +535,171 @@ class TestParametersFailFast:
             with pytest.raises(ValueError, match="^unknown user 'nobody'$"):
                 rank(tiny_dataset)
         context.assert_not_called()
+
+
+# ------------------------------------------------------------ stored walks
+
+C_VALUES = (0.5, 0.85, 1.0)
+
+
+def ranked(dataset, kind, request, ctx, model=None):
+    """Scores of one request of ``kind``: (c, user) for "tir", (user,) for
+    "twitterrank"; user None asks for the global ranking."""
+    user = request[-1]
+    mode = "global" if user is None else "personal"
+    if kind == "tir":
+        return tir_rank(dataset, model, request[0], mode=mode, user=user, ctx=ctx).scores
+    return twitterrank(dataset, mode=mode, user=user, ctx=ctx).scores
+
+
+def cold(dataset, kind, request, model=None):
+    """The scores of a request on a fresh context, which has stored no walk."""
+    return ranked(dataset, kind, request, FeatureContext(dataset), model)
+
+
+def test_warm_results_equal_cold_results(small_synth, small_model):
+    dataset, _ = small_synth
+    ctx = FeatureContext(dataset)
+    users = [None] + dataset.graph.vertices
+    for c in C_VALUES:
+        for u in users:
+            got = ranked(dataset, "tir", (c, u), ctx, small_model)
+            assert np.array_equal(got, cold(dataset, "tir", (c, u), small_model)), (c, u)
+    for u in users:
+        assert np.array_equal(ranked(dataset, "twitterrank", (u,), ctx),
+                              cold(dataset, "twitterrank", (u,))), u
+    assert len(ctx.walks) == len(C_VALUES) + 1
+    # every stored walk shares the context's one tuple of user ids
+    assert all(rv.user_ids is ctx.walk_ids
+               for walks in ctx.walks.values() for rv in walks.values())
+
+
+@pytest.fixture(scope="module")
+def cold_results(small_synth, small_model):
+    """Cold scores of a pool of requests: TIR at three c values and
+    TwitterRank, globally and for a few users."""
+    dataset, _ = small_synth
+    users = [None] + dataset.graph.vertices[::12]
+    requests = [("tir", (c, u)) for c in C_VALUES for u in users]
+    requests += [("twitterrank", (u,)) for u in users]
+    return {r: cold(dataset, *r, model=small_model) for r in requests}
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), keys=st.integers(1, 5))
+def test_any_request_order_on_one_context_gives_cold_results(
+    small_synth, small_model, cold_results, data, keys
+):
+    dataset, _ = small_synth
+    order = data.draw(st.lists(st.sampled_from(sorted(cold_results, key=repr)),
+                               min_size=1, max_size=30))
+    ctx = FeatureContext(dataset)
+    with mock.patch("influxrank.ranking._WALK_KEYS", keys):
+        for request in order:
+            got = ranked(dataset, *request, ctx=ctx, model=small_model)
+            assert np.array_equal(got, cold_results[request]), request
+            assert len(ctx.walks) <= keys
+
+
+def test_in_place_model_edits_are_not_served_stale(small_synth, small_model):
+    dataset, _ = small_synth
+    model = copy.deepcopy(small_model)
+    ctx = FeatureContext(dataset)
+    first = tir_rank(dataset, model, ctx=ctx).scores
+
+    def edit_w(m):
+        m.w[3] += 0.5
+
+    def edit_w0(m):
+        m.w0 -= 0.25
+
+    def edit_scaler(m):
+        m.scaler.maxs[7] *= 2.0
+
+    for edit in (edit_w, edit_w0, edit_scaler):
+        edit(model)
+        got = tir_rank(dataset, model, ctx=ctx).scores
+        assert np.array_equal(got, cold(dataset, "tir", (0.85, None), model)), edit.__name__
+    assert not np.array_equal(got, first)
+
+
+def test_mutating_a_result_leaves_the_next_result_alone(small_synth, small_model):
+    dataset, _ = small_synth
+    ctx = FeatureContext(dataset)
+    active = max(dataset.users, key=lambda u: ctx.tweet_counts[ctx.index[u]])
+    for kind, request in [("tir", (0.85, None)), ("tir", (0.85, active)),
+                          ("twitterrank", (None,)), ("twitterrank", (active,))]:
+        scores = ranked(dataset, kind, request, ctx, small_model)
+        expected = scores.copy()
+        scores[:] = 0.0
+        assert np.array_equal(ranked(dataset, kind, request, ctx, small_model), expected)
+
+
+def test_store_never_exceeds_its_bound(tiny_dataset):
+    model = flat_model()
+    ctx = FeatureContext(tiny_dataset)
+    keys = ranking._WALK_KEYS
+    cs = np.linspace(0.5, 1.0, keys + 4)
+    for c in cs:
+        tir_rank(tiny_dataset, model, c, ctx=ctx)
+        twitterrank(tiny_dataset, ctx=ctx)
+        assert len(ctx.walks) <= keys
+        assert all(len(walks) <= 24 for walks in ctx.walks.values())
+    # an evicted key is walked again
+    assert np.array_equal(tir_rank(tiny_dataset, model, cs[0], ctx=ctx).scores,
+                          cold(tiny_dataset, "tir", (cs[0], None), model))
+
+
+def test_store_drops_the_least_recently_used_key(tiny_dataset):
+    model = flat_model()
+    ctx = FeatureContext(tiny_dataset)
+    keys = ranking._WALK_KEYS
+    cs = list(np.linspace(0.5, 1.0, keys + 1))
+    for c in cs[:keys]:
+        tir_rank(tiny_dataset, model, c, ctx=ctx)
+    tir_rank(tiny_dataset, model, cs[0], ctx=ctx)  # now the most recently used
+    tir_rank(tiny_dataset, model, cs[keys], ctx=ctx)  # drops cs[1]
+    assert [key[2] for key in ctx.walks] == cs[2:keys] + [cs[0], cs[keys]]
+
+
+@pytest.mark.parametrize("params", [{"gamma": 0.5}, {"tol": 1e-4}, {"max_iters": 1}])
+def test_iteration_parameters_are_part_of_the_key(tiny_dataset, params):
+    model = flat_model()
+    ctx = FeatureContext(tiny_dataset)
+    tir_rank(tiny_dataset, model, ctx=ctx)
+    twitterrank(tiny_dataset, ctx=ctx)
+    for rank in (lambda ctx: tir_rank(tiny_dataset, model, ctx=ctx, **params),
+                 lambda ctx: twitterrank(tiny_dataset, ctx=ctx, **params)):
+        try:
+            want = rank(FeatureContext(tiny_dataset)).scores
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                rank(ctx)
+        else:
+            assert np.array_equal(rank(ctx).scores, want)
+
+
+def test_warm_personal_call_makes_no_power_iteration(small_synth, small_model):
+    dataset, _ = small_synth
+    ctx = FeatureContext(dataset)
+    tir_rank(dataset, small_model, ctx=ctx)
+    twitterrank(dataset, ctx=ctx)
+    # a user's hours and topics are among the global ones when the user tweets
+    users = [u for u in dataset.graph.vertices if ctx.tweet_counts[ctx.index[u]] > 0]
+    with mock.patch("influxrank.ranking.power_iterate", wraps=power_iterate) as spy:
+        for u in users:
+            tir_rank(dataset, small_model, mode="personal", user=u, ctx=ctx)
+            twitterrank(dataset, mode="personal", user=u, ctx=ctx)
+    spy.assert_not_called()
+
+
+def test_bad_c_or_model_fails_on_a_warm_context_and_stores_nothing(tiny_dataset):
+    ctx = FeatureContext(tiny_dataset)
+    tir_rank(tiny_dataset, flat_model(), c=0.7, ctx=ctx)
+    keys = list(ctx.walks)
+    with pytest.raises(ValueError, match="c must be"):
+        tir_rank(tiny_dataset, flat_model(), c=0.4, ctx=ctx)
+    short = LogisticModel(w0=0.0, w=np.zeros(N_FEATURES - 1))
+    with pytest.raises(ValueError, match="model dimension"):
+        tir_rank(tiny_dataset, short, c=0.7, ctx=ctx)
+    assert list(ctx.walks) == keys
