@@ -10,10 +10,12 @@ import csv
 import hashlib
 import io
 import json
+import math
 import re
 import sys
 import zipfile
 from array import array
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -77,13 +79,14 @@ class ArtifactSession:
         return mpath
 
 
-def run_stage(out_dir: Path, body) -> None:
+@contextmanager
+def run_stage(out_dir: str | Path):
+    """The ArtifactSession of one stage: its manifest is written when the
+    block ends, and on an error its files are removed and the command exits
+    1 with ``error: <message>``."""
     session = ArtifactSession(out_dir)
     try:
-        body(session)
-    except click.ClickException:
-        session.abort()
-        raise
+        yield session
     except Exception as exc:
         session.abort()
         click.echo(f"error: {exc}", err=True)
@@ -91,11 +94,20 @@ def run_stage(out_dir: Path, body) -> None:
     session.finish()
 
 
-def _load(in_dir: str, min_tweets: int = 0) -> model.Dataset:
-    try:
-        return model.load_dataset(in_dir, min_tweets=min_tweets)
-    except FileNotFoundError as exc:
-        raise click.ClickException(str(exc)) from exc
+class FloatRange(click.FloatRange):
+    """click.FloatRange that also rejects NaN, which no bound comparison
+    rejects."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if math.isnan(rv):
+            self.fail(f"{value!r} is not a number.", param, ctx)
+        return rv
+
+
+# the ranges of the damping factor gamma and of TunkRank's p
+GAMMA_RANGE = FloatRange(0.0, 1.0, min_open=True, max_open=True)
+P_RANGE = FloatRange(0.0, 1.0)
 
 
 @click.group()
@@ -104,7 +116,7 @@ def main():
 
 
 @main.command("synth")
-@click.option("--users", type=int, default=2000, show_default=True)
+@click.option("--users", type=click.IntRange(min=0), default=2000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--days", type=int, default=28, show_default=True)
 @click.option("--topics", type=int, default=4, show_default=True)
@@ -113,10 +125,7 @@ def main():
 @click.option("--out", type=click.Path(), required=True)
 def synth_cmd(users, seed, days, topics, follower_exponent, close_fraction, out):
     """Generate a synthetic dataset with planted ground truth."""
-    if users < 0:
-        raise click.BadParameter("--users must be >= 0")
-
-    def body(session: ArtifactSession):
+    with run_stage(out) as session:
         config = synth.GeneratorConfig(
             n_users=users,
             seed=stage_seed(seed, "synth"),
@@ -130,21 +139,16 @@ def synth_cmd(users, seed, days, topics, follower_exponent, close_fraction, out)
             session.paths.append(p)
         synth.truth_report(truth, session.path("truth.csv"))
 
-    run_stage(Path(out), body)
-
 
 @main.command("ingest")
 @click.option("--in", "in_dir", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--min-tweets", type=int, default=0, show_default=True)
+@click.option("--min-tweets", type=click.IntRange(min=0), default=0, show_default=True)
 def ingest_cmd(in_dir, out, min_tweets):
     """Validate raw JSONL files and emit a normalized dataset copy, plus
     the parse cache that later stages read in its place."""
-    if min_tweets < 0:
-        raise click.BadParameter("--min-tweets must be >= 0")
-
-    def body(session: ArtifactSession):
-        dataset = _load(in_dir, min_tweets=min_tweets)
+    with run_stage(out) as session:
+        dataset = model.load_dataset(in_dir, min_tweets=min_tweets)
         for p in model.serialize(dataset, session.out_dir).values():
             session.paths.append(p)
         cache, digests = model.write_cache(dataset, session.out_dir)
@@ -161,17 +165,14 @@ def ingest_cmd(in_dir, out, min_tweets):
             json.dumps(summary, sort_keys=True, indent=2)
         )
 
-    run_stage(Path(out), body)
-
 
 @main.command("stats")
 @click.option("--in", "in_dir", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
 def stats_cmd(in_dir, out):
     """Degree and tweet-count distributions plus follower/friend correlation."""
-
-    def body(session: ArtifactSession):
-        dataset = _load(in_dir)
+    with run_stage(out) as session:
+        dataset = model.load_dataset(in_dir)
         report = model.degree_stats(dataset)
         for name, hist in (
             ("followers.csv", report.follower_hist),
@@ -187,17 +188,14 @@ def stats_cmd(in_dir, out):
             )
         )
 
-    run_stage(Path(out), body)
-
 
 @main.command("activity")
 @click.option("--in", "in_dir", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
 def activity_cmd(in_dir, out):
     """Global hourly/weekly activity vectors and the 7x24 heat map."""
-
-    def body(session: ArtifactSession):
-        dataset = _load(in_dir)
+    with run_stage(out) as session:
+        dataset = model.load_dataset(in_dir)
         hourly = temporal.global_activity(dataset, "hour_of_day")
         weekly = temporal.global_activity(dataset, "day_of_week")
         heat = temporal.global_activity(dataset, "hour_x_day")
@@ -213,28 +211,22 @@ def activity_cmd(in_dir, out):
             [[d] + list(heat[d]) for d in range(7)],
         )
 
-    run_stage(Path(out), body)
-
 
 @main.command("cluster")
 @click.option("--in", "in_dir", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--k", type=int, default=None, help="Fixed cluster count.")
+@click.option("--k", type=click.IntRange(min=1), default=None, help="Fixed cluster count.")
 @click.option("--k-min", type=int, default=2, show_default=True)
 @click.option("--k-max", type=int, default=6, show_default=True)
-@click.option("--max-shift", type=int, default=0, show_default=True)
+@click.option("--max-shift", type=click.IntRange(0, 23), default=0, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def cluster_cmd(in_dir, out, k, k_min, k_max, max_shift, seed):
     """K-SC clustering of per-user hourly activity shapes."""
-    if not 0 <= max_shift <= 23:
-        raise click.BadParameter("--max-shift must be in [0, 23]")
-    if k is not None and k < 1:
-        raise click.BadParameter("--k must be >= 1")
     if k is None and not 2 <= k_min <= k_max <= 10:
         raise click.BadParameter("need 2 <= --k-min <= --k-max <= 10")
 
-    def body(session: ArtifactSession):
-        dataset = _load(in_dir)
+    with run_stage(out) as session:
+        dataset = model.load_dataset(in_dir)
         table = temporal.all_profiles(dataset)
         ids, profiles = table.user_ids[table.has_tweets], table.a_t[table.has_tweets]
         sub = stage_seed(seed, "cluster")
@@ -262,17 +254,14 @@ def cluster_cmd(in_dir, out, k, k_min, k_max, max_shift, seed):
         if asc_rows:
             session.write_csv("asc_curve.csv", ["k", "asc"], asc_rows)
 
-    run_stage(Path(out), body)
-
 
 @main.command("respstats")
 @click.option("--in", "in_dir", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
 def respstats_cmd(in_dir, out):
     """Delay and trace cumulative distributions, split by retweet/reply."""
-
-    def body(session: ArtifactSession):
-        dataset = _load(in_dir)
+    with run_stage(out) as session:
+        dataset = model.load_dataset(in_dir)
         metrics, excluded = temporal.response_metrics(dataset)
         for field in ("delay", "trace"):
             rows = []
@@ -287,8 +276,6 @@ def respstats_cmd(in_dir, out):
             )
         )
 
-    run_stage(Path(out), body)
-
 
 @main.command("features")
 @click.option("--in", "in_dir", type=click.Path(exists=True), required=True)
@@ -297,17 +284,14 @@ def respstats_cmd(in_dir, out):
 def features_cmd(in_dir, out, seed):
     """Materialize labeled response instances and the min-max scaler, plus
     the parsed copy of the instances that train reads in their place."""
-
-    def body(session: ArtifactSession):
-        instances = features.build_instances(_load(in_dir))
+    with run_stage(out) as session:
+        instances = features.build_instances(model.load_dataset(in_dir))
         # the dataset is freed here, and the balanced set before the write
         scaler = features.balance_and_normalize(
             instances, seed=stage_seed(seed, "features")
         )[1]
         write_instances(session, instances)
         scaler.save(session.path("scaler.json"))
-
-    run_stage(Path(out), body)
 
 
 INSTANCE_HEADER = ["tweet_id", "follower", "friend", "hour", *features.FEATURE_NAMES, "label"]
@@ -489,20 +473,13 @@ def load_instances_csv(path: str | Path) -> features.InstanceSet:
 @main.command("train")
 @click.option("--instances", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--folds", type=int, default=5, show_default=True)
+@click.option("--folds", type=click.IntRange(min=2), default=5, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--lr", type=float, default=0.1, show_default=True)
-@click.option("--epochs", type=int, default=500, show_default=True)
+@click.option("--lr", type=FloatRange(min=0.0, min_open=True), default=0.1, show_default=True)
+@click.option("--epochs", type=click.IntRange(min=1), default=500, show_default=True)
 def train_cmd(instances, out, folds, seed, lr, epochs):
     """Balance, normalize, cross-validate and fit the logistic response model."""
-    if folds < 2:
-        raise click.BadParameter("--folds must be >= 2")
-    if epochs < 1:
-        raise click.BadParameter("--epochs must be >= 1")
-    if not lr > 0:
-        raise click.BadParameter("--lr must be > 0")
-
-    def body(session: ArtifactSession):
+    with run_stage(out) as session:
         inst = load_instances_csv(instances)
         sub = stage_seed(seed, "train")
         balanced, scaler = features.balance_and_normalize(inst, seed=sub)
@@ -541,8 +518,6 @@ def train_cmd(instances, out, folds, seed, lr, epochs):
             logistic.rank_features(fitted),
         )
 
-    run_stage(Path(out), body)
-
 
 def _parse_aggregate(value: str):
     if value == "global":
@@ -559,9 +534,9 @@ def _parse_aggregate(value: str):
               type=click.Choice(["tir", "tunkrank", "twitterrank"]), required=True)
 @click.option("--model-file", type=click.Path(exists=True), default=None,
               help="Trained logistic model (required for tir).")
-@click.option("--c", type=float, default=0.85, show_default=True)
-@click.option("--gamma", type=float, default=0.85, show_default=True)
-@click.option("--p", type=float, default=0.05, show_default=True)
+@click.option("--c", type=FloatRange(0.5, 1.0), default=0.85, show_default=True)
+@click.option("--gamma", type=GAMMA_RANGE, default=ranking.DEFAULT_GAMMA, show_default=True)
+@click.option("--p", type=P_RANGE, default=ranking.DEFAULT_P, show_default=True)
 @click.option("--aggregate", "aggregate_spec", default="global", show_default=True)
 @click.option("--hour", default="all", show_default=True,
               help="all, or a single hour 0..23 (tir only).")
@@ -569,12 +544,6 @@ def _parse_aggregate(value: str):
 def rank_cmd(in_dir, out, model_name, model_file, c, gamma, p, aggregate_spec,
              hour, dump_matrix):
     """Compute an influence ranking and write ranks.csv."""
-    if not 0.5 <= c <= 1.0:
-        raise click.BadParameter("--c must be in [0.5, 1]")
-    if not 0.0 < gamma < 1.0:
-        raise click.BadParameter("--gamma must be in (0, 1)")
-    if not 0.0 <= p <= 1.0:
-        raise click.BadParameter("--p must be in [0, 1]")
     mode, user = _parse_aggregate(aggregate_spec)
     if hour != "all":
         try:
@@ -586,8 +555,8 @@ def rank_cmd(in_dir, out, model_name, model_file, c, gamma, p, aggregate_spec,
     if model_name == "tir" and model_file is None:
         raise click.BadParameter("--model-file is required for tir")
 
-    def body(session: ArtifactSession):
-        dataset = _load(in_dir)
+    with run_stage(out) as session:
+        dataset = model.load_dataset(in_dir)
         if model_name == "tunkrank":
             rv = ranking.tunkrank(dataset, p=p)
         elif model_name == "tir":
@@ -619,27 +588,18 @@ def rank_cmd(in_dir, out, model_name, model_file, c, gamma, p, aggregate_spec,
             "ranks.csv", ["user_id", "score", "rank", "model", "params"], rows
         )
 
-    run_stage(Path(out), body)
-
 
 @main.command("compare")
 @click.option("--in", "in_dir", type=click.Path(exists=True), required=True)
 @click.option("--model-file", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--gamma", type=float, default=0.85, show_default=True)
-@click.option("--p", type=float, default=0.05, show_default=True)
-@click.option("--top", type=int, default=10, show_default=True)
+@click.option("--gamma", type=GAMMA_RANGE, default=ranking.DEFAULT_GAMMA, show_default=True)
+@click.option("--p", type=P_RANGE, default=ranking.DEFAULT_P, show_default=True)
+@click.option("--top", type=click.IntRange(min=1), default=10, show_default=True)
 def compare_cmd(in_dir, model_file, out, gamma, p, top):
     """Global rankings for all models plus the pairwise Kendall tau table."""
-    if not 0.0 < gamma < 1.0:
-        raise click.BadParameter("--gamma must be in (0, 1)")
-    if not 0.0 <= p <= 1.0:
-        raise click.BadParameter("--p must be in [0, 1]")
-    if top < 1:
-        raise click.BadParameter("--top must be >= 1")
-
-    def body(session: ArtifactSession):
-        dataset = _load(in_dir)
+    with run_stage(out) as session:
+        dataset = model.load_dataset(in_dir)
         ctx = features.FeatureContext(dataset)
         lm = logistic.LogisticModel.load(model_file)
         rankings = {
@@ -662,18 +622,16 @@ def compare_cmd(in_dir, model_file, out, gamma, p, top):
                 top_rows.append([name, i + 1, uid, scores[uid]])
         session.write_csv("top_k.csv", ["model", "rank", "user_id", "score"], top_rows)
 
-    run_stage(Path(out), body)
-
 
 @main.command("recommend")
 @click.option("--in", "in_dir", type=click.Path(exists=True), required=True)
 @click.option("--model-file", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--gamma", type=float, default=0.85, show_default=True)
-@click.option("--p", type=float, default=0.05, show_default=True)
+@click.option("--gamma", type=GAMMA_RANGE, default=ranking.DEFAULT_GAMMA, show_default=True)
+@click.option("--p", type=P_RANGE, default=ranking.DEFAULT_P, show_default=True)
 @click.option("--c-grid", default="0.5,0.85,0.95,1.0", show_default=True)
-@click.option("--n-links", type=int, default=30, show_default=True)
+@click.option("--n-links", type=click.IntRange(min=1), default=30, show_default=True)
 @click.option("--scenarios", default=None,
               help="Comma-separated subset of scenario tags.")
 def recommend_cmd(in_dir, model_file, out, seed, gamma, p, c_grid, n_links, scenarios):
@@ -684,18 +642,12 @@ def recommend_cmd(in_dir, model_file, out, seed, gamma, p, c_grid, n_links, scen
         raise click.BadParameter("--c-grid must be comma-separated floats")
     if any(not 0.5 <= c <= 1.0 for c in grid):
         raise click.BadParameter("--c-grid values must be in [0.5, 1]")
-    if not 0.0 < gamma < 1.0:
-        raise click.BadParameter("--gamma must be in (0, 1)")
-    if not 0.0 <= p <= 1.0:
-        raise click.BadParameter("--p must be in [0, 1]")
-    if n_links < 1:
-        raise click.BadParameter("--n-links must be >= 1")
     tags = tuple(scenarios.split(",")) if scenarios else None
     if tags and any(t not in evaluation.SCENARIO_TAGS for t in tags):
         raise click.BadParameter(f"scenarios must be among {evaluation.SCENARIO_TAGS}")
 
-    def body(session: ArtifactSession):
-        dataset = _load(in_dir)
+    with run_stage(out) as session:
+        dataset = model.load_dataset(in_dir)
         lm = logistic.LogisticModel.load(model_file)
         results = evaluation.run_scenarios(
             dataset,
@@ -715,8 +667,6 @@ def recommend_cmd(in_dir, model_file, out, seed, gamma, p, c_grid, n_links, scen
                 for r in results
             ],
         )
-
-    run_stage(Path(out), body)
 
 
 if __name__ == "__main__":

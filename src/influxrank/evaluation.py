@@ -15,6 +15,7 @@ from .logistic import LogisticModel
 from .model import Dataset, FollowGraph
 from .ranking import (
     DEFAULT_GAMMA,
+    DEFAULT_P,
     RankVector,
     TransitionMatrix,
     _edge_weights_all_hours,
@@ -187,21 +188,6 @@ def build_link_sets(
 BLOCK_LINKS = 16
 
 
-def elimination_order(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
-    """Reverse Cuthill-McKee order of the n users over the follow edges
-    src -> dst taken as undirected (Cuthill and McKee, "Reducing the
-    Bandwidth of Sparse Symmetric Matrices", 1969): order[i] is the user
-    whose row and column come i-th. Every link-scoring matrix has its
-    off-diagonal entries on these edges, so one order serves them all."""
-    # imported here, as splu is: csgraph alone adds about 10 MB of resident
-    # libraries, 1 MB once scipy.sparse.linalg is loaded
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    rows, cols = np.concatenate((src, dst)), np.concatenate((dst, src))
-    pattern = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    return reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
-
-
 class ColumnUpdateSolver:
     """Direct solve of (I - s S) x = b, and of the same system after one
     column of S is replaced, for a block of such replacements at once.
@@ -214,7 +200,7 @@ class ColumnUpdateSolver:
     TunkRank.
 
     I - s S is factored once with a sparse LU, in the given ``order`` of the
-    users (``elimination_order`` of the follow graph, shared by every matrix
+    users (``FollowGraph.elimination_order``, shared by every matrix
     on that graph): the factor is of P (I - s S) P^T, with P the permutation
     that puts user order[i] i-th, and SuperLU is told to keep that column
     order rather than compute its own. For s <= 1 the matrix is column
@@ -480,7 +466,7 @@ class TirLinkScorer(_LinkBlocks):
         self.gamma = gamma
         self.ctx = ctx if ctx is not None else FeatureContext(dataset)
         self.user_ids = tuple(self.ctx.user_ids)
-        self.order = elimination_order(self.ctx.edge_src, self.ctx.edge_dst, len(self.user_ids))
+        self.order = self.ctx.dataset.graph.elimination_order
         self.expect(())
 
     def scores_without_links(self, links: Sequence[tuple[str, str]]) -> np.ndarray:
@@ -530,7 +516,7 @@ class TwitterRankLinkScorer(_LinkBlocks):
         self.user_ids = tuple(self.ctx.user_ids)
         self.expect(())
         self.matrices = twitterrank_matrices(dataset, gamma, self.ctx)
-        self.order = elimination_order(self.ctx.edge_src, self.ctx.edge_dst, len(self.user_ids))
+        self.order = self.ctx.dataset.graph.elimination_order
 
     def scores_without_links(self, links: Sequence[tuple[str, str]]) -> np.ndarray:
         """(len(links), n) personal TwitterRank scores of each link's follower
@@ -569,12 +555,12 @@ class TunkRankLinkScorer(_LinkBlocks):
     of the follower -> friend matrix holds 1/deg(u) on each friend, and
     without (u, v) it holds 1/(deg(u) - 1) on the rest."""
 
-    def __init__(self, dataset: Dataset, p: float = 0.05):
+    def __init__(self, dataset: Dataset, p: float = DEFAULT_P):
         self.p = p
         self.user_ids, a = tunkrank_matrix(dataset, p)
         self.graph = dataset.graph
         self.expect(())
-        self.order = elimination_order(self.graph.src, self.graph.dst, len(self.user_ids))
+        self.order = self.graph.elimination_order
         self.solver = ColumnUpdateSolver(a, p, self.order, rhs_from_matrix=True)
 
     def scores_without_links(self, links: Sequence[tuple[str, str]]) -> np.ndarray:
@@ -646,7 +632,7 @@ def evaluate_link(
     seed: int,
     model: str = "tunkrank",
     scorer=None,
-    tunkrank_p: float = 0.05,
+    tunkrank_p: float = DEFAULT_P,
     candidates: Optional[np.ndarray] = None,
 ) -> int:
     """Q(l) for one removed link: sample 10 non-followed candidates, rank on
@@ -700,7 +686,7 @@ def run_scenarios(
     models: Sequence[str] = ("tir", "tunkrank", "twitterrank"),
     c_grid: Sequence[float] = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.96, 0.97, 0.98, 0.99, 1.0),
     gamma: float = DEFAULT_GAMMA,
-    tunkrank_p: float = 0.05,
+    tunkrank_p: float = DEFAULT_P,
     scenarios: Optional[Sequence[str]] = None,
     n_links: int = 30,
     ctx: Optional[FeatureContext] = None,

@@ -380,7 +380,8 @@ class FollowGraph:
 
     ``edges()``, ``friends``, ``followers`` and ``has_edge`` read these
     arrays. The first bad edge in input order is rejected, as a self-loop
-    before a duplicate before an edge to an unknown user.
+    before a duplicate before an edge to an unknown user. Only
+    ``elimination_order`` is computed later, once, when first read.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
@@ -411,6 +412,27 @@ class FollowGraph:
     @property
     def n_edges(self) -> int:
         return len(self.src)
+
+    @cached_property
+    def elimination_order(self) -> np.ndarray:
+        """Reverse Cuthill-McKee order of the users over the follow edges
+        taken as undirected (Cuthill and McKee, "Reducing the Bandwidth of
+        Sparse Symmetric Matrices", 1969): order[i] is the user whose row
+        and column come i-th. Every link-scoring matrix on this graph has
+        its off-diagonal entries on these edges, so one order serves them
+        all."""
+        # imported here: csgraph alone adds about 10 MB of resident
+        # libraries, 1 MB once scipy.sparse.linalg is loaded
+        from scipy import sparse
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        n = len(self.vertices)
+        rows, cols = np.concatenate((self.src, self.dst)), np.concatenate((self.dst, self.src))
+        pattern = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        order = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
+        # every scorer on the graph shares it, so it is read-only as src is
+        order.flags.writeable = False
+        return order
 
     def _ids(self, rows: np.ndarray) -> list[str]:
         return list(map(self.vertices.__getitem__, rows.tolist()))
@@ -812,10 +834,15 @@ def serialize(dataset: Dataset, out_dir: str | Path) -> dict[str, Path]:
 
 
 def sha256_file(path: Path) -> str:
+    # read into one reused 256 KiB buffer: a stage's manifest hashes its
+    # files while the stage's data are still alive, so a fresh bytes object
+    # per chunk would add to its peak
     digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    buf = bytearray(1 << 18)
+    view = memoryview(buf)
+    with path.open("rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            digest.update(view[:n])
     return digest.hexdigest()
 
 

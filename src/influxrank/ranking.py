@@ -13,6 +13,8 @@ from .logistic import LogisticModel, probability_of_score
 from .model import Dataset
 
 DEFAULT_GAMMA = 0.85
+# TunkRank's retweet probability
+DEFAULT_P = 0.05
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 200
 
@@ -395,7 +397,7 @@ def tir_rank(
 
 def tunkrank(
     dataset: Dataset,
-    p: float = 0.05,
+    p: float = DEFAULT_P,
     tol: float = DEFAULT_TOL,
     max_iters: int = 100000,
 ) -> RankVector:

@@ -75,7 +75,7 @@ def test_manifest_hashes_without_reading_whole_files(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())["artifacts"]
     assert manifest == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                         for p in (big, tmp_path / "small.txt")}
-    # the 1 MiB chunks, not the 24 MiB file
+    # the hashing buffer, not the 24 MiB file
     assert peak < 4 << 20
 
 
@@ -284,6 +284,9 @@ class TestErrorHandling:
         ["--gamma", 1],
         ["--n-links", 0],
         ["--n-links", -1],
+        ["--gamma", "nan"],
+        ["--p", "nan"],
+        ["--c-grid", "0.5,nan"],
     ])
     def test_bad_recommend_parameters_fail_before_loading(self, tmp_path, args):
         # neither input holds a dataset or a model, so a load would exit 1
@@ -299,6 +302,8 @@ class TestErrorHandling:
         ["--p", -0.1],
         ["--top", 0],
         ["--top", -1],
+        ["--gamma", "nan"],
+        ["--p", "nan"],
     ])
     def test_bad_compare_parameters_fail_before_loading(self, tmp_path, args):
         # neither input holds a dataset or a model, so a load would exit 1
@@ -306,6 +311,21 @@ class TestErrorHandling:
                       "--out", tmp_path / "x", *args)
         assert res.exit_code == 2, res.output
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("args", [["--c", "nan"], ["--gamma", "nan"]])
+    def test_bad_rank_parameters_fail_before_loading(self, tmp_path, args):
+        # the input directory holds no dataset, so a load would exit 1
+        res = run_cli("rank", "--in", tmp_path, "--model", "tunkrank",
+                      "--out", tmp_path / "x", *args)
+        assert res.exit_code == 2, res.output
+        assert not (tmp_path / "x").exists()
+
+    def test_missing_input_file_exits_1(self, tmp_path):
+        out = tmp_path / "x"
+        res = run_cli("stats", "--in", tmp_path, "--out", out)
+        assert res.exit_code == 1
+        assert "error: " in res.output and "users.jsonl" in res.output
+        assert not (out / "manifest.json").exists()
 
     def test_negative_min_tweets_fails_before_loading(self, tmp_path):
         # the input directory holds no dataset, so a load would exit 1
@@ -414,7 +434,8 @@ class TestInstanceHandOff:
         assert f"instances.csv, line {line}:" in res.output
         assert not (tmp_path / "train" / "manifest.json").exists()
 
-    @pytest.mark.parametrize("args", [["--epochs", 0], ["--lr", 0], ["--lr", -5]])
+    @pytest.mark.parametrize("args", [["--epochs", 0], ["--lr", 0], ["--lr", -5],
+                                      ["--lr", "nan"]])
     def test_bad_training_parameters_fail_before_reading(self, tmp_path, args):
         # the instances file is not a CSV of instances, so a read would exit 1
         bad = tmp_path / "instances.csv"

@@ -371,11 +371,14 @@ def scorers_of(dataset, ctx, c=0.85, p=0.3):
             TunkRankLinkScorer(dataset, p=p)]
 
 
-def test_order_is_a_permutation_computed_once_per_scorer(small_synth, small_ctx, monkeypatch):
-    dataset, _ = small_synth
-    orders, order_of = [], evaluation.elimination_order
-    monkeypatch.setattr(evaluation, "elimination_order",
-                        lambda *args: orders.append(order_of(*args)) or orders[-1])
+def test_order_is_a_permutation_computed_once_per_graph(monkeypatch):
+    from scipy.sparse import csgraph
+
+    # a dataset of its own, whose graph has not computed its order yet
+    dataset, _ = generate(GeneratorConfig(n_users=60, seed=1, observation_days=14))
+    calls, rcm = [], csgraph.reverse_cuthill_mckee
+    monkeypatch.setattr(csgraph, "reverse_cuthill_mckee",
+                        lambda *args, **kwargs: calls.append(args) or rcm(*args, **kwargs))
     built, init = [], evaluation.ColumnUpdateSolver.__init__
 
     def tracked(self, matrix, s, order, *args, **kwargs):
@@ -383,15 +386,14 @@ def test_order_is_a_permutation_computed_once_per_scorer(small_synth, small_ctx,
         init(self, matrix, s, order, *args, **kwargs)
 
     monkeypatch.setattr(evaluation.ColumnUpdateSolver, "__init__", tracked)
-    run_scenarios(dataset, MODEL, seed=2, c_grid=(0.5, 0.85), n_links=5, ctx=small_ctx)
-    # two TIR scorers, TunkRank, TwitterRank: one order each, and every
-    # factor of a scorer in that scorer's order
-    assert len(orders) == 4
-    n = len(small_ctx.user_ids)
-    for order in orders:
-        assert np.array_equal(np.sort(order), np.arange(n))
-    assert len(built) == 2 * 24 + small_ctx.topics.shape[1] + 1
-    assert all(any(o is order for order in orders) for o in built)
+    run_scenarios(dataset, MODEL, seed=2, c_grid=(0.5, 0.85), n_links=5)
+    # two TIR scorers, TunkRank and TwitterRank share the graph's one order,
+    # and every factor of every scorer is in that order
+    assert len(calls) == 1
+    order = dataset.graph.elimination_order
+    assert np.array_equal(np.sort(order), np.arange(dataset.n_users))
+    assert len(built) == 2 * 24 + FeatureContext(dataset).topics.shape[1] + 1
+    assert all(o is order for o in built)
 
 
 @pytest.mark.parametrize("p", [0.05, 0.3])
