@@ -16,11 +16,13 @@ import sys
 import zipfile
 from array import array
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import evaluation, features, logistic, model, ranking, synth, temporal
 
@@ -118,10 +120,11 @@ def main():
 @main.command("synth")
 @click.option("--users", type=click.IntRange(min=0), default=2000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--days", type=int, default=28, show_default=True)
-@click.option("--topics", type=int, default=4, show_default=True)
-@click.option("--follower-exponent", type=float, default=2.5, show_default=True)
-@click.option("--close-fraction", type=float, default=0.1, show_default=True)
+@click.option("--days", type=click.IntRange(min=1), default=28, show_default=True)
+@click.option("--topics", type=click.IntRange(min=1), default=4, show_default=True)
+@click.option("--follower-exponent", type=FloatRange(min=1.0, min_open=True), default=2.5,
+              show_default=True)
+@click.option("--close-fraction", type=FloatRange(0.0, 1.0), default=0.1, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def synth_cmd(users, seed, days, topics, follower_exponent, close_fraction, out):
     """Generate a synthetic dataset with planted ground truth."""
@@ -286,7 +289,8 @@ def features_cmd(in_dir, out, seed):
     the parsed copy of the instances that train reads in their place."""
     with run_stage(out) as session:
         instances = features.build_instances(model.load_dataset(in_dir))
-        # the dataset is freed here, and the balanced set before the write
+        # the dataset is freed here, all but the tweet-id column that the
+        # instances refer to, and the balanced set before the write
         scaler = features.balance_and_normalize(
             instances, seed=stage_seed(seed, "features")
         )[1]
@@ -297,8 +301,12 @@ def features_cmd(in_dir, out, seed):
 INSTANCE_HEADER = ["tweet_id", "follower", "friend", "hour", *features.FEATURE_NAMES, "label"]
 # ids made of these characters alone are printed as they are by csv.writer
 _PLAIN_FIELD = re.compile(r"[\w.-]+", re.ASCII)
-# instance rows per pass: bounds the text held at once
+# instance rows per pass, and lines per write
 _BLOCK_ROWS = 1 << 12
+_WRITE_LINES = 1 << 8
+# hours and labels as text, so that no line formats an int
+_HOUR_TEXT = np.array([str(h) for h in range(24)], dtype=object)
+_LABEL_TEXT = np.array(["0", "1"], dtype=object)
 
 
 def _csv_fields(values: list[str]) -> list[str]:
@@ -326,8 +334,11 @@ def write_instances(session: ArtifactSession, instances: features.InstanceSet) -
     instances.npz: the columns that parsing that CSV gives, and its sha256.
 
     Each distinct value of a column is formatted once, one column at a time,
-    and each feature row joined once, a block of rows at a time; user ids
-    are encoded once, and tweet ids once per block of rows.
+    and each feature row joined once, a block of rows at a time, into one
+    string per block; user ids are encoded once, and tweet ids once per
+    block of instances. Lines are written a few at a time, and the tweet
+    ids are gathered a block at a time for the npz too, so neither a block's
+    text nor the whole tweet-id table is held twice.
     """
     rows = np.ascontiguousarray(instances.rows, dtype=float)
     # each value's index among its column's distinct values, told apart by
@@ -341,10 +352,19 @@ def write_instances(session: ArtifactSession, instances: features.InstanceSet) -
         text = [FLOAT_FMT.format(v) for v in bits.view(float).tolist()]
         parsed_rows[:, j] = np.array([float(t) for t in text], dtype=float)[value_of[:, j]]
         texts.append(np.array(text, dtype=object))
-    fragments = []
-    for lo in range(0, len(rows), _BLOCK_ROWS):
+    # each row's values as text, joined by commas: row r's text is
+    # chunks[r // _BLOCK_ROWS][start[r]:end[r]], one string per block of
+    # rows rather than one per row
+    chunks = np.empty(-(-len(rows) // _BLOCK_ROWS), dtype=object)
+    start, end = np.empty((2, len(rows)), dtype=np.int32)
+    for k, lo in enumerate(range(0, len(rows), _BLOCK_ROWS)):
         block = value_of[lo : lo + _BLOCK_ROWS].T
-        fragments += map(",".join, zip(*[t[v].tolist() for t, v in zip(texts, block)]))
+        joined = list(map(",".join, zip(*[t[v].tolist() for t, v in zip(texts, block)])))
+        chunks[k] = "".join(joined)
+        at = slice(lo, lo + len(joined))
+        lengths = np.fromiter(map(len, joined), np.int32, len(joined))
+        end[at] = np.cumsum(lengths)
+        start[at] = end[at] - lengths
     del value_of, texts
     users = _csv_fields(instances.user_ids.tolist())
     labels = instances.labels
@@ -355,36 +375,67 @@ def write_instances(session: ArtifactSession, instances: features.InstanceSet) -
         for lo in range(0, len(labels), _BLOCK_ROWS):
             block = slice(lo, lo + _BLOCK_ROWS)
             used, t = np.unique(instances.keys[block, 0], return_inverse=True)
-            tweets = _csv_fields(instances.tweet_ids[used].tolist())
-            u, v, h = instances.keys[block, 1:].T.tolist()
-            fh.write("".join([
-                f"{tweets[a]},{users[b]},{users[c]},{d},{fragments[r]},{y}\r\n"
-                for a, b, c, d, r, y in zip(t.tolist(), u, v, h,
-                                            instances.row_of[block].tolist(),
-                                            labels[block].tolist())
-            ]))
-    del fragments, users
+            tweets = _csv_fields(instances.tweet_ids_of(used).tolist())
+            u, v = instances.keys[block, 1:3].T.tolist()
+            r = instances.row_of[block]
+            lines = (
+                f"{tweets[a]},{users[b]},{users[c]},{d},{chunk[i:j]},{y}\r\n"
+                for a, b, c, d, chunk, i, j, y in zip(
+                    t.tolist(), u, v, _HOUR_TEXT[instances.keys[block, 3]].tolist(),
+                    chunks[r // _BLOCK_ROWS].tolist(), start[r].tolist(), end[r].tolist(),
+                    _LABEL_TEXT[labels[block]].tolist())
+            )
+            # joined a few lines at a time: the block's text is never held
+            # twice, and a write per line would cost more than the join
+            while text := "".join(islice(lines, _WRITE_LINES)):
+                fh.write(text)
+    del chunks, start, end, users
     # the manifest reuses this digest
     session.digests[csv_path] = digest = model.sha256_file(csv_path)
-    np.savez(
-        session.path(csv_path.with_suffix(".npz").name),
-        sha256_csv=np.array(digest),
-        keys=instances.keys,
-        feature_rows=parsed_rows,
-        feature_row_of=instances.row_of,
-        labels=labels.astype(np.int64),
-        tweet_ids=instances.tweet_ids,
-        user_ids=instances.user_ids,
-    )
+    n_tweets = instances.n_tweets
+    _write_npz(session.path(csv_path.with_suffix(".npz").name), {
+        "sha256_csv": np.array(digest),
+        "keys": instances.keys,
+        "feature_rows": parsed_rows,
+        "feature_row_of": instances.row_of,
+        "labels": labels.astype(np.int64),
+        "tweet_ids": (instances.tweet_table.dtype, (n_tweets,), (
+            instances.tweet_ids_of(slice(lo, lo + _BLOCK_ROWS))
+            for lo in range(0, n_tweets, _BLOCK_ROWS))),
+        "user_ids": instances.user_ids,
+    })
 
 
-def _instance_set(keys, x, row_of, labels, tweet_ids, user_ids) -> features.InstanceSet:
+def _write_npz(path: Path, members: dict) -> None:
+    """np.savez(path, **members), with the same bytes, where a member may
+    also be a (dtype, shape, blocks) triple: the C-order array that the
+    blocks of rows concatenate to, written block by block and never held
+    whole."""
+    with zipfile.ZipFile(path, "w", allowZip64=True) as zf:
+        for name, value in members.items():
+            with zf.open(name + ".npy", "w", force_zip64=True) as fh:
+                if isinstance(value, np.ndarray):
+                    np.lib.format.write_array(fh, value)
+                    continue
+                dtype, shape, blocks = value
+                np.lib.format.write_array_header_1_0(fh, {
+                    "descr": np.lib.format.dtype_to_descr(dtype),
+                    "fortran_order": False,
+                    "shape": shape,
+                })
+                for block in blocks:
+                    fh.write(np.ascontiguousarray(block, dtype=dtype))
+
+
+def _instance_set(keys, x, row_of, labels, sizes, tweet_ids=None,
+                  user_ids=None) -> features.InstanceSet:
     """The InstanceSet of parsed or cached columns, where instance i has the
-    features x[row_of[i]]: checked for shape and for key and row indices in
-    range and for labels that are 0 or 1, with int32 keys (an older npz
-    holds int64 ones) and int8 labels, and with the rows of x grouped by
-    their bits. The same instances so give the same rows, in the same order,
-    whether they were parsed or cached."""
+    features x[row_of[i]] and ``sizes`` are the lengths of the tweet-id and
+    user-id tables (which it holds when they are given): checked for shape
+    and for key and row indices in range and for labels that are 0 or 1,
+    with int32 keys (an older npz holds int64 ones) and int8 labels, and
+    with the rows of x grouped by their bits. The same instances so give the
+    same rows, in the same order, whether they were parsed or cached."""
     n = len(labels)
     if (keys.shape != (n, 4) or x.ndim != 2 or x.shape[1] != len(features.FEATURE_NAMES)
             or row_of.shape != (n,)):
@@ -393,17 +444,18 @@ def _instance_set(keys, x, row_of, labels, tweet_ids, user_ids) -> features.Inst
     if not np.issubdtype(row_of.dtype, np.integer) or (
             n and not 0 <= row_of.min() <= row_of.max() < len(x)):
         raise ValueError(f"feature row indices are not integers in [0, {len(x)})")
-    # the tweet, follower, friend and hour columns index these tables
-    sizes = (len(tweet_ids), len(user_ids), len(user_ids), 24)
+    # the tweet, follower, friend and hour columns index tables of these sizes
+    n_tweets, n_users = sizes
+    bounds = (n_tweets, n_users, n_users, 24)
     if not np.issubdtype(keys.dtype, np.integer) or (
-            n and ((keys.min(axis=0) < 0) | (keys.max(axis=0) >= sizes)).any()):
+            n and ((keys.min(axis=0) < 0) | (keys.max(axis=0) >= bounds)).any()):
         raise ValueError("instance keys do not index the id tables and hours")
     if not np.isin(labels, (0, 1)).all():
         raise ValueError("instance labels are not 0 or 1")
     first, group = features.equal_row_groups(len(x), x.__getitem__)
     return features.InstanceSet(keys=keys.astype(np.int32, copy=False), rows=x[first],
                                 row_of=group[row_of], labels=labels.astype(np.int8, copy=False),
-                                tweet_ids=tweet_ids, user_ids=user_ids)
+                                tweet_table=tweet_ids, user_ids=user_ids)
 
 
 def _parse_instances_csv(path: Path) -> features.InstanceSet:
@@ -442,31 +494,51 @@ def _parse_instances_csv(path: Path) -> features.InstanceSet:
         np.frombuffer(values, dtype=float).reshape(n, n_feat),
         np.arange(n),
         np.frombuffer(labels, dtype=np.int8),
+        (len(tweet_ids), len(user_ids)),
         tweet_ids,
         user_ids,
     )
 
 
-def _read_instances_npz(path: Path) -> Optional[features.InstanceSet]:
+def _npy_length(npz, name: str) -> int:
+    """The length of the 1-d array ``name`` of an open npz, read off its
+    .npy header; the array itself is not read."""
+    with npz.zip.open(name + ".npy") as fh:
+        version = np.lib.format.read_magic(fh)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"{name}.npy has format version {version}")
+        read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                       else np.lib.format.read_array_header_2_0)
+        shape = read_header(fh)[0]
+    if len(shape) != 1:
+        raise ValueError(f"{name} has shape {shape}, want one axis")
+    return shape[0]
+
+
+def _read_instances_npz(path: Path, ids: bool = True) -> Optional[features.InstanceSet]:
     """The instances held in the npz that features wrote beside path (same
     name, .npz); None when there is none, it cannot be read, or path has
-    changed since."""
+    changed since. With ``ids`` False the id tables are not read: only their
+    lengths, from the .npy headers, to check the keys against."""
     try:
         with np.load(path.with_suffix(".npz"), allow_pickle=False) as npz:
             if str(npz["sha256_csv"]) != model.sha256_file(path):
                 return None
+            sizes = _npy_length(npz, "tweet_ids"), _npy_length(npz, "user_ids")
+            tables = (npz["tweet_ids"], npz["user_ids"]) if ids else ()
             return _instance_set(npz["keys"], npz["feature_rows"], npz["feature_row_of"],
-                                 npz["labels"], npz["tweet_ids"], npz["user_ids"])
+                                 npz["labels"], sizes, *tables)
     except (OSError, ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile):
         return None
 
 
-def load_instances_csv(path: str | Path) -> features.InstanceSet:
+def load_instances_csv(path: str | Path, ids: bool = True) -> features.InstanceSet:
     """The instances of an instances.csv that features wrote: from the
     instances.npz beside it while that holds the file's sha256, parsed from
-    the CSV otherwise. Both give the same columns."""
+    the CSV otherwise. Both give the same columns. With ``ids`` False a set
+    read from the npz holds no id tables (a parsed one holds them still)."""
     path = Path(path)
-    cached = _read_instances_npz(path)
+    cached = _read_instances_npz(path, ids)
     return cached if cached is not None else _parse_instances_csv(path)
 
 
@@ -480,7 +552,8 @@ def load_instances_csv(path: str | Path) -> features.InstanceSet:
 def train_cmd(instances, out, folds, seed, lr, epochs):
     """Balance, normalize, cross-validate and fit the logistic response model."""
     with run_stage(out) as session:
-        inst = load_instances_csv(instances)
+        # nothing here reads an id: the keys only deal folds
+        inst = load_instances_csv(instances, ids=False)
         sub = stage_seed(seed, "train")
         balanced, scaler = features.balance_and_normalize(inst, seed=sub)
         # fits run on the distinct feature rows, weighted by instance counts
@@ -527,23 +600,43 @@ def _parse_aggregate(value: str):
     raise click.BadParameter("--aggregate must be global or personal:<user_id>")
 
 
+# the rank options that each model reads, besides --in, --out and --model
+RANK_OPTIONS = {
+    "tir": {"model_file", "c", "gamma", "aggregate_spec", "hour", "dump_matrix"},
+    "twitterrank": {"gamma", "aggregate_spec"},
+    "tunkrank": {"p"},
+}
+
+
 @main.command("rank")
 @click.option("--in", "in_dir", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--model", "model_name",
               type=click.Choice(["tir", "tunkrank", "twitterrank"]), required=True)
 @click.option("--model-file", type=click.Path(exists=True), default=None,
-              help="Trained logistic model (required for tir).")
-@click.option("--c", type=FloatRange(0.5, 1.0), default=0.85, show_default=True)
-@click.option("--gamma", type=GAMMA_RANGE, default=ranking.DEFAULT_GAMMA, show_default=True)
-@click.option("--p", type=P_RANGE, default=ranking.DEFAULT_P, show_default=True)
-@click.option("--aggregate", "aggregate_spec", default="global", show_default=True)
+              help="Trained logistic model (tir only, and required for it).")
+@click.option("--c", type=FloatRange(0.5, 1.0), default=0.85, show_default=True,
+              help="tir only.")
+@click.option("--gamma", type=GAMMA_RANGE, default=ranking.DEFAULT_GAMMA, show_default=True,
+              help="tir and twitterrank only.")
+@click.option("--p", type=P_RANGE, default=ranking.DEFAULT_P, show_default=True,
+              help="tunkrank only.")
+@click.option("--aggregate", "aggregate_spec", default="global", show_default=True,
+              help="global or personal:<user_id> (tir and twitterrank only).")
 @click.option("--hour", default="all", show_default=True,
               help="all, or a single hour 0..23 (tir only).")
-@click.option("--dump-matrix", is_flag=True, default=False)
-def rank_cmd(in_dir, out, model_name, model_file, c, gamma, p, aggregate_spec,
+@click.option("--dump-matrix", is_flag=True, default=False,
+              help="Write the hour's matrix.csv (tir with --hour only).")
+@click.pass_context
+def rank_cmd(ctx, in_dir, out, model_name, model_file, c, gamma, p, aggregate_spec,
              hour, dump_matrix):
-    """Compute an influence ranking and write ranks.csv."""
+    """Compute an influence ranking and write ranks.csv.
+
+    An option that the model does not read is an error, not ignored."""
+    for param in ctx.command.params:
+        if (param.name not in RANK_OPTIONS[model_name] | {"in_dir", "out", "model_name"}
+                and ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT):
+            raise click.UsageError(f"{param.opts[0]} does not apply to --model {model_name}")
     mode, user = _parse_aggregate(aggregate_spec)
     if hour != "all":
         try:
@@ -552,6 +645,10 @@ def rank_cmd(in_dir, out, model_name, model_file, c, gamma, p, aggregate_spec,
             raise click.BadParameter("--hour must be all or an integer 0..23")
         if not 0 <= hour_val <= 23:
             raise click.BadParameter("--hour must be in [0, 23]")
+        if ctx.get_parameter_source("aggregate_spec") is not ParameterSource.DEFAULT:
+            raise click.UsageError("--aggregate does not apply with --hour")
+    elif dump_matrix:
+        raise click.UsageError("--dump-matrix needs --hour")
     if model_name == "tir" and model_file is None:
         raise click.BadParameter("--model-file is required for tir")
 

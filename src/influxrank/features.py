@@ -216,9 +216,16 @@ class InstanceSet:
     """Columnar store of labeled (tweet, follower) response instances.
 
     Each row of ``keys`` is one instance's (tweet, follower, friend, hour):
-    the tweet column indexes ``tweet_ids`` and the follower and friend
-    columns index ``user_ids``. Both tables are sorted, so key rows sort in
-    the order of the id tuples they stand for.
+    the tweet column indexes ``tweet_ids``, the sorted ids of the tweets
+    that occur, and the follower and friend columns index ``user_ids``.
+    Both are sorted, so key rows sort in the order of the id tuples they
+    stand for.
+
+    The id tables are referenced, not owned. A built set reads its tweet
+    ids off the dataset's own ``tweets.tweet_id`` (``tweet_table``) through
+    ``tweet_rows``, the int32 row of each tweet code in it; a parsed or
+    cached set holds the sorted table it read as ``tweet_table``, with
+    ``tweet_rows`` None. A set loaded without its ids holds neither table.
 
     Features are a function of (edge, hour), so they repeat: ``rows`` holds
     feature rows and ``row_of`` the row of each instance, and every row is
@@ -230,8 +237,9 @@ class InstanceSet:
     rows: np.ndarray  # (R, 12), raw or normalized
     row_of: np.ndarray  # (n,) int32: index into rows
     labels: np.ndarray  # (n,) int8 in {0, 1}
-    tweet_ids: np.ndarray  # str, sorted
-    user_ids: np.ndarray  # str, sorted
+    tweet_table: Optional[np.ndarray]  # str: the tweet ids, or a table holding them
+    user_ids: Optional[np.ndarray]  # str, sorted
+    tweet_rows: Optional[np.ndarray] = None  # int32 row of each tweet code in tweet_table
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -240,6 +248,23 @@ class InstanceSet:
     def features(self) -> np.ndarray:
         """(n, 12) features of each instance: a new array."""
         return self.rows[self.row_of]
+
+    @property
+    def n_tweets(self) -> int:
+        """The number of tweet codes."""
+        table = self.tweet_table if self.tweet_rows is None else self.tweet_rows
+        return len(table)
+
+    def tweet_ids_of(self, codes) -> np.ndarray:
+        """The ids of tweet codes ``codes``, an index array or a slice."""
+        if self.tweet_rows is not None:
+            codes = self.tweet_rows[codes]
+        return self.tweet_table[codes]
+
+    @property
+    def tweet_ids(self) -> np.ndarray:
+        """The sorted ids of all tweet codes: for a built set, a new array."""
+        return self.tweet_ids_of(slice(None))
 
 
 def friend_order(ctx: FeatureContext) -> tuple[np.ndarray, np.ndarray]:
@@ -338,8 +363,9 @@ def build_instances(
         rows=rows_of(first),
         row_of=row_of,
         labels=labels,
-        tweet_ids=dataset.tweets.tweet_id[id_order[used_tweets]],
+        tweet_table=dataset.tweets.tweet_id,
         user_ids=dataset.user_ids[used_users],
+        tweet_rows=id_order[used_tweets].astype(np.int32),
     )
 
 

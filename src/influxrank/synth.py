@@ -75,8 +75,15 @@ class GeneratorConfig:
     def validate(self) -> None:
         if self.n_users < 0:
             raise ValueError("n_users must be >= 0")
-        if self.follower_exponent <= 1:
+        # written so that NaN, which every comparison rejects, fails them
+        if not self.follower_exponent > 1:
             raise ValueError("degree exponents must be > 1")
+        if not 0 <= self.close_fraction <= 1:
+            raise ValueError("close_fraction must be in [0, 1]")
+        if self.observation_days < 1:
+            raise ValueError("observation_days must be >= 1")
+        if self.n_topics < 1:
+            raise ValueError("n_topics must be >= 1")
         if abs(sum(self.prototype_weights) - 1.0) > 1e-9:
             raise ValueError("prototype weights must sum to 1")
         if len(self.prototypes) != len(self.prototype_weights):

@@ -5,8 +5,9 @@ synth --users 20000 --seed 3`` and ``influxrank ingest`` write it.
 asserts the memory gates of the row-blocked stages: a process peak
 (``ru_maxrss``) under 1.5 GB, which a whole n×n distance matrix would exceed
 more than twice over (3.2 GB), and a traced ``build_instances`` peak under
-215 MB. On a 2-core machine that peak was 194-198 MB, against 285-289 MB
-while ``build_instances`` grouped one whole (codes × 12) feature matrix.
+180 MB. On a 2-core machine that peak was 152 MB, against 194-198 MB while
+the instance set held a sorted copy of the tweet ids and 285-289 MB while
+``build_instances`` grouped one whole (codes × 12) feature matrix.
 
 One ``FeatureContext`` build, as each stage makes one after its load, is
 timed untraced, and its peak is traced in a second build on a fresh load. On
@@ -40,9 +41,17 @@ its own, which reads its own high-water mark (``VmHWM``), and its
 ``instances.csv``, ``instances.npz`` and ``scaler.json`` must equal the
 digests recorded here, which the stage wrote while it grouped one whole
 (codes × 12) feature matrix and formatted through an (R × 12) object array.
-In three runs on a 2-core machine it took 8.7-9.1 s with a peak of
-385-386 MB (9.8-11.4 s and 466-471 MB with the whole matrix). It asserts a
-stage under 14 s and 420 MB.
+In three runs on a 2-core machine it took 6.4-8.9 s with a peak of 342 MB
+(6.4-8.8 s and 385-392 MB in five runs while the instance set held a
+sorted copy of the tweet ids and the write one string per feature row;
+9.8-11.4 s and 466-471 MB with the whole matrix). It asserts a stage under
+14 s and 375 MB.
+
+The ``train`` stage then runs on what ``features`` wrote, in a process of
+its own, and its ``model.json`` must equal the digest recorded here. In
+three runs on a 2-core machine it took 15.4-16.7 s with a peak of 259 MB
+(14.5-16.8 s and 310.5 MB while it read the npz's id tables as well). It
+asserts a stage under 25 s and 285 MB.
 
 ``synth`` runs in a process of its own, which reads its own high-water mark
 (``VmHWM``), and its four files must equal the digests recorded here, which
@@ -78,7 +87,7 @@ from influxrank.temporal import all_profiles, select_k
 
 USERS = 20_000
 PROCESS_PEAK_MB = 1_500
-BUILD_INSTANCES_PEAK_MB = 215
+BUILD_INSTANCES_PEAK_MB = 180
 RUN_SCENARIOS_WALL_S = 10
 CONTEXT_WALL_S = 0.5
 CONTEXT_PEAK_MB = 45
@@ -90,7 +99,9 @@ TWEET_ARRAYS_MB = 95
 SYNTH_WALL_S = 12
 SYNTH_PEAK_MB = 960
 FEATURES_WALL_S = 14
-FEATURES_PEAK_MB = 420
+FEATURES_PEAK_MB = 375
+TRAIN_WALL_S = 25
+TRAIN_PEAK_MB = 285
 # sha256 of the features files, as the stage wrote them when it grouped the
 # whole feature matrix
 FEATURES_SHA256 = {
@@ -98,6 +109,8 @@ FEATURES_SHA256 = {
     "instances.npz": "0fa69b8aa9be4066a3dbeb17a0adf940ef66bff49c8bde174487192e980f3f6d",
     "scaler.json": "e62cc3a21f38fa68304596eaf8eaccb50ee41782b7e325fbfdce8cba42c5dea2",
 }
+# sha256 of the model that train fits to those instances
+TRAIN_MODEL_SHA256 = "9b5abdf7af5013f489a29cb3323b708e50dc20289bca863e93fa5695a2559a0b"
 # sha256 of the synth files, as synth wrote them when it built its tweet
 # table from id strings
 SYNTH_SHA256 = {
@@ -249,13 +262,28 @@ def test_ingest_and_cached_load_at_20k(data, tmp_path):
     assert tweets_mb < TWEET_ARRAYS_MB
 
 
-def test_features_at_20k(data, tmp_path):
-    got = _stage("features", "--in", data, "--out", tmp_path, "--seed", 3)
-    digests = {name: sha256_file(tmp_path / name) for name in FEATURES_SHA256}
+@pytest.fixture(scope="module")
+def features_out(data):
+    """The features stage's output directory, and its wall time and peak."""
+    path = data.parent / "features"
+    return path, _stage("features", "--in", data, "--out", path, "--seed", 3)
+
+
+def test_features_at_20k(features_out):
+    path, got = features_out
+    digests = {name: sha256_file(path / name) for name in FEATURES_SHA256}
     print(f"\nfeatures: {got['wall_s']:.1f} s, peak {got['peak_mb']:.0f} MB")
     assert digests == FEATURES_SHA256
     assert got["wall_s"] < FEATURES_WALL_S
     assert got["peak_mb"] < FEATURES_PEAK_MB
+
+
+def test_train_at_20k(features_out, tmp_path):
+    got = _stage("train", "--instances", features_out[0] / "instances.csv", "--out", tmp_path)
+    print(f"\ntrain: {got['wall_s']:.1f} s, peak {got['peak_mb']:.0f} MB")
+    assert sha256_file(tmp_path / "model.json") == TRAIN_MODEL_SHA256
+    assert got["wall_s"] < TRAIN_WALL_S
+    assert got["peak_mb"] < TRAIN_PEAK_MB
 
 
 def test_run_scenarios_at_20k(data):

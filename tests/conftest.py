@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, set before numpy loads so that OpenBLAS reads it: on a
+# 2-core machine two threads run several times slower while another process
+# holds a core, which the wall bounds of some tests do not allow for.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
 import numpy as np
 import pytest
 

@@ -542,7 +542,7 @@ def instance_set_of_ids(id_keys: list[tuple], features: np.ndarray,
         rows=features[first],
         row_of=row_of,
         labels=labels,
-        tweet_ids=np.array(tweet_ids, dtype=str),
+        tweet_table=np.array(tweet_ids, dtype=str),
         user_ids=np.array(user_ids, dtype=str),
     )
 

@@ -320,6 +320,48 @@ class TestErrorHandling:
         assert res.exit_code == 2, res.output
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("model, args", [
+        ("tir", ["--model-file", ".", "--dump-matrix"]),
+        ("tir", ["--model-file", ".", "--hour", "all", "--dump-matrix"]),
+        ("tir", ["--model-file", ".", "--hour", 3, "--aggregate", "personal:u1"]),
+        ("tir", ["--model-file", ".", "--p", 0.5]),
+        ("tunkrank", ["--hour", 5]),
+        ("tunkrank", ["--dump-matrix"]),
+        # the default value, but given
+        ("tunkrank", ["--c", 0.85]),
+        ("tunkrank", ["--aggregate", "personal:u1"]),
+        ("tunkrank", ["--gamma", 0.5]),
+        ("tunkrank", ["--model-file", "."]),
+        ("twitterrank", ["--hour", 5]),
+        ("twitterrank", ["--dump-matrix"]),
+        ("twitterrank", ["--c", 0.5]),
+        ("twitterrank", ["--p", 0.5]),
+        ("twitterrank", ["--model-file", "."]),
+    ])
+    def test_rank_options_that_do_not_apply_fail_before_loading(self, tmp_path, model, args):
+        # the input directory holds no dataset, so a load would exit 1
+        args = [tmp_path if a == "." else a for a in args]
+        res = run_cli("rank", "--in", tmp_path, "--model", model, "--out", tmp_path / "x",
+                      *args)
+        assert res.exit_code == 2, res.output
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--days", 0],
+        ["--days", -3],
+        ["--topics", 0],
+        ["--close-fraction", 2],
+        ["--close-fraction", -0.1],
+        ["--close-fraction", "nan"],
+        ["--follower-exponent", 1],
+        ["--follower-exponent", 0.5],
+        ["--follower-exponent", "nan"],
+    ])
+    def test_bad_synth_parameters_fail_before_writing(self, tmp_path, args):
+        res = run_cli("synth", "--users", 30, "--seed", 1, "--out", tmp_path / "x", *args)
+        assert res.exit_code == 2, res.output
+        assert not (tmp_path / "x").exists()
+
     def test_missing_input_file_exits_1(self, tmp_path):
         out = tmp_path / "x"
         res = run_cli("stats", "--in", tmp_path, "--out", out)
@@ -405,6 +447,22 @@ class TestInstanceHandOff:
         monkeypatch.setattr(cli, "_parse_instances_csv", no_parse)
         ok(run_cli("train", "--instances", pipeline["features"] / "instances.csv",
                    "--epochs", 150, "--out", tmp_path / "train"))
+        assert ((tmp_path / "train" / "model.json").read_bytes()
+                == (pipeline["train"] / "model.json").read_bytes())
+
+    def test_train_reads_no_id_table(self, pipeline, tmp_path, monkeypatch):
+        read = []
+        getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def spy(npz, key):
+            read.append(key)
+            return getitem(npz, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", spy)
+        ok(run_cli("train", "--instances", pipeline["features"] / "instances.csv",
+                   "--epochs", 150, "--out", tmp_path / "train"))
+        assert sorted(read) == ["feature_row_of", "feature_rows", "keys", "labels",
+                                "sha256_csv"]
         assert ((tmp_path / "train" / "model.json").read_bytes()
                 == (pipeline["train"] / "model.json").read_bytes())
 

@@ -527,9 +527,10 @@ def test_cli_stages_build_no_tweet_records(tmp_path, monkeypatch):
     run("features", "--in", data, "--out", d["features"])
     run("train", "--instances", d["features"] / "instances.csv", "--epochs", 50,
         "--out", d["train"])
-    for name in ("tir", "tunkrank", "twitterrank"):
-        run("rank", "--in", data, "--model", name, "--model-file", model_file,
-            "--out", tmp_path / f"rank_{name}")
+    run("rank", "--in", data, "--model", "tir", "--model-file", model_file,
+        "--out", tmp_path / "rank_tir")
+    for name in ("tunkrank", "twitterrank"):
+        run("rank", "--in", data, "--model", name, "--out", tmp_path / f"rank_{name}")
     run("compare", "--in", data, "--model-file", model_file, "--out", tmp_path / "compare")
     run("recommend", "--in", data, "--model-file", model_file, "--c-grid", "0.85",
         "--n-links", 2, "--scenarios", "L_ur", "--out", tmp_path / "recommend")

@@ -110,6 +110,10 @@ def check_hand_off(instances, root: Path) -> Path:
     cached, parsed = cli._read_instances_npz(path), cli._parse_instances_csv(path)
     assert cached is not None
     assert_same_instances(cached, parsed)
+    # the npz, written member by member, has the bytes of np.savez
+    with np.load(path.with_suffix(".npz")) as npz:
+        np.savez(root / "savez.npz", **{name: npz[name] for name in npz.files})
+    assert path.with_suffix(".npz").read_bytes() == (root / "savez.npz").read_bytes()
     assert instance_id_keys(parsed) == instance_id_keys(instances)
     assert np.array_equal(parsed.labels, instances.labels)
     return path
@@ -213,7 +217,8 @@ def _written(instances, out: Path) -> tuple[bytes, bytes]:
 
 
 # (tweets per build_instances block, rows per equal_row_groups and
-# write_instances block): one, two, and sizes that leave a short last block
+# write_instances block and lines per write): one, two, and sizes that leave
+# a short last block
 # (the 60-user synthetic set has 3,267 tweets, 4,388 instances and 668
 # distinct rows)
 BLOCKS = [(1, 1), (2, 2), (4, 5), (97, 1000)]
@@ -230,6 +235,7 @@ def test_blocks_of_datasets_change_nothing(tweets, rows, dataset):
             mp.setattr(features, "_INSTANCE_TWEETS", tweets)
             mp.setattr(features, "_BLOCK_ROWS", rows)
             mp.setattr(cli, "_BLOCK_ROWS", rows)
+            mp.setattr(cli, "_WRITE_LINES", rows)
             blocked = build_instances(dataset)
             assert _written(blocked, Path(tmp) / "blocked") == want
             write_instances_loop(Path(tmp) / "oracle.csv", blocked)
@@ -246,6 +252,7 @@ def test_blocks_of_synthetic_set_change_nothing(tmp_path, monkeypatch, small_syn
     monkeypatch.setattr(features, "_INSTANCE_TWEETS", tweets)
     monkeypatch.setattr(features, "_BLOCK_ROWS", rows)
     monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(cli, "_WRITE_LINES", rows)
     blocked = build_instances(dataset)
     assert_same_instances(blocked, whole)
     assert_same_instances(blocked, build_instances_loop(dataset, FeatureContext(dataset)))
@@ -260,15 +267,37 @@ def test_built_parsed_and_cached_sets_share_one_label_dtype(tmp_path, small_synt
     path = check_hand_off(built, tmp_path)
     sets = (built, cli._parse_instances_csv(path), cli._read_instances_npz(path))
     assert [s.labels.dtype for s in sets] == [np.dtype(np.int8)] * 3
+    for s in sets[1:]:
+        assert np.array_equal(s.tweet_ids, built.tweet_ids)
+        assert np.array_equal(s.user_ids, built.user_ids)
+
+
+def test_built_set_holds_no_copy_of_the_tweet_ids(small_synth):
+    dataset, _ = small_synth
+    built = build_instances(dataset)
+    assert built.tweet_table is dataset.tweets.tweet_id
+    assert built.tweet_rows.dtype == np.int32
+    # no other array of the set holds strings per tweet
+    strings = [name for name, value in vars(built).items()
+               if isinstance(value, np.ndarray) and value.dtype.kind in "USO"]
+    assert sorted(strings) == ["tweet_table", "user_ids"]
+    assert len(built.user_ids) <= dataset.n_users
+    # the tweets whose author has a follower
+    followers = np.bincount(dataset.graph.dst, minlength=dataset.n_users)
+    tweets = dataset.tweets
+    used = sorted(tweets.tweet_id[followers[tweets.author] > 0].tolist())
+    assert built.tweet_ids.tolist() == used
+    assert built.n_tweets == len(used)
 
 
 # traced peaks (bytes) over the 60-user synthetic set, measured with numpy
-# 2.4 on Python 3.11: 521,938 for build_instances and 2,292,237 with
-# write_instances after it, where grouping the whole (codes x 12) matrix
-# and formatting through an (R x 12) object array took 707,420 and
-# 2,355,096; the write's peak is its last block of CSV text
+# 2.4 on Python 3.11: 517,900 for build_instances and 1,486,218 with
+# write_instances after it, whose peak is one block of instances' column
+# lists; grouping the whole (codes x 12) matrix and formatting through an
+# (R x 12) object array took 707,420 and 2,355,096, and joining each
+# block's lines into one string before writing it 521,938 and 2,292,022
 BUILD_PEAK_BYTES = 600_000
-BUILD_AND_WRITE_PEAK_BYTES = 2_320_000
+BUILD_AND_WRITE_PEAK_BYTES = 1_600_000
 
 
 def test_build_and_write_hold_no_whole_matrix_copies(tmp_path, small_synth):
@@ -363,6 +392,25 @@ def test_npz_keys_out_of_range_fall_back_to_parse(tmp_path, small_synth, column)
     _rewrite_npz(path.with_suffix(".npz"), "keys", damage)
     assert cli._read_instances_npz(path) is None
     assert_same_instances(cli.load_instances_csv(path), cli._parse_instances_csv(path))
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_npz_keys_past_a_table_fail_without_reading_it(tmp_path, small_synth, column):
+    dataset, _ = small_synth
+    path = check_hand_off(build_instances(dataset), tmp_path)
+    assert cli._read_instances_npz(path, ids=False) is not None
+    with np.load(path.with_suffix(".npz")) as npz:
+        size = len(npz["tweet_ids" if column == 0 else "user_ids"])
+
+    def damage(keys):
+        keys = keys.copy()
+        keys[-1, column] = size
+        return keys
+
+    _rewrite_npz(path.with_suffix(".npz"), "keys", damage)
+    assert cli._read_instances_npz(path, ids=False) is None
+    assert_same_instances(cli.load_instances_csv(path, ids=False),
+                          cli._parse_instances_csv(path))
 
 
 def test_integer_key_folds_equal_id_tuple_folds(small_synth):

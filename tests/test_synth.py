@@ -34,6 +34,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="exponents"):
             generate(GeneratorConfig(n_users=10, follower_exponent=1.0))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("follower_exponent", float("nan"), "exponents"),
+        ("close_fraction", float("nan"), "close_fraction"),
+        ("close_fraction", 1.5, "close_fraction"),
+        ("close_fraction", -0.1, "close_fraction"),
+        ("observation_days", 0, "observation_days"),
+        ("n_topics", 0, "n_topics"),
+    ])
+    def test_out_of_range_or_nan_settings(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            generate(GeneratorConfig(n_users=10, **{field: value}))
+
     def test_prototype_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
             generate(GeneratorConfig(n_users=10, prototype_weights=(0.5, 0.2, 0.2)))
