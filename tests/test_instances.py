@@ -3,7 +3,9 @@
 ``cli.write_instances`` must print the bytes of the value-at-a-time writer in
 oracles.py, also for ids that need quoting and for an empty instance set.
 The npz it leaves must hold exactly what parsing the CSV gives, grouped
-into the same distinct rows, and ``load_instances_csv`` must fall back to
+into the same distinct rows, with the bytes ``np.savez`` gives it; a built
+set must read its tweet ids off the dataset's table, not a copy; and
+``load_instances_csv`` must fall back to
 that parse when the npz is missing, damaged or older than the CSV. The
 integer keys must deal folds as the id tuples they stand for did. Building
 and writing in blocks of any size must change no instance and no byte.
