@@ -7,6 +7,7 @@ hashes; identical inputs, flags and seed produce byte-identical artifacts.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -515,31 +516,32 @@ def _npy_length(npz, name: str) -> int:
     return shape[0]
 
 
-def _read_instances_npz(path: Path, ids: bool = True) -> Optional[features.InstanceSet]:
+def _read_instances_npz(path: Path) -> Optional[features.InstanceSet]:
     """The instances held in the npz that features wrote beside path (same
-    name, .npz); None when there is none, it cannot be read, or path has
-    changed since. With ``ids`` False the id tables are not read: only their
-    lengths, from the .npy headers, to check the keys against."""
+    name, .npz), without their id tables; None when there is none, it
+    cannot be read, or path has changed since. The id tables are not read:
+    only their lengths, from the .npy headers, to check the keys against."""
     try:
         with np.load(path.with_suffix(".npz"), allow_pickle=False) as npz:
             if str(npz["sha256_csv"]) != model.sha256_file(path):
                 return None
             sizes = _npy_length(npz, "tweet_ids"), _npy_length(npz, "user_ids")
-            tables = (npz["tweet_ids"], npz["user_ids"]) if ids else ()
             return _instance_set(npz["keys"], npz["feature_rows"], npz["feature_row_of"],
-                                 npz["labels"], sizes, *tables)
+                                 npz["labels"], sizes)
     except (OSError, ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile):
         return None
 
 
-def load_instances_csv(path: str | Path, ids: bool = True) -> features.InstanceSet:
-    """The instances of an instances.csv that features wrote: from the
-    instances.npz beside it while that holds the file's sha256, parsed from
-    the CSV otherwise. Both give the same columns. With ``ids`` False a set
-    read from the npz holds no id tables (a parsed one holds them still)."""
+def load_instances_csv(path: str | Path) -> features.InstanceSet:
+    """The instances of an instances.csv that features wrote, without their
+    id tables, which nothing that reads them uses: from the instances.npz
+    beside it while that holds the file's sha256, parsed from the CSV
+    otherwise. Both give the same columns."""
     path = Path(path)
-    cached = _read_instances_npz(path, ids)
-    return cached if cached is not None else _parse_instances_csv(path)
+    cached = _read_instances_npz(path)
+    if cached is not None:
+        return cached
+    return dataclasses.replace(_parse_instances_csv(path), tweet_table=None, user_ids=None)
 
 
 @main.command("train")
@@ -552,8 +554,7 @@ def load_instances_csv(path: str | Path, ids: bool = True) -> features.InstanceS
 def train_cmd(instances, out, folds, seed, lr, epochs):
     """Balance, normalize, cross-validate and fit the logistic response model."""
     with run_stage(out) as session:
-        # nothing here reads an id: the keys only deal folds
-        inst = load_instances_csv(instances, ids=False)
+        inst = load_instances_csv(instances)
         sub = stage_seed(seed, "train")
         balanced, scaler = features.balance_and_normalize(inst, seed=sub)
         # fits run on the distinct feature rows, weighted by instance counts

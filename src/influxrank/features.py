@@ -223,9 +223,12 @@ class InstanceSet:
 
     The id tables are referenced, not owned. A built set reads its tweet
     ids off the dataset's own ``tweets.tweet_id`` (``tweet_table``) through
-    ``tweet_rows``, the int32 row of each tweet code in it; a parsed or
-    cached set holds the sorted table it read as ``tweet_table``, with
-    ``tweet_rows`` None. A set loaded without its ids holds neither table.
+    ``tweet_rows``, the int32 row of each tweet code in it; a parsed set
+    holds the sorted table it read as ``tweet_table``, with ``tweet_rows``
+    None. A set that ``cli.load_instances_csv`` gives holds no id table
+    (``tweet_table`` and ``user_ids`` are None): its keys were checked
+    against the tables' lengths alone, and asking it for ids raises
+    ValueError.
 
     Features are a function of (edge, hour), so they repeat: ``rows`` holds
     feature rows and ``row_of`` the row of each instance, and every row is
@@ -237,8 +240,8 @@ class InstanceSet:
     rows: np.ndarray  # (R, 12), raw or normalized
     row_of: np.ndarray  # (n,) int32: index into rows
     labels: np.ndarray  # (n,) int8 in {0, 1}
-    tweet_table: Optional[np.ndarray]  # str: the tweet ids, or a table holding them
-    user_ids: Optional[np.ndarray]  # str, sorted
+    tweet_table: Optional[np.ndarray]  # str: the tweet ids, a table holding them, or None
+    user_ids: Optional[np.ndarray]  # str, sorted, or None
     tweet_rows: Optional[np.ndarray] = None  # int32 row of each tweet code in tweet_table
 
     def __len__(self) -> int:
@@ -257,6 +260,9 @@ class InstanceSet:
 
     def tweet_ids_of(self, codes) -> np.ndarray:
         """The ids of tweet codes ``codes``, an index array or a slice."""
+        if self.tweet_table is None:
+            raise ValueError("this instance set holds no id tables: it was loaded for "
+                             "its keys, rows and labels alone")
         if self.tweet_rows is not None:
             codes = self.tweet_rows[codes]
         return self.tweet_table[codes]

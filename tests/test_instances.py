@@ -94,8 +94,10 @@ def instance_sets(draw):
     )
 
 
-def assert_same_instances(a, b) -> None:
-    for name in ("keys", "row_of", "labels", "tweet_ids", "user_ids"):
+def assert_same_instances(a, b, ids: bool = True) -> None:
+    """a and b hold the same instances; with ids False, a loaded set's, so
+    that their id tables are not compared."""
+    for name in ("keys", "row_of", "labels") + (("tweet_ids", "user_ids") if ids else ()):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     # bit for bit, so NaN and -0.0 count
     assert a.rows.shape == b.rows.shape
@@ -111,7 +113,10 @@ def check_hand_off(instances, root: Path) -> Path:
     assert path.read_bytes() == (root / "oracle.csv").read_bytes()
     cached, parsed = cli._read_instances_npz(path), cli._parse_instances_csv(path)
     assert cached is not None
-    assert_same_instances(cached, parsed)
+    assert_same_instances(cached, parsed, ids=False)
+    with np.load(path.with_suffix(".npz")) as npz:
+        assert np.array_equal(npz["tweet_ids"], parsed.tweet_ids)
+        assert np.array_equal(npz["user_ids"], parsed.user_ids)
     # the npz, written member by member, has the bytes of np.savez
     with np.load(path.with_suffix(".npz")) as npz:
         np.savez(root / "savez.npz", **{name: npz[name] for name in npz.files})
@@ -267,11 +272,17 @@ def test_built_parsed_and_cached_sets_share_one_label_dtype(tmp_path, small_synt
     dataset, _ = small_synth
     built = build_instances(dataset)
     path = check_hand_off(built, tmp_path)
-    sets = (built, cli._parse_instances_csv(path), cli._read_instances_npz(path))
-    assert [s.labels.dtype for s in sets] == [np.dtype(np.int8)] * 3
-    for s in sets[1:]:
-        assert np.array_equal(s.tweet_ids, built.tweet_ids)
-        assert np.array_equal(s.user_ids, built.user_ids)
+    parsed, cached = cli._parse_instances_csv(path), cli._read_instances_npz(path)
+    assert [s.labels.dtype for s in (built, parsed, cached)] == [np.dtype(np.int8)] * 3
+    # the cached set holds no id table: the npz's are compared as stored
+    with np.load(path.with_suffix(".npz")) as npz:
+        for ids in (parsed.tweet_ids, npz["tweet_ids"]):
+            assert np.array_equal(ids, built.tweet_ids)
+        for ids in (parsed.user_ids, npz["user_ids"]):
+            assert np.array_equal(ids, built.user_ids)
+    assert cached.tweet_table is cached.user_ids is None
+    with pytest.raises(ValueError, match="no id tables"):
+        cached.tweet_ids
 
 
 def test_built_set_holds_no_copy_of_the_tweet_ids(small_synth):
@@ -358,7 +369,9 @@ def test_load_falls_back_to_parse(tmp_path, small_synth, damage):
         npz.unlink()
     assert cli._read_instances_npz(path) is None
     loaded = cli.load_instances_csv(path)
-    assert_same_instances(loaded, cli._parse_instances_csv(path))
+    # parsed or cached, a loaded set holds no id table
+    assert loaded.tweet_table is loaded.user_ids is None
+    assert_same_instances(loaded, cli._parse_instances_csv(path), ids=False)
     if damage == "edit_csv":
         assert loaded.labels[0] != build_instances(dataset).labels[0]
 
@@ -378,7 +391,7 @@ def test_int32_columns_and_int64_npz_loads(tmp_path, small_synth):
     loaded = cli._read_instances_npz(path)
     assert loaded is not None
     assert (loaded.keys.dtype, loaded.row_of.dtype) == (np.int32, np.int32)
-    assert_same_instances(loaded, want)
+    assert_same_instances(loaded, want, ids=False)
 
 
 @pytest.mark.parametrize("column", [0, 1, 3])
@@ -393,14 +406,15 @@ def test_npz_keys_out_of_range_fall_back_to_parse(tmp_path, small_synth, column)
 
     _rewrite_npz(path.with_suffix(".npz"), "keys", damage)
     assert cli._read_instances_npz(path) is None
-    assert_same_instances(cli.load_instances_csv(path), cli._parse_instances_csv(path))
+    assert_same_instances(cli.load_instances_csv(path), cli._parse_instances_csv(path),
+                          ids=False)
 
 
 @pytest.mark.parametrize("column", [0, 1, 2])
 def test_npz_keys_past_a_table_fail_without_reading_it(tmp_path, small_synth, column):
     dataset, _ = small_synth
     path = check_hand_off(build_instances(dataset), tmp_path)
-    assert cli._read_instances_npz(path, ids=False) is not None
+    assert cli._read_instances_npz(path) is not None
     with np.load(path.with_suffix(".npz")) as npz:
         size = len(npz["tweet_ids" if column == 0 else "user_ids"])
 
@@ -410,9 +424,9 @@ def test_npz_keys_past_a_table_fail_without_reading_it(tmp_path, small_synth, co
         return keys
 
     _rewrite_npz(path.with_suffix(".npz"), "keys", damage)
-    assert cli._read_instances_npz(path, ids=False) is None
-    assert_same_instances(cli.load_instances_csv(path, ids=False),
-                          cli._parse_instances_csv(path))
+    assert cli._read_instances_npz(path) is None
+    assert_same_instances(cli.load_instances_csv(path), cli._parse_instances_csv(path),
+                          ids=False)
 
 
 def test_integer_key_folds_equal_id_tuple_folds(small_synth):
