@@ -14,7 +14,6 @@ import json
 import math
 import re
 import sys
-import zipfile
 from array import array
 from contextlib import contextmanager
 from itertools import islice
@@ -219,14 +218,20 @@ def activity_cmd(in_dir, out):
 @main.command("cluster")
 @click.option("--in", "in_dir", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--k", type=click.IntRange(min=1), default=None, help="Fixed cluster count.")
+@click.option("--k", type=click.IntRange(min=1), default=None,
+              help="Fixed cluster count; --k-min and --k-max are an error with it.")
 @click.option("--k-min", type=int, default=2, show_default=True)
 @click.option("--k-max", type=int, default=6, show_default=True)
 @click.option("--max-shift", type=click.IntRange(0, 23), default=0, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-def cluster_cmd(in_dir, out, k, k_min, k_max, max_shift, seed):
+@click.pass_context
+def cluster_cmd(ctx, in_dir, out, k, k_min, k_max, max_shift, seed):
     """K-SC clustering of per-user hourly activity shapes."""
-    if k is None and not 2 <= k_min <= k_max <= 10:
+    if k is not None:
+        for param in ("k_min", "k_max"):
+            if ctx.get_parameter_source(param) is not ParameterSource.DEFAULT:
+                raise click.UsageError(f"--{param.replace('_', '-')} does not apply with --k")
+    elif not 2 <= k_min <= k_max <= 10:
         raise click.BadParameter("need 2 <= --k-min <= --k-max <= 10")
 
     with run_stage(out) as session:
@@ -332,14 +337,14 @@ def _csv_fields(values: list[str]) -> list[str]:
 
 def write_instances(session: ArtifactSession, instances: features.InstanceSet) -> None:
     """Write instances.csv, with the bytes write_csv would give it, and
-    instances.npz: the columns that parsing that CSV gives, and its sha256.
+    instances.npz: what parsing that CSV gives but the id tables, which
+    train does not read (their lengths instead), and the CSV's sha256.
 
     Each distinct value of a column is formatted once, one column at a time,
     and each feature row joined once, a block of rows at a time, into one
     string per block; user ids are encoded once, and tweet ids once per
-    block of instances. Lines are written a few at a time, and the tweet
-    ids are gathered a block at a time for the npz too, so neither a block's
-    text nor the whole tweet-id table is held twice.
+    block of instances. Lines are written a few at a time, so that no
+    block's text is held twice.
     """
     rows = np.ascontiguousarray(instances.rows, dtype=float)
     # each value's index among its column's distinct values, told apart by
@@ -391,71 +396,36 @@ def write_instances(session: ArtifactSession, instances: features.InstanceSet) -
             while text := "".join(islice(lines, _WRITE_LINES)):
                 fh.write(text)
     del chunks, start, end, users
-    # the manifest reuses this digest
-    session.digests[csv_path] = digest = model.sha256_file(csv_path)
-    n_tweets = instances.n_tweets
-    _write_npz(session.path(csv_path.with_suffix(".npz").name), {
-        "sha256_csv": np.array(digest),
-        "keys": instances.keys,
-        "feature_rows": parsed_rows,
-        "feature_row_of": instances.row_of,
-        "labels": labels.astype(np.int64),
-        "tweet_ids": (instances.tweet_table.dtype, (n_tweets,), (
-            instances.tweet_ids_of(slice(lo, lo + _BLOCK_ROWS))
-            for lo in range(0, n_tweets, _BLOCK_ROWS))),
-        "user_ids": instances.user_ids,
-    })
-
-
-def _write_npz(path: Path, members: dict) -> None:
-    """np.savez(path, **members), with the same bytes, where a member may
-    also be a (dtype, shape, blocks) triple: the C-order array that the
-    blocks of rows concatenate to, written block by block and never held
-    whole."""
-    with zipfile.ZipFile(path, "w", allowZip64=True) as zf:
-        for name, value in members.items():
-            with zf.open(name + ".npy", "w", force_zip64=True) as fh:
-                if isinstance(value, np.ndarray):
-                    np.lib.format.write_array(fh, value)
-                    continue
-                dtype, shape, blocks = value
-                np.lib.format.write_array_header_1_0(fh, {
-                    "descr": np.lib.format.dtype_to_descr(dtype),
-                    "fortran_order": False,
-                    "shape": shape,
-                })
-                for block in blocks:
-                    fh.write(np.ascontiguousarray(block, dtype=dtype))
+    # the manifest reuses the CSV's digest
+    session.digests.update(model.write_npz(
+        session.path("instances.npz"), [csv_path], keys=instances.keys,
+        feature_rows=parsed_rows, feature_row_of=instances.row_of, labels=labels,
+        id_table_sizes=np.array([instances.n_tweets, len(instances.user_ids)])))
 
 
 def _instance_set(keys, x, row_of, labels, sizes, tweet_ids=None,
                   user_ids=None) -> features.InstanceSet:
     """The InstanceSet of parsed or cached columns, where instance i has the
-    features x[row_of[i]] and ``sizes`` are the lengths of the tweet-id and
-    user-id tables (which it holds when they are given): checked for shape
-    and for key and row indices in range and for labels that are 0 or 1,
-    with int32 keys (an older npz holds int64 ones) and int8 labels, and
-    with the rows of x grouped by their bits. The same instances so give the
-    same rows, in the same order, whether they were parsed or cached."""
+    features x[row_of[i]] and ``sizes`` holds the lengths of the tweet-id and
+    user-id tables (held too when given): checked for shape, for int32 key
+    and row indices in range and for int8 labels of 0 or 1, with the rows of
+    x grouped by their bits, so that the same instances give the same rows,
+    in the same order, whether parsed or cached."""
     n = len(labels)
-    if (keys.shape != (n, 4) or x.ndim != 2 or x.shape[1] != len(features.FEATURE_NAMES)
-            or row_of.shape != (n,)):
+    if (keys.shape != (n, 4) or x.dtype != float
+            or x.shape[1:] != (len(features.FEATURE_NAMES),) or row_of.shape != (n,)
+            or sizes.shape != (2,) or sizes.dtype != np.int64):
         raise ValueError(f"instance columns of shapes {keys.shape}, {x.shape}, "
                          f"{row_of.shape}, ({n},)")
-    if not np.issubdtype(row_of.dtype, np.integer) or (
-            n and not 0 <= row_of.min() <= row_of.max() < len(x)):
-        raise ValueError(f"feature row indices are not integers in [0, {len(x)})")
+    model.index_column(row_of, len(x))
     # the tweet, follower, friend and hour columns index tables of these sizes
     n_tweets, n_users = sizes
-    bounds = (n_tweets, n_users, n_users, 24)
-    if not np.issubdtype(keys.dtype, np.integer) or (
-            n and ((keys.min(axis=0) < 0) | (keys.max(axis=0) >= bounds)).any()):
-        raise ValueError("instance keys do not index the id tables and hours")
-    if not np.isin(labels, (0, 1)).all():
-        raise ValueError("instance labels are not 0 or 1")
+    for column, high in zip(keys.T, (n_tweets, n_users, n_users, 24)):
+        model.index_column(column, high)
+    if labels.dtype != np.int8 or not np.isin(labels, (0, 1)).all():
+        raise ValueError("instance labels are not int8 0 or 1")
     first, group = features.equal_row_groups(len(x), x.__getitem__)
-    return features.InstanceSet(keys=keys.astype(np.int32, copy=False), rows=x[first],
-                                row_of=group[row_of], labels=labels.astype(np.int8, copy=False),
+    return features.InstanceSet(keys=keys, rows=x[first], row_of=group[row_of], labels=labels,
                                 tweet_table=tweet_ids, user_ids=user_ids)
 
 
@@ -463,7 +433,7 @@ def _parse_instances_csv(path: Path) -> features.InstanceSet:
     """The instances of an instance CSV, checked line by line."""
     source, width, n_feat = path.name, len(INSTANCE_HEADER), len(features.FEATURE_NAMES)
     tweet, follower, friend = [], [], []
-    hours, labels = array("q"), array("b")
+    hours, labels = array("b"), array("b")
     # packed doubles, not one float object per value
     values = array("d")
     with path.open(newline="") as fh:
@@ -481,6 +451,8 @@ def _parse_instances_csv(path: Path) -> features.InstanceSet:
                 raise model.ParseError(source, reader.line_num, str(exc)) from None
             if label not in (0, 1):
                 raise model.ParseError(source, reader.line_num, f"label {rec[-1]!r} is not 0 or 1")
+            if not 0 <= hour < 24:
+                raise model.ParseError(source, reader.line_num, f"hour {rec[3]!r} is not 0..23")
             tweet.append(rec[0])
             follower.append(rec[1])
             friend.append(rec[2])
@@ -489,47 +461,25 @@ def _parse_instances_csv(path: Path) -> features.InstanceSet:
     tweet_ids, tweet_code = np.unique(np.array(tweet, dtype=str), return_inverse=True)
     user_ids, user_code = np.unique(np.array(follower + friend, dtype=str), return_inverse=True)
     n = len(labels)
+    # every code and hour is in range, so no value wraps round
     return _instance_set(
         np.column_stack([tweet_code, user_code[:n], user_code[n:],
-                         np.frombuffer(hours, dtype=np.int64)]),
+                         np.frombuffer(hours, dtype=np.int8)]).astype(np.int32),
         np.frombuffer(values, dtype=float).reshape(n, n_feat),
-        np.arange(n),
+        np.arange(n, dtype=np.int32),
         np.frombuffer(labels, dtype=np.int8),
-        (len(tweet_ids), len(user_ids)),
+        np.array([len(tweet_ids), len(user_ids)]),
         tweet_ids,
         user_ids,
     )
 
 
-def _npy_length(npz, name: str) -> int:
-    """The length of the 1-d array ``name`` of an open npz, read off its
-    .npy header; the array itself is not read."""
-    with npz.zip.open(name + ".npy") as fh:
-        version = np.lib.format.read_magic(fh)
-        if version not in ((1, 0), (2, 0)):
-            raise ValueError(f"{name}.npy has format version {version}")
-        read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
-                       else np.lib.format.read_array_header_2_0)
-        shape = read_header(fh)[0]
-    if len(shape) != 1:
-        raise ValueError(f"{name} has shape {shape}, want one axis")
-    return shape[0]
-
-
 def _read_instances_npz(path: Path) -> Optional[features.InstanceSet]:
     """The instances held in the npz that features wrote beside path (same
-    name, .npz), without their id tables; None when there is none, it
-    cannot be read, or path has changed since. The id tables are not read:
-    only their lengths, from the .npy headers, to check the keys against."""
-    try:
-        with np.load(path.with_suffix(".npz"), allow_pickle=False) as npz:
-            if str(npz["sha256_csv"]) != model.sha256_file(path):
-                return None
-            sizes = _npy_length(npz, "tweet_ids"), _npy_length(npz, "user_ids")
-            return _instance_set(npz["keys"], npz["feature_rows"], npz["feature_row_of"],
-                                 npz["labels"], sizes)
-    except (OSError, ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile):
-        return None
+    name, .npz), which holds no id table; None when there is none, it cannot
+    be read, or path has changed since."""
+    return model.read_npz(path.with_suffix(".npz"), [path], lambda a: _instance_set(
+        a["keys"], a["feature_rows"], a["feature_row_of"], a["labels"], a["id_table_sizes"]))
 
 
 def load_instances_csv(path: str | Path) -> features.InstanceSet:

@@ -226,9 +226,9 @@ class InstanceSet:
     ``tweet_rows``, the int32 row of each tweet code in it; a parsed set
     holds the sorted table it read as ``tweet_table``, with ``tweet_rows``
     None. A set that ``cli.load_instances_csv`` gives holds no id table
-    (``tweet_table`` and ``user_ids`` are None): its keys were checked
-    against the tables' lengths alone, and asking it for ids raises
-    ValueError.
+    (``tweet_table`` and ``user_ids`` are None), as ``instances.npz`` holds
+    none: its keys were checked against the tables' lengths alone, and
+    asking it for ids raises ValueError.
 
     Features are a function of (edge, hour), so they repeat: ``rows`` holds
     feature rows and ``row_of`` the row of each instance, and every row is

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -846,6 +846,44 @@ def sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def write_npz(path: Path, sources: Sequence[Path], **arrays: np.ndarray) -> dict[Path, str]:
+    """np.savez(path) of the sha256 of each source file, as member
+    ``sha256_<stem>``, and then of arrays: a parse cache of the sources that
+    read_npz reads while they are unchanged. Returns the digests by source
+    path, for a manifest to reuse."""
+    digests = {p: sha256_file(p) for p in sources}
+    np.savez(path, **{f"sha256_{p.stem}": np.array(d) for p, d in digests.items()}, **arrays)
+    return digests
+
+
+def read_npz(path: Path, sources: Sequence[Path], build: Callable[[dict], object]):
+    """build(arrays) of the members of the npz that write_npz(path, sources,
+    ...) wrote, by name; None when there is no npz, it cannot be read, a
+    source has changed since, or build raises a ValueError, KeyError or
+    IndexError (a cache of another layout, or with an index out of range)."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            if any(str(npz[f"sha256_{p.stem}"]) != sha256_file(p) for p in sources):
+                return None
+            arrays = {key: npz[key] for key in npz.files if not key.startswith("sha256_")}
+        return build(arrays)
+    except (OSError, ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile):
+        return None
+
+
+def index_column(values: np.ndarray, high: int, low: int = 0,
+                 present: Optional[np.ndarray] = None) -> None:
+    """Check that values are int32 and in [low, high); with present, only
+    where present is True, and -1 elsewhere."""
+    if values.dtype != np.int32 or present is not None and (
+            present.dtype != bool or present.shape != values.shape):
+        raise ValueError("an index column is not int32 or does not fit its table")
+    named = values if present is None else values[present]
+    if (named.size and not low <= named.min() <= named.max() < high) or (
+            present is not None and (values[~present] != -1).any()):
+        raise ValueError("an index column is out of range")
+
+
 def write_cache(dataset: Dataset, out_dir: str | Path) -> tuple[Path, dict[Path, str]]:
     """Write CACHE_NAME into out_dir, where serialize(dataset, out_dir) has
     just written the JSONL files: the users, edges and tweet columns that
@@ -858,10 +896,8 @@ def write_cache(dataset: Dataset, out_dir: str | Path) -> tuple[Path, dict[Path,
     graph, tweets = dataset.graph, dataset.tweets
     records = [dataset.users[u] for u in graph.vertices]
     path = out / CACHE_NAME
-    digests = {out / f"{name}.jsonl": sha256_file(out / f"{name}.jsonl") for name in _JSONL_NAMES}
-    np.savez(
-        path,
-        **{f"sha256_{p.stem}": np.array(d) for p, d in digests.items()},
+    digests = write_npz(
+        path, [out / f"{name}.jsonl" for name in _JSONL_NAMES],
         user_id=_str_column([r.user_id for r in records], "user ids"),
         user_listed=np.array([r.listed_count for r in records], dtype=np.int64),
         user_favourites=np.array([r.favourites_received for r in records], dtype=np.int64),
@@ -877,55 +913,22 @@ def write_cache(dataset: Dataset, out_dir: str | Path) -> tuple[Path, dict[Path,
     return path, digests
 
 
-def _index_column(values: np.ndarray, present: np.ndarray, low: int, high: int) -> np.ndarray:
-    """values, once checked to be int32 with present's shape, in [low, high)
-    where present is True and -1 elsewhere."""
-    if values.dtype != np.int32 or present.dtype != bool or values.shape != present.shape:
-        raise ValueError("a cached index column does not fit the tweets")
-    named = values[present]
-    if (named.size and not low <= named.min() <= named.max() < high) or (
-            values[~present] != -1).any():
-        raise ValueError("a cached index column is out of range")
-    return values
-
-
-def _read_cache(
-    in_dir: Path,
-) -> Optional[tuple[dict[str, UserRecord], list[tuple[str, str]], TweetTable]]:
-    """The parsed users, edges and tweets held in in_dir's cache; None when
-    there is no cache, it cannot be read (a cache of another layout, or with
-    an index out of range, included), or a JSONL file has changed since it
-    was written."""
-    try:
-        with np.load(in_dir / CACHE_NAME, allow_pickle=False) as npz:
-            for name in _JSONL_NAMES:
-                if str(npz[f"sha256_{name}"]) != sha256_file(in_dir / f"{name}.jsonl"):
-                    return None
-            arrays = {key: npz[key] for key in npz.files}
-        users = {
-            uid: UserRecord(uid, listed, favourites, verified, tuple(topics))
-            for uid, listed, favourites, verified, topics in zip(
-                arrays["user_id"].tolist(),
-                arrays["user_listed"].tolist(),
-                arrays["user_favourites"].tolist(),
-                arrays["user_verified"].tolist(),
-                arrays["user_topics"].tolist(),
-            )
-        }
-        edges = list(zip(arrays["edge_follower"].tolist(), arrays["edge_friend"].tolist()))
-        column = {f.name: arrays[f"tweet_{f.name}"] for f in fields(TweetTable)
-                  if f.name != "users"}
-        others, unknown = column["other_users"], column["unknown_tweets"]
-        n, n_users = len(column["tweet_id"]), len(users)
-        column["author"] = _index_column(column["author"], np.ones(n, dtype=bool), 0, n_users)
-        column["to_user"] = _index_column(column["to_user"], column["has_to_user"],
-                                          -len(others), n_users)
-        column["to_tweet"] = _index_column(column["to_tweet"], column["has_to_tweet"],
-                                           -len(unknown), n)
-        tweets = TweetTable(**column, users=arrays["user_id"])
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
-        return None
-    return users, edges, tweets
+def _cached_dataset(arrays: dict) -> tuple[dict[str, UserRecord], list, TweetTable]:
+    """The parsed users, edges and tweets of a dataset cache's arrays, its
+    index columns checked to be in range."""
+    columns = (arrays[f"user_{name}"].tolist()
+               for name in ("id", "listed", "favourites", "verified", "topics"))
+    users = {uid: UserRecord(uid, listed, favourites, verified, tuple(topics))
+             for uid, listed, favourites, verified, topics in zip(*columns)}
+    edges = list(zip(arrays["edge_follower"].tolist(), arrays["edge_friend"].tolist()))
+    column = {f.name: arrays[f"tweet_{f.name}"] for f in fields(TweetTable)
+              if f.name != "users"}
+    others, unknown = column["other_users"], column["unknown_tweets"]
+    n, n_users = len(column["tweet_id"]), len(users)
+    index_column(column["author"], n_users, present=np.ones(n, dtype=bool))
+    index_column(column["to_user"], n_users, -len(others), column["has_to_user"])
+    index_column(column["to_tweet"], n, -len(unknown), column["has_to_tweet"])
+    return users, edges, TweetTable(**column, users=arrays["user_id"])
 
 
 def load_dataset(
@@ -941,7 +944,8 @@ def load_dataset(
     Dataset. Without an explicit window, the tweet timestamp range is used.
     """
     in_dir = Path(in_dir)
-    cached = _read_cache(in_dir)
+    cached = read_npz(in_dir / CACHE_NAME, [in_dir / f"{name}.jsonl" for name in _JSONL_NAMES],
+                      _cached_dataset)
     if cached is not None:
         return _select(*cached, window, tz_offset, min_tweets)
     with (in_dir / "users.jsonl").open() as uf, (in_dir / "edges.jsonl").open() as ef, (

@@ -30,28 +30,32 @@ it the tweet ids. It asserts an ingest under 12 s and 450 MB, a cached load unde
 scenario, 53 factorisations) runs in a process of its own and reads that
 process's own high-water mark (``VmHWM``), so that its peak is its own: a
 child's ``ru_maxrss`` starts from the peak of the process that forked it. In
-four runs on a 2-core machine it took 2.9-3.8 s with a
-process peak of 393-400 MB (342 MB after loading the dataset and building
-its ``FeatureContext``); factoring each matrix in scipy's default COLAMD
-order took 25.9-26.1 s and peaked at 460 MB. It asserts a wall time under 10 s and a peak under
-430 MB. The figures are printed.
+five runs on a 2-core machine it took 2.5-3.6 s with a process peak of
+243-250 MB (185 MB after loading the dataset and building its
+``FeatureContext``); factoring each matrix in scipy's default COLAMD order
+once took 25.9-26.1 s and peaked at 460 MB. It asserts a wall time under
+10 s and a peak under 275 MB. The figures are printed.
 
 The ``features`` stage runs on the 20k set (``--seed 3``) in a process of
 its own, which reads its own high-water mark (``VmHWM``), and its
 ``instances.csv``, ``instances.npz`` and ``scaler.json`` must equal the
-digests recorded here, which the stage wrote while it grouped one whole
-(codes × 12) feature matrix and formatted through an (R × 12) object array.
-In three runs on a 2-core machine it took 6.4-8.9 s with a peak of 342 MB
-(6.4-8.8 s and 385-392 MB in five runs while the instance set held a
-sorted copy of the tweet ids and the write one string per feature row;
-9.8-11.4 s and 466-471 MB with the whole matrix). It asserts a stage under
-14 s and 375 MB.
+digests recorded here: the CSV and the scaler as the stage wrote them while
+it grouped one whole (codes × 12) feature matrix and formatted through an
+(R × 12) object array, and the npz (98.1 MB) as it is written since it holds
+no id table (171.6 MB with the tables).
+In four runs on a 2-core machine it took 6.8-7.5 s with a peak of 342 MB,
+the same as while the npz held the id tables (341.6-342.4 MB in three
+runs). It peaked at 385-392 MB (6.4-8.8 s, five runs) while the instance
+set held a sorted copy of the tweet ids and the write one string per
+feature row, and at 466-471 MB (9.8-11.4 s) with the whole matrix. It
+asserts a stage under 14 s and 375 MB.
 
 The ``train`` stage then runs on what ``features`` wrote, in a process of
 its own, and its ``model.json`` must equal the digest recorded here. In
-three runs on a 2-core machine it took 15.4-16.7 s with a peak of 259 MB
-(14.5-16.8 s and 310.5 MB while it read the npz's id tables as well). It
-asserts a stage under 25 s and 285 MB.
+four runs on a 2-core machine (three with ``--seed 3``) it took 15.7-18.9 s
+with a peak of 249-250 MB (259 MB while the npz held int64 labels, and
+310.5 MB while the stage read the npz's id tables as well). It asserts a
+stage under 25 s and 275 MB.
 
 ``synth`` runs in a process of its own, which reads its own high-water mark
 (``VmHWM``), and its four files must equal the digests recorded here, which
@@ -91,7 +95,7 @@ BUILD_INSTANCES_PEAK_MB = 180
 RUN_SCENARIOS_WALL_S = 10
 CONTEXT_WALL_S = 0.5
 CONTEXT_PEAK_MB = 45
-RUN_SCENARIOS_PEAK_MB = 430
+RUN_SCENARIOS_PEAK_MB = 275
 INGEST_WALL_S = 12
 INGEST_PEAK_MB = 450
 CACHED_LOAD_WALL_S = 0.8
@@ -101,12 +105,13 @@ SYNTH_PEAK_MB = 960
 FEATURES_WALL_S = 14
 FEATURES_PEAK_MB = 375
 TRAIN_WALL_S = 25
-TRAIN_PEAK_MB = 285
-# sha256 of the features files, as the stage wrote them when it grouped the
-# whole feature matrix
+TRAIN_PEAK_MB = 275
+# sha256 of the features files: the CSV and scaler as the stage wrote them
+# when it grouped the whole feature matrix, the npz as it is written since it
+# holds no id table
 FEATURES_SHA256 = {
     "instances.csv": "25d2846a573e5feab8e6979add264c1ec53317173a1343b89e8d1d9384b093f9",
-    "instances.npz": "0fa69b8aa9be4066a3dbeb17a0adf940ef66bff49c8bde174487192e980f3f6d",
+    "instances.npz": "26aeffc3fc9f02e5cbdeca4af074b621cd77841ade4026ad9aa7cafc908f4d5e",
     "scaler.json": "e62cc3a21f38fa68304596eaf8eaccb50ee41782b7e325fbfdce8cba42c5dea2",
 }
 # sha256 of the model that train fits to those instances

@@ -538,10 +538,10 @@ def instance_set_of_ids(id_keys: list[tuple], features: np.ndarray,
     user_at = {u: i for i, u in enumerate(user_ids)}
     return InstanceSet(
         keys=np.array([(tweet_at[t], user_at[u], user_at[v], h) for t, u, v, h in id_keys],
-                      dtype=np.int64).reshape(-1, 4),
+                      dtype=np.int32).reshape(-1, 4),
         rows=features[first],
         row_of=row_of,
-        labels=labels,
+        labels=np.asarray(labels, dtype=np.int8),
         tweet_table=np.array(tweet_ids, dtype=str),
         user_ids=np.array(user_ids, dtype=str),
     )

@@ -278,6 +278,18 @@ class TestErrorHandling:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("args", [
+        ["--k", 3, "--k-min", 7, "--k-max", 9],
+        ["--k", 3, "--k-min", 2],
+        ["--k", 3, "--k-max", 6],
+    ])
+    def test_cluster_search_bounds_do_not_apply_with_k(self, tmp_path, args):
+        # given even at their defaults; no dataset, so a load would exit 1
+        res = run_cli("cluster", "--in", tmp_path, "--out", tmp_path / "x", *args)
+        assert res.exit_code == 2, res.output
+        assert "does not apply with --k" in res.output
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("args", [
         ["--p", 2],
         ["--p", -0.1],
         ["--gamma", 0],
@@ -461,8 +473,8 @@ class TestInstanceHandOff:
         monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", spy)
         ok(run_cli("train", "--instances", pipeline["features"] / "instances.csv",
                    "--epochs", 150, "--out", tmp_path / "train"))
-        assert sorted(read) == ["feature_row_of", "feature_rows", "keys", "labels",
-                                "sha256_csv"]
+        assert sorted(read) == ["feature_row_of", "feature_rows", "id_table_sizes", "keys",
+                                "labels", "sha256_instances"]
         assert ((tmp_path / "train" / "model.json").read_bytes()
                 == (pipeline["train"] / "model.json").read_bytes())
 
@@ -481,6 +493,7 @@ class TestInstanceHandOff:
         (lambda rows: [r[:-1] for r in rows], 1),  # no label column
         (lambda rows: rows[:3] + [rows[3][:-1] + ["2"]] + rows[4:], 4),  # label 2
         (lambda rows: rows[:2] + [rows[2][:3] + ["noon"] + rows[2][4:]] + rows[3:], 3),
+        (lambda rows: rows[:5] + [rows[5][:3] + ["24"] + rows[5][4:]] + rows[6:], 6),  # hour 24
     ])
     def test_malformed_csv_names_the_line(self, pipeline, tmp_path, edit, line):
         rows = read_csv(pipeline["features"] / "instances.csv")

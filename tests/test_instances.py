@@ -3,10 +3,11 @@
 ``cli.write_instances`` must print the bytes of the value-at-a-time writer in
 oracles.py, also for ids that need quoting and for an empty instance set.
 The npz it leaves must hold exactly what parsing the CSV gives, grouped
-into the same distinct rows, with the bytes ``np.savez`` gives it; a built
-set must read its tweet ids off the dataset's table, not a copy; and
-``load_instances_csv`` must fall back to
-that parse when the npz is missing, damaged or older than the CSV. The
+into the same distinct rows, and the lengths of the id tables in place of
+the tables; a built set must read its tweet ids off the dataset's table,
+not a copy; and ``load_instances_csv`` must fall back to that parse when
+the npz is missing, damaged, of the previous layout or older than the CSV.
+The
 integer keys must deal folds as the id tuples they stand for did. Building
 and writing in blocks of any size must change no instance and no byte.
 """
@@ -115,12 +116,7 @@ def check_hand_off(instances, root: Path) -> Path:
     assert cached is not None
     assert_same_instances(cached, parsed, ids=False)
     with np.load(path.with_suffix(".npz")) as npz:
-        assert np.array_equal(npz["tweet_ids"], parsed.tweet_ids)
-        assert np.array_equal(npz["user_ids"], parsed.user_ids)
-    # the npz, written member by member, has the bytes of np.savez
-    with np.load(path.with_suffix(".npz")) as npz:
-        np.savez(root / "savez.npz", **{name: npz[name] for name in npz.files})
-    assert path.with_suffix(".npz").read_bytes() == (root / "savez.npz").read_bytes()
+        assert npz["id_table_sizes"].tolist() == [len(parsed.tweet_ids), len(parsed.user_ids)]
     assert instance_id_keys(parsed) == instance_id_keys(instances)
     assert np.array_equal(parsed.labels, instances.labels)
     return path
@@ -273,13 +269,11 @@ def test_built_parsed_and_cached_sets_share_one_label_dtype(tmp_path, small_synt
     built = build_instances(dataset)
     path = check_hand_off(built, tmp_path)
     parsed, cached = cli._parse_instances_csv(path), cli._read_instances_npz(path)
-    assert [s.labels.dtype for s in (built, parsed, cached)] == [np.dtype(np.int8)] * 3
-    # the cached set holds no id table: the npz's are compared as stored
-    with np.load(path.with_suffix(".npz")) as npz:
-        for ids in (parsed.tweet_ids, npz["tweet_ids"]):
-            assert np.array_equal(ids, built.tweet_ids)
-        for ids in (parsed.user_ids, npz["user_ids"]):
-            assert np.array_equal(ids, built.user_ids)
+    assert [(s.keys.dtype, s.row_of.dtype, s.labels.dtype) for s in (built, parsed, cached)] \
+        == [(np.dtype(np.int32), np.dtype(np.int32), np.dtype(np.int8))] * 3
+    assert np.array_equal(parsed.tweet_ids, built.tweet_ids)
+    assert np.array_equal(parsed.user_ids, built.user_ids)
+    # the cached set holds no id table
     assert cached.tweet_table is cached.user_ids is None
     with pytest.raises(ValueError, match="no id tables"):
         cached.tweet_ids
@@ -363,8 +357,8 @@ def test_load_falls_back_to_parse(tmp_path, small_synth, damage):
     elif damage == "short_rows":
         _rewrite_npz(npz, "feature_rows", lambda r: r[:, :-1])
     elif damage == "wide_label":
-        # int8 labels would wrap 257 round to 1 without an error
-        _rewrite_npz(npz, "labels", lambda y: np.where(y == 1, 257, y))
+        # a cast to int8 would wrap 257 round to 1 without an error
+        _rewrite_npz(npz, "labels", lambda y: np.where(y == 1, 257, y.astype(np.int16)))
     else:
         npz.unlink()
     assert cli._read_instances_npz(path) is None
@@ -376,22 +370,22 @@ def test_load_falls_back_to_parse(tmp_path, small_synth, damage):
         assert loaded.labels[0] != build_instances(dataset).labels[0]
 
 
-def test_int32_columns_and_int64_npz_loads(tmp_path, small_synth):
-    """Keys and row indices are int32; an npz written with int64 ones, as
-    before they were narrowed, still loads, to the same int32 set."""
+def test_previous_npz_layout_falls_back_to_parse(tmp_path, small_synth):
+    """An npz as written while it held the id tables (``tweet_ids`` and
+    ``user_ids``, no ``id_table_sizes``, the CSV's digest as ``sha256_csv``
+    and int64 labels) is not read."""
     dataset, _ = small_synth
-    instances = build_instances(dataset)
-    assert (instances.keys.dtype, instances.row_of.dtype) == (np.int32, np.int32)
-    path = check_hand_off(instances, tmp_path)
+    built = build_instances(dataset)
+    path = check_hand_off(built, tmp_path)
     npz = path.with_suffix(".npz")
-    want = cli._read_instances_npz(path)
-    assert (want.keys.dtype, want.row_of.dtype) == (np.int32, np.int32)
-    for name in ("keys", "feature_row_of"):
-        _rewrite_npz(npz, name, lambda column: column.astype(np.int64))
-    loaded = cli._read_instances_npz(path)
-    assert loaded is not None
-    assert (loaded.keys.dtype, loaded.row_of.dtype) == (np.int32, np.int32)
-    assert_same_instances(loaded, want, ids=False)
+    with np.load(npz) as new:
+        np.savez(npz, sha256_csv=new["sha256_instances"], keys=new["keys"],
+                 feature_rows=new["feature_rows"], feature_row_of=new["feature_row_of"],
+                 labels=new["labels"].astype(np.int64), tweet_ids=built.tweet_ids,
+                 user_ids=built.user_ids)
+    assert cli._read_instances_npz(path) is None
+    assert_same_instances(cli.load_instances_csv(path), cli._parse_instances_csv(path),
+                          ids=False)
 
 
 @pytest.mark.parametrize("column", [0, 1, 3])
@@ -416,7 +410,7 @@ def test_npz_keys_past_a_table_fail_without_reading_it(tmp_path, small_synth, co
     path = check_hand_off(build_instances(dataset), tmp_path)
     assert cli._read_instances_npz(path) is not None
     with np.load(path.with_suffix(".npz")) as npz:
-        size = len(npz["tweet_ids" if column == 0 else "user_ids"])
+        size = npz["id_table_sizes"][min(column, 1)]
 
     def damage(keys):
         keys = keys.copy()
