@@ -7,9 +7,9 @@ into the same distinct rows, and the lengths of the id tables in place of
 the tables; a built set must read its tweet ids off the dataset's table,
 not a copy; and ``load_instances_csv`` must fall back to that parse when
 the npz is missing, damaged, of the previous layout or older than the CSV.
-The
-integer keys must deal folds as the id tuples they stand for did. Building
-and writing in blocks of any size must change no instance and no byte.
+The integer keys must deal folds as the id tuples they stand for did.
+Building and writing in blocks of any size must change no instance and no
+byte.
 """
 
 import tempfile
@@ -379,10 +379,11 @@ def test_previous_npz_layout_falls_back_to_parse(tmp_path, small_synth):
     path = check_hand_off(built, tmp_path)
     npz = path.with_suffix(".npz")
     with np.load(npz) as new:
-        np.savez(npz, sha256_csv=new["sha256_instances"], keys=new["keys"],
-                 feature_rows=new["feature_rows"], feature_row_of=new["feature_row_of"],
-                 labels=new["labels"].astype(np.int64), tweet_ids=built.tweet_ids,
-                 user_ids=built.user_ids)
+        arrays = {key: new[key] for key in new.files}
+    np.savez(npz, sha256_csv=arrays["sha256_instances"], keys=arrays["keys"],
+             feature_rows=arrays["feature_rows"], feature_row_of=arrays["feature_row_of"],
+             labels=arrays["labels"].astype(np.int64), tweet_ids=built.tweet_ids,
+             user_ids=built.user_ids)
     assert cli._read_instances_npz(path) is None
     assert_same_instances(cli.load_instances_csv(path), cli._parse_instances_csv(path),
                           ids=False)
