@@ -112,6 +112,15 @@ GAMMA_RANGE = FloatRange(0.0, 1.0, min_open=True, max_open=True)
 P_RANGE = FloatRange(0.0, 1.0)
 
 
+def _refuse_given(ctx: click.Context, names, where: str) -> None:
+    """Usage error "<option> does not apply <where>" for the first of the
+    parameters ``names`` given at all, as ``get_parameter_source`` tells."""
+    for param in ctx.command.params:
+        source = ctx.get_parameter_source(param.name)
+        if param.name in names and source is not ParameterSource.DEFAULT:
+            raise click.UsageError(f"{param.opts[0]} does not apply {where}")
+
+
 @click.group()
 def main():
     """Temporal influence ranking toolkit."""
@@ -228,9 +237,7 @@ def activity_cmd(in_dir, out):
 def cluster_cmd(ctx, in_dir, out, k, k_min, k_max, max_shift, seed):
     """K-SC clustering of per-user hourly activity shapes."""
     if k is not None:
-        for param in ("k_min", "k_max"):
-            if ctx.get_parameter_source(param) is not ParameterSource.DEFAULT:
-                raise click.UsageError(f"--{param.replace('_', '-')} does not apply with --k")
+        _refuse_given(ctx, {"k_min", "k_max"}, "with --k")
     elif not 2 <= k_min <= k_max <= 10:
         raise click.BadParameter("need 2 <= --k-min <= --k-max <= 10")
 
@@ -584,10 +591,9 @@ def rank_cmd(ctx, in_dir, out, model_name, model_file, c, gamma, p, aggregate_sp
     """Compute an influence ranking and write ranks.csv.
 
     An option that the model does not read is an error, not ignored."""
-    for param in ctx.command.params:
-        if (param.name not in RANK_OPTIONS[model_name] | {"in_dir", "out", "model_name"}
-                and ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT):
-            raise click.UsageError(f"{param.opts[0]} does not apply to --model {model_name}")
+    read = RANK_OPTIONS[model_name] | {"in_dir", "out", "model_name"}
+    unread = {param.name for param in ctx.command.params} - read
+    _refuse_given(ctx, unread, f"to --model {model_name}")
     mode, user = _parse_aggregate(aggregate_spec)
     if hour != "all":
         try:
@@ -596,8 +602,7 @@ def rank_cmd(ctx, in_dir, out, model_name, model_file, c, gamma, p, aggregate_sp
             raise click.BadParameter("--hour must be all or an integer 0..23")
         if not 0 <= hour_val <= 23:
             raise click.BadParameter("--hour must be in [0, 23]")
-        if ctx.get_parameter_source("aggregate_spec") is not ParameterSource.DEFAULT:
-            raise click.UsageError("--aggregate does not apply with --hour")
+        _refuse_given(ctx, {"aggregate_spec"}, "with --hour")
     elif dump_matrix:
         raise click.UsageError("--dump-matrix needs --hour")
     if model_name == "tir" and model_file is None:
@@ -690,9 +695,13 @@ def recommend_cmd(in_dir, model_file, out, seed, gamma, p, c_grid, n_links, scen
         raise click.BadParameter("--c-grid must be comma-separated floats")
     if any(not 0.5 <= c <= 1.0 for c in grid):
         raise click.BadParameter("--c-grid values must be in [0.5, 1]")
+    if len(set(grid)) < len(grid):
+        raise click.BadParameter("--c-grid values must not repeat")
     tags = tuple(scenarios.split(",")) if scenarios else None
     if tags and any(t not in evaluation.SCENARIO_TAGS for t in tags):
         raise click.BadParameter(f"scenarios must be among {evaluation.SCENARIO_TAGS}")
+    if tags and len(set(tags)) < len(tags):
+        raise click.BadParameter("--scenarios tags must not repeat")
 
     with run_stage(out) as session:
         dataset = model.load_dataset(in_dir)

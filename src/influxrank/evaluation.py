@@ -19,6 +19,8 @@ from .ranking import (
     RankVector,
     TransitionMatrix,
     _edge_weights_all_hours,
+    _edge_weights_all_topics,
+    _transition_matrices,
     check_params,
     check_tir_model,
     check_tunkrank_fixed_point,
@@ -26,7 +28,6 @@ from .ranking import (
     normalise_weights,
     personal_weights,
     tunkrank_matrix,
-    twitterrank_matrices,
 )
 
 SCENARIO_TAGS = ("L_fh", "L_fl", "L_th", "L_tl", "L_dh", "L_dl", "L_rr", "L_ur")
@@ -499,10 +500,10 @@ class TirLinkScorer(_LinkBlocks):
 
 
 class TwitterRankLinkScorer(_LinkBlocks):
-    """TwitterRank counterpart of TirLinkScorer. It keeps the sparse topic
-    matrices and the follow graph's ``elimination_order`` and, like
-    TirLinkScorer, factors them one at a time per ``scores_without_links``
-    call."""
+    """TwitterRank counterpart of TirLinkScorer. Each
+    ``scores_without_links`` call builds and factors, one at a time, the
+    topic matrices that some link's follower has a share of; between calls
+    the scorer holds only the follow graph's ``elimination_order``."""
 
     def __init__(
         self,
@@ -510,12 +511,12 @@ class TwitterRankLinkScorer(_LinkBlocks):
         gamma: float = DEFAULT_GAMMA,
         ctx: Optional[FeatureContext] = None,
     ):
+        check_params(gamma=gamma)
         self.dataset = dataset
         self.gamma = gamma
         self.ctx = ctx if ctx is not None else FeatureContext(dataset)
         self.user_ids = tuple(self.ctx.user_ids)
         self.expect(())
-        self.matrices = twitterrank_matrices(dataset, gamma, self.ctx)
         self.order = self.ctx.dataset.graph.elimination_order
 
     def scores_without_links(self, links: Sequence[tuple[str, str]]) -> np.ndarray:
@@ -526,13 +527,14 @@ class TwitterRankLinkScorer(_LinkBlocks):
         ctx = self.ctx
         ius, ivs = _link_indices(ctx.index, links)
         rows, link, ratio = _friend_shares_without(ctx, ius, ivs)
-        dsts = ctx.edge_dst[rows]
-        sims = 1.0 - np.abs(ctx.topics[ius[link]] - ctx.topics[dsts])  # (len(rows), k)
-        columns = _normalise_columns(ratio[:, None] * sims, link, len(links))
+        weights = _edge_weights_all_topics(ctx, rows=rows, shares=ratio)
+        columns = _normalise_columns(weights, link, len(links))
         shares = ctx.topics[ius]
         topics = np.flatnonzero((shares > 0).any(axis=0))
-        matrices = (self.matrices[t] for t in topics)
-        scores = _weighted_solutions(matrices, self.order, shares, ius, dsts, columns, link)
+        matrices = _transition_matrices(ctx, _edge_weights_all_topics(ctx, topics=topics), topics,
+                                        self.gamma)
+        scores = _weighted_solutions(matrices, self.order, shares, ius, ctx.edge_dst[rows],
+                                     columns, link)
         total = shares.sum(axis=1)
         on = total > 0
         scores[on] /= total[on, None]
@@ -699,8 +701,8 @@ def run_scenarios(
     links in advance and scores them all in one call, matrix by matrix,
     with one multi-column solve per matrix for each block of BLOCK_LINKS
     links, before the next scorer is built; Q is still taken link by link
-    through evaluate_link. Bad parameters raise ValueError before any
-    scorer is built.
+    through evaluate_link. Bad parameters (unknown scenarios and repeated
+    values among them) raise ValueError before any scorer is built.
     """
     if not 0.0 <= tunkrank_p <= 1.0:
         raise ValueError("p must be in [0, 1]")
@@ -712,6 +714,12 @@ def run_scenarios(
     unknown = [m for m in models if m not in ("tir", "tunkrank", "twitterrank")]
     if unknown:
         raise ValueError(f"unknown model {unknown[0]!r}")
+    unknown = [t for t in scenarios or () if t not in SCENARIO_TAGS]
+    if unknown:
+        raise ValueError(f"unknown scenario {unknown[0]!r}")
+    for name, values in (("models", models), ("scenarios", scenarios or ()), ("c_grid", c_grid)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} must not repeat a value")
     if ctx is None:
         ctx = FeatureContext(dataset)
     link_sets = build_link_sets(dataset, seed=seed, ctx=ctx, n_links=n_links)

@@ -61,7 +61,7 @@ class FeatureContext:
     arrays. It memoises what is derived from them: the static edge
     features (``edge_static_features``) and, in ``walks``, the converged
     hourly and topic walk vectors of ``ranking.tir_rank`` and
-    ``ranking.twitterrank`` (see ``ranking._stored_walks``), which all
+    ``ranking.twitterrank`` (see ``ranking._walk_sum``), which all
     share ``walk_ids``, the user ids as one tuple.
     """
 

@@ -1,9 +1,9 @@
-"""Hourly transition matrices, power iteration, rank aggregation, baselines."""
+"""Hourly and topic transition matrices, power iteration, weighted walk sums, baselines."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -144,6 +144,25 @@ def _edge_weights_all_hours(
     return mult[:, None] * hourly[0] * probability_of_score(z)
 
 
+def _edge_weights_all_topics(
+    ctx: FeatureContext,
+    rows: Optional[np.ndarray] = None,
+    shares: Optional[np.ndarray] = None,
+    topics: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """The topic counterpart of ``_edge_weights_all_hours``: (len(rows),
+    len(topics)) raw TwitterRank weights, the tweet share pt_uv (or
+    ``shares``) times 1 - |topic_t(u) - topic_t(v)|, elementwise, so each
+    topic's column has the same bits whichever topics come with it."""
+    if rows is None:
+        rows = np.arange(len(ctx.edge_src))
+    if shares is None:
+        shares = ctx.edge_static_features()[rows, PT_INDEX]
+    theta = ctx.topics if topics is None else ctx.topics[:, topics]
+    src, dst = ctx.edge_src[rows], ctx.edge_dst[rows]
+    return shares[:, None] * (1.0 - np.abs(theta[src] - theta[dst]))
+
+
 def _assemble(
     src: np.ndarray, dst: np.ndarray, weights: np.ndarray, n: int, hour: int, gamma: float
 ) -> TransitionMatrix:
@@ -173,6 +192,18 @@ def _assemble(
     return TransitionMatrix(hour=hour, gamma=gamma, n=n, matrix=m, dangling=dangling)
 
 
+def _transition_matrices(
+    ctx: FeatureContext, weights: np.ndarray, keys: Sequence[int], gamma: float
+) -> Iterator[TransitionMatrix]:
+    """The matrix of each hour or topic of ``keys``, in that order, from its
+    column of the (edges x keys) raw weight grid ``weights``. Each matrix is
+    assembled only when the iterator reaches it, so a caller that lets go
+    of one matrix before it asks for the next holds one at a time."""
+    n = len(ctx.user_ids)
+    return (_assemble(ctx.edge_src, ctx.edge_dst, weights[:, j], n, int(k), gamma)
+            for j, k in enumerate(keys))
+
+
 def hourly_matrices(
     dataset: Dataset,
     model: LogisticModel,
@@ -186,20 +217,15 @@ def hourly_matrices(
     columns replaced by uniform 1/|V|.
 
     The parameters are checked and the weight grid over ``hours`` is
-    computed at the call; each matrix is assembled only when the iterator
-    reaches it, so a caller that lets go of one matrix before it asks for
-    the next holds one at a time."""
+    computed at the call; the matrices are assembled lazily
+    (``_transition_matrices``)."""
     if dataset.n_users == 0:
         raise ValueError("empty dataset")
     check_params(gamma=gamma)
     if ctx is None:
         ctx = FeatureContext(dataset)
     weights = _edge_weights_all_hours(ctx, model, c, hours=hours)
-    n = len(ctx.user_ids)
-    return (
-        _assemble(ctx.edge_src, ctx.edge_dst, weights[:, j], n, int(t), gamma)
-        for j, t in enumerate(hours)
-    )
+    return _transition_matrices(ctx, weights, hours, gamma)
 
 
 def build_matrix(
@@ -220,7 +246,6 @@ def power_iterate(
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
     model: str = "tir",
-    params: Optional[dict] = None,
 ) -> RankVector:
     """Iterate r <- gamma M r + (1 - gamma)/n from uniform until the L1
     change drops below tol."""
@@ -233,52 +258,16 @@ def power_iterate(
         residual = float(np.abs(r_new - r).sum())
         r = r_new
         if residual < tol:
-            out_params = {"gamma": matrix.gamma, "iterations": it + 1}
-            if params:
-                out_params.update(params)
             return RankVector(
                 user_ids=tuple(user_ids),
                 scores=r,
                 hour=matrix.hour,
                 model=model,
-                params=out_params,
+                params={"gamma": matrix.gamma, "iterations": it + 1},
             )
     raise ConvergenceError(
         f"no convergence after {max_iters} iterations (residual {residual:.3e})",
         residual,
-    )
-
-
-def aggregate(
-    rank_vectors: Sequence[Optional[RankVector]],
-    weights: Sequence[float],
-    model: str = "tir",
-    params: Optional[dict] = None,
-) -> RankVector:
-    """Convex combination of 24 hourly rank vectors; weights are renormalized.
-
-    An hour of weight 0 adds nothing, so its rank vector may be None: a
-    ranking need not compute it. None where the weight is positive raises
-    ValueError. Leaving a zero-weight hour out changes no bit of the result:
-    the running sum starts at +0.0, so it is never -0.0, and adding the zero
-    0 * r (r finite) to it leaves it as it is."""
-    if len(rank_vectors) != 24 or len(weights) != 24:
-        raise ValueError("expected 24 hourly rank vectors and 24 weights")
-    w = np.asarray(weights, dtype=float)
-    if (w < 0).any() or w.sum() <= 0:
-        raise ValueError("weights must be non-negative with positive sum")
-    if any(rv is None for rv, wt in zip(rank_vectors, w) if wt > 0):
-        raise ValueError("an hour with positive weight has no rank vector")
-    w = normalise_weights(w)
-    present = [(wt, rv) for wt, rv in zip(w, rank_vectors) if rv is not None]
-    user_ids = present[0][1].user_ids
-    scores = np.zeros(len(user_ids))
-    for wt, rv in present:
-        if rv.user_ids is not user_ids and rv.user_ids != user_ids:
-            raise ValueError("hourly rank vectors cover different user sets")
-        scores += wt * rv.scores
-    return RankVector(
-        user_ids=user_ids, scores=scores, hour=None, model=model, params=params or {}
     )
 
 
@@ -291,7 +280,7 @@ def activity_weights(ctx: FeatureContext) -> np.ndarray:
 
 
 def normalise_weights(weights: np.ndarray) -> np.ndarray:
-    """Weights divided by their sum along the last axis, as ``aggregate``
+    """Weights divided by their sum along the last axis, as a ranking
     applies them; each row of a 2-D array is divided by its own sum."""
     return weights / weights.sum(axis=-1, keepdims=True)
 
@@ -310,16 +299,26 @@ def personal_weights(ctx: FeatureContext, users: Sequence[int]) -> np.ndarray:
 _WALK_KEYS = 8
 
 
-def _stored_walks(ctx: FeatureContext, key: tuple) -> dict[int, RankVector]:
-    """The converged walk vectors that ``ctx`` keeps under ``key``, by hour
-    (TIR) or topic (TwitterRank): a dict that the caller adds the walks it
-    computes to.
+def _walk_sum(
+    ctx: FeatureContext,
+    key: tuple,
+    weights: np.ndarray,
+    matrices: Callable[[list[int]], Iterable[TransitionMatrix]],
+    tol: float,
+    max_iters: int,
+) -> np.ndarray:
+    """The walk vectors of the hours (TIR) or topics (TwitterRank) of
+    positive weight, summed in ascending order from +0.0 with ``weights``
+    divided by their sum. Leaving a zero weight out changes no bit: adding
+    0 * r (r finite) to a sum that is never -0.0 leaves it as it is.
 
-    ``ctx.walks`` holds the vectors of the ``_WALK_KEYS`` keys used last and
-    drops the least recently used key beyond them. A key holds at most 24
-    hourly vectors, or one per topic, of n floats each, so with at most 24
-    topics the store holds at most _WALK_KEYS * 24 * n * 8 bytes: 3 MB at
-    2,000 users, 31 MB at 20,000."""
+    ``ctx.walks`` keeps the walks under ``key``, whose first item names the
+    model, so only the missing ones of positive weight get a matrix, from
+    ``matrices(missing)``, and an iteration; a walk that raises
+    ConvergenceError is not stored. The store drops its least recently used
+    key beyond ``_WALK_KEYS``; with at most 24 hours or topics a key, it
+    holds at most _WALK_KEYS * 24 * n * 8 bytes: 3 MB at 2,000 users, 31 MB
+    at 20,000."""
     store = ctx.walks
     if key in store:
         store.move_to_end(key)
@@ -327,7 +326,18 @@ def _stored_walks(ctx: FeatureContext, key: tuple) -> dict[int, RankVector]:
         store[key] = {}
         if len(store) > _WALK_KEYS:
             store.popitem(last=False)
-    return store[key]
+    walks = store[key]
+    w = normalise_weights(weights)
+    on = np.flatnonzero(w > 0)
+    missing = [int(t) for t in on if t not in walks]
+    if missing:
+        for tm in matrices(missing):
+            walks[tm.hour] = power_iterate(tm, ctx.walk_ids, tol=tol, max_iters=max_iters,
+                                           model=key[0])
+    scores = np.zeros(len(ctx.walk_ids))
+    for t in on:
+        scores += w[t] * walks[t].scores
+    return scores
 
 
 def _model_key(model: LogisticModel) -> tuple[bytes, ...]:
@@ -364,35 +374,26 @@ def tir_rank(
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> RankVector:
     """Full TIR pipeline: hour weights -> hourly matrices -> power
-    iteration -> aggregate.
+    iteration -> weighted sum (``_walk_sum``).
 
-    The hour weights come first: the share of all tweets in each hour
-    (global mode) or the user's own hourly activity (personal mode, uniform
-    for a user without tweets). Only the hours of positive weight are
-    aggregated; the others enter ``aggregate`` as None. The scores equal
-    the aggregation of all 24 hours bit for bit, but an hour of weight 0
-    can no longer raise ConvergenceError, as it is never iterated.
-
-    The hourly walks do not depend on the query, so ``ctx`` keeps them
-    (``_stored_walks``) under the model's contents, c, gamma, tol and
-    max_iters: only the hours of positive weight that no earlier call on
-    ``ctx`` iterated get edge weights, a matrix and an iteration. Each
-    hour's walk has the same bits whichever hours are computed with it, so
-    a stored walk gives the scores a cold call gives. An hour that raises
-    ConvergenceError is not stored."""
+    The hour weights are the share of all tweets in each hour (global mode)
+    or the user's own hourly activity (personal mode, uniform for a user
+    without tweets). Only the hours of positive weight are built and
+    iterated, so an hour of weight 0 cannot raise ConvergenceError, and
+    ``ctx`` keeps the walks under the model's contents, c, gamma, tol and
+    max_iters. Each hour's walk has the same bits whichever hours are
+    computed with it, so a warm call gives the scores a cold call gives."""
     check_params(gamma, tol, max_iters)
     check_tir_model(model, c)
     row = _query_row(dataset, mode, user)
     if ctx is None:
         ctx = FeatureContext(dataset)
     w = activity_weights(ctx) if row is None else personal_weights(ctx, [row])[0]
-    walks = _stored_walks(ctx, ("tir", _model_key(model), c, gamma, tol, max_iters))
-    missing = [int(t) for t in np.flatnonzero(w > 0) if t not in walks]
-    if missing:
-        for tm in hourly_matrices(dataset, model, missing, c, gamma, ctx):
-            walks[tm.hour] = power_iterate(tm, ctx.walk_ids, tol=tol, max_iters=max_iters)
-    hourly = [walks[t] if w[t] > 0 else None for t in range(24)]
-    return aggregate(hourly, w, model="tir", params={"c": c, "gamma": gamma, "mode": mode})
+    scores = _walk_sum(ctx, ("tir", _model_key(model), c, gamma, tol, max_iters), w,
+                       lambda hours: hourly_matrices(dataset, model, hours, c, gamma, ctx),
+                       tol, max_iters)
+    return RankVector(ctx.walk_ids, scores, model="tir",
+                      params={"c": c, "gamma": gamma, "mode": mode})
 
 
 def tunkrank(
@@ -477,22 +478,14 @@ def twitterrank_matrices(
     topics: Optional[Sequence[int]] = None,
 ) -> list[TransitionMatrix]:
     """One column-normalized, damped transition structure per topic of
-    ``topics`` (all topics by default), in that order.
-
-    Raw edge weight at topic t: friend's tweet share among the follower's
-    friends times 1 - |topic_t(u) - topic_t(v)|.
-    """
+    ``topics`` (all topics by default), in that order, from the raw edge
+    weights of ``_edge_weights_all_topics``."""
     check_params(gamma=gamma)
     if ctx is None:
         ctx = FeatureContext(dataset)
-    n = len(ctx.user_ids)
-    src, dst = ctx.edge_src, ctx.edge_dst
-    ratio = ctx.edge_static_features()[:, PT_INDEX]
-    out = []
-    for t in range(ctx.topics.shape[1]) if topics is None else topics:
-        sim = 1.0 - np.abs(ctx.topics[src, t] - ctx.topics[dst, t])
-        out.append(_assemble(src, dst, ratio * sim, n, t, gamma))
-    return out
+    topics = range(ctx.topics.shape[1]) if topics is None else topics
+    weights = _edge_weights_all_topics(ctx, topics=topics)
+    return list(_transition_matrices(ctx, weights, topics, gamma))
 
 
 def twitterrank(
@@ -504,15 +497,14 @@ def twitterrank(
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> RankVector:
-    """Topic-specific random-walk ranking aggregated over topics.
+    """Topic-specific random-walk ranking: the topic walks summed with the
+    topic shares (``_walk_sum``).
 
     Global mode weighs topics by the tweet-weighted mean of user topic
-    distributions; personal mode uses the query user's own distribution.
-    As in ``tir_rank``, only the topics of positive share are aggregated,
-    and ``ctx`` keeps the topic walks under gamma, tol and max_iters: only
-    the topics that no earlier call on ``ctx`` iterated get a matrix and an
-    iteration.
-    """
+    distributions, personal mode by the query user's own distribution
+    (uniform where either sums to 0). As in ``tir_rank``, only the topics
+    of positive share are built and iterated, and ``ctx`` keeps the walks
+    under gamma, tol and max_iters."""
     check_params(gamma, tol, max_iters)
     row = _query_row(dataset, mode, user)
     if ctx is None:
@@ -524,20 +516,8 @@ def twitterrank(
         shares = ctx.topics[row]
     if shares.sum() <= 0:
         shares = np.ones(len(shares))
-    shares = shares / shares.sum()
-    topics = np.flatnonzero(shares > 0)
-    walks = _stored_walks(ctx, ("twitterrank", gamma, tol, max_iters))
-    missing = [int(t) for t in topics if t not in walks]
-    for tm in twitterrank_matrices(dataset, gamma, ctx, missing):
-        walks[tm.hour] = power_iterate(tm, ctx.walk_ids, tol=tol, max_iters=max_iters,
-                                       model="twitterrank")
-    scores = np.zeros(len(ctx.user_ids))
-    for t in topics:
-        scores += shares[t] * walks[t].scores
-    return RankVector(
-        user_ids=ctx.walk_ids,
-        scores=scores,
-        hour=None,
-        model="twitterrank",
-        params={"gamma": gamma, "mode": mode},
-    )
+    scores = _walk_sum(ctx, ("twitterrank", gamma, tol, max_iters), shares,
+                       lambda topics: twitterrank_matrices(dataset, gamma, ctx, topics),
+                       tol, max_iters)
+    return RankVector(ctx.walk_ids, scores, model="twitterrank",
+                      params={"gamma": gamma, "mode": mode})

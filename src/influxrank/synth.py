@@ -17,6 +17,7 @@ from .features import (
     follower_pairs,
     friend_order,
 )
+from .logistic import probability_of_score
 from .model import ORIGINAL, REPLY, RETWEET, Dataset, FollowGraph, TweetTable, UserRecord
 
 SECONDS_PER_DAY = 86400
@@ -174,8 +175,7 @@ def _planted_probabilities(
         return np.zeros(0)
     mins, maxs = x.min(axis=0), x.max(axis=0)
     xn = MinMaxScaler(mins, maxs).transform(x)
-    z = np.clip(config.w0_star + xn @ config.w_star, -500, 500)
-    return 1.0 / (1.0 + np.exp(z))
+    return probability_of_score(config.w0_star + xn @ config.w_star)
 
 
 def _tweet_ids(start: int, stop: int) -> np.ndarray:

@@ -20,7 +20,9 @@ value-at-a-time ``instances.csv`` writer that ``cli.write_instances``
 replaced, ``equal_row_groups_whole`` the grouping of a whole feature
 matrix that the row-blocked ``features.equal_row_groups`` replaced, and
 ``stratified_folds_loop`` the id-tuple sort that the integer keys of ``logistic._stratified_folds`` replaced. ``ksc_distance`` is the K-SC
-shape distance of one pair, from its definition. ``dense`` and
+shape distance of one pair, from its definition. ``aggregate`` is the
+convex combination of 24 hourly rank vectors (None at a zero-weight
+hour) that ``ranking._walk_sum`` replaced in ``tir_rank``. ``dense`` and
 ``planted_instances`` serve only tests, and so do ``is_response``,
 ``positive_count``, ``positive_rate`` and ``loglog_slope`` (the degree-law
 fit of criterion 11). ``FollowGraphLoop`` is the dict-of-lists follow
@@ -77,14 +79,47 @@ from influxrank.ranking import (
     RankVector,
     TransitionMatrix,
     _edge_weights_all_hours,
-    aggregate,
     build_matrix,
     check_tunkrank_fixed_point,
+    normalise_weights,
     personal_weights,
     twitterrank_matrices,
 )
 from influxrank.synth import DEFAULT_W_STAR
 from influxrank.temporal import ResponseColumns
+
+
+def aggregate(
+    rank_vectors: Sequence[Optional[RankVector]],
+    weights: Sequence[float],
+    model: str = "tir",
+    params: Optional[dict] = None,
+) -> RankVector:
+    """Convex combination of 24 hourly rank vectors; weights are renormalized.
+
+    An hour of weight 0 adds nothing, so its rank vector may be None: a
+    ranking need not compute it. None where the weight is positive raises
+    ValueError. Leaving a zero-weight hour out changes no bit of the result:
+    the running sum starts at +0.0, so it is never -0.0, and adding the zero
+    0 * r (r finite) to it leaves it as it is."""
+    if len(rank_vectors) != 24 or len(weights) != 24:
+        raise ValueError("expected 24 hourly rank vectors and 24 weights")
+    w = np.asarray(weights, dtype=float)
+    if (w < 0).any() or w.sum() <= 0:
+        raise ValueError("weights must be non-negative with positive sum")
+    if any(rv is None for rv, wt in zip(rank_vectors, w) if wt > 0):
+        raise ValueError("an hour with positive weight has no rank vector")
+    w = normalise_weights(w)
+    present = [(wt, rv) for wt, rv in zip(w, rank_vectors) if rv is not None]
+    user_ids = present[0][1].user_ids
+    scores = np.zeros(len(user_ids))
+    for wt, rv in present:
+        if rv.user_ids is not user_ids and rv.user_ids != user_ids:
+            raise ValueError("hourly rank vectors cover different user sets")
+        scores += wt * rv.scores
+    return RankVector(
+        user_ids=user_ids, scores=scores, hour=None, model=model, params=params or {}
+    )
 
 
 def is_response(tweet: Tweet) -> bool:

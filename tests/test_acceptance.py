@@ -27,7 +27,6 @@ from influxrank.logistic import (
 )
 from influxrank.model import Dataset, FollowGraph, Tweet, UserRecord
 from influxrank.ranking import (
-    aggregate,
     _assemble,
     activity_weights,
     build_matrix,
@@ -45,6 +44,7 @@ from influxrank.synth import (
 from influxrank.temporal import ksc_cluster, response_metrics, select_k
 
 from oracles import (
+    aggregate,
     dense,
     log_loss_gradient,
     loglog_slope,

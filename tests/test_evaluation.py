@@ -287,6 +287,10 @@ class TestRunScenarios:
         ({"n_links": -1}, "n_links must be at least 1"),
         ({"c_grid": (0.5, 0.3)}, "penalty factor c"),
         ({"models": ("tir", "hits")}, "unknown model 'hits'"),
+        ({"scenarios": ("L_fh", "L_zz")}, "unknown scenario 'L_zz'"),
+        ({"models": ("tir", "tunkrank", "tir")}, "models must not repeat"),
+        ({"scenarios": ("L_fh", "L_rr", "L_fh")}, "scenarios must not repeat"),
+        ({"c_grid": (0.5, 0.85, 0.5)}, "c_grid must not repeat"),
     ])
     def test_bad_parameters_raise_before_any_scorer(self, small_synth, small_model, small_ctx,
                                                     monkeypatch, kwargs, match):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from influxrank import evaluation
+from influxrank import evaluation, ranking
 from influxrank.evaluation import (
     TirLinkScorer,
     TunkRankLinkScorer,
@@ -21,7 +21,6 @@ from influxrank.logistic import LogisticModel
 from influxrank.model import Tweet
 from influxrank.ranking import (
     RankVector,
-    aggregate,
     hourly_matrices,
     personal_weights,
     tir_rank,
@@ -34,6 +33,7 @@ from influxrank.synth import GeneratorConfig, generate
 from conftest import _remove_edge_dataset, make_dataset, make_user
 from oracles import (
     ColamdSolver,
+    aggregate,
     link_solvers,
     run_scenarios_loop,
     scores_without_loop,
@@ -308,6 +308,26 @@ class TestBatchCases:
 
     def test_block_of_one(self):
         assert_batch_matches_oracle(self.dataset(), [("u05", "u01")], 0.85, p=0.3)
+
+    def test_twitterrank_assembles_only_the_weighed_topics(self, monkeypatch):
+        # building the scorer assembles no topic matrix, and each call
+        # assembles once each topic that some link's follower has a share
+        # of: u00's topic row is (1, 0), u02's (0, 1)
+        assembled = []
+        assemble = ranking._assemble
+
+        def counted(src, dst, weights, n, key, gamma):
+            assembled.append(key)
+            return assemble(src, dst, weights, n, key, gamma)
+
+        monkeypatch.setattr(ranking, "_assemble", counted)
+        scorer = TwitterRankLinkScorer(self.dataset(), gamma=GAMMA)
+        assert assembled == []
+        for links, topics in [([("u00", "u01")], [0]), ([("u02", "u03")], [1]),
+                              ([("u00", "u01"), ("u02", "u04")], [0, 1])]:
+            assembled.clear()
+            scorer.scores_without_links(links)
+            assert assembled == topics, links
 
     def test_tunkrank_p1_rejects_the_link_that_closes_a_class(self):
         users = [make_user(u) for u in "abc"]

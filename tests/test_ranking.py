@@ -17,7 +17,6 @@ from influxrank.ranking import (
     RankVector,
     _edge_weights_all_hours,
     activity_weights,
-    aggregate,
     build_matrix,
     hourly_matrices,
     personal_weights,
@@ -31,7 +30,7 @@ from influxrank.ranking import (
 from influxrank.temporal import global_activity
 
 from conftest import make_dataset, make_user
-from oracles import dense
+from oracles import aggregate, dense
 
 
 def flat_model():
