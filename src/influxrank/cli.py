@@ -205,17 +205,15 @@ def stats_cmd(in_dir, out):
 @click.option("--in", "in_dir", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), required=True)
 def activity_cmd(in_dir, out):
-    """Global hourly/weekly activity vectors and the 7x24 heat map."""
+    """The 7x24 activity heat map and its hourly and weekly sums."""
     with run_stage(out) as session:
         dataset = model.load_dataset(in_dir)
-        hourly = temporal.global_activity(dataset, "hour_of_day")
-        weekly = temporal.global_activity(dataset, "day_of_week")
-        heat = temporal.global_activity(dataset, "hour_x_day")
+        heat = temporal.global_activity(dataset)
         session.write_csv(
-            "activity_hourly.csv", ["hour", "count"], list(enumerate(hourly))
+            "activity_hourly.csv", ["hour", "count"], list(enumerate(heat.sum(axis=0)))
         )
         session.write_csv(
-            "activity_weekly.csv", ["weekday", "count"], list(enumerate(weekly))
+            "activity_weekly.csv", ["weekday", "count"], list(enumerate(heat.sum(axis=1)))
         )
         session.write_csv(
             "activity_heatmap.csv",
@@ -693,15 +691,11 @@ def recommend_cmd(in_dir, model_file, out, seed, gamma, p, c_grid, n_links, scen
         grid = tuple(float(v) for v in c_grid.split(","))
     except ValueError:
         raise click.BadParameter("--c-grid must be comma-separated floats")
-    if any(not 0.5 <= c <= 1.0 for c in grid):
-        raise click.BadParameter("--c-grid values must be in [0.5, 1]")
-    if len(set(grid)) < len(grid):
-        raise click.BadParameter("--c-grid values must not repeat")
     tags = tuple(scenarios.split(",")) if scenarios else None
-    if tags and any(t not in evaluation.SCENARIO_TAGS for t in tags):
-        raise click.BadParameter(f"scenarios must be among {evaluation.SCENARIO_TAGS}")
-    if tags and len(set(tags)) < len(tags):
-        raise click.BadParameter("--scenarios tags must not repeat")
+    try:
+        evaluation.check_scenario_args(evaluation.MODELS, grid, tags)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
 
     with run_stage(out) as session:
         dataset = model.load_dataset(in_dir)

@@ -10,7 +10,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy import sparse
 
-from .features import FeatureContext, js_divergence_rows
+from .features import FeatureContext, MinMaxScaler, js_divergence_rows
 from .logistic import LogisticModel
 from .model import Dataset, FollowGraph
 from .ranking import (
@@ -31,6 +31,7 @@ from .ranking import (
 )
 
 SCENARIO_TAGS = ("L_fh", "L_fl", "L_th", "L_tl", "L_dh", "L_dl", "L_rr", "L_ur")
+MODELS = ("tir", "tunkrank", "twitterrank")
 
 
 def _inversions(seq: np.ndarray) -> int:
@@ -97,8 +98,6 @@ POOL_FRACTION = 0.1
 class LinkSet:
     tag: str
     links: list[tuple[str, str]]
-    criterion: str
-    seed: int
     flagged: bool = False  # fewer eligible links than requested
 
 
@@ -118,9 +117,7 @@ def user_signature_distributions(ctx: FeatureContext) -> np.ndarray:
         [ctx.listed, ctx.fv, ctx.vr, ctx.rr, ctx.tweet_counts, friend_deg, follower_deg],
         axis=1,
     )
-    lo, hi = cols.min(axis=0), cols.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    scaled = (cols - lo) / span + 1e-6
+    scaled = MinMaxScaler(cols.min(axis=0), cols.max(axis=0)).transform(cols) + 1e-6
     return scaled / scaled.sum(axis=1, keepdims=True)
 
 
@@ -136,9 +133,11 @@ def build_link_sets(
     ctx: Optional[FeatureContext] = None,
     n_links: int = 30,
 ) -> dict[str, LinkSet]:
-    """Eight evaluation link sets: friend follower/tweet count high/low 10%
-    (POOL_FRACTION), pairwise Jensen-Shannon distance high/low 10%,
-    reciprocal, unreciprocal."""
+    """Eight evaluation link sets, by tag: the edges whose friend's follower
+    count (L_fh, L_fl) or tweet count (L_th, L_tl), or whose pair's
+    Jensen-Shannon distance (L_dh, L_dl), is in the high or low 10%
+    (POOL_FRACTION); the edges whose users follow each other (L_rr); and
+    the one-directional ones (L_ur)."""
     if ctx is None:
         ctx = FeatureContext(dataset)
     ids, src, dst, n = ctx.user_ids, ctx.edge_src, ctx.edge_dst, len(ctx.user_ids)
@@ -153,20 +152,20 @@ def build_link_sets(
         return list(order[:k])
 
     pools = {
-        "L_fh": (top_pool(follower_deg, True), "friend follower count, high 10%"),
-        "L_fl": (top_pool(follower_deg, False), "friend follower count, low 10%"),
-        "L_th": (top_pool(tweet_count, True), "friend tweet count, high 10%"),
-        "L_tl": (top_pool(tweet_count, False), "friend tweet count, low 10%"),
-        "L_dh": (top_pool(js_dist, True), "pair JS distance, high 10%"),
-        "L_dl": (top_pool(js_dist, False), "pair JS distance, low 10%"),
-        "L_rr": (list(np.flatnonzero(reciprocal)), "followed each other"),
-        "L_ur": (list(np.flatnonzero(~reciprocal)), "one-directional follow"),
+        "L_fh": top_pool(follower_deg, True),
+        "L_fl": top_pool(follower_deg, False),
+        "L_th": top_pool(tweet_count, True),
+        "L_tl": top_pool(tweet_count, False),
+        "L_dh": top_pool(js_dist, True),
+        "L_dl": top_pool(js_dist, False),
+        "L_rr": list(np.flatnonzero(reciprocal)),
+        "L_ur": list(np.flatnonzero(~reciprocal)),
     }
     out: dict[str, LinkSet] = {}
-    for tag, (pool, criterion) in pools.items():
+    for tag, pool in pools.items():
         if not pool:
             warnings.warn(f"scenario {tag}: empty pool, skipped")
-            out[tag] = LinkSet(tag, [], criterion, seed, flagged=True)
+            out[tag] = LinkSet(tag, [], flagged=True)
             continue
         rng = np.random.default_rng(_sub_seed(seed, "linkset", tag))
         take = min(n_links, len(pool))
@@ -174,8 +173,6 @@ def build_link_sets(
         out[tag] = LinkSet(
             tag,
             [(ids[src[pool[i]]], ids[dst[pool[i]]]) for i in sorted(chosen)],
-            criterion,
-            seed,
             flagged=take < n_links,
         )
     return out
@@ -634,37 +631,50 @@ def evaluate_link(
     seed: int,
     model: str = "tunkrank",
     scorer=None,
-    tunkrank_p: float = DEFAULT_P,
     candidates: Optional[np.ndarray] = None,
 ) -> int:
     """Q(l) for one removed link: sample 10 non-followed candidates, rank on
-    the reduced graph, count candidates ranked below the true friend.
+    the reduced graph with the given scorer of ``model``, count candidates
+    ranked below the true friend.
 
-    TIR and TwitterRank use personal-perspective aggregation via the given
-    scorer; TunkRank uses its global ranking, from the given scorer or one
-    built here with ``tunkrank_p``. A TIR or TwitterRank link the scorer was
-    not told of by ``expect`` is scored alone, which factors every hour
-    (topic) its follower weighs; callers that score many links announce
-    them first. ``candidates`` are the candidates' rows in the sorted user
-    ids when the caller has drawn them already, as run_scenarios does once
-    per link for every model.
+    TIR and TwitterRank use personal-perspective aggregation, TunkRank its
+    global ranking. A TIR or TwitterRank link the scorer was not told of by
+    ``expect`` is scored alone, which factors every hour (topic) its
+    follower weighs; callers that score many links announce them first.
+    ``candidates`` are the candidates' rows in the sorted user ids when the
+    caller has drawn them already, as run_scenarios does once per link for
+    every model.
     """
     u, v = link
     if not dataset.graph.has_edge(u, v):
         raise ValueError(f"link ({u!r}, {v!r}) not in graph")
-    if model == "tunkrank":
-        if scorer is None:
-            scorer = TunkRankLinkScorer(dataset, p=tunkrank_p)
-        score = scorer.scores_without
-    elif model in ("tir", "twitterrank"):
-        if scorer is None:
-            raise ValueError(f"{model} evaluation requires a prepared scorer")
-        score = scorer.personal_scores_without
-    else:
+    if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
+    if scorer is None:
+        raise ValueError(f"{model} evaluation requires a prepared scorer")
+    score = scorer.scores_without if model == "tunkrank" else scorer.personal_scores_without
     if candidates is None:
         candidates = _candidate_rows(dataset, u, _sub_seed(seed, "candidates", u, v))
     return q_score(score(u, v).scores, dataset.graph.index[v], candidates)
+
+
+def check_scenario_args(
+    models: Sequence[str], c_grid: Sequence[float], scenarios: Optional[Sequence[str]]
+) -> None:
+    """Raise ValueError for a TIR penalty factor outside [0.5, 1], an
+    unknown model or scenario tag, or a value repeated among the models,
+    the scenarios or the c grid. ``scenarios`` None means all of them."""
+    if "tir" in models and any(not 0.5 <= c <= 1.0 for c in c_grid):
+        raise ValueError("penalty factor c must be in [0.5, 1]")
+    unknown = [m for m in models if m not in MODELS]
+    if unknown:
+        raise ValueError(f"unknown model {unknown[0]!r}")
+    unknown = [t for t in scenarios or () if t not in SCENARIO_TAGS]
+    if unknown:
+        raise ValueError(f"unknown scenario {unknown[0]!r}")
+    for name, values in (("models", models), ("scenarios", scenarios or ()), ("c_grid", c_grid)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} must not repeat a value")
 
 
 @dataclass
@@ -685,7 +695,7 @@ def run_scenarios(
     dataset: Dataset,
     logistic_model: LogisticModel,
     seed: int = 0,
-    models: Sequence[str] = ("tir", "tunkrank", "twitterrank"),
+    models: Sequence[str] = MODELS,
     c_grid: Sequence[float] = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.96, 0.97, 0.98, 0.99, 1.0),
     gamma: float = DEFAULT_GAMMA,
     tunkrank_p: float = DEFAULT_P,
@@ -701,29 +711,22 @@ def run_scenarios(
     links in advance and scores them all in one call, matrix by matrix,
     with one multi-column solve per matrix for each block of BLOCK_LINKS
     links, before the next scorer is built; Q is still taken link by link
-    through evaluate_link. Bad parameters (unknown scenarios and repeated
-    values among them) raise ValueError before any scorer is built.
+    through evaluate_link. Bad parameters (``check_scenario_args``) raise
+    ValueError before any scorer is built, and when no requested scenario
+    has a link the result is empty and no scorer is built.
     """
+    check_scenario_args(models, c_grid, scenarios)
     if not 0.0 <= tunkrank_p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     check_params(gamma=gamma)
     if n_links < 1:
         raise ValueError("n_links must be at least 1")
-    if "tir" in models and any(not 0.5 <= c <= 1.0 for c in c_grid):
-        raise ValueError("penalty factor c must be in [0.5, 1]")
-    unknown = [m for m in models if m not in ("tir", "tunkrank", "twitterrank")]
-    if unknown:
-        raise ValueError(f"unknown model {unknown[0]!r}")
-    unknown = [t for t in scenarios or () if t not in SCENARIO_TAGS]
-    if unknown:
-        raise ValueError(f"unknown scenario {unknown[0]!r}")
-    for name, values in (("models", models), ("scenarios", scenarios or ()), ("c_grid", c_grid)):
-        if len(set(values)) < len(values):
-            raise ValueError(f"{name} must not repeat a value")
     if ctx is None:
         ctx = FeatureContext(dataset)
     link_sets = build_link_sets(dataset, seed=seed, ctx=ctx, n_links=n_links)
     tags = [t for t in (scenarios or SCENARIO_TAGS) if link_sets[t].links]
+    if not tags:
+        return []
     links = list(dict.fromkeys(l for tag in tags for l in link_sets[tag].links))
     candidates = {(u, v): _candidate_rows(dataset, u, _sub_seed(seed, "candidates", u, v))
                   for u, v in links}

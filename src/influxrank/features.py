@@ -79,16 +79,11 @@ class FeatureContext:
         self.tweet_counts = tweet_counts
 
         records = [dataset.users[u] for u in self.user_ids]
-        listed = np.array([r.listed_count for r in records], float)
+        self.listed = np.array([r.listed_count for r in records], float)
         favs = np.array([r.favourites_received for r in records], float)
-        verified = np.array([1.0 if r.verified else 0.0 for r in records])
-        with np.errstate(invalid="ignore"):
-            fv = np.where(tweet_counts > 0, favs / np.maximum(tweet_counts, 1), 0.0)
-            rr = np.where(tweet_counts > 0, retweet_counts / np.maximum(tweet_counts, 1), 0.0)
-        self.listed = listed
-        self.fv = fv
-        self.vr = verified
-        self.rr = rr
+        self.vr = np.array([1.0 if r.verified else 0.0 for r in records])
+        self.fv = np.where(tweet_counts > 0, favs / np.maximum(tweet_counts, 1), 0.0)
+        self.rr = np.where(tweet_counts > 0, retweet_counts / np.maximum(tweet_counts, 1), 0.0)
 
         profiles = all_profiles(dataset)
         self.n_t, self.a_t = profiles.n_t, profiles.a_t  # (n, 24)
@@ -123,9 +118,7 @@ class FeatureContext:
         x[:, 4] = self.rr[src]
         x[:, 5] = self.edge_close.astype(float)
         totals = self.friend_tweet_total[src]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pt = np.where(totals > 0, self.tweet_counts[dst] / np.maximum(totals, 1e-300), 0.0)
-        x[:, 6] = pt
+        x[:, 6] = np.where(totals > 0, self.tweet_counts[dst] / np.maximum(totals, 1e-300), 0.0)
         jsd = js_divergence_rows(self.topics[src], self.topics[dst])
         x[:, 11] = np.sqrt(np.maximum(2.0 * jsd, 0.0))
         self._edge_static = x

@@ -164,32 +164,30 @@ def _edge_weights_all_topics(
 
 
 def _assemble(
-    src: np.ndarray, dst: np.ndarray, weights: np.ndarray, n: int, hour: int, gamma: float
+    ctx: FeatureContext, weights: np.ndarray, key: int, gamma: float
 ) -> TransitionMatrix:
-    """Column-normalize raw edge weights (edge src -> dst is entry [dst, src])
-    into CSC form; zero columns become uniform.
+    """Column-normalize the raw weights of the context's edges (edge src ->
+    dst is entry [dst, src]) into CSC form; zero columns become uniform.
+    ``key`` is the hour or topic the matrix is of.
 
-    Each column is summed the way scipy sums a CSC matrix's columns (one
-    ``np.add.reduceat`` over rows in ascending order), so the sums do not
-    depend on the input's edge order. Entries whose normalized weight is
-    exactly zero are dropped, and each column lists its rows in descending
-    order: the entry order that ``rank --dump-matrix`` writes."""
-    order = np.argsort(src * n + dst, kind="stable")
-    col, row, w = src[order], dst[order], weights[order]
-    counts = np.bincount(col, minlength=n)
-    nonempty = counts > 0
+    The edges come sorted by follower and then by friend, so each column is
+    one run of them, in ascending rows, and is summed the way scipy sums a
+    CSC matrix's columns (one ``np.add.reduceat``). Entries whose normalized
+    weight is exactly zero are dropped, and each column lists its rows in
+    descending order: the entry order that ``rank --dump-matrix`` writes."""
+    graph, n = ctx.dataset.graph, len(ctx.user_ids)
+    nonempty = np.diff(graph.bounds) > 0
     col_sums = np.zeros(n)
-    col_sums[nonempty] = np.add.reduceat(w, (np.cumsum(counts) - counts)[nonempty])
+    col_sums[nonempty] = np.add.reduceat(weights, graph.bounds[:-1][nonempty])
     dangling = col_sums <= 0.0
-    scale = np.where(dangling, 1.0, col_sums)
-    values = w * (1.0 / scale)[col]
+    values = weights * (1.0 / np.where(dangling, 1.0, col_sums))[graph.src]
     keep = values != 0.0
-    col, row, values = col[keep], row[keep], values[keep]
+    col, row, values = graph.src[keep], graph.dst[keep], values[keep]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
     # position of each entry once every column's rows are reversed
     flip = indptr[col] + indptr[col + 1] - 1 - np.arange(len(col))
     m = sparse.csc_matrix((values[flip], row[flip], indptr), shape=(n, n))
-    return TransitionMatrix(hour=hour, gamma=gamma, n=n, matrix=m, dangling=dangling)
+    return TransitionMatrix(hour=key, gamma=gamma, n=n, matrix=m, dangling=dangling)
 
 
 def _transition_matrices(
@@ -199,9 +197,7 @@ def _transition_matrices(
     column of the (edges x keys) raw weight grid ``weights``. Each matrix is
     assembled only when the iterator reaches it, so a caller that lets go
     of one matrix before it asks for the next holds one at a time."""
-    n = len(ctx.user_ids)
-    return (_assemble(ctx.edge_src, ctx.edge_dst, weights[:, j], n, int(k), gamma)
-            for j, k in enumerate(keys))
+    return (_assemble(ctx, weights[:, j], int(k), gamma) for j, k in enumerate(keys))
 
 
 def hourly_matrices(

@@ -70,21 +70,15 @@ def all_profiles(dataset: Dataset) -> ProfileTable:
     return ProfileTable(dataset.user_ids, counts, n_t, a_t, days, has_tweets)
 
 
-def global_activity(dataset: Dataset, granularity: str = "hour_of_day") -> np.ndarray:
-    """Total event counts binned by hour of day (24), day of week (7) or both (7x24)."""
+def global_activity(dataset: Dataset) -> np.ndarray:
+    """(7, 24) tweet counts by day of week (Monday first) and hour of day.
+    Its column sums count by hour and its row sums by day, exactly: each is
+    a sum of integers held as floats."""
     if not len(dataset.tweets):
         raise ValueError("empty dataset")
     ts = dataset.tweets.ts
-    if granularity == "hour_of_day":
-        out = np.bincount(dataset.hour_of(ts), minlength=24)
-    elif granularity == "day_of_week":
-        out = np.bincount(dataset.weekday_of(ts), minlength=7)
-    elif granularity == "hour_x_day":
-        cells = dataset.weekday_of(ts) * 24 + dataset.hour_of(ts)
-        out = np.bincount(cells, minlength=7 * 24).reshape(7, 24)
-    else:
-        raise ValueError(f"unknown granularity {granularity!r}")
-    return out.astype(float)
+    cells = dataset.weekday_of(ts) * 24 + dataset.hour_of(ts)
+    return np.bincount(cells, minlength=7 * 24).reshape(7, 24).astype(float)
 
 
 def _shift_set(max_shift: int) -> list[int]:

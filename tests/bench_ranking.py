@@ -52,11 +52,9 @@ def test_edge_weights_all_hours(benchmark, trained):
 def test_assemble_24_hours(benchmark, trained):
     _, ctx, model = trained
     weights = _edge_weights_all_hours(ctx, model, C)
-    n = len(ctx.user_ids)
 
     def assemble_all():
-        return [_assemble(ctx.edge_src, ctx.edge_dst, weights[:, t], n, t, GAMMA)
-                for t in range(24)]
+        return [_assemble(ctx, weights[:, t], t, GAMMA) for t in range(24)]
 
     assert len(benchmark(assemble_all)) == 24
 

@@ -446,6 +446,14 @@ def global_activity_loop(dataset: Dataset, granularity: str) -> np.ndarray:
     return out
 
 
+def assert_activity_matches_loop(dataset: Dataset, heat: np.ndarray) -> None:
+    """The weekday x hour table, its column sums (by hour) and its row sums
+    (by weekday) carry the bits of the tweet-by-tweet counts."""
+    for granularity, counts in (("hour_x_day", heat), ("hour_of_day", heat.sum(axis=0)),
+                                ("day_of_week", heat.sum(axis=1))):
+        assert counts.tobytes() == global_activity_loop(dataset, granularity).tobytes()
+
+
 @dataclass(frozen=True)
 class ResponseMetric:
     tweet_id: str

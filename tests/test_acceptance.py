@@ -315,7 +315,7 @@ def test_criterion_08_penalty_factor(report, small_synth, small_model, small_ctx
         x[:, 5] = 1.0
         x = model.scaler.transform(x)
         w = ctx.n_t[ctx.edge_dst, t] * model.predict(x)
-        tm = _assemble(ctx.edge_src, ctx.edge_dst, w, len(ctx.user_ids), t, 0.85)
+        tm = _assemble(ctx, w, t, 0.85)
         hourly.append(power_iterate(tm, ctx.user_ids))
     no_distinction = aggregate(hourly, activity_weights(ctx))
     assert tir_rank(dataset, model, c=0.5, ctx=ctx).order() == no_distinction.order()

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from influxrank import cli
 from influxrank.cli import main, stage_seed
 from influxrank.logistic import LogisticModel
-from influxrank.model import serialize
+from influxrank.model import Tweet, serialize
 
 from conftest import make_dataset, make_user
 
@@ -151,6 +151,17 @@ class TestPipelineArtifacts:
         total_heat = sum(float(v) for r in heat[1:] for v in r[1:])
         assert total_h == total_w == total_heat > 0
 
+    def test_activity_vectors_are_the_heat_map_sums(self, pipeline):
+        # the hourly file holds the heat map's column sums, the weekly file
+        # its row sums, each count formatted as the heat map's cells are
+        hourly = read_csv(pipeline["activity"] / "activity_hourly.csv")
+        weekly = read_csv(pipeline["activity"] / "activity_weekly.csv")
+        heat = read_csv(pipeline["activity"] / "activity_heatmap.csv")
+        cells = np.array([[int(v) for v in r[1:]] for r in heat[1:]])
+        assert [r[0] for r in heat[1:]] == [str(d) for d in range(7)]
+        assert hourly[1:] == [[str(h), str(c)] for h, c in enumerate(cells.sum(axis=0))]
+        assert weekly[1:] == [[str(d), str(c)] for d, c in enumerate(cells.sum(axis=1))]
+
     def test_cluster_outputs(self, pipeline):
         clusters = read_csv(pipeline["cluster"] / "clusters.csv")
         assert len(clusters) == 1 + 3
@@ -215,6 +226,18 @@ class TestPipelineArtifacts:
         for r in body:
             assert r[0] == "L_ur"
             assert 0.0 <= float(r[3]) <= 10.0
+
+    def test_recommend_without_a_requested_link_writes_the_header(self, tmp_path):
+        # nobody follows back, so L_rr has no link and no row
+        users = [make_user(u) for u in "abc"]
+        tweets = [Tweet(f"t{u}", u, "original", 3600 * i) for i, u in enumerate("abc")]
+        serialize(make_dataset(users, [("a", "b"), ("a", "c"), ("b", "c")], tweets),
+                  tmp_path / "in")
+        LogisticModel(w0=0.0, w=np.zeros(12)).save(tmp_path / "model.json")
+        ok(run_cli("recommend", "--in", tmp_path / "in", "--model-file", tmp_path / "model.json",
+                   "--scenarios", "L_rr", "--out", tmp_path / "out"))
+        assert (tmp_path / "out" / "scenarios.csv").read_bytes() == \
+            b"scenario,model,c,mean_q,n_links\r\n"
 
 
 class TestDeterminism:

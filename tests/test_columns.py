@@ -35,9 +35,9 @@ from influxrank.temporal import all_profiles, global_activity, response_metrics
 
 from conftest import make_dataset, make_user
 from oracles import (
+    assert_activity_matches_loop,
     build_instances_loop,
     edge_close_loop,
-    global_activity_loop,
     hourly_profile_loop,
     instance_id_keys,
     response_metrics_loop,
@@ -46,7 +46,6 @@ from oracles import (
 )
 
 USER_POOL = ("a", "b", "c", "d", "e")
-GRANULARITIES = ("hour_of_day", "day_of_week", "hour_x_day")
 
 
 @st.composite
@@ -140,13 +139,11 @@ def assert_matches_oracles(dataset: model.Dataset) -> None:
         assert np.array_equal(table.a_t[i], want.a_t)
         assert (table.available_days[i], table.has_tweets[i]) == (want.available_days,
                                                                   want.has_tweets)
-    for granularity in GRANULARITIES:
-        if len(dataset.tweets):
-            assert np.array_equal(global_activity(dataset, granularity),
-                                  global_activity_loop(dataset, granularity))
-        else:
-            with pytest.raises(ValueError, match="empty dataset"):
-                global_activity(dataset, granularity)
+    if len(dataset.tweets):
+        assert_activity_matches_loop(dataset, global_activity(dataset))
+    else:
+        with pytest.raises(ValueError, match="empty dataset"):
+            global_activity(dataset)
     metrics, excluded = response_metrics(dataset)
     assert (response_records(dataset, metrics), excluded) == response_metrics_loop(dataset)
 

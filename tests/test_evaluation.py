@@ -17,6 +17,7 @@ from influxrank.evaluation import (
     sample_candidates,
 )
 from influxrank.features import FeatureContext
+from influxrank.model import Tweet
 from influxrank.ranking import RankVector, tir_rank, tunkrank, twitterrank
 
 from conftest import _remove_edge_dataset, make_dataset, make_user
@@ -153,7 +154,8 @@ class TestCandidatesAndQ:
     def test_q_score_range(self, small_synth):
         dataset, _ = small_synth
         link = next(iter(dataset.graph.edges()))
-        q = evaluate_link(dataset, link, seed=0, model="tunkrank")
+        q = evaluate_link(dataset, link, seed=0, model="tunkrank",
+                          scorer=TunkRankLinkScorer(dataset))
         assert 0 <= q <= 10
 
     def test_evaluate_missing_link(self, small_synth):
@@ -221,13 +223,6 @@ class TestIncrementalScorers:
             slow = tunkrank(reduced, p=0.05, tol=1e-14)
             assert fast.user_ids == slow.user_ids
             assert np.allclose(fast.scores, slow.scores, atol=1e-12)
-
-    def test_evaluate_tunkrank_builds_scorer_on_demand(self, small_synth):
-        dataset, _ = small_synth
-        scorer = TunkRankLinkScorer(dataset, p=0.2)
-        for link in self._links(dataset):
-            assert evaluate_link(dataset, link, 3, "tunkrank", tunkrank_p=0.2) == \
-                evaluate_link(dataset, link, 3, "tunkrank", scorer)
 
 
 class TestTunkRankP1:
@@ -302,6 +297,22 @@ class TestRunScenarios:
         dataset, _ = small_synth
         with pytest.raises(ValueError, match=match):
             run_scenarios(dataset, small_model, ctx=small_ctx, **kwargs)
+
+    def test_no_requested_link_builds_no_scorer(self, small_model, monkeypatch):
+        # nobody follows back, so L_rr holds no link: the result is empty
+        # before a candidate is drawn (three users have too few to draw) or
+        # a scorer is built
+        def refuse(*args, **kw):
+            raise AssertionError("a scorer was built or candidates drawn")
+
+        for name in ("TirLinkScorer", "TwitterRankLinkScorer", "TunkRankLinkScorer",
+                     "_candidate_rows"):
+            monkeypatch.setattr(evaluation, name, refuse)
+        tweets = [Tweet(f"t{u}", u, "original", 3600 * i) for i, u in enumerate("abc")]
+        dataset = make_dataset([make_user(u) for u in "abc"],
+                               [("a", "b"), ("a", "c"), ("b", "c")], tweets)
+        with pytest.warns(UserWarning, match="L_rr: empty pool"):
+            assert run_scenarios(dataset, small_model, scenarios=("L_rr",)) == []
 
     def test_block_size_does_not_change_q(self, small_synth, small_model, small_ctx,
                                           monkeypatch):

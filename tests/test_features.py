@@ -18,6 +18,7 @@ from influxrank.features import (
 from influxrank.temporal import global_activity
 
 from oracles import (
+    assert_activity_matches_loop,
     extract,
     instance_id_keys,
     is_response,
@@ -162,10 +163,12 @@ class TestExtract:
 
     def test_hour_counts_are_the_global_hourly_activity(self, small_synth, small_ctx):
         # the same 24 counts, summed over the profile table's rows and
-        # binned straight from the tweet times
+        # over the weekday rows of the table binned straight from the tweet
+        # times
         dataset, _ = small_synth
-        want = global_activity(dataset, "hour_of_day")
-        assert small_ctx.hour_counts.tobytes() == want.tobytes()
+        heat = global_activity(dataset)
+        assert_activity_matches_loop(dataset, heat)
+        assert small_ctx.hour_counts.tobytes() == heat.sum(axis=0).tobytes()
 
     def test_static_features_read_no_uninitialised_memory(self, small_synth):
         dataset, _ = small_synth

@@ -316,9 +316,9 @@ class TestBatchCases:
         assembled = []
         assemble = ranking._assemble
 
-        def counted(src, dst, weights, n, key, gamma):
+        def counted(ctx, weights, key, gamma):
             assembled.append(key)
-            return assemble(src, dst, weights, n, key, gamma)
+            return assemble(ctx, weights, key, gamma)
 
         monkeypatch.setattr(ranking, "_assemble", counted)
         scorer = TwitterRankLinkScorer(self.dataset(), gamma=GAMMA)

@@ -30,7 +30,7 @@ from influxrank.ranking import (
 from influxrank.temporal import global_activity
 
 from conftest import make_dataset, make_user
-from oracles import aggregate, dense
+from oracles import aggregate, assert_activity_matches_loop, dense
 
 
 def flat_model():
@@ -211,7 +211,9 @@ class TestRankVector:
 class TestActivityWeights:
     def test_equals_global_hourly_activity(self, small_synth, small_ctx):
         dataset, _ = small_synth
-        hourly = global_activity(dataset, "hour_of_day")
+        heat = global_activity(dataset)
+        assert_activity_matches_loop(dataset, heat)
+        hourly = heat.sum(axis=0)
         assert np.array_equal(activity_weights(small_ctx), hourly / hourly.sum())
 
     def test_no_tweets_rejected(self):

@@ -109,7 +109,7 @@ def test_assembly_and_iteration_match_sparse_product(dataset, model, c):
     fast_weights = _edge_weights_all_hours(ctx, model, c)
     slow_weights = edge_weights_by_hour(ctx, model, c)
     for t in range(24):
-        fast = _assemble(ctx.edge_src, ctx.edge_dst, slow_weights[:, t], n, t, 0.85)
+        fast = _assemble(ctx, slow_weights[:, t], t, 0.85)
         slow = assemble_by_sparse_product(
             ctx.edge_src, ctx.edge_dst, slow_weights[:, t], n, t, 0.85)
         assert np.array_equal(fast.dangling, slow.dangling)
@@ -119,7 +119,7 @@ def test_assembly_and_iteration_match_sparse_product(dataset, model, c):
         assert np.all(np.abs(fast.matrix.data - values) <= np.spacing(np.abs(values)))
 
         # the whole path, kernel weights to iteration, against the oracles
-        tm = _assemble(ctx.edge_src, ctx.edge_dst, fast_weights[:, t], n, t, 0.85)
+        tm = _assemble(ctx, fast_weights[:, t], t, 0.85)
         rv = power_iterate(tm, ctx.user_ids, tol=TOL)
         scores, iterations = iterate_from_uniform(slow, TOL)
         assert rv.params["iterations"] == iterations

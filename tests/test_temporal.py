@@ -25,6 +25,7 @@ from influxrank.temporal import (
 from conftest import make_dataset, make_user
 from oracles import (
     HourlyProfile,
+    assert_activity_matches_loop,
     ksc_distance,
     pairwise_shape_distance,
     response_metrics_loop,
@@ -111,19 +112,15 @@ class TestGlobalActivity:
     def test_single_tweet_monday_ten(self):
         ts = 4 * 86400 + 10 * 3600  # Monday 10:00
         ds = make_dataset([make_user("a")], [], _originals("a", [ts], "t"))
-        weekly = global_activity(ds, "day_of_week")
-        assert weekly[0] == 1
-        assert weekly.sum() == 1
-        hourly = global_activity(ds, "hour_of_day")
-        assert hourly[10] == 1
+        heat = global_activity(ds)
+        assert heat.shape == (7, 24)
+        assert heat[0, 10] == 1
+        assert heat.sum() == 1
+        assert_activity_matches_loop(ds, heat)
 
     def test_heatmap_marginalizes_to_hourly(self, small_synth):
         dataset, _ = small_synth
-        heat = global_activity(dataset, "hour_x_day")
-        hourly = global_activity(dataset, "hour_of_day")
-        weekly = global_activity(dataset, "day_of_week")
-        assert np.allclose(heat.sum(axis=0), hourly)
-        assert np.allclose(heat.sum(axis=1), weekly)
+        assert_activity_matches_loop(dataset, global_activity(dataset))
 
     def test_planted_peak_recovered(self):
         cfg = GeneratorConfig(
@@ -133,8 +130,9 @@ class TestGlobalActivity:
             prototype_weights=(1.0,),
         )
         ds, _ = generate(cfg)
-        hourly = global_activity(ds, "hour_of_day")
-        assert int(np.argmax(hourly)) == 17
+        heat = global_activity(ds)
+        assert_activity_matches_loop(ds, heat)
+        assert int(np.argmax(heat.sum(axis=0))) == 17
 
 
 def _planted_profiles(seed, n=300, sigma=0.05):
