@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -20,14 +20,15 @@ from .ranking import (
     TransitionMatrix,
     _edge_weights_all_hours,
     _edge_weights_all_topics,
-    _transition_matrices,
     check_params,
     check_tir_model,
     check_tunkrank_fixed_point,
     hourly_matrices,
     normalise_weights,
+    personal_topic_weights,
     personal_weights,
     tunkrank_matrix,
+    twitterrank_matrices,
 )
 
 SCENARIO_TAGS = ("L_fh", "L_fl", "L_th", "L_tl", "L_dh", "L_dl", "L_rr", "L_ur")
@@ -360,53 +361,54 @@ def _link_blocks(link: np.ndarray, n_links: int):
     return zip(starts, stops, np.searchsorted(link, starts), np.searchsorted(link, stops))
 
 
-def _weighted_solutions(
-    matrices: Iterable[TransitionMatrix],
-    order: np.ndarray,
-    weights: np.ndarray,
-    us: np.ndarray,
-    rows: np.ndarray,
-    columns: np.ndarray,
-    link: np.ndarray,
-) -> np.ndarray:
-    """(L, n) sum over n-user matrices t of weights[k, t] times link k's
-    solution of matrix t, each solution scaled to sum 1. ``us``, ``rows`` and
-    ``link`` are as in ``ColumnUpdateSolver.solve_with_columns`` and
-    ``columns[t]`` holds the replaced columns' values for matrix t.
+def _link_indices(index: dict[str, int], links: Sequence[tuple[str, str]]):
+    ius = np.array([index[u] for u, _ in links], dtype=np.intp)
+    ivs = np.array([index[v] for _, v in links], dtype=np.intp)
+    return ius, ivs
 
-    ``matrices`` gives the matrix of every t that some link weighs
-    (weights[k, t] > 0), in ascending t. Each is factored in ``order`` when
-    it is reached, every block of BLOCK_LINKS links is solved against that
-    factor in one multi-column solve, and the factor is freed before the
-    next matrix is taken: one factorisation is alive at a time. A block solves
-    only its links of positive weight, and skips a matrix none of them
-    weighs. A skipped term would add the zero 0 * y to a sum that starts
-    at +0.0, so skipping it changes no bit, and each link's terms are added
-    in ascending t."""
-    n_links = len(us)
-    scores = np.zeros((n_links, len(order)))
-    for tm in matrices:
+
+def _personal_scores_without_links(
+    ctx: FeatureContext,
+    order: np.ndarray,
+    links: Sequence[tuple[str, str]],
+    edge_weights: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    key_weights: Callable[[FeatureContext, np.ndarray], np.ndarray],
+    matrices: Callable[[np.ndarray], Iterable[TransitionMatrix]],
+) -> np.ndarray:
+    """(len(links), n) personal scores of each link's follower u once u
+    unfollows v, for TIR (hours) and TwitterRank (topics): u's raw key
+    weights ``key_weights(ctx, ius)``, divided by their sum as in
+    ``ranking._walk_sum``, times each key's walk. ``edge_weights(rows,
+    shares)`` gives the (rows x keys) raw weights of u's remaining edges
+    with their tweet shares, and ``matrices(keys)`` the matrices of the keys
+    that some follower weighs, in ascending order. Each is factored in
+    ``order`` when reached and freed before the next, so one factorisation
+    is alive at a time, and each block of BLOCK_LINKS links solves its
+    links of positive weight in one multi-column solve. A skipped term
+    would add 0 * y to a sum that starts at +0.0, so skipping changes no
+    bit, and each link's terms are added in ascending key order."""
+    ius, ivs = _link_indices(ctx.index, links)
+    rows, link, shares = _friend_shares_without(ctx, ius, ivs)
+    columns = _normalise_columns(edge_weights(rows, shares), link, len(links))
+    dsts = ctx.edge_dst[rows]
+    weights = normalise_weights(key_weights(ctx, ius))
+    scores = np.zeros((len(links), len(order)))
+    for tm in matrices(np.flatnonzero((weights > 0).any(axis=0))):
         t = tm.hour
         solver = ColumnUpdateSolver(tm.matrix, tm.gamma, order)
-        for a, b, ra, rb in _link_blocks(link, n_links):
+        for a, b, ra, rb in _link_blocks(link, len(links)):
             on = weights[a:b, t] > 0
             if not on.any():
                 continue
             keep = on[link[ra:rb] - a]
             renumber = np.cumsum(on) - 1
-            y = solver.solve_with_columns(us[a:b][on], rows[ra:rb][keep],
+            y = solver.solve_with_columns(ius[a:b][on], dsts[ra:rb][keep],
                                           columns[t, ra:rb][keep], renumber[link[ra:rb][keep] - a])
             y /= y.sum(axis=1)[:, None]
             y *= weights[a:b][on, t, None]
             scores[a:b][on] += y
         del solver
     return scores
-
-
-def _link_indices(index: dict[str, int], links: Sequence[tuple[str, str]]):
-    ius = np.array([index[u] for u, _ in links], dtype=np.intp)
-    ivs = np.array([index[v] for _, v in links], dtype=np.intp)
-    return ius, ivs
 
 
 class _LinkBlocks:
@@ -439,13 +441,9 @@ class TirLinkScorer(_LinkBlocks):
 
     Removing edge (u, v) only changes column u of every hourly matrix: u
     loses a friend, which shifts the tweet-share feature and close-friend
-    multiplier for u's remaining edges. ``scores_without_links`` recomputes
-    those columns for all its links, then builds and factors the hourly
-    matrices one at a time, only the hours that some link's follower
-    weighs, and updates each hour's ranking by one ColumnUpdateSolver solve
-    per block of links. The scorer holds no factorisation between calls,
-    only the follow graph's ``elimination_order``, which every hour's
-    factor uses.
+    multiplier for u's remaining edges (``_personal_scores_without_links``).
+    The scorer holds no factorisation between calls, only the follow graph's
+    ``elimination_order``, which every hour's factor uses.
     """
 
     def __init__(
@@ -469,22 +467,15 @@ class TirLinkScorer(_LinkBlocks):
 
     def scores_without_links(self, links: Sequence[tuple[str, str]]) -> np.ndarray:
         """(len(links), n) personal TIR scores of each link's follower u once
-        u unfollows v, aggregated over the hours with u's activity.
-
-        Each hour solves only the links whose follower gives it a positive
-        weight (``personal_weights``, normalised), and an hour that no
-        follower is active in is neither built nor factored: the scores
-        equal the aggregation of all 24 hours bit for bit."""
-        ctx = self.ctx
-        ius, ivs = _link_indices(ctx.index, links)
-        rows, link, shares = _friend_shares_without(ctx, ius, ivs)
-        weights = _edge_weights_all_hours(ctx, self.model, self.c, rows=rows, shares=shares)
-        columns = _normalise_columns(weights, link, len(links))
-        hour_w = normalise_weights(personal_weights(ctx, ius))
-        hours = np.flatnonzero((hour_w > 0).any(axis=0))
-        matrices = hourly_matrices(self.dataset, self.model, hours, self.c, self.gamma, ctx)
-        return _weighted_solutions(matrices, self.order, hour_w, ius, ctx.edge_dst[rows], columns,
-                                   link)
+        u unfollows v, aggregated over the hours with u's activity
+        (``personal_weights``); an hour that no follower is active in is
+        neither built nor factored."""
+        ctx, model, c = self.ctx, self.model, self.c
+        return _personal_scores_without_links(
+            ctx, self.order, links,
+            lambda rows, shares: _edge_weights_all_hours(ctx, model, c, rows=rows, shares=shares),
+            personal_weights,
+            lambda hours: hourly_matrices(self.dataset, model, hours, c, self.gamma, ctx))
 
     def personal_scores_without(self, u: str, v: str) -> RankVector:
         return RankVector(
@@ -519,23 +510,14 @@ class TwitterRankLinkScorer(_LinkBlocks):
     def scores_without_links(self, links: Sequence[tuple[str, str]]) -> np.ndarray:
         """(len(links), n) personal TwitterRank scores of each link's follower
         u once u unfollows v: the topic rankings weighted by u's topic
-        shares, over the topics where that share is positive; a topic no
-        follower has a share of is not factored."""
+        shares (``personal_topic_weights``); a topic no follower has a share
+        of is not factored."""
         ctx = self.ctx
-        ius, ivs = _link_indices(ctx.index, links)
-        rows, link, ratio = _friend_shares_without(ctx, ius, ivs)
-        weights = _edge_weights_all_topics(ctx, rows=rows, shares=ratio)
-        columns = _normalise_columns(weights, link, len(links))
-        shares = ctx.topics[ius]
-        topics = np.flatnonzero((shares > 0).any(axis=0))
-        matrices = _transition_matrices(ctx, _edge_weights_all_topics(ctx, topics=topics), topics,
-                                        self.gamma)
-        scores = _weighted_solutions(matrices, self.order, shares, ius, ctx.edge_dst[rows],
-                                     columns, link)
-        total = shares.sum(axis=1)
-        on = total > 0
-        scores[on] /= total[on, None]
-        return scores
+        return _personal_scores_without_links(
+            ctx, self.order, links,
+            lambda rows, shares: _edge_weights_all_topics(ctx, rows=rows, shares=shares),
+            personal_topic_weights,
+            lambda topics: twitterrank_matrices(self.dataset, self.gamma, ctx, topics))
 
     def personal_scores_without(self, u: str, v: str) -> RankVector:
         return RankVector(
@@ -669,10 +651,11 @@ def check_scenario_args(
     unknown = [m for m in models if m not in MODELS]
     if unknown:
         raise ValueError(f"unknown model {unknown[0]!r}")
-    unknown = [t for t in scenarios or () if t not in SCENARIO_TAGS]
+    scenarios = SCENARIO_TAGS if scenarios is None else scenarios
+    unknown = [t for t in scenarios if t not in SCENARIO_TAGS]
     if unknown:
         raise ValueError(f"unknown scenario {unknown[0]!r}")
-    for name, values in (("models", models), ("scenarios", scenarios or ()), ("c_grid", c_grid)):
+    for name, values in (("models", models), ("scenarios", scenarios), ("c_grid", c_grid)):
         if len(set(values)) < len(values):
             raise ValueError(f"{name} must not repeat a value")
 
@@ -712,8 +695,9 @@ def run_scenarios(
     with one multi-column solve per matrix for each block of BLOCK_LINKS
     links, before the next scorer is built; Q is still taken link by link
     through evaluate_link. Bad parameters (``check_scenario_args``) raise
-    ValueError before any scorer is built, and when no requested scenario
-    has a link the result is empty and no scorer is built.
+    ValueError before any scorer is built. ``scenarios`` None means all of
+    them; when no requested scenario has a link, an empty selection
+    included, the result is empty and no scorer is built.
     """
     check_scenario_args(models, c_grid, scenarios)
     if not 0.0 <= tunkrank_p <= 1.0:
@@ -724,7 +708,7 @@ def run_scenarios(
     if ctx is None:
         ctx = FeatureContext(dataset)
     link_sets = build_link_sets(dataset, seed=seed, ctx=ctx, n_links=n_links)
-    tags = [t for t in (scenarios or SCENARIO_TAGS) if link_sets[t].links]
+    tags = [t for t in (SCENARIO_TAGS if scenarios is None else scenarios) if link_sets[t].links]
     if not tags:
         return []
     links = list(dict.fromkeys(l for tag in tags for l in link_sets[tag].links))

@@ -290,6 +290,15 @@ def personal_weights(ctx: FeatureContext, users: Sequence[int]) -> np.ndarray:
     return w
 
 
+def personal_topic_weights(ctx: FeatureContext, users: Sequence[int]) -> np.ndarray:
+    """The topic counterpart of ``personal_weights``: (len(users), topics)
+    weights, each user's own topic distribution, or all ones for a user
+    with no topic mass."""
+    w = ctx.topics[np.asarray(users, dtype=np.intp)]
+    w[w.sum(axis=1) <= 0] = 1.0
+    return w
+
+
 # walk keys that a FeatureContext keeps: more than the four (TIR at three
 # values of c, and TwitterRank) that ``compare`` or ``rank-2k`` ranks with
 _WALK_KEYS = 8
@@ -472,16 +481,17 @@ def twitterrank_matrices(
     gamma: float = DEFAULT_GAMMA,
     ctx: Optional[FeatureContext] = None,
     topics: Optional[Sequence[int]] = None,
-) -> list[TransitionMatrix]:
+) -> Iterator[TransitionMatrix]:
     """One column-normalized, damped transition structure per topic of
     ``topics`` (all topics by default), in that order, from the raw edge
-    weights of ``_edge_weights_all_topics``."""
+    weights of ``_edge_weights_all_topics``; checked and weighed at the
+    call and assembled lazily, like ``hourly_matrices``."""
     check_params(gamma=gamma)
     if ctx is None:
         ctx = FeatureContext(dataset)
     topics = range(ctx.topics.shape[1]) if topics is None else topics
     weights = _edge_weights_all_topics(ctx, topics=topics)
-    return list(_transition_matrices(ctx, weights, topics, gamma))
+    return _transition_matrices(ctx, weights, topics, gamma)
 
 
 def twitterrank(
@@ -508,10 +518,10 @@ def twitterrank(
     if row is None:
         mass = ctx.tweet_counts if ctx.tweet_counts.sum() > 0 else np.ones(len(ctx.user_ids))
         shares = mass @ ctx.topics
+        if shares.sum() <= 0:
+            shares = np.ones(len(shares))
     else:
-        shares = ctx.topics[row]
-    if shares.sum() <= 0:
-        shares = np.ones(len(shares))
+        shares = personal_topic_weights(ctx, [row])[0]
     scores = _walk_sum(ctx, ("twitterrank", gamma, tol, max_iters), shares,
                        lambda topics: twitterrank_matrices(dataset, gamma, ctx, topics),
                        tol, max_iters)

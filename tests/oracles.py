@@ -82,6 +82,7 @@ from influxrank.ranking import (
     build_matrix,
     check_tunkrank_fixed_point,
     normalise_weights,
+    personal_topic_weights,
     personal_weights,
     twitterrank_matrices,
 )
@@ -809,15 +810,14 @@ def twitterrank_scores_without_loop(scorer, u: str, v: str, solvers=None) -> np.
     iu = ctx.index[u]
     _, dsts, ratio = _friend_shares_loop(ctx, iu, ctx.index[v])
     sims = 1.0 - np.abs(ctx.topics[iu] - ctx.topics[dsts])
-    shares = ctx.topics[iu]
+    # divided by their sum first, as ``aggregate`` divides the hour weights
+    shares = normalise_weights(personal_topic_weights(ctx, [iu])[0])
     scores = np.zeros(len(ctx.user_ids))
     for t, solver in enumerate(solvers or link_solvers(scorer)):
         if shares[t] <= 0:
             continue
         y = solve_with_column_loop(solver, iu, dsts, ratio * sims[:, t])
         scores += shares[t] * (y / y.sum())
-    if shares.sum() > 0:
-        scores /= shares.sum()
     return scores
 
 

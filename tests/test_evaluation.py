@@ -314,6 +314,20 @@ class TestRunScenarios:
         with pytest.warns(UserWarning, match="L_rr: empty pool"):
             assert run_scenarios(dataset, small_model, scenarios=("L_rr",)) == []
 
+    @pytest.mark.parametrize("empty", [[], ()])
+    def test_empty_selection_runs_no_scenario(self, small_synth, small_model, small_ctx,
+                                              monkeypatch, empty):
+        # an empty selection selects no scenario (None selects all eight):
+        # the result is empty before a candidate is drawn or a scorer is built
+        def refuse(*args, **kw):
+            raise AssertionError("a scorer was built or candidates drawn")
+
+        for name in ("TirLinkScorer", "TwitterRankLinkScorer", "TunkRankLinkScorer",
+                     "_candidate_rows"):
+            monkeypatch.setattr(evaluation, name, refuse)
+        dataset, _ = small_synth
+        assert run_scenarios(dataset, small_model, scenarios=empty, ctx=small_ctx) == []
+
     def test_block_size_does_not_change_q(self, small_synth, small_model, small_ctx,
                                           monkeypatch):
         dataset, _ = small_synth

@@ -264,14 +264,30 @@ class TestBatchCases:
 
     def test_topic_totals_below_one(self):
         # the topic rows of followers u01, u02 and u05 sum to 1 - 2**-53 in
-        # floating point, where dividing by that total and multiplying by
-        # its reciprocal round differently; u00 has no share of topics 1, 2
+        # floating point, so the shares divided by that total, as the scorer
+        # and the oracle weigh the topics, are not the raw shares; u00 has no
+        # share of topics 1, 2
         topics = [(1.0, 0.0, 0.0), (0.7, 0.2, 0.1), (0.6, 0.3, 0.1), (0.5, 0.5, 0.0),
                   (0.0, 0.2, 0.8), (0.7, 0.2, 0.1)]
         dataset = build(6, TestColumnCases.EDGES, TestColumnCases.HOURS, topics,
                         responses=[(5, 1, 4)])
         assert FeatureContext(dataset).topics[[1, 2, 5]].sum(axis=1).tolist() == [1 - 2**-53] * 3
         links = [(f"u{a:02d}", f"u{b:02d}") for a, b in TestColumnCases.EDGES]
+        assert_batch_matches_oracle(dataset, links, 0.85, p=0.05)
+
+    def test_follower_without_topic_mass(self):
+        # the Dataset constructor does not validate users, so follower u05's
+        # topic row can be all zero: its TwitterRank link rows weigh the
+        # topics uniformly, as its personal ranking of the reduced graph does
+        topics = list(TestColumnCases.TOPICS)
+        topics[5] = (0.0, 0.0)
+        dataset = build(6, TestColumnCases.EDGES, TestColumnCases.HOURS, topics)
+        links = [("u05", "u01"), ("u05", "u04"), ("u00", "u01")]
+        block = TwitterRankLinkScorer(dataset, gamma=GAMMA).scores_without_links(links)
+        for row, (u, v) in zip(block, links):
+            rebuilt = twitterrank(_remove_edge_dataset(dataset, u, v), GAMMA, mode="personal",
+                                  user=u, tol=1e-14, max_iters=1000).scores
+            assert np.allclose(row, rebuilt, rtol=0, atol=1e-12)
         assert_batch_matches_oracle(dataset, links, 0.85, p=0.05)
 
     def test_expected_links_asked_out_of_order(self, monkeypatch):

@@ -365,6 +365,14 @@ class TestTwitterRank:
         rv = twitterrank(tiny_dataset, ctx=ctx)
         assert np.allclose(rv.scores, expected, atol=1e-12)
 
+    def test_matrices_assembled_only_when_iterated(self, tiny_dataset):
+        ctx = FeatureContext(tiny_dataset)
+        with mock.patch("influxrank.ranking._assemble", wraps=ranking._assemble) as spy:
+            mats = twitterrank_matrices(tiny_dataset, ctx=ctx)
+            spy.assert_not_called()
+            assert [tm.hour for tm in mats] == [0, 1]
+        assert [call.args[2] for call in spy.call_args_list] == [0, 1]
+
     def test_personal_uses_own_distribution(self, tiny_dataset):
         ctx = FeatureContext(tiny_dataset)
         per_topic = [power_iterate(tm, ctx.user_ids)
@@ -484,7 +492,7 @@ class TestZeroWeightHours:
         with mock.patch("influxrank.ranking.power_iterate", wraps=power_iterate) as spy:
             rv = twitterrank(tiny_dataset, mode="personal", user="A", ctx=ctx)
         assert [call.args[0].hour for call in spy.call_args_list] == [0]
-        only = power_iterate(twitterrank_matrices(tiny_dataset, ctx=ctx)[0], ctx.user_ids)
+        only = power_iterate(next(twitterrank_matrices(tiny_dataset, ctx=ctx)), ctx.user_ids)
         assert np.array_equal(rv.scores, only.scores)
 
 
