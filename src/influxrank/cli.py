@@ -691,7 +691,7 @@ def recommend_cmd(in_dir, model_file, out, seed, gamma, p, c_grid, n_links, scen
         grid = tuple(float(v) for v in c_grid.split(","))
     except ValueError:
         raise click.BadParameter("--c-grid must be comma-separated floats")
-    tags = tuple(scenarios.split(",")) if scenarios else None
+    tags = None if scenarios is None else tuple(scenarios.split(","))
     try:
         evaluation.check_scenario_args(evaluation.MODELS, grid, tags)
     except ValueError as exc:

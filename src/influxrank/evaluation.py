@@ -179,17 +179,19 @@ def build_link_sets(
     return out
 
 
-# Links scored together, in one multi-column solve per matrix. With the
-# shared elimination order, blocks of 32 took recommend-2k's run_scenarios
-# call from about 0.50 to 0.43 s at 2,000 users, but at 20,000 users (8
-# links per scenario) they were no faster and their (n x links) work arrays
+# The bytes of one block's (n x links) float64 work array in
+# ColumnUpdateSolver.solve_with_columns: a block takes BLOCK_BYTES // (8 n)
+# links, at least one, which is 16 at 20,000 users and 160 at 2,000. With
+# the shared elimination order, blocks of 32 links took recommend-2k's
+# run_scenarios call from about 0.50 to 0.43 s at 2,000 users, but at 20,000
+# users (8 links per scenario) they were no faster and their work arrays
 # raised its peak RSS from 400 to 406 MB.
-BLOCK_LINKS = 16
+BLOCK_BYTES = 2_560_000
 
 
 class ColumnUpdateSolver:
     """Direct solve of (I - s S) x = b, and of the same system after one
-    column of S is replaced, for a block of such replacements at once.
+    column of S is replaced, for many such replacements at once.
 
     S is a column-normalised edge matrix: each column sums to 1 or is zero.
     The right-hand side b is either all ones or S 1. With ones and s = gamma,
@@ -201,22 +203,25 @@ class ColumnUpdateSolver:
     I - s S is factored once with a sparse LU, in the given ``order`` of the
     users (``FollowGraph.elimination_order``, shared by every matrix
     on that graph): the factor is of P (I - s S) P^T, with P the permutation
-    that puts user order[i] i-th, and SuperLU is told to keep that column
-    order rather than compute its own. For s <= 1 the matrix is column
-    diagonally dominant (diagonal 1, off-diagonal column sums s or 0), and
-    each step of Gaussian elimination keeps it so, so partial pivoting would
-    pick the diagonal in every column anyway; a pivot threshold of 0 takes
-    it without comparing. ``solve`` permutes on the way in and out.
+    that puts user order[i] i-th (scipy's row and column indexing by
+    ``order``), and SuperLU is told to keep that column order rather than
+    compute its own. For s <= 1 the matrix is column diagonally dominant
+    (diagonal 1, off-diagonal column sums s or 0), and each step of Gaussian
+    elimination keeps it so, so partial pivoting would pick the diagonal in
+    every column anyway; a pivot threshold of 0 takes it without comparing.
+    ``solve`` permutes on the way in and out.
 
     Removing edge (u, v) replaces column u only: S' = S + d e_u^T with
     d = S'_u - S_u, and S' 1 = S 1 + d. By Sherman-Morrison the new solution
     is x + z (eta + s x_u) / (1 - s z_u), where z = (I - s S)^{-1} d and eta
     is 1 for the S 1 right-hand side, 0 for ones (Langville and Meyer,
     "Updating Markov Chains with an Eye on Google's PageRank", 2006). The
-    differences d of L removals form an (n x L) matrix, and one multi-column
-    LU solve gives all L vectors z. On the synthetic follow graphs that solve
-    equals L single-column solves bit for bit; where the factors hold large
-    dense supernodes, SuperLU's multi-column kernels may round differently.
+    differences d of a block of L removals form an (n x L) matrix, and one
+    multi-column LU solve gives all L vectors z; ``solve_with_columns`` cuts
+    its removals into blocks of at most BLOCK_BYTES of such work array. On
+    the synthetic follow graphs that solve equals L single-column solves bit
+    for bit; where the factors hold large dense supernodes, SuperLU's
+    multi-column kernels may round differently.
     """
 
     def __init__(
@@ -237,29 +242,11 @@ class ColumnUpdateSolver:
         self.order = order
         self.position = np.empty(n, dtype=np.intp)
         self.position[order] = np.arange(n)
-        self.lu = splu(self._permuted_system(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        system = (sparse.identity(n, format="csc") - s * self.matrix)[order][:, order]
+        system.sort_indices()
+        self.lu = splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.0)
         rhs = self.matrix @ np.ones(n) if rhs_from_matrix else np.ones(n)
         self.x = self.solve(rhs)
-
-    def _permuted_system(self) -> sparse.csc_matrix:
-        """P (I - s S) P^T from S's CSC arrays: column j is a 1 on the
-        diagonal (S has none: the follow graph has no self-loops), then
-        column order[j] of -s S with its rows renumbered by ``position``."""
-        indptr, n = self.matrix.indptr, len(self.order)
-        starts, stops = indptr[self.order], indptr[self.order + 1]
-        counts = stops - starts
-        new_indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(counts + 1, out=new_indptr[1:])
-        rows = np.empty(new_indptr[-1], dtype=np.intp)
-        values = np.empty(new_indptr[-1])
-        rows[new_indptr[:-1]], values[new_indptr[:-1]] = np.arange(n), 1.0
-        old = _concat_ranges(starts, stops)
-        off_diagonal = np.arange(len(old)) + np.repeat(np.arange(1, n + 1), counts)
-        rows[off_diagonal] = self.position[self.matrix.indices[old]]
-        values[off_diagonal] = -self.s * self.matrix.data[old]
-        a = sparse.csc_matrix((values, rows, new_indptr), shape=(n, n))
-        a.sort_indices()
-        return a
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """(I - s S)^{-1} b for b of shape (n,) or (n, k), in user order."""
@@ -271,7 +258,21 @@ class ColumnUpdateSolver:
         """(L, n) solutions, one per replaced column: in solution k, column
         us[k] of S holds the values ``columns[link == k]`` on rows
         ``rows[link == k]`` (each a column that sums to 1, or all zero) and
-        nothing else."""
+        nothing else. ``link`` is ascending. The L replacements are solved
+        in blocks of BLOCK_BYTES // (8 n) consecutive ones, at least one."""
+        n = len(self.x)
+        size = max(1, BLOCK_BYTES // (8 * n))
+        out = np.empty((len(us), n))
+        for a in range(0, len(us), size):
+            ra, rb = np.searchsorted(link, (a, a + size))
+            out[a:a + size] = self._solve_block(us[a:a + size], rows[ra:rb], columns[ra:rb],
+                                                link[ra:rb] - a).T
+        return out
+
+    def _solve_block(
+        self, us: np.ndarray, rows: np.ndarray, columns: np.ndarray, link: np.ndarray
+    ) -> np.ndarray:
+        """``solve_with_columns`` of one block, as an (n, L) array."""
         n, cols, position = len(self.x), np.arange(len(us)), self.position
         # d is built in the factor's row order, so the solve needs no
         # permutation on the way in
@@ -304,7 +305,7 @@ class ColumnUpdateSolver:
         del w
         y[rows, link] += columns * w_u[link]
         y += 1.0 - self.eta
-        return np.ascontiguousarray(y.T)
+        return y
 
 
 def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -353,14 +354,6 @@ def _normalise_columns(weights: np.ndarray, link: np.ndarray, n_links: int) -> n
     return out
 
 
-def _link_blocks(link: np.ndarray, n_links: int):
-    """(a, b, ra, rb) for each block of BLOCK_LINKS consecutive links, in
-    order: links a..b-1 own the entries ra..rb-1 of the ascending ``link``."""
-    starts = np.arange(0, n_links, BLOCK_LINKS)
-    stops = np.minimum(starts + BLOCK_LINKS, n_links)
-    return zip(starts, stops, np.searchsorted(link, starts), np.searchsorted(link, stops))
-
-
 def _link_indices(index: dict[str, int], links: Sequence[tuple[str, str]]):
     ius = np.array([index[u] for u, _ in links], dtype=np.intp)
     ivs = np.array([index[v] for _, v in links], dtype=np.intp)
@@ -382,11 +375,11 @@ def _personal_scores_without_links(
     shares)`` gives the (rows x keys) raw weights of u's remaining edges
     with their tweet shares, and ``matrices(keys)`` the matrices of the keys
     that some follower weighs, in ascending order. Each is factored in
-    ``order`` when reached and freed before the next, so one factorisation
-    is alive at a time, and each block of BLOCK_LINKS links solves its
-    links of positive weight in one multi-column solve. A skipped term
-    would add 0 * y to a sum that starts at +0.0, so skipping changes no
-    bit, and each link's terms are added in ascending key order."""
+    ``order`` when reached, solves every link of positive weight in one
+    ``solve_with_columns`` call (which sizes its own blocks) and is freed
+    before the next, so one factorisation is alive at a time. A skipped
+    term would add 0 * y to a sum that starts at +0.0, so skipping changes
+    no bit, and each link's terms are added in ascending key order."""
     ius, ivs = _link_indices(ctx.index, links)
     rows, link, shares = _friend_shares_without(ctx, ius, ivs)
     columns = _normalise_columns(edge_weights(rows, shares), link, len(links))
@@ -395,19 +388,15 @@ def _personal_scores_without_links(
     scores = np.zeros((len(links), len(order)))
     for tm in matrices(np.flatnonzero((weights > 0).any(axis=0))):
         t = tm.hour
-        solver = ColumnUpdateSolver(tm.matrix, tm.gamma, order)
-        for a, b, ra, rb in _link_blocks(link, len(links)):
-            on = weights[a:b, t] > 0
-            if not on.any():
-                continue
-            keep = on[link[ra:rb] - a]
-            renumber = np.cumsum(on) - 1
-            y = solver.solve_with_columns(ius[a:b][on], dsts[ra:rb][keep],
-                                          columns[t, ra:rb][keep], renumber[link[ra:rb][keep] - a])
-            y /= y.sum(axis=1)[:, None]
-            y *= weights[a:b][on, t, None]
-            scores[a:b][on] += y
-        del solver
+        on = weights[:, t] > 0
+        keep = on[link]
+        renumber = np.cumsum(on) - 1
+        # the solver is a temporary, so its factor is freed on return
+        y = ColumnUpdateSolver(tm.matrix, tm.gamma, order).solve_with_columns(
+            ius[on], dsts[keep], columns[t, keep], renumber[link[keep]])
+        y /= y.sum(axis=1)[:, None]
+        y *= weights[on, t, None]
+        scores[on] += y
     return scores
 
 
@@ -531,10 +520,11 @@ class TwitterRankLinkScorer(_LinkBlocks):
 
 class TunkRankLinkScorer(_LinkBlocks):
     """TunkRank after removing follow links, by one ColumnUpdateSolver
-    solve per block of BLOCK_LINKS links against one factorisation, which
-    the scorer keeps, in the follow graph's ``elimination_order``: column u
-    of the follower -> friend matrix holds 1/deg(u) on each friend, and
-    without (u, v) it holds 1/(deg(u) - 1) on the rest."""
+    ``solve_with_columns`` call per ``scores_without_links`` call against
+    one factorisation, which the scorer keeps, in the follow graph's
+    ``elimination_order``: column u of the follower -> friend matrix holds
+    1/deg(u) on each friend, and without (u, v) it holds 1/(deg(u) - 1) on
+    the rest."""
 
     def __init__(self, dataset: Dataset, p: float = DEFAULT_P):
         self.p = p
@@ -555,13 +545,8 @@ class TunkRankLinkScorer(_LinkBlocks):
                 keep = (graph.src != iu) | (graph.dst != iv)
                 check_tunkrank_fixed_point(graph.src[keep], graph.dst[keep], len(self.user_ids))
         rows, link = _friend_rows(graph, ius, ivs)
-        dsts = graph.dst[rows]
         columns = 1.0 / np.bincount(link, minlength=len(links))[link]
-        scores = np.empty((len(links), len(self.user_ids)))
-        for a, b, ra, rb in _link_blocks(link, len(links)):
-            scores[a:b] = self.solver.solve_with_columns(ius[a:b], dsts[ra:rb], columns[ra:rb],
-                                                         link[ra:rb] - a)
-        return scores
+        return self.solver.solve_with_columns(ius, graph.dst[rows], columns, link)
 
     def scores_without(self, u: str, v: str) -> RankVector:
         return RankVector(
@@ -692,12 +677,12 @@ def run_scenarios(
     evaluated once per (model, c) even when several scenarios hold it, and
     its candidates are drawn once for all of them. Each scorer is told the
     links in advance and scores them all in one call, matrix by matrix,
-    with one multi-column solve per matrix for each block of BLOCK_LINKS
-    links, before the next scorer is built; Q is still taken link by link
-    through evaluate_link. Bad parameters (``check_scenario_args``) raise
-    ValueError before any scorer is built. ``scenarios`` None means all of
-    them; when no requested scenario has a link, an empty selection
-    included, the result is empty and no scorer is built.
+    with one ``solve_with_columns`` call per matrix, before the next scorer
+    is built; Q is still taken link by link through evaluate_link. Bad
+    parameters (``check_scenario_args``) raise ValueError before any scorer
+    is built. ``scenarios`` None means all of them; when no requested
+    scenario has a link, an empty selection included, the result is empty
+    and no scorer is built.
     """
     check_scenario_args(models, c_grid, scenarios)
     if not 0.0 <= tunkrank_p <= 1.0:

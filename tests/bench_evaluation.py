@@ -4,13 +4,15 @@ scenario drawn with the sub-seed that ``influxrank recommend --seed 3`` uses
 (56 links; the seven non-empty scenarios share two), at c = 0.85. It times
 the scorer's batched path, one ``scores_without_links`` call over all 56
 links as ``run_scenarios`` makes it (each hour that some follower weighs is
-built, factored and solved in blocks of ``BLOCK_LINKS``, then freed), against
-the per-link oracle of ``tests/oracles.py``, whose 24 hourly factorisations
-are built once, outside the timing. Two more cases time one call on
-``BLOCK_LINKS`` links, one per follower, from the followers active in the
-fewest and in the most hours of the day (a tweetless follower weighs all
-24 hours): only the hours some follower is active in are factored, so the
-first call factors few hours and the second nearly all.
+built, factored, solved in one ``solve_with_columns`` call, which cuts the
+links into blocks of at most ``BLOCK_BYTES`` of (users x links) work array,
+then freed), against the per-link oracle of ``tests/oracles.py``, whose 24
+hourly factorisations are built once, outside the timing. Two more cases
+time one call on one full block of links, ``BLOCK_BYTES // (8 n)`` (160 at
+2,000 users), one per follower, from the followers active in the fewest and
+in the most hours of the day (a tweetless follower weighs all 24 hours):
+only the hours some follower is active in are factored, so the first call
+factors fewer hours than the second.
 
 The file name keeps it out of the default test run. Run it with
 
@@ -28,7 +30,7 @@ import numpy as np
 import pytest
 
 from influxrank.cli import stage_seed
-from influxrank.evaluation import BLOCK_LINKS, SCENARIO_TAGS, TirLinkScorer, build_link_sets
+from influxrank.evaluation import BLOCK_BYTES, SCENARIO_TAGS, TirLinkScorer, build_link_sets
 from influxrank.features import FeatureContext, balance_and_normalize, build_instances
 from influxrank.logistic import train
 from influxrank.ranking import personal_weights
@@ -78,7 +80,8 @@ def test_tir_links_block_by_active_hours(benchmark, scored, active):
     followers = sorted(first_edge, key=lambda u: (hours[u], u))
     if active == "most":
         followers.reverse()
-    rows = [first_edge[u] for u in followers[:BLOCK_LINKS]]
+    block = BLOCK_BYTES // (8 * len(ctx.user_ids))
+    rows = [first_edge[u] for u in followers[:block]]
     links = [(ctx.user_ids[ctx.edge_src[r]], ctx.user_ids[ctx.edge_dst[r]]) for r in rows]
     scores = benchmark(scorer.scores_without_links, links)
-    assert scores.shape == (BLOCK_LINKS, len(ctx.user_ids))
+    assert scores.shape == (block, len(ctx.user_ids))

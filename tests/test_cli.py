@@ -325,6 +325,8 @@ class TestErrorHandling:
         # a repeat would write its scenario rows twice
         ["--c-grid", "0.85,0.5,0.850"],
         ["--scenarios", "L_fh,L_fh"],
+        # an empty tag, not the absent option that selects all eight
+        ["--scenarios", ""],
     ])
     def test_bad_recommend_parameters_fail_before_loading(self, tmp_path, args):
         # neither input holds a dataset or a model, so a load would exit 1

@@ -337,14 +337,15 @@ class TestRunScenarios:
                 dataset, small_model, seed=2, c_grid=(0.85,), n_links=5, ctx=small_ctx)]
 
         whole = q_lists()
-        monkeypatch.setattr(evaluation, "BLOCK_LINKS", 3)
+        # a budget of three links per block
+        monkeypatch.setattr(evaluation, "BLOCK_BYTES", 3 * 8 * dataset.n_users)
         assert q_lists() == whole
 
     def test_blocks_scored_once_and_each_link_evaluated(self, small_synth, small_model,
                                                         small_ctx, monkeypatch):
-        # each scorer scores all distinct links in one call, each solve
-        # covers at most BLOCK_LINKS of them, and evaluate_link still runs
-        # once per (link, model, c)
+        # each scorer scores all distinct links in one call, each block's
+        # (n x links) work array fills at most BLOCK_BYTES, and evaluate_link
+        # still runs once per (link, model, c)
         dataset, _ = small_synth
         calls, solved, evaluated = [], [], []
         for cls in (TirLinkScorer, TwitterRankLinkScorer, TunkRankLinkScorer):
@@ -352,20 +353,21 @@ class TestRunScenarios:
                 calls.append((self.__class__.__name__, list(links)))
                 return score(self, links)
             monkeypatch.setattr(cls, "scores_without_links", counted)
-        solve = evaluation.ColumnUpdateSolver.solve_with_columns
+        solve = evaluation.ColumnUpdateSolver._solve_block
 
         def counted_solve(self, us, *args):
-            solved.append(len(us))
+            solved.append(8 * len(self.x) * len(us))
             return solve(self, us, *args)
 
-        monkeypatch.setattr(evaluation.ColumnUpdateSolver, "solve_with_columns", counted_solve)
+        monkeypatch.setattr(evaluation.ColumnUpdateSolver, "_solve_block", counted_solve)
 
         def evaluate(*args, **kwargs):
             evaluated.append((args[1], args[3]))
             return evaluate_link(*args, **kwargs)
 
         monkeypatch.setattr(evaluation, "evaluate_link", evaluate)
-        monkeypatch.setattr(evaluation, "BLOCK_LINKS", 4)
+        budget = 4 * 8 * dataset.n_users
+        monkeypatch.setattr(evaluation, "BLOCK_BYTES", budget)
         run_scenarios(dataset, small_model, seed=2, c_grid=(0.5, 0.85), n_links=5,
                       ctx=small_ctx)
         link_sets = build_link_sets(dataset, seed=2, ctx=small_ctx, n_links=5)
@@ -373,7 +375,7 @@ class TestRunScenarios:
         assert len(links) > 4
         assert calls == [(name, links) for name in ("TirLinkScorer", "TirLinkScorer",
                                                     "TunkRankLinkScorer", "TwitterRankLinkScorer")]
-        assert solved and max(solved) <= 4
+        assert max(solved) == budget
         assert evaluated == [(l, m) for m in ("tir", "tir", "tunkrank", "twitterrank")
                              for l in links]
 

@@ -291,11 +291,13 @@ class TestBatchCases:
         assert_batch_matches_oracle(dataset, links, 0.85, p=0.05)
 
     def test_expected_links_asked_out_of_order(self, monkeypatch):
-        # rows left over from a block are served by link, and a link asked
-        # for again, or ahead of its turn, is scored alone
-        monkeypatch.setattr(evaluation, "BLOCK_LINKS", 4)
+        # rows left over from a call are served by link, and a link asked
+        # for again, or ahead of its turn, is scored alone; the solver
+        # cuts the links into blocks of four
+        dataset = self.dataset()
+        monkeypatch.setattr(evaluation, "BLOCK_BYTES", 4 * 8 * dataset.n_users)
         links = [(f"u{a:02d}", f"u{b:02d}") for a, b in TestColumnCases.EDGES]
-        scorer = TunkRankLinkScorer(self.dataset(), p=0.05)
+        scorer = TunkRankLinkScorer(dataset, p=0.05)
         want = scorer.scores_without_links(links)
         scorer.expect(links)
         for i in (0, 2, 1, 5, 3, 4, 0):
@@ -392,13 +394,18 @@ def synth_500():
     dataset, _ = generate(GeneratorConfig(n_users=500, seed=3))
     ctx = FeatureContext(dataset)
     ids = ctx.user_ids
-    # three blocks of links from distinct followers, the first edge of each
+    # 48 links from distinct followers, the first edge of each: one block at
+    # the default budget, three at THREE_BLOCKS
     first = {}
     for row, u in enumerate(ctx.edge_src.tolist()):
         first.setdefault(u, row)
-    rows = list(first.values())[:3 * evaluation.BLOCK_LINKS]
+    rows = list(first.values())[:48]
     links = [(ids[ctx.edge_src[r]], ids[ctx.edge_dst[r]]) for r in rows]
     return dataset, ctx, links
+
+
+# a budget of 16 links per block at 500 users
+THREE_BLOCKS = 16 * 8 * 500
 
 
 def scorers_of(dataset, ctx, c=0.85, p=0.3):
@@ -452,13 +459,56 @@ def test_every_factor_pivots_on_the_diagonal(synth_500, monkeypatch, p):
     assert all(diagonal for _, diagonal in pivots)
 
 
-def test_multi_column_solves_equal_single_column_solves(synth_500):
+def test_multi_column_solves_equal_single_column_solves(synth_500, monkeypatch):
     dataset, ctx, links = synth_500
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", THREE_BLOCKS)
     for scorer in scorers_of(dataset, ctx):
         block = scorer.scores_without_links(links)
         solvers = None if isinstance(scorer, TunkRankLinkScorer) else link_solvers(scorer)
         for row, (u, v) in zip(block, links):
             assert np.array_equal(row, scores_without_loop(scorer, u, v, solvers))
+
+
+@pytest.fixture(scope="module")
+def one_block(synth_500):
+    """Each scorer's rows of synth_500's links and run_scenarios' Q on the
+    500-user graph, at the default budget (640 links per block)."""
+    dataset, ctx, links = synth_500
+    assert evaluation.BLOCK_BYTES // (8 * dataset.n_users) >= len(links)
+    rows = [scorer.scores_without_links(links) for scorer in scorers_of(dataset, ctx)]
+    return rows, scenario_q(dataset, ctx)
+
+
+def scenario_q(dataset, ctx):
+    return [(r.tag, r.model, r.c, r.q_values) for r in run_scenarios(
+        dataset, MODEL, seed=4, c_grid=(0.85,), gamma=GAMMA, tunkrank_p=0.3, n_links=6,
+        ctx=ctx)]
+
+
+@pytest.mark.filterwarnings("ignore:scenario")
+@pytest.mark.parametrize("per_block", [48, 16, 1], ids=["one", "three", "each"])
+def test_block_budget_changes_no_bit(synth_500, one_block, monkeypatch, per_block):
+    # a budget of one block of synth_500's 48 links, three blocks or one
+    # link per block: every solve stays within it, and every row and Q is
+    # that of the default budget
+    dataset, ctx, links = synth_500
+    budget = per_block * 8 * dataset.n_users
+    monkeypatch.setattr(evaluation, "BLOCK_BYTES", budget)
+    blocks, solve = [], evaluation.ColumnUpdateSolver._solve_block
+
+    def counted(self, us, *args):
+        blocks.append(8 * len(self.x) * len(us))
+        return solve(self, us, *args)
+
+    monkeypatch.setattr(evaluation.ColumnUpdateSolver, "_solve_block", counted)
+    rows, q = one_block
+    for scorer, want in zip(scorers_of(dataset, ctx), rows):
+        blocks.clear()
+        assert np.array_equal(scorer.scores_without_links(links), want)
+    # TunkRank, scored last, solves every link, in full blocks
+    assert blocks == [budget] * (len(links) // per_block)
+    assert scenario_q(dataset, ctx) == q
+    assert max(blocks) <= budget
 
 
 def test_scores_agree_with_the_colamd_factor(synth_500):
